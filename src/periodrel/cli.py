@@ -45,6 +45,28 @@ class ComputationFailed(RuntimeError):
         self.extra = extra
 
 
+class UsageError(Exception):
+    """An out-of-range argument: exit 2 with error JSON.  Not a ValueError,
+    which argparse would turn into a usage message on stderr."""
+
+
+def _genus(text: str) -> int:
+    g = int(text)
+    if g < 1:
+        raise UsageError(f"--g must be >= 1, got {g}")
+    return g
+
+
+def _multiplier(text: str) -> Fraction:
+    try:
+        mu = Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"--mu has a zero denominator: {text}")
+    if mu == 0:
+        raise UsageError("--mu must be nonzero")
+    return mu
+
+
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -348,24 +370,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_sym = sub.add_parser("symplectic", help="exact similitude sampling")
     y_sub = p_sym.add_subparsers(dest="subcommand", required=True)
     p = leaf(y_sub, "sample")
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_genus, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mu", type=Fraction, default=Fraction(1))
+    p.add_argument("--mu", type=_multiplier, default=Fraction(1))
     p.add_argument("--word-length", type=int, default=8)
     p.set_defaults(func=cmd_symplectic_sample)
 
     p_ideal = sub.add_parser("ideal", help="trivial-relations ideal")
     i_sub = p_ideal.add_subparsers(dest="subcommand", required=True)
     p = leaf(i_sub, "gens")
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_genus, required=True)
     p.set_defaults(func=cmd_ideal_gens)
     p = leaf(i_sub, "radical")
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_genus, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ideal_radical)
     p = leaf(i_sub, "member")
     p.add_argument("--poly", required=True)
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_genus, required=True)
     p.add_argument("--budget", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ideal_member)
@@ -412,7 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:
+        print(json.dumps({"error": str(exc)}, sort_keys=True))
+        return 2
     digests: dict[str, str] = {}
     try:
         report = args.func(args, digests)

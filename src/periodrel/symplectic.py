@@ -89,9 +89,10 @@ def _make_sample(matrix, multiplier: Fraction) -> SymplecticSample:
     return s
 
 
-def _random_unimodular(rng: random.Random, g: int) -> list[list[Fraction]]:
-    # product of integer shears; det stays 1, entries stay small
-    a = [[Fraction(int(i == j)) for j in range(g)] for i in range(g)]
+def _random_unimodular(rng: random.Random, g: int) -> tuple[list[list[int]], list[list[int]]]:
+    """A product of integer shears (det 1, small entries) and its inverse-transpose."""
+    a = [[int(i == j) for j in range(g)] for i in range(g)]
+    a_inv_t = [row[:] for row in a]
     for _ in range(g + 2):
         i = rng.randrange(g)
         j = rng.randrange(g)
@@ -99,21 +100,28 @@ def _random_unimodular(rng: random.Random, g: int) -> list[list[Fraction]]:
             continue
         c = rng.choice((-2, -1, 1, 2))
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-    return a
+        # row i += c row j is E = I + c e_ij on the left; E^-t = I - c e_ji
+        a_inv_t[j] = [x - c * y for x, y in zip(a_inv_t[j], a_inv_t[i])]
+    return a, a_inv_t
 
 
-def _random_symmetric(rng: random.Random, g: int) -> list[list[Fraction]]:
-    b = [[Fraction(0)] * g for _ in range(g)]
+def _random_symmetric(rng: random.Random, g: int) -> list[list[int]]:
+    b = [[0] * g for _ in range(g)]
     for i in range(g):
         for j in range(i, g):
-            c = Fraction(rng.randint(-2, 2))
+            c = rng.randint(-2, 2)
             b[i][j] = c
             b[j][i] = c
     return b
 
 
 def sample_symplectic(g: int, seed: int, word_length: int = 8) -> SymplecticSample:
-    """Deterministic exact sample of Sp_2g(Q) as a word in three generator kinds.
+    """Deterministic exact sample of Sp_2g(Z) as a word in three generator kinds.
+
+    Every generator is integral (a unimodular block beside its
+    inverse-transpose, a symmetric shear, or J), so the word is multiplied
+    out over int and converted to Fraction once, then re-verified.  A sample
+    depends on its seed alone; callers drawing many build each on reaching it.
 
     Degenerate draws (words whose leading g x g block is singular, which would
     park the projected frame outside the open cell) are regenerated by
@@ -123,28 +131,30 @@ def sample_symplectic(g: int, seed: int, word_length: int = 8) -> SymplecticSamp
     if g < 1:
         raise ValueError("g must be >= 1")
     rng = random.Random(seed)
-    m = mx.identity(2 * g)
-    j = standard_form(g)
+    eye = mx.freeze([[int(i == j) for j in range(g)] for i in range(g)])
+    zero = mx.freeze([[0] * g for _ in range(g)])
+    j = mx.block(zero, eye, mx.scalar_mul(-1, eye), zero)
+    m = mx.block(eye, zero, zero, eye)
 
     def gen_of(kind: str):
         if kind == "linear":
-            a = mx.freeze(_random_unimodular(rng, g))
-            return mx.block(a, mx.zeros(g, g), mx.zeros(g, g), mx.transpose(mx.inverse(a)))
+            a, a_inv_t = _random_unimodular(rng, g)
+            return mx.block(mx.freeze(a), zero, zero, mx.freeze(a_inv_t))
         if kind == "shear":
-            return mx.block(mx.identity(g), mx.freeze(_random_symmetric(rng, g)), mx.zeros(g, g), mx.identity(g))
+            return mx.block(eye, mx.freeze(_random_symmetric(rng, g)), zero, eye)
         return j
 
     for _ in range(word_length):
         m = mx.mat_mul(m, gen_of(rng.choice(("linear", "shear", "swap"))))
     if word_length > 0:
         guard = 0
-        while mx.inverse(mx.freeze([row[:g] for row in m[:g]])) is None:
+        while mx.det(mx.freeze([row[:g] for row in m[:g]])) == 0:
             # a shear followed by J replaces the leading block by a generic mix
             m = mx.mat_mul(mx.mat_mul(m, gen_of("shear")), j)
             guard += 1
             if guard > 60:
                 raise AssertionError("could not regenerate a non-degenerate word")
-    return _make_sample(m, Fraction(1))
+    return _make_sample([[Fraction(x) for x in row] for row in m], Fraction(1))
 
 
 def with_multiplier(s: SymplecticSample, mu: Fraction) -> SymplecticSample:

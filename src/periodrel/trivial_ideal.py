@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 from . import matrices as mx
 from .polyalg import (
@@ -94,12 +95,6 @@ def point_assignment(g: int, y, z) -> dict[VarId, Scalar]:
     return out
 
 
-def is_isotropic_point(y, z) -> bool:
-    return mx.is_zero_matrix(
-        mx.mat_sub(mx.mat_mul(mx.transpose(y), z), mx.mat_mul(mx.transpose(z), y))
-    )
-
-
 def structured_witnesses(g: int) -> list[tuple]:
     """Deterministic isotropic points: (I,0), (I,I), (I, symmetric)."""
     eye = mx.identity(g)
@@ -111,12 +106,16 @@ def structured_witnesses(g: int) -> list[tuple]:
     return [(eye, zero), (eye, eye), (eye, diag), (eye, ones)]
 
 
-def sampled_points(g: int, budget: int, seed: int) -> list[tuple]:
-    pts = []
+def _iter_sampled_points(g: int, budget: int, seed: int) -> Iterator[tuple]:
+    """Projected symplectic samples k = 0 .. budget-1, each seeded on its own
+    (seed + 7919 k) and built only when the consumer asks for it."""
     for k in range(budget):
         frame = project_to_V(sample_symplectic(g, seed + 7919 * k))
-        pts.append((frame.y_block, frame.z_block))
-    return pts
+        yield frame.y_block, frame.z_block
+
+
+def sampled_points(g: int, budget: int, seed: int) -> list[tuple]:
+    return list(_iter_sampled_points(g, budget, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +148,15 @@ class RadicalityCertificate:
 
 def radicality_certificate(ideal: TrivialIdeal, seed: int = 0) -> RadicalityCertificate:
     """Certify radicality: generator count m equals the Jacobian rank at an
-    exact point of the variety.  The canonical witness is (I, 0); a random
-    search over projected frames is the fallback only."""
+    exact point of the variety.  The canonical witness (I, 0) is tried first;
+    the fallback search over up to 50 projected frames builds each frame only
+    when it is reached, so none is built when (I, 0) succeeds."""
     g = ideal.g
     m = ideal.generator_count
     eye, zero = mx.identity(g), mx.zeros(g, g)
     if m == 0:
         return RadicalityCertificate(g, 0, (eye, zero), True, 0, "radical")
-    candidates = [(eye, zero)] + sampled_points(g, 50, seed)
+    candidates = chain([(eye, zero)], _iter_sampled_points(g, 50, seed))
     tried = 0
     for y, z in candidates:
         tried += 1
@@ -196,12 +196,15 @@ def membership(
     """Decide membership of p in the trivial-relations ideal.
 
     Cheap certifying route first: one nonzero evaluation at an exact
-    isotropic point proves nonmembership.  If every sample vanishes and the
-    scale permits (g <= 3), Buchberger gives the certified answer; otherwise
-    the verdict is honest "undecided".
+    isotropic point proves nonmembership.  The structured witnesses are
+    evaluated first, then at most ``sample_budget`` sampled points, each built
+    only when it is reached, so the search stops building at the first
+    nonzero value.  If every point vanishes and the scale permits (g <= 3),
+    Buchberger gives the certified answer; otherwise the verdict is honest
+    "undecided".
     """
     g = ideal.g
-    points = structured_witnesses(g) + sampled_points(g, sample_budget, seed)
+    points = chain(structured_witnesses(g), _iter_sampled_points(g, sample_budget, seed))
     tested = 0
     for y, z in points:
         tested += 1

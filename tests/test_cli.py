@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,31 @@ def test_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["ideal", "gens"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ideal", "gens", "--g", "0"],
+        ["ideal", "radical", "--g", "0"],
+        ["ideal", "member", "--poly", "unread.json", "--g", "0"],
+        ["symplectic", "sample", "--g", "0"],
+        ["symplectic", "sample", "--g", "2", "--mu", "0"],
+        ["symplectic", "sample", "--g", "2", "--mu", "1/0"],
+    ],
+)
+def test_out_of_range_arguments_exit_2_with_json(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "periodrel.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    doc, end = json.JSONDecoder().raw_decode(proc.stdout)
+    assert proc.stdout[end:].strip() == ""
+    assert set(doc) == {"error"}
+    assert "Traceback" not in proc.stderr
 
 
 def test_ideal_radical_report(capsys):

@@ -134,3 +134,62 @@ def test_sample_json():
     doc = s.to_json()
     assert doc["g"] == 2
     assert mx.mat_eq(mx.matrix_from_json(doc["matrix"]), s.matrix)
+
+
+# ---------------------------------------------------------------------------
+# Reference builder: the word multiplied out over Fraction, with the inverse
+# transpose taken by elimination.  sample_symplectic multiplies the same word
+# over int and must return the identical matrix.
+
+
+def _fraction_unimodular(rng, g):
+    a = [[Fraction(int(i == j)) for j in range(g)] for i in range(g)]
+    for _ in range(g + 2):
+        i = rng.randrange(g)
+        j = rng.randrange(g)
+        if i == j:
+            continue
+        c = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+def _fraction_symmetric(rng, g):
+    b = [[Fraction(0)] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            c = Fraction(rng.randint(-2, 2))
+            b[i][j] = c
+            b[j][i] = c
+    return b
+
+
+def _fraction_word(g, seed, word_length):
+    rng = random.Random(seed)
+    m = mx.identity(2 * g)
+    j = standard_form(g)
+
+    def gen_of(kind):
+        if kind == "linear":
+            a = mx.freeze(_fraction_unimodular(rng, g))
+            return mx.block(a, mx.zeros(g, g), mx.zeros(g, g), mx.transpose(mx.inverse(a)))
+        if kind == "shear":
+            return mx.block(mx.identity(g), mx.freeze(_fraction_symmetric(rng, g)), mx.zeros(g, g), mx.identity(g))
+        return j
+
+    for _ in range(word_length):
+        m = mx.mat_mul(m, gen_of(rng.choice(("linear", "shear", "swap"))))
+    if word_length > 0:
+        while mx.inverse(mx.freeze([row[:g] for row in m[:g]])) is None:
+            m = mx.mat_mul(mx.mat_mul(m, gen_of("shear")), j)
+    return m
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("word_length", [0, 1, 4, 8])
+def test_integer_word_matches_fraction_oracle(g, word_length):
+    for seed in range(20):
+        s = sample_symplectic(g, seed, word_length)
+        assert all(type(x) is Fraction for row in s.matrix for x in row)
+        assert s.matrix == _fraction_word(g, seed, word_length)
+        assert s.multiplier == 1

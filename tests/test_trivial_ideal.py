@@ -151,6 +151,41 @@ def test_membership_consistency_in_ideal_vanishes_everywhere():
             assert p.evaluate(point_assignment(g, y, z)) == 0
 
 
+def test_samples_are_built_only_when_reached(monkeypatch):
+    import periodrel.trivial_ideal as ti
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return sample_symplectic(*args, **kwargs)
+
+    monkeypatch.setattr(ti, "sample_symplectic", counting)
+    for g in (2, 3, 4, 5):
+        cert = radicality_certificate(generators(g), seed=g)
+        assert cert.verdict == "radical" and cert.fallback_points_tried == 0
+    assert len(built) == 0
+
+    ideal = generators(2)
+    # decided at the first structured witness (I, 0)
+    v = membership(MultiPoly.variable(yvar(1, 1)), ideal, sample_budget=10, seed=0)
+    assert v.status == "not_in_ideal_certified" and v.samples_tested == 1
+    assert len(built) == 0
+
+    # a member vanishes everywhere: the whole budget is built, no more
+    v = membership(ideal.generators[0], ideal, sample_budget=6, seed=3)
+    assert v.status == "in_ideal_certified" and v.samples_tested == 4 + 6
+    assert len(built) == 6
+
+    # Y[1,2] vanishes at every structured witness (Y = I there) but not at
+    # a generic sample: the samples built are those evaluated
+    del built[:]
+    n_structured = len(structured_witnesses(2))
+    v = membership(MultiPoly.variable(yvar(1, 2)), ideal, sample_budget=10, seed=0)
+    assert v.status == "not_in_ideal_certified" and v.samples_tested > n_structured
+    assert len(built) == v.samples_tested - n_structured
+
+
 def test_membership_undecided_above_groebner_scale():
     ideal = generators(4)
     # a polynomial vanishing on every sample: a generator itself
