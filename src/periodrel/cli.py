@@ -8,6 +8,7 @@ files, so that identical seeds and inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -27,7 +28,7 @@ from .relations import (
     random_case3_input,
     verify_relation_on_data,
 )
-from .scalars import Place, ScalarError, scalar_from_json, scalar_to_json
+from .scalars import DecodeError, Place, ScalarError, scalar_from_json, scalar_to_json
 from .series import (
     TruncatedSeries,
     compositional_inverse,
@@ -169,7 +170,7 @@ def cmd_series_gb_scan(args, digests):
 def cmd_series_eval(args, digests):
     f = TruncatedSeries.from_json(_load_json(args.series, digests))
     v = _parse_place(args.place)
-    x = scalar_from_json(args.x)
+    x = scalar_from_json(args.x, "--x")
     try:
         res = eval_with_tail_bound(f, x, v, integral_tail=args.integral_tail)
     except ScalarError as exc:
@@ -320,7 +321,7 @@ def cmd_gfun_check(args, digests):
     g = GFunMatrix.from_json(_load_json(args.G, digests))
     data = SyntheticPeriodData.from_json(_load_json(args.data, digests))
     v = _parse_place(args.place)
-    x = scalar_from_json(args.x)
+    x = scalar_from_json(args.x, "--x")
     try:
         report = check_period_equation(f, g, data.F, data.G, x, v, tolerance=args.tolerance)
     except ScalarError as exc:
@@ -332,7 +333,9 @@ def cmd_gfun_check(args, digests):
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="periodrel",
         description="exact period-relation certificates, trivial-relation ideal checks, and places-aware series",
@@ -442,6 +445,9 @@ def dispatch(argv: list[str]) -> int:
     digests: dict[str, str] = {}
     try:
         report = args.func(args, digests)
+    except DecodeError as exc:
+        print(json.dumps({"error": str(exc)}, sort_keys=True))
+        return 2
     except ComputationFailed as exc:
         err = {"error": str(exc), **exc.extra}
         print(json.dumps(err, sort_keys=True))

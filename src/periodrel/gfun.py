@@ -102,7 +102,10 @@ class GFunMatrix:
             flags = tuple(tuple(bool(x) for x in row) for row in flags)
         return GFunMatrix(
             int(obj["g"]),
-            tuple(tuple(TruncatedSeries.from_json(s) for s in row) for row in obj["entries"]),
+            tuple(
+                tuple(TruncatedSeries.from_json(s, f"entries[{i}][{j}]") for j, s in enumerate(row))
+                for i, row in enumerate(obj["entries"])
+            ),
             flags,
         )
 
@@ -165,8 +168,11 @@ class GaussManinCoefficients:
             int(obj["g"]),
             int(obj["N"]),
             tuple(
-                tuple(tuple(TruncatedSeries.from_json(s) for s in row) for row in block)
-                for block in obj["a"]
+                tuple(
+                    tuple(TruncatedSeries.from_json(s, f"a[{i}][{k}][{l}]") for l, s in enumerate(row))
+                    for k, row in enumerate(block)
+                )
+                for i, block in enumerate(obj["a"])
             ),
             bool(obj.get("integral", False)),
         )
@@ -186,6 +192,15 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
     a_order = min(s.order for s in a.all_series())
     out_order = min(f.order - n, a_order)
     g = f.g
+    # derivs[l-1][j-1][k] = d^k F[l][j] truncated, each built once from d^(k-1)
+    derivs = []
+    for row in f.entries:
+        derivs.append([])
+        for s in row:
+            chain = [s]
+            for _ in range(n):
+                chain.append(chain[-1].derivative())
+            derivs[-1].append([c.truncate(out_order) for c in chain])
     out = []
     for i in range(1, g + 1):
         row = []
@@ -196,7 +211,7 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
                     coeff = a.a(i, k, l)
                     if coeff.is_zero():
                         continue
-                    term = coeff.truncate(out_order) * f.entries[l - 1][j - 1].nth_derivative(k).truncate(out_order)
+                    term = coeff.truncate(out_order) * derivs[l - 1][j - 1][k]
                     acc = acc + term
             row.append(acc)
         out.append(row)

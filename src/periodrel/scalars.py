@@ -22,6 +22,10 @@ class ScalarError(ValueError):
     """Operation outside the supported scalar domain."""
 
 
+class DecodeError(ValueError):
+    """Input JSON of the wrong shape; the message starts with its path."""
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -299,9 +303,6 @@ class QuadScalar:
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     def embed(self, embedding: str = "sigma"):
         """Float (d > 0) or complex (d < 0) image under the chosen embedding."""
         root = math.sqrt(abs(self.d))
@@ -347,17 +348,33 @@ def scalar_to_json(x: Scalar):
     return _frac_str(Fraction(x))
 
 
-def scalar_from_json(obj) -> Scalar:
-    if isinstance(obj, dict):
-        return QuadScalar(int(obj["d"]), _frac_parse(obj["a"]), _frac_parse(obj["b"]))
-    return _frac_parse(obj)
+def scalar_from_json(obj, path: str = "scalar") -> Scalar:
+    """Decode a scalar; a malformed one raises :class:`DecodeError` naming
+    its path, e.g. ``coeffs[2].b: missing``."""
+    if not isinstance(obj, dict):
+        return _frac_parse(obj, path)
+    for key in ("d", "a", "b"):
+        if key not in obj:
+            raise DecodeError(f"{path}.{key}: missing")
+    try:
+        d = int(obj["d"])
+    except (TypeError, ValueError):
+        raise DecodeError(f"{path}.d: not an integer: {obj['d']!r}")
+    a, b = _frac_parse(obj["a"], f"{path}.a"), _frac_parse(obj["b"], f"{path}.b")
+    try:
+        return QuadScalar(d, a, b)
+    except ScalarError as exc:
+        raise DecodeError(f"{path}.d: {exc}")
 
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _frac_parse(s) -> Fraction:
+def _frac_parse(s, path: str) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except (ValueError, ZeroDivisionError):
+        raise DecodeError(f"{path}: not a rational number: {s!r}")

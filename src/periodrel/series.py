@@ -14,7 +14,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .scalars import (
+    DecodeError,
     Place,
+    QuadScalar,
     Scalar,
     ScalarError,
     abs_at_place,
@@ -143,10 +145,159 @@ class TruncatedSeries:
         return {"order": self.order, "coeffs": [scalar_to_json(c) for c in self.coeffs]}
 
     @staticmethod
-    def from_json(obj: dict) -> "TruncatedSeries":
+    def from_json(obj: dict, path: str = "") -> "TruncatedSeries":
+        """Decode a series; a malformed one raises :class:`DecodeError`
+        naming its path, e.g. ``coeffs: missing``."""
+        at = (path + ".") if path else ""
+        if not isinstance(obj, dict):
+            raise DecodeError(f"{path or 'series'}: expected an object")
+        for key in ("order", "coeffs"):
+            if key not in obj:
+                raise DecodeError(f"{at}{key}: missing")
+        try:
+            order = int(obj["order"])
+        except (TypeError, ValueError):
+            raise DecodeError(f"{at}order: not an integer: {obj['order']!r}")
+        if order < 0:
+            raise DecodeError(f"{at}order: must be >= 0, got {order}")
+        if not isinstance(obj["coeffs"], list):
+            raise DecodeError(f"{at}coeffs: expected a list")
         return TruncatedSeries.from_coeffs(
-            [scalar_from_json(c) for c in obj["coeffs"]], int(obj["order"])
+            [scalar_from_json(c, f"{at}coeffs[{i}]") for i, c in enumerate(obj["coeffs"])],
+            order,
         )
+
+
+# ---------------------------------------------------------------------------
+# Packed integer kernel
+#
+# A kernel series over Z is a list of ints; over Z[sqrt d] it is a pair of
+# equal-length lists (A, B) meaning A + B sqrt(d).  A truncated product packs
+# each list into one int with byte-aligned slots (Kronecker substitution,
+# Harvey 2009), multiplies once, and unpacks with one to_bytes call.  Every
+# slot carries a bias of half its range, so each coefficient is a plain
+# unsigned slice.
+
+
+def _slot_bias(w: int, m: int) -> int:
+    """The int with 2^(8w-1) in each of m slots of w bytes."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * m, "little")
+
+
+def _mul_trunc(a: list, b: list, m: int) -> list:
+    """The first m coefficients of the product of two int lists."""
+    a, b = a[:m], b[:m]
+    bits = (
+        max(map(int.bit_length, a))
+        + max(map(int.bit_length, b))
+        + min(len(a), len(b)).bit_length()
+    )
+    w = bits // 8 + 1  # every product coefficient lies strictly inside +-2^(8w-1)
+    half = 1 << (8 * w - 1)
+
+    def pack(xs: list) -> int:
+        raw = b"".join((x + half).to_bytes(w, "little") for x in xs)
+        return int.from_bytes(raw, "little") - _slot_bias(w, len(xs))
+
+    # only slots < m get the bias; the signed slots above borrow from higher
+    # bits only, and the mask drops them
+    p = (pack(a) * pack(b) + _slot_bias(w, m)) & ((1 << (8 * w * m)) - 1)
+    raw = p.to_bytes(w * m, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * m, w)]
+
+
+def _kmul(x: tuple, y: tuple, m: int, d: int | None) -> tuple:
+    """Truncated product of kernel series over Z (d None) or Z[sqrt d]."""
+    if d is None:
+        return (_mul_trunc(x[0], y[0], m),)
+    (a1, b1), (a2, b2) = x, y
+    p1 = _mul_trunc(a1, a2, m)
+    p2 = _mul_trunc(b1, b2, m)
+    p3 = _mul_trunc([s + t for s, t in zip(a1, b1)], [s + t for s, t in zip(a2, b2)], m)
+    return (
+        [s + d * t for s, t in zip(p1, p2)],
+        [u - s - t for s, t, u in zip(p1, p2, p3)],
+    )
+
+
+def _kpad(x: tuple, m: int) -> tuple:
+    """The first m coefficients of x, zero-padded."""
+    return tuple(part[:m] + [0] * (m - len(part)) for part in x)
+
+
+def _kcompose(f: tuple, g: tuple, d: int | None) -> tuple:
+    """f(g) by Horner to len(g) coefficients; g has zero constant term."""
+    m = len(g[0])
+    acc = tuple([part[m - 1]] for part in f)
+    for i in range(m - 2, -1, -1):
+        acc = _kmul(acc, g, m, d)
+        for part, fpart in zip(acc, f):
+            part[0] += fpart[i]
+    return acc
+
+
+def _kinverse(u: tuple, d: int | None) -> tuple[tuple, set]:
+    """Compositional inverse of u = X + O(X^2) by Newton iteration, and,
+    over Z[sqrt d] only, the set of indices k >= 1 where it is zero without
+    any nonzero term (over Z the set stays empty: the generic path writes
+    every rational zero the same way).
+
+    A step from v = u^-1 mod X^(p+1) to precision q <= 2p subtracts
+    (u(v) - X) / u'(v).  The error u(v) - X is O(X^(p+1)), so the divisor is
+    needed only mod X^(q-p), and there it equals v', because
+    (u^-1)' = 1 / u'(u^-1).  Every step stays integral.
+
+    In the generic path, a coefficient k that a step computes first
+    (p < k <= q) is the sum of the products err_i (1/f'(g))_(k-i) whose
+    factors are both nonzero.  Rescaling keeps which factors vanish, and
+    there the divisor coefficient vanishes with v'_(k-i), that is with
+    v_(k-i+1).  A zero that no such product reaches is a plain 0 there.
+    """
+    n = len(u[0]) - 1
+    v = _kpad(u, 2)  # X
+    untouched = set()
+    prec = 1
+    while prec < n:
+        p, prec = prec, min(2 * prec, n)
+        old = v
+        v = _kpad(v, prec + 1)
+        err = _kcompose(_kpad(u, prec + 1), v, d)  # X + X^(p+1) E
+        dv = tuple([(i + 1) * part[i + 1] for i in range(prec - p)] for part in v)
+        corr = _kmul(tuple(part[p + 1 :] for part in err), dv, prec - p, d)
+        v = tuple(
+            part[: p + 1] + [s - t for s, t in zip(part[p + 1 :], c)]
+            for part, c in zip(v, corr)
+        )
+        if d is None:
+            continue
+        for k in range(p + 1, prec + 1):
+            if not any(part[k] for part in v) and not any(
+                any(part[i] for part in err) and any(part[k - i + 1] for part in old)
+                for i in range(p + 1, k + 1)
+            ):
+                untouched.add(k)
+    return v, untouched
+
+
+def _all_fractions(coeffs) -> bool:
+    return all(type(c) is Fraction for c in coeffs)
+
+
+def _quadratic_field(coeffs) -> int | None:
+    """d when coefficients 1.. are QuadScalars of one Q(sqrt d) and
+    coefficient 0 is a Fraction or another of them; else None."""
+    ds = {c.d if isinstance(c, QuadScalar) else None for c in coeffs[1:]}
+    if len(ds) != 1 or None in ds:
+        return None
+    (d,) = ds
+    c0 = coeffs[0]
+    return d if type(c0) is Fraction or (isinstance(c0, QuadScalar) and c0.d == d) else None
+
+
+def _numerators(coeffs) -> tuple[list, int]:
+    """Rational coefficients as integer numerators over one common denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +305,26 @@ class TruncatedSeries:
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """f(g(X)) to the shared truncation order; requires g(0) = 0."""
+    """f(g(X)) to the shared truncation order; requires g(0) = 0.
+
+    Over Q this runs on the packed kernel: with D the common denominator of
+    g, g(D X) has integer coefficients, and with F = D_f f integral,
+    f(g(X)) = R(X/D) / D_f for the integral R = F(g(D X)).
+    """
     if g.coeffs[0] != 0:
         raise ValueError("inner series must vanish at origin")
+    n = min(f.order, g.order)
+    if not _all_fractions(f.coeffs + g.coeffs):
+        return _compose_generic(f, g)
+    fnum, fden = _numerators(f.coeffs[: n + 1])
+    gnum, gden = _numerators(g.coeffs[: n + 1])
+    scaled = [c * gden ** max(k - 1, 0) for k, c in enumerate(gnum)]  # g(D X)
+    (r,) = _kcompose((fnum,), (scaled,), None)
+    return TruncatedSeries(tuple(Fraction(c, fden * gden**k) for k, c in enumerate(r)), n)
+
+
+def _compose_generic(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """Horner over schoolbook scalar products: any scalar kind, mixed fields."""
     n = min(f.order, g.order)
     g = g.truncate(n)
     # Horner from the top coefficient down
@@ -186,14 +354,52 @@ def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
 def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
     """The series g with f(g(X)) = g(f(X)) = X to the truncation order.
 
-    Requires f(0) = 0 and f'(0) != 0.  Uses Newton iteration with doubling
-    precision on truncations; when f has integer coefficients and
+    Requires f(0) = 0 and f'(0) != 0.  When f has integer coefficients and
     f'(0) = +-1 the result again has integer coefficients.
+
+    Over Q, and over one Q(sqrt d), the work runs on the packed integer
+    kernel.  With c = f'(0) and D the common denominator of f/c, the series
+    u(X) = f(D X) / (c D) is X plus integral terms, so its inverse v comes
+    from integral Newton steps, and [X^k] g = v_k / (c^k D^(k-1)).  A zero
+    coefficient over Q(sqrt d) keeps the generic path's encoding: a plain 0
+    when no nonzero term reaches it, a quadratic zero when terms cancel.
+    Mixed input takes the generic path.
     """
     if f.coeffs[0] != 0:
         raise ValueError("series must vanish at origin")
     if f.order < 1 or f.coeffs[1] == 0:
         raise ValueError("series needs a unit linear coefficient")
+    if _all_fractions(f.coeffs):
+        return _inverse_packed(f, None)
+    d = _quadratic_field(f.coeffs)
+    if d is not None:
+        return _inverse_packed(f, d)
+    return _inverse_generic(f)
+
+
+def _inverse_packed(f: TruncatedSeries, d: int | None) -> TruncatedSeries:
+    ci = 1 / f.coeffs[1]
+    h = [x * ci for x in f.coeffs[2:]]
+    cols = [h] if d is None else [[x.a for x in h], [x.b for x in h]]
+    den = math.lcm(1, *(y.denominator for col in cols for y in col))
+    # u = X + sum_k (f_k / c) D^(k-1) X^k, integral
+    u = tuple(
+        [0, int(j == 0)] + [y.numerator * (den // y.denominator) * den**k for k, y in enumerate(col)]
+        for j, col in enumerate(cols)
+    )
+    v, untouched = _kinverse(u, d)
+    out = [Fraction(0)]
+    scale = ci  # c^-k D^-(k-1)
+    for k in range(1, f.order + 1):
+        vk = Fraction(v[0][k]) if d is None else QuadScalar(d, v[0][k], v[1][k])
+        out.append(Fraction(0) if k in untouched else vk * scale)
+        scale = scale * ci / den
+    return TruncatedSeries(tuple(out), f.order)
+
+
+def _inverse_generic(f: TruncatedSeries) -> TruncatedSeries:
+    """Newton iteration with doubling precision over schoolbook scalar
+    arithmetic: any scalar kind, mixed fields."""
     n = f.order
     c1 = f.coeffs[1]
     inv1 = Fraction(1) / c1 if isinstance(c1, Fraction) else c1.inverse()
@@ -205,8 +411,8 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
     while prec < n:
         prec = min(2 * prec, n)
         gk = TruncatedSeries.from_coeffs(list(g.coeffs), prec)
-        err = compose(f.truncate(prec), gk) - TruncatedSeries.x(prec)
-        corr = err * reciprocal(compose(fprime.truncate(prec), gk))
+        err = _compose_generic(f.truncate(prec), gk) - TruncatedSeries.x(prec)
+        corr = err * reciprocal(_compose_generic(fprime.truncate(prec), gk))
         g = gk - corr
     return g
 
@@ -385,8 +591,6 @@ def eval_with_tail_bound(
 
 
 def _arch_value(c: Scalar, v: Place) -> float:
-    from .scalars import QuadScalar
-
     if isinstance(c, QuadScalar):
         if c.d < 0:
             raise ScalarError("archimedean evaluation over imaginary quadratic scalars is not supported")
@@ -404,14 +608,6 @@ def padic_partial_sum(f: TruncatedSeries, x: Fraction) -> Fraction:
     return total
 
 
-def padic_difference_valuation(a: Fraction, b: Fraction, p: int) -> int | None:
-    """v_p(a - b), None when a = b (infinite valuation)."""
-    d = a - b
-    if d == 0:
-        return None
-    return valuation(d, p)
-
-
 __all__ = [
     "TruncatedSeries",
     "RadiusReport",
@@ -424,6 +620,5 @@ __all__ = [
     "globally_bounded_scan",
     "eval_with_tail_bound",
     "padic_partial_sum",
-    "padic_difference_valuation",
     "padic_abs_exact",
 ]

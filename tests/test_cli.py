@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from periodrel.cli import dispatch
+from periodrel.cli import build_parser, dispatch
 from periodrel.relations import random_action
 from periodrel.series import TruncatedSeries
 
@@ -22,6 +22,23 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out = run(capsys, argv)
     return code, json.loads(out)
+
+
+def run_process(argv, cwd):
+    """One fresh `python -m periodrel.cli` process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "periodrel.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=60,
+    )
+
+
+MALFORMED_SERIES = {
+    "no-coeffs.json": {"order": 3},
+    "quad-without-b.json": {"order": 2, "coeffs": ["0", {"d": 5, "a": "1", "b": "0"}, {"d": 5, "a": "1"}]},
+    "bad-rational.json": {"order": 1, "coeffs": ["0", "one"]},
+}
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -45,20 +62,38 @@ def test_missing_required_flag_exits_2(capsys):
         ["symplectic", "sample", "--g", "0"],
         ["symplectic", "sample", "--g", "2", "--mu", "0"],
         ["symplectic", "sample", "--g", "2", "--mu", "1/0"],
+        ["series", "invert", "--series", "no-coeffs.json"],
+        ["series", "invert", "--series", "quad-without-b.json"],
+        ["series", "gb-scan", "--series", "bad-rational.json"],
+        ["series", "eval", "--series", "quad-without-b.json", "--x", "2", "--place", "2"],
     ],
 )
-def test_out_of_range_arguments_exit_2_with_json(argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "periodrel.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+def test_out_of_range_arguments_exit_2_with_json(argv, tmp_path):
+    for name, doc in MALFORMED_SERIES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    proc = run_process(argv, tmp_path)
     assert proc.returncode == 2
     doc, end = json.JSONDecoder().raw_decode(proc.stdout)
     assert proc.stdout[end:].strip() == ""
     assert set(doc) == {"error"}
     assert "Traceback" not in proc.stderr
+
+
+def test_interleaved_dispatch_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    (tmp_path / "f.json").write_text(json.dumps(TruncatedSeries.from_coeffs([0, 1, 2, -1, 3]).to_json()))
+    argvs = [
+        ["ideal", "gens", "--g", "2", "--pretty"],
+        ["series", "invert", "--series", "f.json"],
+        ["symplectic", "sample", "--g", "2", "--seed", "3", "--mu=-7/5", "--word-length", "2"],
+        ["series", "invert", "--series", "f.json", "--order", "2", "--pretty"],
+        ["ideal", "gens", "--g", "0"],
+        ["symplectic", "sample", "--g", "2", "--seed", "3"],
+        ["ideal", "gens", "--g", "2"],
+    ]
+    fresh = [(p.returncode, p.stdout) for p in (run_process(argv, tmp_path) for argv in argvs)]
+    monkeypatch.chdir(tmp_path)
+    assert [run(capsys, argv) for argv in argvs + argvs] == fresh + fresh
+    assert build_parser() is build_parser()
 
 
 def test_ideal_radical_report(capsys):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from periodrel.scalars import Place, ScalarError, valuation
+from periodrel import series
+from periodrel.scalars import DecodeError, Place, QuadScalar, ScalarError, valuation
 from periodrel.series import (
     TruncatedSeries,
     compose,
@@ -17,6 +18,10 @@ from periodrel.series import (
 )
 
 TS = TruncatedSeries
+
+
+def quad(d, a, b=0):
+    return QuadScalar(d, Fraction(a), Fraction(b))
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +276,185 @@ def test_padic_truncation_consistency():
 def test_series_json_roundtrip():
     f = TS.from_coeffs([Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7)], 3)
     assert TS.from_json(f.to_json()) == f
+
+
+def test_series_from_json_names_the_malformed_path():
+    cases = [
+        ({"order": 3}, "coeffs: missing"),
+        ({"coeffs": ["0"]}, "order: missing"),
+        ({"order": "x", "coeffs": []}, "order: not an integer"),
+        ({"order": -1, "coeffs": []}, "order: must be >= 0"),
+        ({"order": 1, "coeffs": "01"}, "coeffs: expected a list"),
+        ({"order": 2, "coeffs": ["0", "1", {"d": 5, "a": "1"}]}, "coeffs[2].b: missing"),
+        ({"order": 1, "coeffs": ["0", {"d": 4, "a": "1", "b": "1"}]}, "coeffs[1].d: "),
+        ({"order": 1, "coeffs": ["0", "1/0"]}, "coeffs[1]: not a rational number"),
+        (["0", "1"], "series: expected an object"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(DecodeError) as exc:
+            TS.from_json(obj)
+        assert str(exc.value).startswith(message)
+
+
+# ---------------------------------------------------------------------------
+# packed integer kernel
+
+
+def schoolbook(a, b, m):
+    out = [0] * m
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < m:
+                out[i + j] += x * y
+    return out
+
+
+BIG = 10**99 + 7
+
+
+@pytest.mark.parametrize(
+    "a, b, m",
+    [
+        ([3, -5, 7, -1], [-2, 4, -6], 6),  # signed, full product
+        ([3, -5, 7, -1], [-2, 4, -6], 3),  # signed, truncated
+        ([0, -1, 0, 2], [5, 0, 0, -3], 4),  # zero entries
+        ([0, 0, 0], [0, 0], 3),  # all zero
+        ([7], [-3], 1),  # length 1
+        ([7], [-3, 1, 2], 3),
+        ([-1], [1], 4),  # padded beyond the product
+        ([BIG, -BIG, 0, BIG * 3], [-BIG, 2, BIG], 5),  # 100-digit coefficients
+        ([-BIG] * 9, [-BIG] * 9, 9),  # every slot at its largest
+    ],
+)
+def test_packed_product_matches_schoolbook(a, b, m):
+    assert series._mul_trunc(a, b, m) == schoolbook(a, b, m)
+
+
+def test_packed_product_random_against_schoolbook():
+    rng = random.Random(11)
+    for _ in range(200):
+        bits = rng.choice((1, 8, 63, 64, 65, 330))
+        a = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 20))]
+        b = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 20))]
+        m = rng.randint(1, 40)
+        assert series._mul_trunc(a, b, m) == schoolbook(a, b, m)
+
+
+def test_packed_quadratic_product_matches_schoolbook():
+    rng = random.Random(12)
+    for d in (5, -7):
+        for _ in range(30):
+            n = rng.randint(1, 10)
+            a1, b1, a2, b2 = ([rng.randint(-50, 50) for _ in range(n)] for _ in range(4))
+            got = series._kmul((a1, b1), (a2, b2), n, d)
+            real = [s + d * t for s, t in zip(schoolbook(a1, a2, n), schoolbook(b1, b2, n))]
+            root = [s + t for s, t in zip(schoolbook(a1, b2, n), schoolbook(b1, a2, n))]
+            assert got == (real, root)
+
+
+def random_inverse_input(rng, kind, n):
+    """f(0) = 0, f'(0) != 0, over the field that ``kind`` names."""
+    if kind == "z":  # integer slope +-1
+        return [0, rng.choice((1, -1))] + [rng.randint(-5, 5) for _ in range(n - 1)]
+    if kind == "q":  # non-unit rational slope
+        return [0, Fraction(rng.choice((-3, 2, 5)), rng.randint(1, 4))] + [
+            Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n - 1)
+        ]
+    if kind == "q5_dense":
+        return [quad(5, 0), quad(5, rng.choice((1, 2, -1)), rng.randint(-1, 1))] + [
+            quad(5, Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-3, 3))
+            for _ in range(n - 1)
+        ]
+    if kind == "mixed":
+        return [0, quad(5, 1, 1)] + [
+            rng.choice((Fraction(rng.randint(-3, 3)), quad(5, rng.randint(-2, 2), rng.randint(-2, 2))))
+            for _ in range(n - 1)
+        ]
+    if kind == "cancel":  # small rational values in Q(sqrt d): inverses with zeros
+        d = rng.choice((2, 3, 5, -1, -7))
+        return [rng.choice((0, quad(d, 0))), quad(d, 1)] + [
+            quad(d, rng.choice((0, 1)), rng.choice((0,) * 9 + (1,))) for _ in range(n - 1)
+        ]
+    d = int(kind.split("_")[1])  # sparse Q(sqrt d): many zero or rational entries
+
+    def entry():
+        r = rng.random()
+        return quad(d, 0) if r < 0.4 else quad(d, rng.randint(-2, 2), 0 if r < 0.6 else rng.randint(-2, 2))
+
+    return [rng.choice((0, quad(d, 0))), quad(d, rng.choice((1, -1, 2)), rng.choice((0, 1)))] + [
+        entry() for _ in range(n - 1)
+    ]
+
+
+INVERSE_KINDS = [
+    "z", "q", "q5_dense", "sparse_2", "sparse_3", "sparse_5", "sparse_-1", "sparse_-7", "cancel", "mixed",
+]
+
+
+@pytest.mark.parametrize("kind", INVERSE_KINDS)
+def test_inverse_is_byte_identical_to_generic_path(kind):
+    rng = random.Random(f"inverse-{kind}")
+    for _ in range(60 if kind == "cancel" else 25):
+        f = TS.from_coeffs(random_inverse_input(rng, kind, rng.randint(1, 10)))
+        assert compositional_inverse(f).to_json() == series._inverse_generic(f).to_json()
+
+
+def test_compose_is_byte_identical_to_generic_path():
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randint(0, 12)
+        f = TS.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)])
+        g = TS.from_coeffs([0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 13))])
+        assert compose(f, g).to_json() == series._compose_generic(f, g).to_json()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, -1, -7])
+def test_quadratic_inverse_composes_to_x(d):
+    rng = random.Random(d)
+    for n in (1, 2, 7, 20):
+        f = TS.from_coeffs(
+            [quad(d, 0), quad(d, 1, 1)] + [quad(d, rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n - 1)]
+        )
+        g = compositional_inverse(f)
+        x = TS.from_coeffs([0, quad(d, 1)], n)
+        assert series._compose_generic(f, g) == x
+        assert series._compose_generic(g, f) == x
+
+
+def count_generic_inversions(monkeypatch):
+    calls = []
+    generic = series._inverse_generic
+    monkeypatch.setattr(series, "_inverse_generic", lambda f: calls.append(f) or generic(f))
+    return calls
+
+
+Q5 = {k: {"d": 5, "a": str(k), "b": "0"} for k in (-1, 0, 1)}
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        # X + X^2 + X^3 inverts to X - X^2 + X^3 + 0 X^4: the generic path
+        # reaches that zero through nonzero products, a quadratic zero
+        ([0, 1, 1, 1, 0], ["0", Q5[1], Q5[-1], Q5[1], Q5[0]]),
+        # X + X^3: g_2 = -f_2 = 0 and g_4 come from no nonzero product, plain 0
+        ([0, 1, 0, 1, 0], ["0", Q5[1], "0", Q5[-1], "0"]),
+    ],
+)
+def test_zero_coefficients_keep_their_generic_encoding(monkeypatch, coeffs, expected):
+    calls = count_generic_inversions(monkeypatch)
+    f = TS.from_coeffs([quad(5, c) for c in coeffs])
+    assert compositional_inverse(f).to_json()["coeffs"] == expected
+    assert calls == []
+    assert series._inverse_generic(f).to_json()["coeffs"] == expected
+
+
+def test_only_mixed_input_takes_generic_path(monkeypatch):
+    calls = count_generic_inversions(monkeypatch)
+    compositional_inverse(TS.from_coeffs([0, 1, 2, -3, 1]))
+    compositional_inverse(TS.from_coeffs([quad(5, 0), quad(5, 1), quad(5, 2, 1), quad(5, 0, 1)]))
+    compositional_inverse(TS.from_coeffs([0, quad(-7, 1), quad(-7, 0), quad(-7, 1, 1)]))
+    assert calls == []
+    compositional_inverse(TS.from_coeffs([0, quad(5, 1), 1, quad(5, 0, 1)]))
+    compositional_inverse(TS.from_coeffs([0, quad(5, 1), quad(2, 0, 1)]))
+    assert len(calls) == 2
