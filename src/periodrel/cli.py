@@ -15,9 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from . import matrices as mx
 from .gfun import GaussManinCoefficients, GFunMatrix, check_period_equation, compute_radii, derive_G
-from .polyalg import MultiPoly, PolyMatrix, ResourceCapExceeded
+from .polyalg import MONOMIAL_ORDER, MultiPoly, PolyMatrix, ResourceCapExceeded
 from .relations import (
     Case3Input,
     EndomorphismAction,
@@ -37,7 +36,7 @@ from .series import (
     radius_lower_bound,
 )
 from .symplectic import project_to_V, sample_symplectic, with_multiplier
-from .trivial_ideal import generators, membership, radicality_certificate
+from .trivial_ideal import generators, membership, radicality_certificate, witness_to_json
 
 
 class ComputationFailed(RuntimeError):
@@ -204,7 +203,7 @@ def cmd_ideal_gens(args, digests):
     return {
         "g": args.g,
         "count": ideal.generator_count,
-        "monomial_order": "degrevlex(Y[1,1] < ... < Z[g,g])",
+        "monomial_order": MONOMIAL_ORDER,
         "generators": [
             {"i": i, "j": j, "poly": ideal.generator(i, j).to_json()}
             for i, j in ideal.pairs()
@@ -219,10 +218,7 @@ def cmd_ideal_radical(args, digests):
         "generator_count": cert.generator_count,
         "rank": cert.rank,
         "verdict": cert.verdict,
-        "witness": {
-            "Y": mx.matrix_to_json(cert.witness[0]),
-            "Z": mx.matrix_to_json(cert.witness[1]),
-        },
+        "witness": witness_to_json(cert.witness),
         "witness_on_variety": cert.witness_on_variety,
         "note": "irreducibility of the variety is assumed, not certified",
     }
@@ -238,10 +234,7 @@ def cmd_ideal_member(args, digests):
         "samples_tested": verdict.samples_tested,
     }
     if verdict.witness is not None:
-        out["witness"] = {
-            "Y": mx.matrix_to_json(verdict.witness[0]),
-            "Z": mx.matrix_to_json(verdict.witness[1]),
-        }
+        out["witness"] = witness_to_json(verdict.witness)
         out["value"] = scalar_to_json(verdict.value)
     if verdict.remainder is not None:
         out["remainder"] = verdict.remainder.to_json()
@@ -272,23 +265,14 @@ def cmd_relation_verify(args, digests):
 
 def cmd_relation_case3(args, digests):
     if args.input:
-        obj = _load_json(args.input, digests)
-        inp = Case3Input(
-            int(obj["g"]),
-            mx.matrix_from_json(obj["H"]),
-            mx.matrix_from_json(obj["A"]),
-            mx.matrix_from_json(obj["B"]),
-            mx.matrix_from_json(obj["C"]),
-            mx.matrix_from_json(obj["D"]),
-            scalar_from_json(obj["sqrt_e"]),
-        )
+        inp = Case3Input.from_json(_load_json(args.input, digests))
     else:
         if args.g % 2 != 0 or args.g <= 2:
             raise ComputationFailed("Case 3 construction requires even g > 2")
         inp = random_case3_input(args.g, args.seed)
     try:
         cert = build_case3_relation(inp)
-    except RelationError as exc:
+    except (RelationError, ScalarError) as exc:
         raise ComputationFailed(str(exc))
     return {"certificate": cert.to_json()}
 
@@ -308,11 +292,11 @@ def cmd_gfun_derive(args, digests):
 
 
 def cmd_gfun_radii(args, digests):
-    f = GFunMatrix.from_json(_load_json(args.F, digests))
+    GFunMatrix.from_json(_load_json(args.F, digests))  # validated and digested; radii need only a
     a = GaussManinCoefficients.from_json(_load_json(args.a, digests))
     excluded = [scalar_from_json(x) for x in json.loads(args.excluded)]
     places = [Place.from_json(p) for p in json.loads(args.places)]
-    radii = compute_radii(f, None, a, excluded, places)
+    radii = compute_radii(a, excluded, places)
     return {"radii": radii.to_json()}
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import Place, Scalar, ScalarError, abs_at_place, valuation
+from .scalars import Place, Scalar, ScalarError, abs_at_place, json_field, json_int, json_list, valuation
 from .series import (
     EvalResult,
     TruncatedSeries,
@@ -97,14 +97,21 @@ class GFunMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "GFunMatrix":
+        g = json_int(obj, "g", low=1)
         flags = obj.get("integral", False)
         if isinstance(flags, list):
-            flags = tuple(tuple(bool(x) for x in row) for row in flags)
+            flags = tuple(
+                tuple(bool(x) for x in json_list(row, f"integral[{i}]", g))
+                for i, row in enumerate(json_list(flags, "integral", g))
+            )
         return GFunMatrix(
-            int(obj["g"]),
+            g,
             tuple(
-                tuple(TruncatedSeries.from_json(s, f"entries[{i}][{j}]") for j, s in enumerate(row))
-                for i, row in enumerate(obj["entries"])
+                tuple(
+                    TruncatedSeries.from_json(s, f"entries[{i}][{j}]")
+                    for j, s in enumerate(json_list(row, f"entries[{i}]", g))
+                )
+                for i, row in enumerate(json_list(json_field(obj, "entries"), "entries", g))
             ),
             flags,
         )
@@ -164,15 +171,20 @@ class GaussManinCoefficients:
 
     @staticmethod
     def from_json(obj: dict) -> "GaussManinCoefficients":
+        g = json_int(obj, "g", low=1)
+        n = json_int(obj, "N", low=0)
         return GaussManinCoefficients(
-            int(obj["g"]),
-            int(obj["N"]),
+            g,
+            n,
             tuple(
                 tuple(
-                    tuple(TruncatedSeries.from_json(s, f"a[{i}][{k}][{l}]") for l, s in enumerate(row))
-                    for k, row in enumerate(block)
+                    tuple(
+                        TruncatedSeries.from_json(s, f"a[{i}][{k}][{l}]")
+                        for l, s in enumerate(json_list(row, f"a[{i}][{k}]", g))
+                    )
+                    for k, row in enumerate(json_list(block, f"a[{i}]", n + 1))
                 )
-                for i, block in enumerate(obj["a"])
+                for i, block in enumerate(json_list(json_field(obj, "a"), "a", g))
             ),
             bool(obj.get("integral", False)),
         )
@@ -239,8 +251,6 @@ class PlaceRadii:
 
 
 def compute_radii(
-    f: GFunMatrix,
-    g: GFunMatrix | None,
     a: GaussManinCoefficients,
     excluded_values: Sequence[Scalar],
     places: Sequence[Place],

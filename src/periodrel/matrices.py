@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .scalars import QuadScalar, Scalar, scalar_from_json, scalar_to_json
+from .scalars import Scalar, json_list, scalar_from_json, scalar_to_json
 
 Matrix = tuple  # tuple[tuple[Scalar, ...], ...]
 
@@ -264,5 +264,10 @@ def matrix_to_json(m) -> list:
     return [[scalar_to_json(x) for x in row] for row in m]
 
 
-def matrix_from_json(obj) -> Matrix:
-    return freeze([[scalar_from_json(x) for x in row] for row in obj])
+def matrix_from_json(obj, path: str = "matrix", n: int | None = None) -> Matrix:
+    """Decode a matrix, n x n when n is given; a malformed one raises
+    :class:`DecodeError` naming its path, e.g. ``H[1]: expected 4 entries``."""
+    return freeze(
+        [scalar_from_json(x, f"{path}[{i}][{j}]") for j, x in enumerate(json_list(row, f"{path}[{i}]", n))]
+        for i, row in enumerate(json_list(obj, path, n))
+    )

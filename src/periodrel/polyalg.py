@@ -21,7 +21,7 @@ from .scalars import QuadScalar, Scalar, scalar_from_json, scalar_to_json
 
 BLOCKS = ("Y", "Z", "Yp", "Zp")
 
-MONOMIAL_ORDER = "degrevlex"
+MONOMIAL_ORDER = "degrevlex(Y[1,1] < ... < Z[g,g])"  # as recorded in reports
 
 
 class ResourceCapExceeded(RuntimeError):

@@ -27,6 +27,7 @@ from typing import Sequence
 
 from . import matrices as mx
 from .polyalg import (
+    MONOMIAL_ORDER,
     Monomial,
     MultiPoly,
     PolyMatrix,
@@ -36,16 +37,14 @@ from .polyalg import (
     yvar,
     zvar,
 )
-from .scalars import QuadScalar, Scalar
-from .symplectic import sample_symplectic, standard_form
+from .scalars import QuadScalar, Scalar, json_field, json_int, scalar_from_json, scalar_to_json
+from .symplectic import sample_symplectic, similitude_defect, standard_form
 from .trivial_ideal import (
     MembershipVerdict,
-    TrivialIdeal,
-    generators,
-    membership,
     point_assignment,
     row_permutation_test,
     row_swap_permutation,
+    witness_to_json,
 )
 
 
@@ -93,12 +92,13 @@ class EndomorphismAction:
 
     @staticmethod
     def from_json(obj: dict) -> "EndomorphismAction":
-        return EndomorphismAction(
-            int(obj["g"]),
-            mx.matrix_from_json(obj["A"]),
-            mx.matrix_from_json(obj["B"]),
-            mx.matrix_from_json(obj["D"]),
-        )
+        g = json_int(obj, "g", low=1)
+        return EndomorphismAction(g, *_square_blocks(obj, "ABD", g))
+
+
+def _square_blocks(obj: dict, keys, g: int) -> list:
+    """The g x g matrices obj[key] for each key, decoded with their paths."""
+    return [mx.matrix_from_json(json_field(obj, k), k, g) for k in keys]
 
 
 def sylvester_solvable(act: EndomorphismAction) -> bool:
@@ -260,12 +260,8 @@ class SyntheticPeriodData:
 
     @staticmethod
     def from_json(obj: dict) -> "SyntheticPeriodData":
-        return SyntheticPeriodData(
-            int(obj["g"]),
-            mx.matrix_from_json(obj["M"]),
-            mx.matrix_from_json(obj["F"]),
-            mx.matrix_from_json(obj["G"]),
-        )
+        g = json_int(obj, "g", low=1)
+        return SyntheticPeriodData(g, *_square_blocks(obj, "MFG", g))
 
 
 def synthesize_period_data(
@@ -362,7 +358,7 @@ class RelationCertificate:
         return {
             "kind": self.construction_kind,
             "degree": self.degree,
-            "monomial_order": "degrevlex(Y[1,1] < ... < Z[g,g])",
+            "monomial_order": MONOMIAL_ORDER,
             "polynomial": self.polynomial.to_json(),
             "nontriviality": _verdict_json(self.nontriviality),
             "vanishing_evidence": list(self.vanishing_evidence),
@@ -371,14 +367,9 @@ class RelationCertificate:
 
 
 def _verdict_json(v: MembershipVerdict) -> dict:
-    from .scalars import scalar_to_json
-
     out = {"status": v.status, "evidence": v.evidence_kind, "samples": v.samples_tested}
     if v.witness is not None:
-        out["witness"] = {
-            "Y": mx.matrix_to_json(v.witness[0]),
-            "Z": mx.matrix_to_json(v.witness[1]),
-        }
+        out["witness"] = witness_to_json(v.witness)
     if v.value is not None:
         out["value"] = scalar_to_json(v.value)
     if v.detail:
@@ -440,18 +431,24 @@ class Case3Input:
     @property
     def e(self) -> Fraction:
         sq = self.sqrt_e * self.sqrt_e
-        if not sq.is_rational():
+        if isinstance(sq, QuadScalar) and not sq.is_rational():
             raise RelationError("sqrt_e must square to a rational")
-        return sq.a
+        return sq.a if isinstance(sq, QuadScalar) else Fraction(sq)
 
     def change_of_basis(self):
         return mx.block(self.A, self.B, self.C, self.D)
 
     def verify_similitude(self) -> bool:
-        """sqrt(e) * (A B; C D) is exactly symplectic."""
-        m = mx.scalar_mul(self.sqrt_e, self.change_of_basis())
-        j = standard_form(self.g)
-        return mx.mat_eq(mx.mat_mul(mx.mat_mul(mx.transpose(m), j), m), j)
+        """sqrt(e) * M is exactly symplectic, M = (A B; C D): checked as
+        M^t J M = (1/sqrt(e)^2) J."""
+        sq = self.sqrt_e * self.sqrt_e
+        return sq != 0 and mx.is_zero_matrix(similitude_defect(self.change_of_basis(), 1 / sq, self.g))
+
+    @staticmethod
+    def from_json(obj: dict) -> "Case3Input":
+        g = json_int(obj, "g", low=1)
+        blocks = _square_blocks(obj, "HABCD", g)
+        return Case3Input(g, *blocks, scalar_from_json(json_field(obj, "sqrt_e"), "sqrt_e"))
 
 
 def quadratic_relation_polys(g: int) -> tuple[MultiPoly, MultiPoly]:
@@ -511,20 +508,16 @@ def phi_substitution(inp: Case3Input) -> dict[VarId, MultiPoly]:
 def generator_transform_scalar(inp: Case3Input) -> Scalar:
     """The exact scalar c with Phi(Y^t Z - Z^t Y) = c * (Y^t Z - Z^t Y).
 
-    For sqrt(e) * (A B; C D) symplectic this is 1/e; the identity is checked
-    entrywise over the quadratic field and an AssertionError is raised if it
-    fails, so callers may rely on Phi preserving the trivial ideal.
+    For sqrt(e) * (A B; C D) symplectic this is 1/e.  Phi acts on the stacked
+    (Y; Z) by M^t with M = (A B; C D), so Phi(Y^t Z - Z^t Y) is
+    (Y; Z)^t M J M^t (Y; Z) and the identity holds exactly when
+    M J M^t = (1/e) J.  That matrix identity is checked exactly and an
+    AssertionError is raised if it fails, so callers may rely on Phi
+    preserving the trivial ideal.
     """
-    g = inp.g
-    ideal = generators(g)
-    mapping = phi_substitution(inp)
     c = Fraction(1) / inp.e
-    for i, j in ideal.pairs():
-        f = ideal.generator(i, j)
-        lhs = f.substitute(mapping)
-        rhs = f.scale(c)
-        if lhs != rhs:
-            raise AssertionError("generator matrix does not transform by the expected scalar")
+    if not mx.is_zero_matrix(similitude_defect(mx.transpose(inp.change_of_basis()), c, inp.g)):
+        raise AssertionError("generator matrix does not transform by the expected scalar")
     return c
 
 

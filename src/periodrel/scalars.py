@@ -367,6 +367,37 @@ def scalar_from_json(obj, path: str = "scalar") -> Scalar:
         raise DecodeError(f"{path}.d: {exc}")
 
 
+def json_field(obj, key: str, at: str = ""):
+    """``obj[key]`` from a JSON object; ``at`` prefixes the key's path, as in
+    ``entries[0][0].``.  A missing key raises :class:`DecodeError`."""
+    if not isinstance(obj, dict):
+        raise DecodeError(f"{at[:-1] or 'input'}: expected an object")
+    if key not in obj:
+        raise DecodeError(f"{at}{key}: missing")
+    return obj[key]
+
+
+def json_int(obj, key: str, at: str = "", low: int | None = None) -> int:
+    """``obj[key]`` as an int, at least ``low`` when given."""
+    value = json_field(obj, key, at)
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise DecodeError(f"{at}{key}: not an integer: {value!r}")
+    if low is not None and n < low:
+        raise DecodeError(f"{at}{key}: must be >= {low}, got {n}")
+    return n
+
+
+def json_list(obj, path: str, length: int | None = None) -> list:
+    """``obj`` as a JSON list, of ``length`` entries when given."""
+    if not isinstance(obj, list):
+        raise DecodeError(f"{path}: expected a list")
+    if length is not None and len(obj) != length:
+        raise DecodeError(f"{path}: expected {length} entries, got {len(obj)}")
+    return obj
+
+
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 

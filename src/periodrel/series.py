@@ -21,6 +21,9 @@ from .scalars import (
     ScalarError,
     abs_at_place,
     is_prime,
+    json_field,
+    json_int,
+    json_list,
     padic_abs_exact,
     scalar_from_json,
     scalar_to_json,
@@ -151,20 +154,10 @@ class TruncatedSeries:
         at = (path + ".") if path else ""
         if not isinstance(obj, dict):
             raise DecodeError(f"{path or 'series'}: expected an object")
-        for key in ("order", "coeffs"):
-            if key not in obj:
-                raise DecodeError(f"{at}{key}: missing")
-        try:
-            order = int(obj["order"])
-        except (TypeError, ValueError):
-            raise DecodeError(f"{at}order: not an integer: {obj['order']!r}")
-        if order < 0:
-            raise DecodeError(f"{at}order: must be >= 0, got {order}")
-        if not isinstance(obj["coeffs"], list):
-            raise DecodeError(f"{at}coeffs: expected a list")
+        order = json_int(obj, "order", at, low=0)
+        coeffs = json_list(json_field(obj, "coeffs", at), f"{at}coeffs")
         return TruncatedSeries.from_coeffs(
-            [scalar_from_json(c, f"{at}coeffs[{i}]") for i, c in enumerate(obj["coeffs"])],
-            order,
+            [scalar_from_json(c, f"{at}coeffs[{i}]") for i, c in enumerate(coeffs)], order
         )
 
 

@@ -25,9 +25,13 @@ def standard_form(g: int):
 
 
 def similitude_defect(m, mu: Fraction, g: int):
-    """M^t J M - mu J; the zero matrix exactly when M is a mu-similitude."""
-    j = standard_form(g)
-    return mx.mat_sub(mx.mat_mul(mx.mat_mul(mx.transpose(m), j), m), mx.scalar_mul(mu, j))
+    """M^t J M - mu J; the zero matrix exactly when M is a mu-similitude.
+
+    J M is a signed row swap of M (its last g rows, then its first g rows
+    negated), so the defect takes one matrix product.
+    """
+    jm = [*m[g:], *([-x for x in row] for row in m[:g])]
+    return mx.mat_sub(mx.mat_mul(mx.transpose(m), jm), mx.scalar_mul(mu, standard_form(g)))
 
 
 @dataclass(frozen=True)
@@ -178,18 +182,10 @@ def project_to_V(s: SymplecticSample) -> IsotropicFrame:
     return frame
 
 
-def _pairing(j, u, v) -> Fraction:
+def _pairing(u, v) -> Fraction:
     """<u, v> = u^t J v for column vectors given as flat lists."""
-    total = Fraction(0)
-    n = len(u)
-    for i in range(n):
-        if u[i] == 0:
-            continue
-        row = j[i]
-        for k in range(n):
-            if row[k] != 0 and v[k] != 0:
-                total += u[i] * row[k] * v[k]
-    return total
+    g = len(u) // 2
+    return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
 
 
 def complete_to_symplectic_basis(frame: IsotropicFrame) -> SymplecticSample:
@@ -208,18 +204,17 @@ def complete_to_symplectic_basis(frame: IsotropicFrame) -> SymplecticSample:
         raise ValueError("frame not full rank")
     if not frame.verify():
         raise ValueError("frame not isotropic")
-    j = standard_form(g)
     duals: list[list[Fraction]] = []
     for jj in range(g):
         # <w_k, u> = delta_{k jj} for all k
-        system = mx.freeze([[_jrow(j, cols[k], c) for c in range(n)] for k in range(g)])
+        system = mx.freeze([[_jrow(cols[k], c) for c in range(n)] for k in range(g)])
         rhs = [Fraction(int(k == jj)) for k in range(g)]
         u = mx.solve(system, rhs)
         if u is None:
             raise ValueError("frame not full rank")
         # kill pairings with already-built duals by adding frame columns
         for i, ui in enumerate(duals):
-            c = _pairing(j, ui, u)
+            c = _pairing(ui, u)
             if c != 0:
                 u = [x + c * w for x, w in zip(u, cols[i])]
         duals.append(u)
@@ -227,10 +222,8 @@ def complete_to_symplectic_basis(frame: IsotropicFrame) -> SymplecticSample:
     return _make_sample(full, Fraction(1))
 
 
-def _jrow(j, w, c: int) -> Fraction:
-    """Coefficient of unknown u_c in <w, u> = sum_i w_i J[i][c] u_c."""
-    total = Fraction(0)
-    for i in range(len(w)):
-        if w[i] != 0 and j[i][c] != 0:
-            total += w[i] * j[i][c]
-    return total
+def _jrow(w, c: int) -> Fraction:
+    """Coefficient of unknown u_c in <w, u> = w^t J u: J has 1 at (i, g+i)
+    and -1 at (g+i, i)."""
+    g = len(w) // 2
+    return w[c - g] if c >= g else -w[g + c]

@@ -95,6 +95,11 @@ def point_assignment(g: int, y, z) -> dict[VarId, Scalar]:
     return out
 
 
+def witness_to_json(point: tuple) -> dict:
+    """A witness point (y, z) as the reports write it."""
+    return {"Y": mx.matrix_to_json(point[0]), "Z": mx.matrix_to_json(point[1])}
+
+
 def structured_witnesses(g: int) -> list[tuple]:
     """Deterministic isotropic points: (I,0), (I,I), (I, symmetric)."""
     eye = mx.identity(g)

@@ -339,13 +339,12 @@ def test_criterion_9_gfun_pipeline():
 
     # radii monotonicity over randomized inputs
     places = [Place.finite(3), Place.finite(7), Place.arch()]
-    base_f = GFunMatrix.from_series(1, [[TS.geometric(10)]])
     fam3 = GaussManinCoefficients.identity_family(1, 10)
     for trial in range(20):
         excl = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 3))]
         extra = excl + [Fraction(rng.randint(1, 20), rng.randint(1, 5))]
-        r_base = compute_radii(base_f, None, fam3, excl, places)
-        r_more = compute_radii(base_f, None, fam3, extra, places)
+        r_base = compute_radii(fam3, excl, places)
+        r_more = compute_radii(fam3, extra, places)
         for v in places:
             assert r_more.lookup(v)[0] <= r_base.lookup(v)[0]
     _report(9, "gfun: recurrence fixture exact to order 30, linearity, radii monotone")

@@ -40,6 +40,27 @@ MALFORMED_SERIES = {
     "bad-rational.json": {"order": 1, "coeffs": ["0", "one"]},
 }
 
+SERIES = {"order": 2, "coeffs": ["0", "1", "0"]}
+DECODE_INPUTS = {
+    "F.json": {"g": 1, "entries": [[SERIES]]},
+    "a.json": {"g": 1, "N": 0, "a": [[[SERIES]]]},
+    "F-without-g.json": {"entries": [[SERIES]]},
+    "F-short-row.json": {"g": 2, "entries": [[SERIES, SERIES], [SERIES]]},
+    "a-without-N.json": {"g": 1, "a": [[[SERIES]]]},
+    "case3-g-only.json": {"g": 4},
+    "case3-ragged.json": {"g": 4, "H": [["1", "0", "0", "0"], ["0", "1"]]},
+    "act-ragged.json": {"g": 2, "A": [["1", "0"], ["0", "1"]], "B": [["0"]], "D": [["1", "0"], ["0", "1"]]},
+}
+DECODE_ERRORS = {
+    ("gfun", "derive", "--F", "F-without-g.json", "--a", "a.json"): "g: missing",
+    ("gfun", "derive", "--F", "F-short-row.json", "--a", "a.json"): "entries[1]: expected 2 entries, got 1",
+    ("gfun", "derive", "--F", "F.json", "--a", "a-without-N.json"): "N: missing",
+    ("gfun", "radii", "--F", "F-without-g.json", "--a", "a.json", "--places", "[]"): "g: missing",
+    ("relation", "case3", "--input", "case3-g-only.json"): "H: missing",
+    ("relation", "case3", "--input", "case3-ragged.json"): "H: expected 4 entries, got 2",
+    ("relation", "build-nonarch", "--act", "act-ragged.json"): "B: expected 2 entries, got 1",
+}
+
 
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -66,17 +87,50 @@ def test_missing_required_flag_exits_2(capsys):
         ["series", "invert", "--series", "quad-without-b.json"],
         ["series", "gb-scan", "--series", "bad-rational.json"],
         ["series", "eval", "--series", "quad-without-b.json", "--x", "2", "--place", "2"],
+        *map(list, DECODE_ERRORS),
     ],
 )
 def test_out_of_range_arguments_exit_2_with_json(argv, tmp_path):
-    for name, doc in MALFORMED_SERIES.items():
+    for name, doc in {**MALFORMED_SERIES, **DECODE_INPUTS}.items():
         (tmp_path / name).write_text(json.dumps(doc))
     proc = run_process(argv, tmp_path)
     assert proc.returncode == 2
     doc, end = json.JSONDecoder().raw_decode(proc.stdout)
     assert proc.stdout[end:].strip() == ""
     assert set(doc) == {"error"}
+    assert doc["error"] == DECODE_ERRORS.get(tuple(argv), doc["error"])
     assert "Traceback" not in proc.stderr
+
+
+def test_case3_input_from_mixed_fields_exits_1_with_json(tmp_path):
+    from periodrel import matrices as mx
+    from periodrel.relations import random_case3_input
+    from periodrel.scalars import QuadScalar, scalar_to_json
+
+    inp = random_case3_input(4, seed=3, d=5)
+    h = mx.unfreeze(inp.H)
+    h[0][0] = h[0][0] + QuadScalar(7, 0, 1)
+    docs = {
+        # sqrt_e in Q(sqrt 7), the change of basis in Q(sqrt 5)
+        "sqrt-e-mixed.json": (inp.H, QuadScalar(7, 1, 1)),
+        # H in Q(sqrt 7): the relation's coefficients meet the change of basis
+        "h-mixed.json": (h, inp.sqrt_e),
+    }
+    for name, (hmat, sqrt_e) in docs.items():
+        blocks = {k: mx.matrix_to_json(m) for k, m in zip("HABCD", (hmat, inp.A, inp.B, inp.C, inp.D))}
+        (tmp_path / name).write_text(json.dumps({"g": 4, **blocks, "sqrt_e": scalar_to_json(sqrt_e)}))
+    errors = []
+    for name in docs:
+        proc = run_process(["relation", "case3", "--input", name], tmp_path)
+        assert proc.returncode == 1
+        doc, end = json.JSONDecoder().raw_decode(proc.stdout)
+        assert proc.stdout[end:].strip() == "" and set(doc) == {"error"}
+        assert "Traceback" not in proc.stderr
+        errors.append(doc["error"])
+    assert errors == [
+        "change of basis is not a sqrt(e)-symplectic similitude",
+        "mixed quadratic contexts: sqrt(7) vs sqrt(5)",
+    ]
 
 
 def test_interleaved_dispatch_matches_fresh_processes(tmp_path, capsys, monkeypatch):

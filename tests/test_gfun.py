@@ -139,32 +139,29 @@ def test_insufficient_precision_rejected():
 
 def test_radii_integer_coefficients_certified_one():
     g, order = 1, 8
-    f = GFunMatrix.from_series(g, [[TS.geometric(order)]], integral=True)
     fam = GaussManinCoefficients.identity_family(g, order)
-    radii = compute_radii(f, None, fam, [], [Place.finite(5)])
+    radii = compute_radii(fam, [], [Place.finite(5)])
     r, cert = radii.lookup(Place.finite(5))
     assert r == 1.0 and cert
 
 
 def test_radii_worked_small_and_large_excluded_values():
     g, order, p = 1, 8, 7
-    f = GFunMatrix.from_series(g, [[TS.geometric(order)]])
     fam = GaussManinCoefficients.identity_family(g, order)
     # |1/p|_p = p > 1: the minimum stays at 1
-    r1, _ = compute_radii(f, None, fam, [Fraction(1, p)], [Place.finite(p)]).lookup(Place.finite(p))
+    r1, _ = compute_radii(fam, [Fraction(1, p)], [Place.finite(p)]).lookup(Place.finite(p))
     assert r1 == 1.0
     # |p|_p = 1/p: the excluded value wins
-    r2, _ = compute_radii(f, None, fam, [Fraction(p)], [Place.finite(p)]).lookup(Place.finite(p))
+    r2, _ = compute_radii(fam, [Fraction(p)], [Place.finite(p)]).lookup(Place.finite(p))
     assert r2 == pytest.approx(1.0 / p)
 
 
 def test_radii_archimedean_heuristic_uncertified():
-    g, order = 1, 12
-    f = GFunMatrix.from_series(g, [[TS.geometric(order)]])
+    order = 12
     # coefficient series 1/(1 - 2X): heuristic radius 1/2
     s = TS.from_coeffs([2**n for n in range(order + 1)], order)
     fam = GaussManinCoefficients(1, 0, (((s,),),))
-    r, cert = compute_radii(f, None, fam, [], [Place.arch()]).lookup(Place.arch())
+    r, cert = compute_radii(fam, [], [Place.arch()]).lookup(Place.arch())
     assert r == pytest.approx(0.5)
     assert not cert
 
@@ -172,14 +169,13 @@ def test_radii_archimedean_heuristic_uncertified():
 def test_radii_monotone_under_more_inputs():
     rng = random.Random(2)
     g, order = 1, 10
-    f = GFunMatrix.from_series(g, [[TS.geometric(order)]])
     fam = GaussManinCoefficients.identity_family(g, order)
     places = [Place.finite(3), Place.arch()]
     for _ in range(20):
         excl = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 3))]
         more = excl + [Fraction(rng.randint(1, 9), rng.randint(1, 9))]
-        base = compute_radii(f, None, fam, excl, places)
-        extended = compute_radii(f, None, fam, more, places)
+        base = compute_radii(fam, excl, places)
+        extended = compute_radii(fam, more, places)
         for v in places:
             assert extended.lookup(v)[0] <= base.lookup(v)[0]
 

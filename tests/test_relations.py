@@ -15,6 +15,7 @@ from periodrel.relations import (
     build_nonarch_relation,
     expected_witness_value,
     generator_transform_scalar,
+    phi_substitution,
     quadratic_relation_polys,
     random_action,
     random_case3_input,
@@ -23,6 +24,7 @@ from periodrel.relations import (
     verify_relation_on_data,
 )
 from periodrel.scalars import QuadScalar
+from periodrel.symplectic import sample_symplectic
 from periodrel.trivial_ideal import generators, point_assignment
 
 
@@ -268,13 +270,61 @@ def test_case3_rejects_singular_period_matrix():
         build_case3_relation(bad)
 
 
+def phi_scales_every_generator(inp, c) -> bool:
+    """Oracle: substitute Phi into each generator of the trivial ideal
+    symbolically and compare with c times the generator."""
+    ideal = generators(inp.g)
+    mapping = phi_substitution(inp)
+    return all(f.substitute(mapping) == f.scale(c) for f in ideal.generators)
+
+
 def test_phi_maps_generators_to_inverse_multiplier_scale():
     # the substitution induced by a sqrt(e)-symplectic change of basis sends
     # Y^t Z - Z^t Y to (1/e) * (Y^t Z - Z^t Y), exactly
-    for seed in range(5):
-        inp = random_case3_input(4, seed=40 + seed)
+    inputs = [random_case3_input(4, seed=40 + seed) for seed in range(5)]
+    for inp in inputs + [random_case3_input(6, seed=45)]:
         c = generator_transform_scalar(inp)
         assert c == Fraction(1) / inp.e
+        assert phi_scales_every_generator(inp, c)
+
+
+def test_case3_rejects_non_similitude_change_of_basis():
+    inp = random_case3_input(4, seed=41)
+    b = mx.unfreeze(inp.B)
+    b[0][0] = b[0][0] + 1
+    bad = Case3Input(4, inp.H, inp.A, mx.freeze(b), inp.C, inp.D, inp.sqrt_e)
+    assert not bad.verify_similitude()
+    with pytest.raises(RelationError, match="^change of basis is not a sqrt\\(e\\)-symplectic similitude$"):
+        build_case3_relation(bad)
+    with pytest.raises(AssertionError):
+        generator_transform_scalar(bad)
+    assert not phi_scales_every_generator(bad, Fraction(1) / bad.e)
+    # sqrt_e whose square is irrational: still rejected as a non-similitude
+    d = inp.sqrt_e.d
+    irrational = Case3Input(4, inp.H, inp.A, inp.B, inp.C, inp.D, QuadScalar(d, 1, 1))
+    assert not irrational.verify_similitude()
+    with pytest.raises(RelationError, match="not a sqrt\\(e\\)-symplectic similitude"):
+        build_case3_relation(irrational)
+    # a change of basis fitted to that sqrt_e passes the similitude check,
+    # and e = sqrt_e^2 is then rejected as irrational
+    sqrt_e = QuadScalar(d, 1, 1)
+    scaled = [mx.scalar_mul(inp.sqrt_e / sqrt_e, m) for m in (inp.A, inp.B, inp.C, inp.D)]
+    fitted = Case3Input(4, inp.H, *scaled, sqrt_e)
+    assert fitted.verify_similitude()
+    with pytest.raises(RelationError, match="sqrt_e must square to a rational"):
+        build_case3_relation(fitted)
+
+
+def test_case3_rational_sqrt_e():
+    # sqrt(e) = 2 with an exactly symplectic S: the change of basis is S / 2
+    s = sample_symplectic(4, seed=9).matrix
+    blocks = [mx.scalar_mul(Fraction(1, 2), mx.submatrix(s, rows, cols))
+              for rows in (range(4), range(4, 8)) for cols in (range(4), range(4, 8))]
+    inp = Case3Input(4, random_case3_input(4, seed=9).H, *blocks, Fraction(2))
+    assert inp.verify_similitude() and inp.e == 4
+    assert generator_transform_scalar(inp) == Fraction(1, 4)
+    assert phi_scales_every_generator(inp, Fraction(1, 4))
+    assert build_case3_relation(inp).degree == 2
 
 
 def test_phi_scalar_quadratic_entries():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from periodrel import matrices as mx
+from periodrel.scalars import QuadScalar
 from periodrel.symplectic import (
     IsotropicFrame,
     complete_to_symplectic_basis,
@@ -25,6 +26,33 @@ def test_standard_form_is_a_sample():
     g = 3
     j = standard_form(g)
     assert mx.is_zero_matrix(similitude_defect(j, Fraction(1), g))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_similitude_defect_matches_dense_product(g):
+    # oracle: M^t J M - mu J with J as a dense matrix
+    rng = random.Random(g)
+    j = standard_form(g)
+    d = rng.choice((2, 5, -3))
+
+    def entry(quadratic):
+        x = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return QuadScalar(d, x, rng.randint(-2, 2)) if quadratic else x
+
+    for trial in range(12):
+        quadratic = trial % 2 == 1
+        if trial < 4:
+            m = with_multiplier(sample_symplectic(g, seed=trial), Fraction(trial - 5, 3)).matrix
+            if quadratic:
+                m = mx.scalar_mul(QuadScalar(d, 1, 1), m)
+        else:
+            m = mx.freeze([[entry(quadratic) for _ in range(2 * g)] for _ in range(2 * g)])
+        mu = entry(quadratic)
+        dense = mx.mat_sub(mx.mat_mul(mx.mat_mul(mx.transpose(m), j), m), mx.scalar_mul(mu, j))
+        assert mx.mat_eq(similitude_defect(m, mu, g), dense)
+    s = with_multiplier(sample_symplectic(g, seed=1), Fraction(-2, 3))
+    assert mx.is_zero_matrix(similitude_defect(s.matrix, Fraction(-2, 3), g))
+    assert not mx.is_zero_matrix(similitude_defect(s.matrix, Fraction(2, 3), g))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
