@@ -25,9 +25,9 @@ from .polyalg import (
     ResourceCapExceeded,
     VarId,
     adjugate,
-    buchberger_reduce,
     determinant,
     groebner_basis,
+    ideal_remainder,
 )
 from .symplectic import (
     IsotropicFrame,

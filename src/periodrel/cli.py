@@ -27,7 +27,7 @@ from .relations import (
     random_case3_input,
     verify_relation_on_data,
 )
-from .scalars import DecodeError, Place, ScalarError, scalar_from_json, scalar_to_json
+from .scalars import DecodeError, Place, ScalarError, json_list, scalar_from_json, scalar_to_json
 from .series import (
     TruncatedSeries,
     compositional_inverse,
@@ -50,11 +50,17 @@ class UsageError(Exception):
     which argparse would turn into a usage message on stderr."""
 
 
-def _genus(text: str) -> int:
-    g = int(text)
-    if g < 1:
-        raise UsageError(f"--g must be >= 1, got {g}")
-    return g
+def _at_least(flag: str, low: int):
+    """An argparse type: an int >= low, else a UsageError naming the flag."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise UsageError(f"{flag} must be >= {low}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in its own errors
+    return parse
 
 
 def _multiplier(text: str) -> Fraction:
@@ -83,6 +89,14 @@ def _load_json(path: str, digests: dict) -> object:
         raise ComputationFailed(f"invalid JSON in {path}: {exc}")
 
 
+def _json_list_arg(text: str, flag: str) -> list:
+    """The JSON list given as an argument's text."""
+    try:
+        return json_list(json.loads(text), flag)
+    except json.JSONDecodeError as exc:
+        raise DecodeError(f"{flag}: invalid JSON: {exc}")
+
+
 def _summarise(report: dict) -> str:
     for key in ("verdict", "status", "vanishes", "all_ok"):
         if key in report:
@@ -102,7 +116,7 @@ def _parse_place(text: str) -> Place:
         obj = json.loads(text)
         if isinstance(obj, dict):
             return Place.from_json(obj)
-    except (json.JSONDecodeError, KeyError):
+    except (json.JSONDecodeError, DecodeError):
         pass
     try:
         return Place.finite(int(text))
@@ -227,6 +241,9 @@ def cmd_ideal_radical(args, digests):
 def cmd_ideal_member(args, digests):
     poly = MultiPoly.from_json(_load_json(args.poly, digests))
     ideal = generators(args.g)
+    stray = sorted(poly.variables() - set(ideal.variables()))
+    if stray:
+        raise DecodeError(f"poly: {stray[0]} is not a variable of genus {args.g}")
     verdict = membership(poly, ideal, sample_budget=args.budget, seed=args.seed)
     out = {
         "status": verdict.status,
@@ -294,8 +311,10 @@ def cmd_gfun_derive(args, digests):
 def cmd_gfun_radii(args, digests):
     GFunMatrix.from_json(_load_json(args.F, digests))  # validated and digested; radii need only a
     a = GaussManinCoefficients.from_json(_load_json(args.a, digests))
-    excluded = [scalar_from_json(x) for x in json.loads(args.excluded)]
-    places = [Place.from_json(p) for p in json.loads(args.places)]
+    excluded = _json_list_arg(args.excluded, "--excluded")
+    places = _json_list_arg(args.places, "--places")
+    excluded = [scalar_from_json(x, f"--excluded[{i}]") for i, x in enumerate(excluded)]
+    places = [Place.from_json(p, f"--places[{i}]") for i, p in enumerate(places)]
     radii = compute_radii(a, excluded, places)
     return {"radii": radii.to_json()}
 
@@ -345,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series_radius)
     p = leaf(s_sub, "gb-scan", help="globally-bounded denominator scan")
     p.add_argument("--series", required=True)
-    p.add_argument("--prime-bound", type=int, default=50)
+    p.add_argument("--prime-bound", type=_at_least("--prime-bound", 2), default=50)
     p.set_defaults(func=cmd_series_gb_scan)
     p = leaf(s_sub, "eval", help="evaluate with a tail bound")
     p.add_argument("--series", required=True)
@@ -357,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sym = sub.add_parser("symplectic", help="exact similitude sampling")
     y_sub = p_sym.add_subparsers(dest="subcommand", required=True)
     p = leaf(y_sub, "sample")
-    p.add_argument("--g", type=_genus, required=True)
+    p.add_argument("--g", type=_at_least("--g", 1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mu", type=_multiplier, default=Fraction(1))
     p.add_argument("--word-length", type=int, default=8)
@@ -366,15 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ideal = sub.add_parser("ideal", help="trivial-relations ideal")
     i_sub = p_ideal.add_subparsers(dest="subcommand", required=True)
     p = leaf(i_sub, "gens")
-    p.add_argument("--g", type=_genus, required=True)
+    p.add_argument("--g", type=_at_least("--g", 1), required=True)
     p.set_defaults(func=cmd_ideal_gens)
     p = leaf(i_sub, "radical")
-    p.add_argument("--g", type=_genus, required=True)
+    p.add_argument("--g", type=_at_least("--g", 1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ideal_radical)
     p = leaf(i_sub, "member")
     p.add_argument("--poly", required=True)
-    p.add_argument("--g", type=_genus, required=True)
+    p.add_argument("--g", type=_at_least("--g", 1), required=True)
     p.add_argument("--budget", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ideal_member)

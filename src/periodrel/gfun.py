@@ -56,9 +56,6 @@ class GFunMatrix:
     def integral_at(self, i: int, j: int) -> bool:
         return self.integral[i][j]
 
-    def all_integral(self) -> bool:
-        return all(x for row in self.integral for x in row)
-
     @staticmethod
     def from_series(
         g: int, grid: Sequence[Sequence[TruncatedSeries]], integral: tuple | bool = False
@@ -143,21 +140,6 @@ class GaussManinCoefficients:
         for block in self.series:
             for row in block:
                 yield from row
-
-    @staticmethod
-    def identity_family(g: int, order: int) -> "GaussManinCoefficients":
-        """a[i][0][l] = delta_il, no derivative terms: derived matrix = input."""
-        series = tuple(
-            tuple(
-                tuple(
-                    TruncatedSeries.constant(Fraction(int(i == l)), order)
-                    for l in range(1, g + 1)
-                )
-                for _ in range(1)
-            )
-            for i in range(1, g + 1)
-        )
-        return GaussManinCoefficients(g, 0, series, integral=True)
 
     def to_json(self) -> dict:
         return {

@@ -4,9 +4,9 @@ Variables live in four g x g blocks (Y, Z and their primed copies); the
 monomial order is degrevlex over the fixed variable order
 Y[1,1] < ... < Y[g,g] < Z[1,1] < ... < Z[g,g] < Y'[..] < Z'[..], which every
 certificate records implicitly by construction.  Coefficients are exact
-(Fraction or QuadScalar).  A deliberately small Buchberger engine decides
-ideal membership at desk scale; blowup is converted into a clean
-"undecided" outcome by a hard pair cap.
+(Fraction or QuadScalar).  Ideal membership is decided by exact linear
+algebra (:func:`ideal_remainder`), past whose column cap the answer is a
+clean "undecided"; a small Buchberger engine stays as its test oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import matrices as mx
-from .scalars import QuadScalar, Scalar, scalar_from_json, scalar_to_json
+from .scalars import DecodeError, QuadScalar, Scalar, json_field, json_int, json_list
+from .scalars import scalar_from_json, scalar_to_json
 
 BLOCKS = ("Y", "Z", "Yp", "Zp")
 
@@ -25,7 +26,8 @@ MONOMIAL_ORDER = "degrevlex(Y[1,1] < ... < Z[g,g])"  # as recorded in reports
 
 
 class ResourceCapExceeded(RuntimeError):
-    """Raised when the Buchberger engine hits its configured caps."""
+    """Raised when an exact engine passes its size cap: the membership column
+    cap, the symbolic determinant size, or the Buchberger pair cap."""
 
 
 @dataclass(frozen=True)
@@ -373,16 +375,23 @@ class MultiPoly:
         return out
 
     @staticmethod
-    def from_json(obj: Iterable[dict]) -> "MultiPoly":
+    def from_json(obj, path: str = "poly") -> "MultiPoly":
+        """Decode a polynomial; a malformed one raises :class:`DecodeError`
+        naming its path, e.g. ``poly[0].monomial: missing``."""
         total: dict[Monomial, Scalar] = {}
-        for term in obj:
-            pairs = []
-            for ent in term["monomial"]:
-                block, row, col, e = ent[0], int(ent[1]), int(ent[2]), int(ent[3])
-                copy = int(ent[4]) if len(ent) > 4 else 1
-                pairs.append((VarId(block, row, col, copy), e))
-            m = Monomial.of(*pairs)
-            c = scalar_from_json(term["coeff"])
+        for k, term in enumerate(json_list(obj, path)):
+            at, exps = f"{path}[{k}].", {}
+            for n, ent in enumerate(json_list(json_field(term, "monomial", at), f"{at}monomial")):
+                p, keys = f"{at}monomial[{n}]", ("block", "row", "col", "exponent", "copy")
+                ent = {"copy": 1} | dict(zip(keys, json_list(ent, p)))
+                row, col, e, copy = (json_int(ent, key, p + ".", low=0) for key in keys[1:])
+                try:
+                    v = VarId(ent["block"], row, col, copy)
+                except ValueError as exc:
+                    raise DecodeError(f"{p}: {exc}")
+                exps[v] = exps.get(v, 0) + e
+            m = Monomial.of(*exps.items())
+            c = scalar_from_json(json_field(term, "coeff", at), f"{at}coeff")
             total[m] = total.get(m, Fraction(0)) + c
         return MultiPoly(total)
 
@@ -508,7 +517,15 @@ class PolyMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "PolyMatrix":
-        return PolyMatrix([[MultiPoly.from_json(e) for e in row] for row in obj["entries"]])
+        rows = json_list(json_field(obj, "entries"), "entries")
+        cols = len(json_list(rows[0], "entries[0]")) if rows else 0
+        return PolyMatrix(
+            [
+                MultiPoly.from_json(e, f"entries[{i}][{j}]")
+                for j, e in enumerate(json_list(row, f"entries[{i}]", cols))
+            ]
+            for i, row in enumerate(rows)
+        )
 
 
 SYMBOLIC_DET_CAP = 4
@@ -579,12 +596,10 @@ def adjugate(m: PolyMatrix) -> PolyMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Buchberger engine (rational coefficients only)
+# Buchberger engine (rational coefficients only), the oracle for ideal_remainder
 
 
 DEFAULT_PAIR_CAP = 20000
-DEFAULT_VAR_CAP = 18  # 2 g^2 with g <= 3
-DEFAULT_DEGREE_CAP = 4
 
 
 def _check_rational(polys: Iterable[MultiPoly]) -> None:
@@ -693,31 +708,84 @@ def _interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
     return [normal_form(b, [o for o in out if o is not b]).monic() for b in out]
 
 
-def buchberger_reduce(
-    p: MultiPoly,
-    generators: Sequence[MultiPoly],
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    var_cap: int = DEFAULT_VAR_CAP,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> tuple[MultiPoly, bool]:
-    """Reduce p modulo the ideal of the generators; (remainder, in_ideal).
+# ---------------------------------------------------------------------------
+# Ideal membership by exact linear algebra
 
-    Exact and certifying in both directions, but deliberately capped:
-    too many variables, too-high degree, or a pair-count blowup raise
-    :class:`ResourceCapExceeded` instead of grinding.
+
+MEMBERSHIP_COLUMN_CAP = 10000
+
+
+def ideal_remainder(p: MultiPoly, generators: Sequence[MultiPoly]) -> MultiPoly:
+    """Degrevlex normal form of p modulo the ideal I of homogeneous
+    generators, zero exactly when p lies in I.
+
+    The rows are the multiples (u/t)*f for each generator f, term t of f and
+    monomial u with t | u, closing over the monomials of p and of the rows (a
+    Macaulay matrix, Lazard 1983).  No other row meets these monomials and I
+    is homogeneous, so the echelon pivots are exactly LM(I) on them, and
+    reducing p by the rows leaves the unique normal form.  Past
+    ``MEMBERSHIP_COLUMN_CAP`` monomials it raises :class:`ResourceCapExceeded`.
     """
-    if not generators:
-        raise ValueError("generator list must be nonempty")
-    _check_rational([p])
-    nvars = len(set().union(*[g.variables() for g in generators], p.variables()))
-    if nvars > var_cap:
-        raise ResourceCapExceeded(
-            "membership undecided at this scale; use probabilistic nonmembership"
-        )
-    if p.degree() > degree_cap or any(g.degree() > degree_cap for g in generators):
-        raise ResourceCapExceeded(
-            "membership undecided at this scale; use probabilistic nonmembership"
-        )
-    gb = groebner_basis(generators, pair_cap=pair_cap)
-    rem = normal_form(p, gb)
-    return rem, rem.is_zero()
+    if not all(f.is_homogeneous() for f in generators):
+        raise ValueError("ideal_remainder needs homogeneous generators")
+    # A monomial is one int: w-bit exponent fields, the smallest variable's
+    # the most significant.  No exponent reaches the top (guard) bit of its
+    # field, so t | u exactly when u - t borrows from no guard bit, and at
+    # equal degree the smallest int is the degrevlex-largest monomial (a
+    # reduction never changes degree, so the order across degrees is free).
+    variables = sorted(p.variables().union(*(f.variables() for f in generators)))
+    w = max([p.degree(), *(f.degree() for f in generators)]).bit_length() + 1
+    shift = {v: w * (len(variables) - 1 - i) for i, v in enumerate(variables)}
+    guard = sum(1 << (s + w - 1) for s in shift.values())
+
+    def pack(m: Monomial) -> int:
+        return sum(e << shift[v] for v, e in m.exps)
+
+    terms = [[(pack(m), c) for m, c in f.terms.items()] for f in generators]
+    target = {pack(m): c for m, c in p.terms.items()}
+    columns, todo, made, pivots = set(target), list(target), set(), {}
+    while todo:
+        u = todo.pop()
+        for k, f in enumerate(terms):
+            for t, _ in f:
+                q = u - t  # u / t when t | u
+                if (u | guard) - t & guard != guard or (k, q) in made:
+                    continue
+                made.add((k, q))
+                row = {q + s: c for s, c in f}
+                todo += row.keys() - columns
+                columns.update(row)
+                if len(columns) > MEMBERSHIP_COLUMN_CAP:
+                    raise ResourceCapExceeded(
+                        f"membership undecided past MEMBERSHIP_COLUMN_CAP = {MEMBERSHIP_COLUMN_CAP} monomials"
+                    )
+                row = _eliminate(row, pivots)
+                if row:
+                    lead = min(row)
+                    inv = 1 / row.pop(lead)
+                    pivots[lead] = [(m, c * inv) for m, c in row.items()]
+    rem = _eliminate(target, pivots)
+
+    def unpack(m: int) -> Monomial:
+        return Monomial(tuple((v, e) for v in variables if (e := m >> shift[v] & (1 << w) - 1)))
+
+    return MultiPoly({unpack(m): c for m, c in rem.items()})
+
+
+def _eliminate(row: dict, pivots: dict) -> dict:
+    """Reduce ``row`` (consumed) by the monic pivot rows, largest monomial
+    first, and return what no pivot removes."""
+    out, heap = {}, list(row)
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)
+        c = row.pop(m, None)
+        if c is not None and m not in pivots:
+            out[m] = c
+        elif c is not None:
+            for n, a in pivots[m]:
+                s = row.pop(n, 0) - c * a
+                if s:
+                    row[n] = s
+                    heapq.heappush(heap, n)  # a stale copy is skipped above
+    return out

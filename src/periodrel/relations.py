@@ -112,27 +112,6 @@ def sylvester_solvable(act: EndomorphismAction) -> bool:
     return mx.rank(lin) == act.g * act.g
 
 
-def random_action(
-    g: int, seed: int, lo: int = -3, hi: int = 3, solvable: bool = False
-) -> EndomorphismAction:
-    """Random non-scalar action with small integer entries (deterministic).
-
-    With ``solvable`` the draw is repeated until the synthetic-period
-    Sylvester system is nonsingular.
-    """
-    rng = random.Random(seed)
-    while True:
-        make = lambda: mx.freeze(
-            [[Fraction(rng.randint(lo, hi)) for _ in range(g)] for _ in range(g)]
-        )
-        act = EndomorphismAction(g, make(), make(), make())
-        if act.is_scalar():
-            continue
-        if solvable and not sylvester_solvable(act):
-            continue
-        return act
-
-
 # ---------------------------------------------------------------------------
 # Non-archimedean construction
 
@@ -217,16 +196,6 @@ def _noncommuting_symmetric(a) -> tuple:
                 e[j][i] = Fraction(1)
                 return mx.freeze(e)
     raise RelationError("no relation derivable from scalar endomorphism")
-
-
-def expected_witness_value(act: EndomorphismAction, entry: SelectedEntry):
-    """The case table's predicted value matrix at the witness."""
-    if entry.case == "B_nonzero":
-        return mx.scalar_mul(Fraction(-1), act.B)
-    if entry.case == "A_ne_D":
-        return mx.mat_sub(act.A, act.D)
-    z = entry.witness_z
-    return mx.mat_sub(mx.mat_mul(act.A, z), mx.mat_mul(z, act.D))
 
 
 # ---------------------------------------------------------------------------

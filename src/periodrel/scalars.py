@@ -103,10 +103,14 @@ class Place:
         return {"kind": "finite", "p": self.p}
 
     @staticmethod
-    def from_json(obj: dict) -> "Place":
-        if obj["kind"] == "arch":
-            return Place.arch(obj.get("embedding"))
-        return Place.finite(int(obj["p"]))
+    def from_json(obj: dict, path: str = "place") -> "Place":
+        kind = json_field(obj, "kind", path + ".")
+        try:
+            if kind == "finite":
+                return Place.finite(json_int(obj, "p", path + "."))
+            return Place(kind, embedding=obj.get("embedding"))
+        except ScalarError as exc:
+            raise DecodeError(f"{path}: {exc}")
 
     def __str__(self) -> str:
         if self.kind == "arch":

@@ -126,12 +126,6 @@ class TruncatedSeries:
             self.order - 1,
         )
 
-    def nth_derivative(self, k: int) -> "TruncatedSeries":
-        f = self
-        for _ in range(k):
-            f = f.derivative()
-        return f
-
     def is_integral(self) -> bool:
         """All computed coefficients lie in Z."""
         return all(

@@ -8,7 +8,6 @@ generators, the Jacobian-rank radicality certificate, exact and sampling
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -18,10 +17,9 @@ from . import matrices as mx
 from .polyalg import (
     Monomial,
     MultiPoly,
-    PolyMatrix,
     ResourceCapExceeded,
     VarId,
-    buchberger_reduce,
+    ideal_remainder,
     yvar,
     zvar,
 )
@@ -58,12 +56,6 @@ class TrivialIdeal:
         if i < j:
             return self.generators[self.pairs().index((i, j))]
         return -self.generators[self.pairs().index((j, i))]
-
-    def generator_matrix(self) -> PolyMatrix:
-        """Y^t Z - Z^t Y as a symbolic polynomial matrix."""
-        y = PolyMatrix.symbolic("Y", self.g)
-        z = PolyMatrix.symbolic("Z", self.g)
-        return y.transpose() * z - z.transpose() * y
 
     def variables(self) -> list[VarId]:
         out = [yvar(i, j) for i in range(1, self.g + 1) for j in range(1, self.g + 1)]
@@ -204,9 +196,9 @@ def membership(
     isotropic point proves nonmembership.  The structured witnesses are
     evaluated first, then at most ``sample_budget`` sampled points, each built
     only when it is reached, so the search stops building at the first
-    nonzero value.  If every point vanishes and the scale permits (g <= 3),
-    Buchberger gives the certified answer; otherwise the verdict is honest
-    "undecided".
+    nonzero value.  If every point vanishes, the degrevlex normal form of p
+    (:func:`~periodrel.polyalg.ideal_remainder`) decides at every g; past its
+    column cap the verdict is an honest "undecided".
     """
     g = ideal.g
     points = chain(structured_witnesses(g), _iter_sampled_points(g, sample_budget, seed))
@@ -222,28 +214,21 @@ def membership(
                 value=val,
                 samples_tested=tested,
             )
-    if g <= 3:
-        try:
-            rem, inid = buchberger_reduce(p, list(ideal.generators))
-        except ResourceCapExceeded as exc:
-            return MembershipVerdict(
-                "undecided", "none", samples_tested=tested, detail=str(exc)
-            )
-        if inid:
-            return MembershipVerdict(
-                "in_ideal_certified",
-                "groebner_remainder",
-                remainder=rem,
-                samples_tested=tested,
-            )
+    try:
+        rem = ideal_remainder(p, ideal.generators)
+    except ResourceCapExceeded as exc:
+        return MembershipVerdict("undecided", "none", samples_tested=tested, detail=str(exc))
+    if not rem:
         return MembershipVerdict(
-            "not_in_ideal_certified",
-            "groebner_remainder",
-            remainder=rem,
-            samples_tested=tested,
-            detail="nonzero normal form; no sampled witness found",
+            "in_ideal_certified", "groebner_remainder", remainder=rem, samples_tested=tested
         )
-    return MembershipVerdict("undecided", "none", samples_tested=tested)
+    return MembershipVerdict(
+        "not_in_ideal_certified",
+        "groebner_remainder",
+        remainder=rem,
+        samples_tested=tested,
+        detail="nonzero normal form; no sampled witness found",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +263,4 @@ def row_swap_permutation(g: int) -> list[int]:
     """The permutation exchanging the first and last rows."""
     perm = list(range(1, g + 1))
     perm[0], perm[-1] = perm[-1], perm[0]
-    return perm
-
-
-def random_permutation(g: int, rng: random.Random) -> list[int]:
-    perm = list(range(1, g + 1))
-    rng.shuffle(perm)
     return perm

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from periodrel.cli import build_parser, dispatch
-from periodrel.relations import random_action
 from periodrel.series import TruncatedSeries
+
+from helpers import identity_family, random_action
 
 
 def run(capsys, argv):
@@ -50,6 +51,10 @@ DECODE_INPUTS = {
     "case3-g-only.json": {"g": 4},
     "case3-ragged.json": {"g": 4, "H": [["1", "0", "0", "0"], ["0", "1"]]},
     "act-ragged.json": {"g": 2, "A": [["1", "0"], ["0", "1"]], "B": [["0"]], "D": [["1", "0"], ["0", "1"]]},
+    "poly-no-monomial.json": [{"coeff": "1"}],
+    "poly-block-q.json": [{"coeff": "1", "monomial": [["Q", 1, 1, 1]]}],
+    "rel-no-entries.json": {"rows": 1},
+    "poly-outside-g.json": [{"coeff": "1", "monomial": [["Z", 3, 1, 1]]}],
 }
 DECODE_ERRORS = {
     ("gfun", "derive", "--F", "F-without-g.json", "--a", "a.json"): "g: missing",
@@ -59,6 +64,18 @@ DECODE_ERRORS = {
     ("relation", "case3", "--input", "case3-g-only.json"): "H: missing",
     ("relation", "case3", "--input", "case3-ragged.json"): "H: expected 4 entries, got 2",
     ("relation", "build-nonarch", "--act", "act-ragged.json"): "B: expected 2 entries, got 1",
+    ("ideal", "member", "--poly", "poly-no-monomial.json", "--g", "2"): "poly[0].monomial: missing",
+    ("ideal", "member", "--poly", "poly-block-q.json", "--g", "2"): "poly[0].monomial[0]: unknown block 'Q'",
+    ("relation", "verify", "--rel", "rel-no-entries.json", "--data", "unread.json"): "entries: missing",
+    ("gfun", "radii", "--F", "F.json", "--a", "a.json", "--places", '[{"kind": "finite"}]'): "--places[0].p: missing",
+    ("gfun", "radii", "--F", "F.json", "--a", "a.json", "--places", "[]", "--excluded", "nope"): (
+        "--excluded: invalid JSON: Expecting value: line 1 column 1 (char 0)"
+    ),
+    ("series", "gb-scan", "--series", "unread.json", "--prime-bound", "-5"): "--prime-bound must be >= 2, got -5",
+    ("ideal", "member", "--poly", "poly-outside-g.json", "--g", "2"): "poly: Z[3,1] is not a variable of genus 2",
+    ("gfun", "radii", "--F", "F.json", "--a", "a.json", "--places", '[{"kind": "finite", "p": 4}]'): (
+        "--places[0]: finite place needs a prime, got 4"
+    ),
 }
 
 
@@ -288,10 +305,10 @@ def test_series_eval_outside_disc_fails(tmp_path, capsys):
 
 
 def test_gfun_derive_subcommand(tmp_path, capsys):
-    from periodrel.gfun import GaussManinCoefficients, GFunMatrix
+    from periodrel.gfun import GFunMatrix
 
     f = GFunMatrix.from_series(1, [[TruncatedSeries.geometric(8)]])
-    fam = GaussManinCoefficients.identity_family(1, 8)
+    fam = identity_family(1, 8)
     f_file, a_file = tmp_path / "F.json", tmp_path / "a.json"
     f_file.write_text(json.dumps(f.to_json()))
     a_file.write_text(json.dumps(fam.to_json()))
@@ -301,10 +318,10 @@ def test_gfun_derive_subcommand(tmp_path, capsys):
 
 
 def test_gfun_radii_subcommand(tmp_path, capsys):
-    from periodrel.gfun import GaussManinCoefficients, GFunMatrix
+    from periodrel.gfun import GFunMatrix
 
     f = GFunMatrix.from_series(1, [[TruncatedSeries.geometric(8)]], integral=True)
-    fam = GaussManinCoefficients.identity_family(1, 8)
+    fam = identity_family(1, 8)
     f_file, a_file = tmp_path / "F.json", tmp_path / "a.json"
     f_file.write_text(json.dumps(f.to_json()))
     a_file.write_text(json.dumps(fam.to_json()))

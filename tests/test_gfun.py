@@ -14,6 +14,8 @@ from periodrel.gfun import (
 from periodrel.scalars import Place
 from periodrel.series import TruncatedSeries
 
+from helpers import identity_family
+
 TS = TruncatedSeries
 
 
@@ -53,7 +55,7 @@ def test_identity_family_returns_input():
         for _ in range(g)
     ]
     f = GFunMatrix.from_series(g, grid)
-    out = derive_G(f, GaussManinCoefficients.identity_family(g, order))
+    out = derive_G(f, identity_family(g, order))
     for i in range(g):
         for j in range(g):
             assert out.entries[i][j] == f.entries[i][j]
@@ -139,7 +141,7 @@ def test_insufficient_precision_rejected():
 
 def test_radii_integer_coefficients_certified_one():
     g, order = 1, 8
-    fam = GaussManinCoefficients.identity_family(g, order)
+    fam = identity_family(g, order)
     radii = compute_radii(fam, [], [Place.finite(5)])
     r, cert = radii.lookup(Place.finite(5))
     assert r == 1.0 and cert
@@ -147,7 +149,7 @@ def test_radii_integer_coefficients_certified_one():
 
 def test_radii_worked_small_and_large_excluded_values():
     g, order, p = 1, 8, 7
-    fam = GaussManinCoefficients.identity_family(g, order)
+    fam = identity_family(g, order)
     # |1/p|_p = p > 1: the minimum stays at 1
     r1, _ = compute_radii(fam, [Fraction(1, p)], [Place.finite(p)]).lookup(Place.finite(p))
     assert r1 == 1.0
@@ -169,7 +171,7 @@ def test_radii_archimedean_heuristic_uncertified():
 def test_radii_monotone_under_more_inputs():
     rng = random.Random(2)
     g, order = 1, 10
-    fam = GaussManinCoefficients.identity_family(g, order)
+    fam = identity_family(g, order)
     places = [Place.finite(3), Place.arch()]
     for _ in range(20):
         excl = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 3))]
@@ -237,6 +239,6 @@ def test_check_flags_corrupted_entry():
 def test_gfun_json_roundtrip():
     f = GFunMatrix.from_series(1, [[hypergeometric_fixture(6)]])
     assert GFunMatrix.from_json(f.to_json()).entries[0][0] == f.entries[0][0]
-    fam = GaussManinCoefficients.identity_family(2, 6)
+    fam = identity_family(2, 6)
     rt = GaussManinCoefficients.from_json(fam.to_json())
     assert rt.g == 2 and rt.deriv_order == 0

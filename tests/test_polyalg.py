@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodrel import matrices as mx
+from periodrel import polyalg
 from periodrel.polyalg import (
     Monomial,
     MultiPoly,
@@ -11,14 +13,15 @@ from periodrel.polyalg import (
     ResourceCapExceeded,
     VarId,
     adjugate,
-    buchberger_reduce,
     determinant,
     groebner_basis,
+    ideal_remainder,
     normal_form,
     yvar,
     zvar,
 )
-from periodrel.trivial_ideal import generators
+from periodrel.scalars import QuadScalar
+from periodrel.trivial_ideal import generators, membership, point_assignment, sampled_points
 
 
 def test_varid_order_matches_declared_chain():
@@ -143,19 +146,18 @@ def test_substitute_and_evaluate():
 
 
 # ---------------------------------------------------------------------------
-# Buchberger
+# Ideal membership by exact linear algebra; Buchberger is the oracle
 
 
 def test_generator_reduces_to_zero():
     ideal = generators(3)
-    rem, inid = buchberger_reduce(ideal.generators[0], list(ideal.generators))
-    assert inid and rem.is_zero()
+    assert ideal_remainder(ideal.generators[0], ideal.generators).is_zero()
 
 
 def test_degree_one_not_in_ideal():
     ideal = generators(2)
-    rem, inid = buchberger_reduce(MultiPoly.variable(yvar(1, 1)), list(ideal.generators))
-    assert not inid and not rem.is_zero()
+    y11 = MultiPoly.variable(yvar(1, 1))
+    assert ideal_remainder(y11, ideal.generators) == y11
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -165,13 +167,10 @@ def test_constructed_combination_in_ideal(g):
     z22 = MultiPoly.variable(zvar(2, 2))
     gens = list(ideal.generators)
     comb = y11 * gens[0] + (z22 * gens[-1] if len(gens) > 1 else z22 * gens[0])
-    rem, inid = buchberger_reduce(comb, gens)
-    assert inid and rem.is_zero()
+    assert ideal_remainder(comb, gens).is_zero()
 
 
 def test_groebner_membership_agrees_with_evaluation():
-    from periodrel.trivial_ideal import point_assignment, sampled_points
-
     g = 2
     ideal = generators(g)
     rng = random.Random(8)
@@ -179,8 +178,7 @@ def test_groebner_membership_agrees_with_evaluation():
     for trial in range(10):
         h = _random_poly(rng, g, max_degree=2)
         p = h * ideal.generators[0]
-        _, inid = buchberger_reduce(p, list(ideal.generators))
-        assert inid
+        assert ideal_remainder(p, ideal.generators).is_zero()
         for y, z in pts:
             assert p.evaluate(point_assignment(g, y, z)) == 0
 
@@ -201,15 +199,149 @@ def _random_poly(rng, g, max_degree):
     return MultiPoly(terms)
 
 
-def test_buchberger_caps():
-    ideal = generators(2)
-    big = MultiPoly.variable(yvar(1, 1)) ** 5
-    with pytest.raises(ResourceCapExceeded, match="membership undecided"):
-        buchberger_reduce(big, list(ideal.generators))
-    with pytest.raises(ResourceCapExceeded):
-        buchberger_reduce(
-            MultiPoly.variable(yvar(1, 1)), list(ideal.generators), var_cap=1
-        )
+def test_membership_column_cap_gives_undecided(monkeypatch):
+    ideal = generators(3)
+    p = MultiPoly.variable(yvar(1, 1)) * ideal.generators[0]
+    assert membership(p, ideal, sample_budget=0).status == "in_ideal_certified"
+    monkeypatch.setattr(polyalg, "MEMBERSHIP_COLUMN_CAP", 3)
+    with pytest.raises(ResourceCapExceeded, match="MEMBERSHIP_COLUMN_CAP = 3"):
+        ideal_remainder(p, ideal.generators)
+    v = membership(p, ideal, sample_budget=0)
+    assert (v.status, v.evidence_kind, v.remainder) == ("undecided", "none", None)
+    assert "MEMBERSHIP_COLUMN_CAP = 3" in v.detail
+
+
+def test_membership_never_builds_a_groebner_basis(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("membership must not run Buchberger")
+
+    monkeypatch.setattr(polyalg, "groebner_basis", forbidden)
+    monkeypatch.setattr(polyalg, "normal_form", forbidden)
+    for g in (2, 3, 4):
+        ideal = generators(g)
+        y12 = MultiPoly.variable(yvar(1, 2))
+        assert membership(y12 * ideal.generators[0], ideal, sample_budget=2).status == "in_ideal_certified"
+        assert membership(y12, ideal, sample_budget=0).status == "not_in_ideal_certified"
+
+
+_GROEBNER_BASES = {g: groebner_basis(list(generators(g).generators)) for g in (2, 3)}
+
+
+@st.composite
+def _polys_near_the_ideal(draw, g):
+    """A combination of the generators plus a few stray terms of degree 0-5."""
+    ideal = generators(g)
+    pool = ideal.variables()
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    monomial = st.lists(st.sampled_from(pool), max_size=5).map(
+        lambda vs: Monomial.of(*((v, vs.count(v)) for v in set(vs)))
+    )
+    poly = st.dictionaries(monomial, coeff, max_size=4).map(MultiPoly)
+    p = draw(poly)
+    for f in ideal.generators:
+        p = p + draw(poly) * f
+    return p
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_ideal_remainder_is_the_groebner_normal_form(g):
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(_polys_near_the_ideal(g))
+    def check(p):
+        gens = generators(g).generators
+        assert ideal_remainder(p, gens).to_json() == normal_form(p, _GROEBNER_BASES[g]).to_json()
+
+    check()
+
+
+def test_ideal_remainder_closes_over_the_monomials_of_its_rows():
+    # reducing this monomial leads to monomials that no multiple of a generator
+    # dividing it contains; rows built from p's own monomials alone miss them
+    gens = generators(3).generators
+    p = MultiPoly({Monomial.of((yvar(1, 2), 1), (yvar(3, 2), 2), (yvar(3, 3), 1), (zvar(3, 1), 1)): Fraction(-3)})
+    rem = ideal_remainder(p, gens)
+    assert rem.to_json() == normal_form(p, _GROEBNER_BASES[3]).to_json() and rem != p
+
+
+def test_ideal_remainder_rejects_inhomogeneous_generators():
+    y11 = MultiPoly.variable(yvar(1, 1))
+    with pytest.raises(ValueError, match="homogeneous"):
+        ideal_remainder(y11, [y11 * y11 + y11])
+
+
+def test_ideal_remainder_without_generators_is_the_input():
+    p = MultiPoly.variable(zvar(1, 1)) + MultiPoly.constant(Fraction(3))
+    assert ideal_remainder(p, []).to_json() == p.to_json()
+    # g=1 has no generators: the zero polynomial is the one member
+    assert membership(MultiPoly.zero(), generators(1), sample_budget=1).status == "in_ideal_certified"
+
+
+@pytest.fixture(scope="module")
+def sympy_g4_basis():
+    """sympy's reduced degrevlex basis at g=4; sympy ranks its first
+    generator highest, so the variable list runs from Z[4,4] down to Y[1,1]."""
+    sympy = pytest.importorskip("sympy")
+    ideal = generators(4)
+    symbols = {v: sympy.Symbol(str(v)) for v in ideal.variables()}
+    gens = [_to_sympy(f, symbols) for f in ideal.generators]
+    order = [symbols[v] for v in reversed(ideal.variables())]
+    return ideal, symbols, sympy.groebner(gens, *order, order="grevlex")
+
+
+def _to_sympy(p, symbols):
+    total = 0
+    for m, c in p.terms.items():
+        term = c
+        for v, e in m.exps:
+            term = term * symbols[v] ** e
+        total += term
+    return total
+
+
+def test_ideal_remainder_matches_sympy_at_g4(sympy_g4_basis):
+    import sympy
+
+    ideal, symbols, basis = sympy_g4_basis
+    rng = random.Random(404)
+    gens = ideal.generators
+    for _ in range(3):
+        p = _random_poly(rng, 4, max_degree=3) * gens[rng.randrange(6)] + _random_poly(rng, 4, max_degree=4)
+        rem = ideal_remainder(p, gens)
+        assert not rem.is_zero()
+        _, expect = basis.reduce(_to_sympy(p, symbols))
+        assert sympy.expand(_to_sympy(rem, symbols) - expect) == 0
+
+
+@pytest.mark.parametrize("g", [4, 5])
+def test_membership_certified_both_ways_beyond_g3(g):
+    ideal = generators(g)
+    rng = random.Random(g)
+    gens = ideal.generators
+    member = MultiPoly.zero()
+    for f in rng.sample(gens, 3):
+        member = member + _random_poly(rng, g, max_degree=2) * f
+    v = membership(member, ideal, sample_budget=3, seed=1)
+    assert (v.status, v.evidence_kind, v.remainder.to_json()) == ("in_ideal_certified", "groebner_remainder", [])
+    # Y[1,2] vanishes at every structured witness, so with no samples the
+    # linear algebra must decide, and the remainder is the stray term
+    stray = MultiPoly.variable(yvar(1, 2)) * MultiPoly.variable(zvar(g, 1))
+    v = membership(member + stray, ideal, sample_budget=0)
+    assert (v.status, v.evidence_kind, v.samples_tested) == ("not_in_ideal_certified", "groebner_remainder", 4)
+    assert v.remainder == ideal_remainder(stray, gens) and not v.remainder.is_zero()
+    # the sampling route, independent of the linear algebra, agrees
+    v = membership(member + stray, ideal, sample_budget=25, seed=2)
+    assert (v.status, v.evidence_kind) == ("not_in_ideal_certified", "witness_point")
+
+
+def test_membership_certifies_a_quadratic_field_member():
+    ideal = generators(3)
+    f12, f13, f23 = ideal.generators
+    golden = QuadScalar(5, Fraction(1, 2), Fraction(1, 2))  # (1 + sqrt 5) / 2
+    p = (MultiPoly.variable(yvar(1, 1)).scale(golden) * f12 + MultiPoly.variable(zvar(3, 2)) * f23).scale(golden)
+    v = membership(p, ideal, sample_budget=2)
+    assert (v.status, v.remainder.to_json()) == ("in_ideal_certified", [])
+    stray = MultiPoly.variable(yvar(1, 2)).scale(golden)
+    assert ideal_remainder(p + stray, ideal.generators) == stray
 
 
 def test_groebner_basis_self_consistency():

@@ -13,11 +13,9 @@ from periodrel.relations import (
     build_case3_relation,
     build_nonarch_certificate,
     build_nonarch_relation,
-    expected_witness_value,
     generator_transform_scalar,
     phi_substitution,
     quadratic_relation_polys,
-    random_action,
     random_case3_input,
     select_nontrivial_entry,
     synthesize_period_data,
@@ -26,6 +24,8 @@ from periodrel.relations import (
 from periodrel.scalars import QuadScalar
 from periodrel.symplectic import sample_symplectic
 from periodrel.trivial_ideal import generators, point_assignment
+
+from helpers import expected_witness_value, random_action
 
 
 def F(x):

@@ -12,7 +12,6 @@ from periodrel.trivial_ideal import (
     membership,
     point_assignment,
     radicality_certificate,
-    random_permutation,
     row_permutation_test,
     row_swap_permutation,
     sampled_points,
@@ -55,7 +54,8 @@ def test_antisymmetric_family():
 
 def test_matrix_expansion_reproduces_generators():
     ideal = generators(3)
-    m = ideal.generator_matrix()
+    y, z = PolyMatrix.symbolic("Y", 3), PolyMatrix.symbolic("Z", 3)
+    m = y.transpose() * z - z.transpose() * y
     for i in range(3):
         for j in range(3):
             assert m.entries[i][j] == ideal.generator(i + 1, j + 1)
@@ -186,15 +186,22 @@ def test_samples_are_built_only_when_reached(monkeypatch):
     assert len(built) == v.samples_tested - n_structured
 
 
-def test_membership_undecided_above_groebner_scale():
+def test_membership_certified_above_groebner_scale():
     ideal = generators(4)
     # a polynomial vanishing on every sample: a generator itself
     v = membership(ideal.generators[0], ideal, sample_budget=5, seed=0)
-    assert v.status == "undecided"
+    assert v.status == "in_ideal_certified"
+    assert v.evidence_kind == "groebner_remainder" and v.remainder.is_zero()
 
 
 # ---------------------------------------------------------------------------
 # Row permutation criterion
+
+
+def _random_permutation(g, rng):
+    perm = list(range(1, g + 1))
+    rng.shuffle(perm)
+    return perm
 
 
 def test_generators_invariant_under_any_row_permutation():
@@ -202,7 +209,7 @@ def test_generators_invariant_under_any_row_permutation():
     rng = random.Random(12)
     for f in ideal.generators:
         for _ in range(6):
-            assert not row_permutation_test(f, random_permutation(3, rng))
+            assert not row_permutation_test(f, _random_permutation(3, rng))
 
 
 def test_monomial_moves_under_row_swap():
@@ -228,13 +235,13 @@ def test_scalar_combinations_invariant():
             if comb.is_zero():
                 continue
             for _ in range(10):
-                assert not row_permutation_test(comb, random_permutation(g, rng))
+                assert not row_permutation_test(comb, _random_permutation(g, rng))
 
 
 def test_polynomial_combinations_stay_in_ideal_under_permutation():
     # polynomial-coefficient combinations are not pointwise fixed, but their
     # membership is preserved: the permuted element still reduces to zero
-    from periodrel.polyalg import buchberger_reduce
+    from periodrel.polyalg import ideal_remainder
 
     g = 2
     ideal = generators(g)
@@ -248,8 +255,7 @@ def test_polynomial_combinations_stay_in_ideal_under_permutation():
         return VarId(v.block, perm[v.row - 1], v.col, v.copy)
 
     permuted = p.rename_variables(rename)
-    _, inid = buchberger_reduce(permuted, list(ideal.generators))
-    assert inid
+    assert ideal_remainder(permuted, ideal.generators).is_zero()
 
 
 def test_row_permutation_rejects_primed_blocks():
