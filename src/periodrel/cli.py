@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -71,6 +72,25 @@ def _multiplier(text: str) -> Fraction:
     if mu == 0:
         raise UsageError("--mu must be nonzero")
     return mu
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--mu -7/5`` as ``--mu=-7/5``: argparse reads a value that starts with
+    ``-`` as an option unless it is a plain negative number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _check_genus(poly: MultiPoly, g: int, path: str) -> None:
+    """Reject a variable that is not Y[i,j] or Z[i,j] with i, j <= g."""
+    for v in sorted(poly.variables()):
+        if v.block not in ("Y", "Z") or v.copy != 1 or max(v.row, v.col) > g:
+            raise DecodeError(f"{path}: {v} is not a variable of genus {g}")
 
 
 def _digest(path: str) -> str:
@@ -188,6 +208,8 @@ def cmd_series_eval(args, digests):
         res = eval_with_tail_bound(f, x, v, integral_tail=args.integral_tail)
     except ScalarError as exc:
         raise ComputationFailed(str(exc))
+    except OverflowError:
+        raise ComputationFailed(f"evaluation at x = {args.x} overflows a float")
     value = res.value if isinstance(res.value, float) else scalar_to_json(res.value)
     return {"value": value, "tail_bound": res.tail_bound, "heuristic": res.heuristic}
 
@@ -240,10 +262,8 @@ def cmd_ideal_radical(args, digests):
 
 def cmd_ideal_member(args, digests):
     poly = MultiPoly.from_json(_load_json(args.poly, digests))
+    _check_genus(poly, args.g, "poly")
     ideal = generators(args.g)
-    stray = sorted(poly.variables() - set(ideal.variables()))
-    if stray:
-        raise DecodeError(f"poly: {stray[0]} is not a variable of genus {args.g}")
     verdict = membership(poly, ideal, sample_budget=args.budget, seed=args.seed)
     out = {
         "status": verdict.status,
@@ -276,6 +296,9 @@ def cmd_relation_build_nonarch(args, digests):
 def cmd_relation_verify(args, digests):
     rel = PolyMatrix.from_json(_load_json(args.rel, digests))
     data = SyntheticPeriodData.from_json(_load_json(args.data, digests))
+    for i, row in enumerate(rel.entries):
+        for j, e in enumerate(row):
+            _check_genus(e, data.g, f"entries[{i}][{j}]")
     ok = verify_relation_on_data(rel, data)
     return {"vanishes": ok}
 
@@ -441,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2

@@ -220,12 +220,6 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
 class PlaceRadii:
     radii: tuple  # tuple of (Place, float, certified)
 
-    def lookup(self, v: Place) -> tuple[float, bool]:
-        for place, r, cert in self.radii:
-            if place == v:
-                return r, cert
-        raise KeyError(f"no radius for place {v}")
-
     def to_json(self) -> list:
         return [
             {"place": p.to_json(), "r": r, "certified": c} for p, r, c in self.radii

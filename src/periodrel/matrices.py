@@ -20,10 +20,6 @@ def freeze(rows: Sequence[Sequence[Scalar]]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def unfreeze(m) -> list:
-    return [list(row) for row in m]
-
-
 def shape(m) -> tuple[int, int]:
     return len(m), len(m[0]) if m else 0
 

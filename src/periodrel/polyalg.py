@@ -3,7 +3,11 @@
 Variables live in four g x g blocks (Y, Z and their primed copies); the
 monomial order is degrevlex over the fixed variable order
 Y[1,1] < ... < Y[g,g] < Z[1,1] < ... < Z[g,g] < Y'[..] < Z'[..], which every
-certificate records implicitly by construction.  Coefficients are exact
+certificate records implicitly by construction.  Inside, a variable is an int
+code that sorts in that order and a monomial is the sorted tuple of its codes,
+one per unit of exponent, so products, degrees, hashing and the order run on
+plain tuples; :class:`VarId` names a variable only at the JSON and display
+boundary.  Coefficients are exact
 (Fraction or QuadScalar).  Ideal membership is decided by exact linear
 algebra (:func:`ideal_remainder`), past whose column cap the answer is a
 clean "undecided"; a small Buchberger engine stays as its test oracle.
@@ -11,8 +15,10 @@ clean "undecided"; a small Buchberger engine stays as its test oracle.
 
 from __future__ import annotations
 
+import functools
 import heapq
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -32,26 +38,43 @@ class ResourceCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class VarId:
+    """A variable block[row, col] of copy ``copy``: the public name of a
+    variable, used at the JSON and display boundary only."""
+
     block: str
     row: int
     col: int
     copy: int = 1
+    code: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.block not in BLOCKS:
             raise ValueError(f"unknown block {self.block!r}")
         if self.row < 1 or self.col < 1 or self.copy < 1:
             raise ValueError("variable indices are 1-based")
+        if self.row > _FIELD or self.col > _FIELD:
+            raise ValueError("variable indices must be below 2^20")
+        code = (self.copy * 4 + BLOCKS.index(self.block)) << 40 | self.row << 20 | self.col
+        object.__setattr__(self, "code", code)  # the variable's int code, see Monomial
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.copy, BLOCKS.index(self.block), self.row, self.col)
 
     def __lt__(self, other: "VarId") -> bool:
-        return self.key() < other.key()
+        return self.code < other.code
 
     def __str__(self) -> str:
         copy = "" if self.copy == 1 else str(self.copy)
         return f"{self.block}{copy}[{self.row},{self.col}]"
+
+
+_FIELD = (1 << 20) - 1  # the row and col fields of a code
+
+
+@functools.cache
+def _var_of(code: int) -> VarId:
+    """The variable behind an int code."""
+    return VarId(BLOCKS[code >> 40 & 3], code >> 20 & _FIELD, code & _FIELD, code >> 42)
 
 
 def yvar(i: int, j: int) -> VarId:
@@ -66,95 +89,115 @@ def zvar(i: int, j: int) -> VarId:
 # Monomials
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Sorted tuple of (variable, positive exponent) pairs."""
+def _degrevlex(m: "Monomial") -> tuple:
+    """Sort key of the monomial order: degree, then the code tuple."""
+    return len(m), *m
 
-    exps: tuple
+
+def _runs(m: "Monomial") -> list[tuple[int, int]]:
+    """The (code, exponent) pairs of m, smallest variable first."""
+    return [(c, m.count(c)) for c in dict.fromkeys(m)]
+
+
+class Monomial(tuple):
+    """Sorted tuple of int variable codes, one code per unit of exponent:
+    Y[1,1]^2 * Z[1,2] is ``(c, c, c')``.
+
+    A variable's code is ``(copy*4 + block index) << 40 | row << 20 | col``
+    (:attr:`VarId.code`), so codes sort as the variable order does.  At equal
+    degree the plain tuple order is degrevlex (the first differing code is a
+    variable the smaller monomial holds more often, and every smaller
+    variable has equal exponents in both), so ``(len(m), *m)`` is the order's
+    key.  Product, degree, hash and equality are the tuple's own; the
+    (VarId, exponent) pairs exist only as :attr:`exps`.
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def one() -> "Monomial":
-        return Monomial(())
+        return Monomial()
 
     @staticmethod
     def of(*pairs: tuple[VarId, int]) -> "Monomial":
-        return Monomial(tuple(sorted((v, e) for v, e in pairs if e != 0)))
+        return Monomial(sorted(c for v, e in pairs for c in (v.code,) * e))
 
     @staticmethod
     def var(v: VarId, e: int = 1) -> "Monomial":
-        return Monomial(((v, e),)) if e else Monomial(())
+        return Monomial((v.code,) * e)
+
+    @property
+    def exps(self) -> tuple:
+        """The sorted (variable, positive exponent) pairs."""
+        return tuple((_var_of(c), e) for c, e in _runs(self))
 
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return len(self)
 
     def variables(self) -> tuple[VarId, ...]:
-        return tuple(v for v, _ in self.exps)
+        return tuple(map(_var_of, dict.fromkeys(self)))
 
     def exponent(self, v: VarId) -> int:
-        for w, e in self.exps:
-            if w == v:
-                return e
-        return 0
+        return self.count(v.code)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged: dict[VarId, int] = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(tuple(sorted(merged.items())))
+        return Monomial(sorted(self + other))
 
     def divides(self, other: "Monomial") -> bool:
-        it = dict(other.exps)
-        return all(it.get(v, 0) >= e for v, e in self.exps)
+        rest = iter(other)  # a sorted sub-multiset is a subsequence
+        return all(c in rest for c in self)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
-        merged: dict[VarId, int] = dict(self.exps)
-        for v, e in other.exps:
-            r = merged.get(v, 0) - e
-            if r < 0:
+        out = list(self)
+        for c in other:
+            if c not in out:
                 raise ValueError("monomial division with negative exponent")
-            if r == 0:
-                merged.pop(v, None)
-            else:
-                merged[v] = r
-        return Monomial(tuple(sorted(merged.items())))
+            out.remove(c)
+        return Monomial(out)
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        merged: dict[VarId, int] = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = max(merged.get(v, 0), e)
-        return Monomial(tuple(sorted(merged.items())))
+        return Monomial(sorted((Counter(self) | Counter(other)).elements()))
 
     def coprime(self, other: "Monomial") -> bool:
-        vs = {v for v, _ in self.exps}
-        return all(v not in vs for v, _ in other.exps)
+        return set(self).isdisjoint(other)
 
     def __lt__(self, other: "Monomial") -> bool:
-        # degrevlex: compare total degree, then scan variables upward from
-        # the smallest; the monomial with the *larger* exponent at the first
-        # difference is the smaller one.
-        ds, do = self.degree(), other.degree()
-        if ds != do:
-            return ds < do
-        if self.exps == other.exps:
-            return False
-        vars_union = sorted({v for v, _ in self.exps} | {v for v, _ in other.exps})
-        for v in vars_union:
-            es, eo = self.exponent(v), other.exponent(v)
-            if es != eo:
-                return es > eo
-        return False
+        return _degrevlex(self) < _degrevlex(other)
 
     def __le__(self, other: "Monomial") -> bool:
-        return self == other or self < other
+        return _degrevlex(self) <= _degrevlex(other)
+
+    def __gt__(self, other: "Monomial") -> bool:
+        return _degrevlex(self) > _degrevlex(other)
+
+    def __ge__(self, other: "Monomial") -> bool:
+        return _degrevlex(self) >= _degrevlex(other)
 
     def __str__(self) -> str:
-        if not self.exps:
+        if not self:
             return "1"
         return "*".join(f"{v}^{e}" if e > 1 else str(v) for v, e in self.exps)
+
+    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
 # Polynomials
+
+
+def _accumulate(out: dict, terms: Iterable[tuple[Monomial, Scalar]]) -> dict:
+    """Add (monomial, nonzero coefficient) pairs into ``out``, dropping the
+    sums that cancel.  Every caller's coefficients are nonzero (a product of
+    nonzero ones too, in a field), so a new monomial needs no zero test."""
+    for m, c in terms:
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        elif (s := s + c) == 0:
+            del out[m]
+        else:
+            out[m] = s
+    return out
 
 
 class MultiPoly:
@@ -197,14 +240,13 @@ class MultiPoly:
         return bool(self.terms)
 
     def degree(self) -> int:
-        return max((m.degree() for m in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     def is_homogeneous(self) -> bool:
-        degs = {m.degree() for m in self.terms}
-        return len(degs) <= 1
+        return len(set(map(len, self.terms))) <= 1
 
     def variables(self) -> set[VarId]:
-        return {v for m in self.terms for v in m.variables()}
+        return set(map(_var_of, set().union(*self.terms)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, QuadScalar)):
@@ -214,48 +256,24 @@ class MultiPoly:
         return (self - other).is_zero()
 
     def __hash__(self):
-        return hash(tuple(sorted(((m, str(c)) for m, c in self.terms.items()), key=lambda t: t[0].exps)))
+        return hash(frozenset((m, str(c)) for m, c in self.terms.items()))
 
     # -- arithmetic
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return MultiPoly(out, _clean=False)
+        return MultiPoly(_accumulate(dict(self.terms), other.terms.items()), _clean=False)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = -c if s is None else s - c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return MultiPoly(out, _clean=False)
+        negated = ((m, -c) for m, c in other.terms.items())
+        return MultiPoly(_accumulate(dict(self.terms), negated), _clean=False)
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly({m: -c for m, c in self.terms.items()}, _clean=False)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return MultiPoly(out, _clean=False)
+        theirs = other.terms.items()
+        products = ((Monomial(sorted(m + n)), c * d) for m, c in self.terms.items() for n, d in theirs)
+        return MultiPoly(_accumulate({}, products), _clean=False)
 
     def scale(self, c: Scalar) -> "MultiPoly":
         if c == 0:
@@ -268,21 +286,22 @@ class MultiPoly:
         return MultiPoly({m * mono: c * coeff for m, c in self.terms.items()}, _clean=False)
 
     def __pow__(self, n: int) -> "MultiPoly":
-        out = MultiPoly.constant(Fraction(1))
-        base = self
+        """Square and multiply: n.bit_length() - 1 squarings, no product by 1."""
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return MultiPoly.constant(Fraction(1)) if out is None else out
 
     # -- leading data (degrevlex)
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms)
+        return max(self.terms, key=_degrevlex)
 
     def leading_coeff(self) -> Scalar:
         return self.terms[self.leading_monomial()]
@@ -297,59 +316,43 @@ class MultiPoly:
     # -- calculus / evaluation / substitution
 
     def partial(self, v: VarId) -> "MultiPoly":
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            e = m.exponent(v)
-            if e == 0:
-                continue
-            lowered = m / Monomial.var(v)
-            s = out.get(lowered)
-            t = c * e
-            s = t if s is None else s + t
-            if s == 0:
-                out.pop(lowered, None)
-            else:
-                out[lowered] = s
-        return MultiPoly(out, _clean=False)
+        code, unit = v.code, Monomial.var(v)
+        lowered = ((m / unit, c * m.count(code)) for m, c in self.terms.items() if code in m)
+        return MultiPoly(_accumulate({}, lowered), _clean=False)
 
     def evaluate(self, assignment: Mapping[VarId, Scalar]) -> Scalar:
         total: Scalar = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
-            for v, e in m.exps:
-                if v not in assignment:
-                    raise KeyError(f"no value for variable {v}")
-                x = assignment[v]
-                for _ in range(e):
-                    val = val * x
-            total = total + val
+        if not self.terms:
+            return total
+        values = {v.code: x for v, x in assignment.items()}
+        try:
+            for m, c in self.terms.items():
+                val = c
+                for code in m:
+                    val = val * values[code]
+                total = total + val
+        except KeyError as exc:
+            raise KeyError(f"no value for variable {_var_of(exc.args[0])}") from None
         return total
 
     def substitute(self, mapping: Mapping[VarId, "MultiPoly"]) -> "MultiPoly":
         """Replace variables by polynomials; unmapped variables persist."""
-        total = MultiPoly.zero()
+        reps = {v.code: p for v, p in mapping.items()}
+        powers: dict[tuple[int, int], MultiPoly] = {}  # each power once per call
+        total: dict[Monomial, Scalar] = {}
         for m, c in self.terms.items():
             part = MultiPoly.constant(c)
-            for v, e in m.exps:
-                rep = mapping.get(v)
-                if rep is None:
-                    part = part * MultiPoly({Monomial.var(v, e): Fraction(1)})
-                else:
-                    part = part * rep**e
-            total = total + part
-        return total
+            for code, e in _runs(m):
+                if (code, e) not in powers:
+                    rep = reps.get(code, MultiPoly({Monomial((code,)): Fraction(1)}))
+                    powers[code, e] = rep**e
+                part = part * powers[code, e]
+            _accumulate(total, part.terms.items())
+        return MultiPoly(total, _clean=False)
 
     def rename_variables(self, func: Callable[[VarId], VarId]) -> "MultiPoly":
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            nm = Monomial.of(*((func(v), e) for v, e in m.exps))
-            s = out.get(nm)
-            s = c if s is None else s + c
-            if s == 0:
-                out.pop(nm, None)
-            else:
-                out[nm] = s
-        return MultiPoly(out, _clean=False)
+        renamed = ((Monomial.of(*((func(v), e) for v, e in m.exps)), c) for m, c in self.terms.items())
+        return MultiPoly(_accumulate({}, renamed), _clean=False)
 
     # -- display / JSON
 
@@ -357,20 +360,20 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, reverse=True):
+        for m in sorted(self.terms, key=_degrevlex, reverse=True):
             c = self.terms[m]
-            parts.append(f"({c})*{m}" if m.exps else f"({c})")
+            parts.append(f"({c})*{m}" if m else f"({c})")
         return " + ".join(parts)
 
     __repr__ = __str__
 
     def to_json(self) -> list:
         out = []
-        for m in sorted(self.terms, reverse=True):
-            mono = [
-                [v.block, v.row, v.col, e] if v.copy == 1 else [v.block, v.row, v.col, e, v.copy]
-                for v, e in m.exps
-            ]
+        for m in sorted(self.terms, key=_degrevlex, reverse=True):
+            mono = []
+            for code, e in _runs(m):
+                v = _var_of(code)
+                mono.append([v.block, v.row, v.col, e] if v.copy == 1 else [v.block, v.row, v.col, e, v.copy])
             out.append({"coeff": scalar_to_json(self.terms[m]), "monomial": mono})
         return out
 
@@ -728,21 +731,18 @@ def ideal_remainder(p: MultiPoly, generators: Sequence[MultiPoly]) -> MultiPoly:
     """
     if not all(f.is_homogeneous() for f in generators):
         raise ValueError("ideal_remainder needs homogeneous generators")
-    # A monomial is one int: w-bit exponent fields, the smallest variable's
-    # the most significant.  No exponent reaches the top (guard) bit of its
-    # field, so t | u exactly when u - t borrows from no guard bit, and at
-    # equal degree the smallest int is the degrevlex-largest monomial (a
-    # reduction never changes degree, so the order across degrees is free).
-    variables = sorted(p.variables().union(*(f.variables() for f in generators)))
+    # A monomial is one int: w-bit exponent fields, the smallest code's the
+    # most significant, so each code adds its field's unit.  No exponent
+    # reaches the top (guard) bit of its field, so t | u exactly when u - t
+    # borrows from no guard bit, and at equal degree the smallest int is the
+    # degrevlex-largest monomial (a reduction never changes degree, so the
+    # order across degrees is free).
+    codes = sorted(set().union(*p.terms, *(m for f in generators for m in f.terms)))
     w = max([p.degree(), *(f.degree() for f in generators)]).bit_length() + 1
-    shift = {v: w * (len(variables) - 1 - i) for i, v in enumerate(variables)}
-    guard = sum(1 << (s + w - 1) for s in shift.values())
-
-    def pack(m: Monomial) -> int:
-        return sum(e << shift[v] for v, e in m.exps)
-
-    terms = [[(pack(m), c) for m, c in f.terms.items()] for f in generators]
-    target = {pack(m): c for m, c in p.terms.items()}
+    unit = {v: 1 << w * (len(codes) - 1 - i) for i, v in enumerate(codes)}
+    guard = sum(u << w - 1 for u in unit.values())
+    terms = [[(sum(map(unit.get, m)), c) for m, c in f.terms.items()] for f in generators]
+    target = {sum(map(unit.get, m)): c for m, c in p.terms.items()}
     columns, todo, made, pivots = set(target), list(target), set(), {}
     while todo:
         u = todo.pop()
@@ -767,7 +767,7 @@ def ideal_remainder(p: MultiPoly, generators: Sequence[MultiPoly]) -> MultiPoly:
     rem = _eliminate(target, pivots)
 
     def unpack(m: int) -> Monomial:
-        return Monomial(tuple((v, e) for v in variables if (e := m >> shift[v] & (1 << w) - 1)))
+        return Monomial(v for v in codes for _ in range(m // unit[v] & (1 << w) - 1))
 
     return MultiPoly({unpack(m): c for m, c in rem.items()})
 

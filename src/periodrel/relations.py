@@ -101,17 +101,6 @@ def _square_blocks(obj: dict, keys, g: int) -> list:
     return [mx.matrix_from_json(json_field(obj, k), k, g) for k in keys]
 
 
-def sylvester_solvable(act: EndomorphismAction) -> bool:
-    """Whether the period-data Sylvester system is nonsingular.
-
-    Singularity happens exactly when the spectra of A and D meet, which no
-    choice of F can repair; checked via the Kronecker linearization.
-    """
-    eye = mx.identity(act.g)
-    lin = mx.mat_sub(mx.kron(eye, act.A), mx.kron(mx.transpose(act.D), eye))
-    return mx.rank(lin) == act.g * act.g
-
-
 # ---------------------------------------------------------------------------
 # Non-archimedean construction
 

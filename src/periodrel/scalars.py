@@ -279,8 +279,9 @@ class QuadScalar:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # n.bit_length() - 1 squarings
+                base = base * base
         return out
 
     # -- equality treats rational-valued elements as plain rationals

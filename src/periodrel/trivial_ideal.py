@@ -111,10 +111,6 @@ def _iter_sampled_points(g: int, budget: int, seed: int) -> Iterator[tuple]:
         yield frame.y_block, frame.z_block
 
 
-def sampled_points(g: int, budget: int, seed: int) -> list[tuple]:
-    return list(_iter_sampled_points(g, budget, seed))
-
-
 # ---------------------------------------------------------------------------
 # Jacobian rank and radicality
 

@@ -46,7 +46,7 @@ from periodrel.trivial_ideal import (
     row_swap_permutation,
 )
 
-from helpers import expected_witness_value, identity_family, random_action
+from helpers import expected_witness_value, identity_family, radius_at, random_action, sampled_points
 
 TS = TruncatedSeries
 
@@ -257,7 +257,7 @@ def test_criterion_7_groebner_vs_evaluation():
 
 
 def _evaluation_points(g):
-    from periodrel.trivial_ideal import sampled_points, structured_witnesses
+    from periodrel.trivial_ideal import structured_witnesses
 
     return structured_witnesses(g) + sampled_points(g, 20, seed=99)
 
@@ -347,5 +347,5 @@ def test_criterion_9_gfun_pipeline():
         r_base = compute_radii(fam3, excl, places)
         r_more = compute_radii(fam3, extra, places)
         for v in places:
-            assert r_more.lookup(v)[0] <= r_base.lookup(v)[0]
+            assert radius_at(r_more, v)[0] <= radius_at(r_base, v)[0]
     _report(9, "gfun: recurrence fixture exact to order 30, linearity, radii monotone")

@@ -11,7 +11,7 @@ import pytest
 from periodrel.cli import build_parser, dispatch
 from periodrel.series import TruncatedSeries
 
-from helpers import identity_family, random_action
+from helpers import identity_family, random_action, unfreeze
 
 
 def run(capsys, argv):
@@ -55,6 +55,9 @@ DECODE_INPUTS = {
     "poly-block-q.json": [{"coeff": "1", "monomial": [["Q", 1, 1, 1]]}],
     "rel-no-entries.json": {"rows": 1},
     "poly-outside-g.json": [{"coeff": "1", "monomial": [["Z", 3, 1, 1]]}],
+    "poly-row-2-20.json": [{"coeff": "1", "monomial": [["Y", 2**20, 1, 1]]}],
+    "rel-outside-g.json": {"rows": 1, "cols": 1, "entries": [[[{"coeff": "1", "monomial": [["Z", 3, 3, 1]]}]]]},
+    "data-g1.json": {"g": 1, "M": [["1"]], "F": [["1"]], "G": [["1"]]},
 }
 DECODE_ERRORS = {
     ("gfun", "derive", "--F", "F-without-g.json", "--a", "a.json"): "g: missing",
@@ -75,6 +78,12 @@ DECODE_ERRORS = {
     ("ideal", "member", "--poly", "poly-outside-g.json", "--g", "2"): "poly: Z[3,1] is not a variable of genus 2",
     ("gfun", "radii", "--F", "F.json", "--a", "a.json", "--places", '[{"kind": "finite", "p": 4}]'): (
         "--places[0]: finite place needs a prime, got 4"
+    ),
+    ("relation", "verify", "--rel", "rel-outside-g.json", "--data", "data-g1.json"): (
+        "entries[0][0]: Z[3,3] is not a variable of genus 1"
+    ),
+    ("ideal", "member", "--poly", "poly-row-2-20.json", "--g", "2"): (
+        "poly[0].monomial[0]: variable indices must be below 2^20"
     ),
 }
 
@@ -125,7 +134,7 @@ def test_case3_input_from_mixed_fields_exits_1_with_json(tmp_path):
     from periodrel.scalars import QuadScalar, scalar_to_json
 
     inp = random_case3_input(4, seed=3, d=5)
-    h = mx.unfreeze(inp.H)
+    h = unfreeze(inp.H)
     h[0][0] = h[0][0] + QuadScalar(7, 0, 1)
     docs = {
         # sqrt_e in Q(sqrt 7), the change of basis in Q(sqrt 5)
@@ -291,6 +300,25 @@ def test_series_subcommands(tmp_path, capsys):
     )
     assert code == 0
     assert doc["result"]["tail_bound"] == pytest.approx(2.0 ** (-11))
+
+
+def test_series_eval_float_overflow_exits_1_with_json(tmp_path):
+    (tmp_path / "geo.json").write_text(json.dumps(TruncatedSeries.geometric(5).to_json()))
+    proc = run_process(["series", "eval", "--series", "geo.json", "--x", "1e300", "--place", "arch"], tmp_path)
+    assert proc.returncode == 1
+    doc, end = json.JSONDecoder().raw_decode(proc.stdout)
+    assert proc.stdout[end:].strip() == "" and "Traceback" not in proc.stderr
+    assert doc == {"error": "evaluation at x = 1e300 overflows a float"}
+
+
+def test_negative_values_may_follow_their_flag(capsys):
+    argv = ["symplectic", "sample", "--g", "2", "--seed", "3", "--word-length", "2"]
+    joined = run_json(capsys, argv + ["--mu=-7/5"])
+    split = run_json(capsys, argv + ["--mu", "-7/5"])
+    assert joined[0] == split[0] == 0
+    assert joined[1]["result"] == split[1]["result"]
+    assert joined[1]["result"]["sample"]["multiplier"] == "-7/5"
+    assert split[1]["manifest"]["arguments"] == argv + ["--mu", "-7/5"]
 
 
 def test_series_eval_outside_disc_fails(tmp_path, capsys):

@@ -14,7 +14,7 @@ from periodrel.gfun import (
 from periodrel.scalars import Place
 from periodrel.series import TruncatedSeries
 
-from helpers import identity_family
+from helpers import identity_family, radius_at
 
 TS = TruncatedSeries
 
@@ -143,7 +143,7 @@ def test_radii_integer_coefficients_certified_one():
     g, order = 1, 8
     fam = identity_family(g, order)
     radii = compute_radii(fam, [], [Place.finite(5)])
-    r, cert = radii.lookup(Place.finite(5))
+    r, cert = radius_at(radii, Place.finite(5))
     assert r == 1.0 and cert
 
 
@@ -151,10 +151,10 @@ def test_radii_worked_small_and_large_excluded_values():
     g, order, p = 1, 8, 7
     fam = identity_family(g, order)
     # |1/p|_p = p > 1: the minimum stays at 1
-    r1, _ = compute_radii(fam, [Fraction(1, p)], [Place.finite(p)]).lookup(Place.finite(p))
+    r1, _ = radius_at(compute_radii(fam, [Fraction(1, p)], [Place.finite(p)]), Place.finite(p))
     assert r1 == 1.0
     # |p|_p = 1/p: the excluded value wins
-    r2, _ = compute_radii(fam, [Fraction(p)], [Place.finite(p)]).lookup(Place.finite(p))
+    r2, _ = radius_at(compute_radii(fam, [Fraction(p)], [Place.finite(p)]), Place.finite(p))
     assert r2 == pytest.approx(1.0 / p)
 
 
@@ -163,7 +163,7 @@ def test_radii_archimedean_heuristic_uncertified():
     # coefficient series 1/(1 - 2X): heuristic radius 1/2
     s = TS.from_coeffs([2**n for n in range(order + 1)], order)
     fam = GaussManinCoefficients(1, 0, (((s,),),))
-    r, cert = compute_radii(fam, [], [Place.arch()]).lookup(Place.arch())
+    r, cert = radius_at(compute_radii(fam, [], [Place.arch()]), Place.arch())
     assert r == pytest.approx(0.5)
     assert not cert
 
@@ -179,7 +179,7 @@ def test_radii_monotone_under_more_inputs():
         base = compute_radii(fam, excl, places)
         extended = compute_radii(fam, more, places)
         for v in places:
-            assert extended.lookup(v)[0] <= base.lookup(v)[0]
+            assert radius_at(extended, v)[0] <= radius_at(base, v)[0]
 
 
 # ---------------------------------------------------------------------------

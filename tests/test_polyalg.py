@@ -20,8 +20,11 @@ from periodrel.polyalg import (
     yvar,
     zvar,
 )
+from periodrel.relations import build_nonarch_certificate
 from periodrel.scalars import QuadScalar
-from periodrel.trivial_ideal import generators, membership, point_assignment, sampled_points
+from periodrel.trivial_ideal import generators, membership, point_assignment
+
+from helpers import PairMonomial, pair_poly_to_json, random_action, sampled_points
 
 
 def test_varid_order_matches_declared_chain():
@@ -39,6 +42,70 @@ def test_degrevlex_basics():
     assert Monomial.of((u, 1)) < mu2
     # at equal degree the larger variable's power leads
     assert mu2 < muv < mv2
+
+
+def test_varid_rejects_indices_past_the_code_fields():
+    assert VarId("Zp", 2**20 - 1, 2**20 - 1, copy=3).code == (3 * 4 + 3) << 40 | (2**20 - 1) << 20 | 2**20 - 1
+    for row, col in ((2**20, 1), (1, 2**20)):
+        with pytest.raises(ValueError, match=r"below 2\^20"):
+            VarId("Y", row, col)
+
+
+_VARIABLES = st.builds(
+    VarId,
+    st.sampled_from(["Y", "Z", "Yp", "Zp"]),
+    st.integers(1, 3) | st.just(2**20 - 1),
+    st.integers(1, 3) | st.just(2**20 - 1),
+    st.integers(1, 3),
+)
+_EXPONENTS = st.dictionaries(_VARIABLES, st.integers(1, 3), max_size=4).map(lambda d: list(d.items()))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_EXPONENTS, min_size=2, max_size=6))
+def test_monomials_agree_with_the_pair_encoding(exponent_lists):
+    new = [Monomial.of(*pairs) for pairs in exponent_lists]
+    old = [PairMonomial.of(*pairs) for pairs in exponent_lists]
+    assert [m.exps for m in new] == [o.exps for o in old]
+    assert [m.exps for m in sorted(new)] == [o.exps for o in sorted(old)]
+    assert max(new).exps == max(old).exps
+    for (a, oa), (b, ob) in zip(zip(new, old), zip(new[1:], old[1:])):
+        assert (a * b).exps == (oa * ob).exps
+        assert a.divides(b) == oa.divides(ob) and a.divides(a * b)
+        assert a.lcm(b).exps == oa.lcm(ob).exps
+        assert ((a * b) / b).exps == ((oa * ob) / ob).exps
+        if not b.divides(a):
+            with pytest.raises(ValueError, match="negative exponent"):
+                a / b
+    coeffs = [Fraction(k + 1, 3) for k in range(len(new))]
+    assert MultiPoly(dict(zip(new, coeffs))).to_json() == pair_poly_to_json(dict(zip(old, coeffs)))
+
+
+def test_nonarch_certificate_json_never_orders_a_varid(monkeypatch):
+    calls = []
+    for name in ("__lt__", "key"):
+        method = getattr(VarId, name)
+        monkeypatch.setattr(VarId, name, lambda *args, _m=method: calls.append(_m) or _m(*args))
+    sorted([zvar(1, 1), yvar(2, 1)])  # the counter sees an ordering
+    assert calls
+    calls.clear()
+    build_nonarch_certificate(random_action(3, seed=4, solvable=True), seed=1).to_json()
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 13])
+def test_poly_pow_squares_once_per_bit_after_the_first(n, monkeypatch):
+    p = MultiPoly.variable(yvar(1, 1)) + MultiPoly.variable(zvar(1, 2)).scale(Fraction(-2))
+    expect = MultiPoly.constant(Fraction(1))
+    for _ in range(n):
+        expect = expect * p
+    products = []
+    mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(a is b) or mul(a, b))
+    assert p**n == expect
+    # no product by the constant 1: squarings, then one product per further set bit
+    assert sum(products) == max(n.bit_length() - 1, 0)
+    assert len(products) == max(n.bit_length() + bin(n).count("1") - 2, 0)
 
 
 def test_poly_arithmetic_and_equality():

@@ -25,7 +25,7 @@ from periodrel.scalars import QuadScalar
 from periodrel.symplectic import sample_symplectic
 from periodrel.trivial_ideal import generators, point_assignment
 
-from helpers import expected_witness_value, random_action
+from helpers import expected_witness_value, random_action, unfreeze
 
 
 def F(x):
@@ -187,7 +187,7 @@ def test_relation_fails_on_perturbed_data():
     act = random_action(2, seed=5, solvable=True)
     p = build_nonarch_relation(act)
     data = synthesize_period_data(act, seed=6)
-    rows = mx.unfreeze(data.G)
+    rows = unfreeze(data.G)
     rows[0][0] += 1
     perturbed = type(data)(data.g, data.M, data.F, mx.freeze(rows))
     assert not verify_relation_on_data(p, perturbed)
@@ -290,7 +290,7 @@ def test_phi_maps_generators_to_inverse_multiplier_scale():
 
 def test_case3_rejects_non_similitude_change_of_basis():
     inp = random_case3_input(4, seed=41)
-    b = mx.unfreeze(inp.B)
+    b = unfreeze(inp.B)
     b[0][0] = b[0][0] + 1
     bad = Case3Input(4, inp.H, inp.A, mx.freeze(b), inp.C, inp.D, inp.sqrt_e)
     assert not bad.verify_similitude()

@@ -134,6 +134,24 @@ def test_quad_division_and_pow():
     assert x**0 == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+def test_quad_pow_squares_once_per_bit_after_the_first(n, monkeypatch):
+    x = QuadScalar(3, Fraction(2), Fraction(1))
+    expect = QuadScalar.rational(3, 1)
+    for _ in range(n):
+        expect = expect * x
+    squares = []
+    mul = QuadScalar.__mul__
+
+    def counting(a, b):
+        squares.append(a is b)
+        return mul(a, b)
+
+    monkeypatch.setattr(QuadScalar, "__mul__", counting)
+    assert x**n == expect
+    assert sum(squares) == n.bit_length() - 1
+
+
 def test_mixed_d_rejected():
     x = QuadScalar(2, Fraction(1), Fraction(1))
     y = QuadScalar(3, Fraction(1), Fraction(1))

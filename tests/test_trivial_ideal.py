@@ -14,9 +14,10 @@ from periodrel.trivial_ideal import (
     radicality_certificate,
     row_permutation_test,
     row_swap_permutation,
-    sampled_points,
     structured_witnesses,
 )
+
+from helpers import sampled_points
 
 
 def test_generator_counts():
