@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import Place, Scalar, ScalarError, abs_at_place, json_field, json_int, json_list, valuation
+from .scalars import DecodeError, Place, Scalar, ScalarError, abs_at_place, json_field, json_int, json_list, valuation
 from .series import (
     EvalResult,
     TruncatedSeries,
@@ -101,17 +101,19 @@ class GFunMatrix:
                 tuple(bool(x) for x in json_list(row, f"integral[{i}]", g))
                 for i, row in enumerate(json_list(flags, "integral", g))
             )
-        return GFunMatrix(
-            g,
+        elif not isinstance(flags, bool):
+            raise DecodeError("integral: expected a bool or a list")
+        entries = tuple(
             tuple(
-                tuple(
-                    TruncatedSeries.from_json(s, f"entries[{i}][{j}]")
-                    for j, s in enumerate(json_list(row, f"entries[{i}]", g))
-                )
-                for i, row in enumerate(json_list(json_field(obj, "entries"), "entries", g))
-            ),
-            flags,
+                TruncatedSeries.from_json(s, f"entries[{i}][{j}]")
+                for j, s in enumerate(json_list(row, f"entries[{i}]", g))
+            )
+            for i, row in enumerate(json_list(json_field(obj, "entries"), "entries", g))
         )
+        try:
+            return GFunMatrix(g, entries, flags)
+        except ValueError as exc:  # mixed truncation orders, or integrality that fails
+            raise DecodeError(f"entries: {exc}")
 
 
 @dataclass(frozen=True)

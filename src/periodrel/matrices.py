@@ -2,16 +2,19 @@
 
 Matrices are plain tuples of tuples (immutable) or lists of lists during
 construction; entries are Fractions or QuadScalars.  Everything here is
-exact; Bareiss elimination keeps rational determinants fraction-free.
+exact.  Matrices over Q or one Q(sqrt d) run on cleared integer rows: Bareiss
+elimination for rank, solve, inverse and det, and integer products for the
+similitude test.  Other entries take the generic field path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .scalars import Scalar, json_list, scalar_from_json, scalar_to_json
+from .scalars import QuadScalar, Scalar, json_list, scalar_from_json, scalar_to_json
 
 Matrix = tuple  # tuple[tuple[Scalar, ...], ...]
 
@@ -114,7 +117,105 @@ def unvec_cols(v: Sequence[Scalar], rows: int, cols: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Elimination-based kernels
+# Exact integer kernel: matrices over Q or one Q(sqrt d), denominators cleared
+
+
+def clear_denominators(m):
+    """Write m as (P + Q sqrt(d)) / D with P, Q int rows and D > 0.
+
+    Returns (d, P, Q, D), d None when every entry is rational-valued, or None
+    when entries lie in two quadratic fields or are not scalars.  Rows may
+    differ in length, so a scalar can ride along as a row of its own.
+    """
+    d = None
+    for row in m:
+        for x in row:
+            if isinstance(x, QuadScalar):
+                if x.b and x.d != d:
+                    if d is not None:
+                        return None
+                    d = x.d
+            elif not isinstance(x, (int, Fraction)):
+                return None
+    parts = [[(x.a, x.b) if isinstance(x, QuadScalar) else (x, 0) for x in row] for row in m]
+    den = lcm(*(y.denominator for row in parts for pair in row for y in pair))
+    p = [[a.numerator * (den // a.denominator) for a, _ in row] for row in parts]
+    q = [[b.numerator * (den // b.denominator) for _, b in row] for row in parts]
+    return d, p, q, den
+
+
+def is_similitude(m, mu, g: int) -> bool:
+    """Whether M^t J M = mu J exactly, J = [[0, I], [-I, 0]] of size 2g.
+
+    Over Q or one Q(sqrt d), M = (P + Q sqrt d)/D and mu = (u + v sqrt d)/D,
+    and the identity splits into two over the integers:
+    P^t J P + d Q^t J Q = u D J and P^t J Q + Q^t J P = v D J.  J X is a
+    signed row swap of X, and both sides are skew, so only entries above the
+    diagonal are compared.  Entries from two quadratic fields take the
+    generic product M^t (J M) instead.
+    """
+    n = 2 * g
+    cleared = clear_denominators([*m, (mu,)])
+    if cleared is None:
+        prod = mat_mul(transpose(m), [*m[g:], *([-x for x in row] for row in m[:g])])
+        return all(
+            prod[i][j] - (mu if j == i + g else -mu if i == j + g else 0) == 0
+            for i in range(n)
+            for j in range(n)
+        )
+    d, p, q, den = cleared
+    (u,), (v,) = p.pop(), q.pop()
+    pc, qc = list(zip(*p)), list(zip(*q))
+    jp = [c[g:] + tuple(-x for x in c[:g]) for c in pc]  # columns of J P
+    jq = [c[g:] + tuple(-x for x in c[:g]) for c in qc]
+    return all(
+        sum(map(mul, pc[i], jp[j])) + (d or 0) * sum(map(mul, qc[i], jq[j])) == (u * den if j == i + g else 0)
+        and sum(map(mul, pc[i], jq[j])) + sum(map(mul, qc[i], jp[j])) == (v * den if j == i + g else 0)
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
+def _int_rows(rows) -> tuple[list[list[int]], int] | None:
+    """(the rows times their common denominator D, as ints; D), or None
+    unless every entry is an int or a Fraction."""
+    if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+        _, p, _, den = clear_denominators(rows)
+        return p, den
+    return None
+
+
+def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of int rows, in place (Bareiss).
+
+    Pivots are taken as in :func:`_gauss`.  After each step the rows below
+    hold minors of the input and the rows above their reduced rows times the
+    new pivot, so every division by the previous pivot is exact.  Returns
+    (pivot columns, last pivot, sign of the row permutation); the rows end
+    as the reduced row echelon form times the last pivot.
+    """
+    pivots = []
+    prev = sign = 1
+    n = len(rows)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        pr = rows[r]
+        piv = pr[c]
+        for i in range(n):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], pr)]
+        pivots.append(c)
+        prev = piv
+    return pivots, prev, sign
 
 
 def _gauss(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
@@ -143,13 +244,35 @@ def _gauss(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
     return rows, pivots
 
 
+def _reduce(rows: list[list], ncols: int) -> tuple[list[list], list[int], int | None]:
+    """Reduced row echelon form in the first ncols columns: (rows, pivots, unit).
+
+    Rows of ints and Fractions are cleared and run through :func:`_bareiss`,
+    and a reduced entry x stands for x / unit.  Other scalars run
+    :func:`_gauss`, and unit is None.
+    """
+    cleared = _int_rows(rows)
+    if cleared is None:
+        return *_gauss(rows, ncols), None
+    pivots, unit, _ = _bareiss(cleared[0], ncols)
+    return cleared[0], pivots, unit
+
+
 def rank(m) -> int:
-    r, c = shape(m)
-    if r == 0 or c == 0:
-        return 0
-    rows = [list(row) for row in m]
-    _, pivots = _gauss(rows, c)
-    return len(pivots)
+    return len(_reduce([list(row) for row in m], shape(m)[1])[1])
+
+
+def _solve(a, rhs: Sequence[Scalar]) -> tuple[list | None, int]:
+    """(the solution of solve(a, rhs), rank of a) from one elimination."""
+    r, c = shape(a)
+    rows, pivots, unit = _reduce([list(row) + [rhs[i]] for i, row in enumerate(a)], c)
+    # consistency: a zero row with nonzero augment
+    if any(row[c] != 0 for row in rows[len(pivots):]):
+        return None, len(pivots)
+    x = [Fraction(0)] * c
+    for rix, col in enumerate(pivots):
+        x[col] = rows[rix][c] if unit is None else Fraction(rows[rix][c], unit)
+    return x, len(pivots)
 
 
 def solve(a, rhs: Sequence[Scalar]):
@@ -159,17 +282,13 @@ def solve(a, rhs: Sequence[Scalar]):
     with all free variables set to zero (pivot scan in column index order,
     hence deterministic).
     """
-    r, c = shape(a)
-    rows = [list(row) + [rhs[i]] for i, row in enumerate(a)]
-    rows, pivots = _gauss(rows, c)
-    # consistency: a zero row with nonzero augment
-    for row in rows:
-        if all(x == 0 for x in row[:c]) and row[c] != 0:
-            return None
-    x = [Fraction(0)] * c
-    for rix, col in enumerate(pivots):
-        x[col] = rows[rix][c]
-    return x
+    return _solve(a, rhs)[0]
+
+
+def solve_nonsingular(a, rhs: Sequence[Scalar]):
+    """Solve a square system a x = rhs in one elimination; None when a is singular."""
+    x, r = _solve(a, rhs)
+    return x if r == len(a) else None
 
 
 def inverse(m):
@@ -178,10 +297,10 @@ def inverse(m):
     if n != c:
         raise ValueError("inverse of non-square matrix")
     rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    rows, pivots = _gauss(rows, n)
+    rows, pivots, unit = _reduce(rows, n)
     if len(pivots) != n:
         return None
-    return freeze([row[n:] for row in rows])
+    return freeze([[x if unit is None else Fraction(x, unit) for x in row[n:]] for row in rows])
 
 
 def det(m) -> Scalar:
@@ -191,40 +310,11 @@ def det(m) -> Scalar:
         raise ValueError("determinant of non-square matrix")
     if n == 0:
         return Fraction(1)
-    if all(isinstance(x, (int, Fraction)) for row in m for x in row):
-        return _det_bareiss(m)
-    return _det_gauss(m)
-
-
-def _det_bareiss(m) -> Fraction:
-    n = len(m)
-    scale = Fraction(1)
-    rows = []
-    for row in m:
-        den = 1
-        for x in row:
-            f = Fraction(x)
-            den = den * f.denominator // gcd(den, f.denominator)
-        scale *= den
-        rows.append([int(Fraction(x) * den) for x in row])
-    # fraction-free elimination on the integer matrix
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return Fraction(sign * rows[n - 1][n - 1], 1) / scale
+    cleared = _int_rows(m)
+    if cleared is None:
+        return _det_gauss(m)
+    pivots, last, sign = _bareiss(cleared[0], n)
+    return Fraction(sign * last, cleared[1] ** n) if len(pivots) == n else Fraction(0)
 
 
 def _det_gauss(m) -> Scalar:

@@ -38,7 +38,7 @@ from .polyalg import (
     zvar,
 )
 from .scalars import QuadScalar, Scalar, json_field, json_int, scalar_from_json, scalar_to_json
-from .symplectic import sample_symplectic, similitude_defect, standard_form
+from .symplectic import sample_symplectic, standard_form
 from .trivial_ideal import (
     MembershipVerdict,
     point_assignment,
@@ -262,11 +262,9 @@ def synthesize_period_data(
         eye = mx.identity(g)
         lin = mx.mat_sub(mx.kron(eye, m), mx.kron(mx.transpose(act.D), eye))
         rhs = mx.vec_cols(mx.mat_mul(ft, act.B))
-        sol = _solve_square(lin, rhs)
+        sol = mx.solve_nonsingular(lin, rhs)
         if sol is None:
-            if F is not None:
-                raise RelationError("endomorphism spectra force coupling; supply F manually")
-            if draws >= max_draws:
+            if F is not None or draws >= max_draws:
                 raise RelationError("endomorphism spectra force coupling; supply F manually")
             continue
         gt = mx.unvec_cols(sol, g, g)
@@ -274,14 +272,6 @@ def synthesize_period_data(
         if not data.verify(act):
             raise AssertionError("synthesized data violates the intertwining equations")
         return data
-
-
-def _solve_square(a, rhs):
-    """Solve only when the square system is nonsingular."""
-    n = len(a)
-    if mx.rank(a) != n:
-        return None
-    return mx.solve(a, rhs)
 
 
 def verify_relation_on_data(p: PolyMatrix, data: SyntheticPeriodData) -> bool:
@@ -400,7 +390,7 @@ class Case3Input:
         """sqrt(e) * M is exactly symplectic, M = (A B; C D): checked as
         M^t J M = (1/sqrt(e)^2) J."""
         sq = self.sqrt_e * self.sqrt_e
-        return sq != 0 and mx.is_zero_matrix(similitude_defect(self.change_of_basis(), 1 / sq, self.g))
+        return sq != 0 and mx.is_similitude(self.change_of_basis(), 1 / sq, self.g)
 
     @staticmethod
     def from_json(obj: dict) -> "Case3Input":
@@ -474,7 +464,7 @@ def generator_transform_scalar(inp: Case3Input) -> Scalar:
     preserving the trivial ideal.
     """
     c = Fraction(1) / inp.e
-    if not mx.is_zero_matrix(similitude_defect(mx.transpose(inp.change_of_basis()), c, inp.g)):
+    if not mx.is_similitude(mx.transpose(inp.change_of_basis()), c, inp.g):
         raise AssertionError("generator matrix does not transform by the expected scalar")
     return c
 
@@ -500,9 +490,7 @@ def build_case3_relation(inp: Case3Input) -> RelationCertificate:
     mprime = mx.mat_mul(mx.mat_mul(mx.transpose(inp.H), j), inp.H)
     m12 = mprime[0][1]
     m1h2 = mprime[0][h + 1]
-    if m12 == 0 and m1h2 == 0:
-        lam, mu = Fraction(1), Fraction(0)
-    elif m12 == 0:
+    if m12 == 0:
         lam, mu = Fraction(1), Fraction(0)
     elif m1h2 == 0:
         lam, mu = Fraction(0), Fraction(1)
@@ -558,11 +546,10 @@ def random_case3_input(g: int, seed: int, d: int | None = None) -> Case3Input:
     s = sample_symplectic(g, seed + 1, word_length=4).matrix
     inv = sqrt_e.inverse()
     cob = mx.scalar_mul(inv, s)
-    gg = g
-    a = mx.submatrix(cob, range(gg), range(gg))
-    bb = mx.submatrix(cob, range(gg), range(gg, 2 * gg))
-    c = mx.submatrix(cob, range(gg, 2 * gg), range(gg))
-    dd = mx.submatrix(cob, range(gg, 2 * gg), range(gg, 2 * gg))
+    a = mx.submatrix(cob, range(g), range(g))
+    bb = mx.submatrix(cob, range(g), range(g, 2 * g))
+    c = mx.submatrix(cob, range(g, 2 * g), range(g))
+    dd = mx.submatrix(cob, range(g, 2 * g), range(g, 2 * g))
     return Case3Input(g, hmat, a, bb, c, dd, sqrt_e)
 
 

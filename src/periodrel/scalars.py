@@ -196,18 +196,27 @@ class QuadScalar:
     # -- coercion helpers
 
     @staticmethod
+    def _trusted(d: int, a: Fraction, b: Fraction) -> "QuadScalar":
+        """Arithmetic results: d is already valid and a, b are Fractions."""
+        x = object.__new__(QuadScalar)
+        x.__dict__.update(d=d, a=a, b=b)  # skips __post_init__'s squarefree check
+        return x
+
+    @staticmethod
     def rational(d: int, value: Fraction | int) -> "QuadScalar":
         return QuadScalar(d, Fraction(value), Fraction(0))
 
     def _coerce(self, other) -> "QuadScalar":
         if isinstance(other, QuadScalar):
-            if other.d == self.d or other.b == 0:
-                return QuadScalar(self.d, other.a, other.b if other.d == self.d else Fraction(0))
+            if other.d == self.d:
+                return other
+            if other.b == 0:
+                return QuadScalar._trusted(self.d, other.a, other.b)
             if self.b == 0:
                 return other
             raise ScalarError(f"mixed quadratic contexts: sqrt({self.d}) vs sqrt({other.d})")
         if isinstance(other, (int, Fraction)):
-            return QuadScalar.rational(self.d, other)
+            return QuadScalar._trusted(self.d, Fraction(other), Fraction(0))
         return NotImplemented  # type: ignore[return-value]
 
     def is_rational(self) -> bool:
@@ -223,13 +232,13 @@ class QuadScalar:
         if o is NotImplemented:
             return NotImplemented
         if o.d != self.d and o.b != 0:  # self rational-valued, adopt other's d
-            return QuadScalar(o.d, self.a + o.a, o.b)
-        return QuadScalar(self.d, self.a + o.a, self.b + o.b)
+            return QuadScalar._trusted(o.d, self.a + o.a, o.b)
+        return QuadScalar._trusted(self.d, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadScalar(self.d, -self.a, -self.b)
+        return QuadScalar._trusted(self.d, -self.a, -self.b)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -246,7 +255,7 @@ class QuadScalar:
             return NotImplemented
         if o.d != self.d and o.b != 0:
             return o * self
-        return QuadScalar(
+        return QuadScalar._trusted(
             self.d,
             self.a * o.a + self.d * self.b * o.b,
             self.a * o.b + self.b * o.a,
@@ -258,7 +267,7 @@ class QuadScalar:
         n = self.a * self.a - self.d * self.b * self.b
         if n == 0:
             raise ZeroDivisionError("division by zero quadratic scalar")
-        return QuadScalar(self.d, self.a / n, -self.b / n)
+        return QuadScalar._trusted(self.d, self.a / n, -self.b / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -274,7 +283,7 @@ class QuadScalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadScalar.rational(self.d, 1)
+        out = QuadScalar._trusted(self.d, Fraction(1), Fraction(0))
         base = self
         while n:
             if n & 1:
@@ -303,7 +312,7 @@ class QuadScalar:
     # -- conjugation, norm, embeddings
 
     def conjugate(self) -> "QuadScalar":
-        return QuadScalar(self.d, self.a, -self.b)
+        return QuadScalar._trusted(self.d, self.a, -self.b)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b

@@ -24,16 +24,6 @@ def standard_form(g: int):
     return mx.vstack(top, bottom)
 
 
-def similitude_defect(m, mu: Fraction, g: int):
-    """M^t J M - mu J; the zero matrix exactly when M is a mu-similitude.
-
-    J M is a signed row swap of M (its last g rows, then its first g rows
-    negated), so the defect takes one matrix product.
-    """
-    jm = [*m[g:], *([-x for x in row] for row in m[:g])]
-    return mx.mat_sub(mx.mat_mul(mx.transpose(m), jm), mx.scalar_mul(mu, standard_form(g)))
-
-
 @dataclass(frozen=True)
 class SymplecticSample:
     matrix: tuple
@@ -44,7 +34,7 @@ class SymplecticSample:
         return len(self.matrix) // 2
 
     def verify(self) -> bool:
-        return mx.is_zero_matrix(similitude_defect(self.matrix, self.multiplier, self.g))
+        return mx.is_similitude(self.matrix, self.multiplier, self.g)
 
     def to_json(self) -> dict:
         from .scalars import scalar_to_json
@@ -87,10 +77,11 @@ class IsotropicFrame:
 
 
 def _make_sample(matrix, multiplier: Fraction) -> SymplecticSample:
-    s = SymplecticSample(mx.freeze(matrix), Fraction(multiplier))
-    if not s.verify():
+    """The sample of a matrix over int or Fraction, checked to be a similitude
+    for the multiplier before its entries become Fractions."""
+    if not mx.is_similitude(matrix, multiplier, len(matrix) // 2):
         raise ValueError("matrix is not a symplectic similitude for the claimed multiplier")
-    return s
+    return SymplecticSample(mx.freeze([Fraction(x) for x in row] for row in matrix), Fraction(multiplier))
 
 
 def _random_unimodular(rng: random.Random, g: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -124,7 +115,7 @@ def sample_symplectic(g: int, seed: int, word_length: int = 8) -> SymplecticSamp
 
     Every generator is integral (a unimodular block beside its
     inverse-transpose, a symmetric shear, or J), so the word is multiplied
-    out over int and converted to Fraction once, then re-verified.  A sample
+    out over int, verified over int and converted to Fraction once.  A sample
     depends on its seed alone; callers drawing many build each on reaching it.
 
     Degenerate draws (words whose leading g x g block is singular, which would
@@ -158,7 +149,7 @@ def sample_symplectic(g: int, seed: int, word_length: int = 8) -> SymplecticSamp
             guard += 1
             if guard > 60:
                 raise AssertionError("could not regenerate a non-degenerate word")
-    return _make_sample([[Fraction(x) for x in row] for row in m], Fraction(1))
+    return _make_sample(m, 1)
 
 
 def with_multiplier(s: SymplecticSample, mu: Fraction) -> SymplecticSample:

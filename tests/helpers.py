@@ -10,6 +10,7 @@ from periodrel.polyalg import VarId
 from periodrel.relations import EndomorphismAction, SelectedEntry
 from periodrel.scalars import Place, scalar_to_json
 from periodrel.series import TruncatedSeries
+from periodrel.symplectic import standard_form
 from periodrel.trivial_ideal import _iter_sampled_points
 
 
@@ -40,6 +41,17 @@ def sylvester_solvable(act: EndomorphismAction) -> bool:
     eye = mx.identity(act.g)
     lin = mx.mat_sub(mx.kron(eye, act.A), mx.kron(mx.transpose(act.D), eye))
     return mx.rank(lin) == act.g * act.g
+
+
+def similitude_defect(m, mu, g: int):
+    """M^t J M - mu J over the matrices' own scalars: the oracle for
+    ``matrices.is_similitude``, zero exactly when M is a mu-similitude.
+
+    J M is a signed row swap of M (its last g rows, then its first g rows
+    negated), so the defect takes one matrix product.
+    """
+    jm = [*m[g:], *([-x for x in row] for row in m[:g])]
+    return mx.mat_sub(mx.mat_mul(mx.transpose(m), jm), mx.scalar_mul(mu, standard_form(g)))
 
 
 def random_action(g: int, seed: int, lo: int = -3, hi: int = 3, solvable: bool = False) -> EndomorphismAction:

@@ -58,6 +58,9 @@ DECODE_INPUTS = {
     "poly-row-2-20.json": [{"coeff": "1", "monomial": [["Y", 2**20, 1, 1]]}],
     "rel-outside-g.json": {"rows": 1, "cols": 1, "entries": [[[{"coeff": "1", "monomial": [["Z", 3, 3, 1]]}]]]},
     "data-g1.json": {"g": 1, "M": [["1"]], "F": [["1"]], "G": [["1"]]},
+    "F-not-integral.json": {"g": 1, "integral": True, "entries": [[{"order": 3, "coeffs": ["1/2", "1", "0", "0"]}]]},
+    "F-mixed-orders.json": {"g": 2, "entries": [[{"order": 3, "coeffs": ["0", "1", "0", "0"]}, SERIES]] * 2},
+    "F-integral-number.json": {"g": 1, "integral": 1, "entries": [[SERIES]]},
 }
 DECODE_ERRORS = {
     ("gfun", "derive", "--F", "F-without-g.json", "--a", "a.json"): "g: missing",
@@ -85,6 +88,11 @@ DECODE_ERRORS = {
     ("ideal", "member", "--poly", "poly-row-2-20.json", "--g", "2"): (
         "poly[0].monomial[0]: variable indices must be below 2^20"
     ),
+    ("gfun", "check", "--F", "F-not-integral.json", "--G", "F-not-integral.json", "--data", "data-g1.json",
+     "--x", "5", "--place", "5"): "entries: integrality asserted but computed coefficients are not integers",
+    ("gfun", "check", "--F", "F-mixed-orders.json", "--G", "F-mixed-orders.json", "--data", "data-g1.json",
+     "--x", "5", "--place", "5"): "entries: entries must share one truncation order",
+    ("gfun", "derive", "--F", "F-integral-number.json", "--a", "a.json"): "integral: expected a bool or a list",
 }
 
 

@@ -10,10 +10,11 @@ from periodrel.symplectic import (
     complete_to_symplectic_basis,
     project_to_V,
     sample_symplectic,
-    similitude_defect,
     standard_form,
     with_multiplier,
 )
+
+from helpers import similitude_defect
 
 
 def test_word_length_zero_is_identity():
