@@ -21,7 +21,6 @@ from .series import (
 from .polyalg import (
     Monomial,
     MultiPoly,
-    PolyMatrix,
     ResourceCapExceeded,
     VarId,
     adjugate,

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .gfun import GaussManinCoefficients, GFunMatrix, check_period_equation, compute_radii, derive_G
-from .polyalg import MONOMIAL_ORDER, MultiPoly, PolyMatrix, ResourceCapExceeded
+from .polyalg import MONOMIAL_ORDER, MultiPoly, ResourceCapExceeded, poly_matrix_from_json
 from .relations import (
     Case3Input,
     EndomorphismAction,
@@ -294,9 +294,9 @@ def cmd_relation_build_nonarch(args, digests):
 
 
 def cmd_relation_verify(args, digests):
-    rel = PolyMatrix.from_json(_load_json(args.rel, digests))
+    rel = poly_matrix_from_json(_load_json(args.rel, digests))
     data = SyntheticPeriodData.from_json(_load_json(args.data, digests))
-    for i, row in enumerate(rel.entries):
+    for i, row in enumerate(rel):
         for j, e in enumerate(row):
             _check_genus(e, data.g, f"entries[{i}][{j}]")
     ok = verify_relation_on_data(rel, data)

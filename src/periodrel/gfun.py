@@ -13,7 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import DecodeError, Place, Scalar, ScalarError, abs_at_place, json_field, json_int, json_list, valuation
+from .scalars import (
+    DecodeError,
+    Place,
+    QuadScalar,
+    Scalar,
+    ScalarError,
+    abs_at_place,
+    json_field,
+    json_int,
+    json_list,
+    valuation,
+)
 from .series import (
     EvalResult,
     TruncatedSeries,
@@ -325,7 +336,7 @@ def check_period_equation(
                 disc = _discrepancy(res.value, ref[i][j], v)
                 if res.tail_valuation is not None and not isinstance(res.value, float):
                     # exact comparison in valuation space, no float boundary
-                    diff = Fraction(res.value) - Fraction(ref[i][j])
+                    diff = res.value - ref[i][j]
                     ok = diff == 0 or valuation(diff, v.p) >= res.tail_valuation
                     if tolerance > 0:
                         ok = ok or disc <= res.tail_bound + tolerance
@@ -339,6 +350,16 @@ def check_period_equation(
 
 def _discrepancy(value, reference, v: Place) -> float:
     if v.is_finite():
-        return abs_at_place(Fraction(value) - Fraction(reference), v)
-    ref = reference if isinstance(reference, float) else float(Fraction(reference))
-    return abs(float(value) - ref)
+        return abs_at_place(value - reference, v)  # a ScalarError unless rational-valued
+    value, reference = (_arch_float(x, v) for x in (value, reference))
+    return abs(value - reference)
+
+
+def _arch_float(x, v: Place) -> float | complex:
+    """A value or reference as a number at the archimedean place v."""
+    if isinstance(x, QuadScalar) and x.b != 0:
+        if v.embedding is None:
+            raise ScalarError("archimedean place needs an embedding selector for quadratic scalars")
+        return x.embed(v.embedding)  # complex over an imaginary field
+    x = x.a if isinstance(x, QuadScalar) else x
+    return x if isinstance(x, float) else float(Fraction(x))

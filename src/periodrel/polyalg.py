@@ -270,10 +270,15 @@ class MultiPoly:
     def __neg__(self) -> "MultiPoly":
         return MultiPoly({m: -c for m, c in self.terms.items()}, _clean=False)
 
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+    def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            return self.scale(other)
         theirs = other.terms.items()
         products = ((Monomial(sorted(m + n)), c * d) for m, c in self.terms.items() for n, d in theirs)
         return MultiPoly(_accumulate({}, products), _clean=False)
+
+    def __rmul__(self, c: Scalar) -> "MultiPoly":
+        return self.scale(c)
 
     def scale(self, c: Scalar) -> "MultiPoly":
         if c == 0:
@@ -400,162 +405,44 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial matrices
+# Polynomial matrices: tuples of tuples of MultiPoly, handled by matrices.py
 
 
-class PolyMatrix:
-    """Rectangular grid of MultiPoly entries."""
+def symbolic_matrix(block: str, g: int) -> mx.Matrix:
+    """The g x g matrix whose (i,j) entry is the variable block[i,j]."""
+    return mx.freeze([[MultiPoly.variable(VarId(block, i + 1, j + 1)) for j in range(g)] for i in range(g)])
 
-    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence[MultiPoly]]):
-        self.entries = tuple(tuple(row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        if any(len(row) != self.cols for row in self.entries):
-            raise ValueError("ragged polynomial matrix")
-
-    @staticmethod
-    def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix(
-            [
-                [MultiPoly.constant(Fraction(int(i == j))) if i == j else MultiPoly.zero() for j in range(n)]
-                for i in range(n)
-            ]
-        )
-
-    @staticmethod
-    def zeros(r: int, c: int) -> "PolyMatrix":
-        return PolyMatrix([[MultiPoly.zero() for _ in range(c)] for _ in range(r)])
-
-    @staticmethod
-    def from_scalars(m) -> "PolyMatrix":
-        return PolyMatrix([[MultiPoly.constant(x) for x in row] for row in m])
-
-    @staticmethod
-    def symbolic(block: str, g: int, copy: int = 1) -> "PolyMatrix":
-        """The g x g matrix whose (i,j) entry is the variable block[i,j]."""
-        return PolyMatrix(
-            [[MultiPoly.variable(VarId(block, i + 1, j + 1, copy)) for j in range(g)] for i in range(g)]
-        )
-
-    def __getitem__(self, ij: tuple[int, int]) -> MultiPoly:
-        return self.entries[ij[0]][ij[1]]
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return PolyMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return PolyMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = MultiPoly.zero()
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
-    def scale(self, c: Scalar) -> "PolyMatrix":
-        return PolyMatrix([[e.scale(c) for e in row] for row in self.entries])
-
-    def scale_poly(self, p: MultiPoly) -> "PolyMatrix":
-        return PolyMatrix([[e * p for e in row] for row in self.entries])
-
-    def map(self, func: Callable[[MultiPoly], MultiPoly]) -> "PolyMatrix":
-        return PolyMatrix([[func(e) for e in row] for row in self.entries])
-
-    def substitute(self, mapping: Mapping[VarId, MultiPoly]) -> "PolyMatrix":
-        return self.map(lambda e: e.substitute(mapping))
-
-    def evaluate(self, assignment: Mapping[VarId, Scalar]):
-        return mx.freeze(
-            [[e.evaluate(assignment) for e in row] for row in self.entries]
-        )
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[e.to_json() for e in row] for row in self.entries],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "PolyMatrix":
-        rows = json_list(json_field(obj, "entries"), "entries")
-        cols = len(json_list(rows[0], "entries[0]")) if rows else 0
-        return PolyMatrix(
-            [
-                MultiPoly.from_json(e, f"entries[{i}][{j}]")
-                for j, e in enumerate(json_list(row, f"entries[{i}]", cols))
-            ]
-            for i, row in enumerate(rows)
-        )
+def poly_matrix_from_json(obj) -> mx.Matrix:
+    """Decode a relation matrix ``{"rows", "cols", "entries"}``; a malformed
+    one raises :class:`DecodeError` naming its path, e.g. ``entries: missing``."""
+    rows = json_list(json_field(obj, "entries"), "entries")
+    cols = len(json_list(rows[0], "entries[0]")) if rows else 0
+    return mx.freeze(
+        [MultiPoly.from_json(e, f"entries[{i}][{j}]") for j, e in enumerate(json_list(row, f"entries[{i}]", cols))]
+        for i, row in enumerate(rows)
+    )
 
 
 SYMBOLIC_DET_CAP = 4
 
 
-def determinant(m: PolyMatrix) -> MultiPoly:
-    """Exact determinant: Bareiss for constant matrices, cofactor expansion
-    (fraction-free over the polynomial ring) for symbolic ones up to 4x4."""
-    if m.rows != m.cols:
+def determinant(m) -> MultiPoly:
+    """Exact determinant of a square matrix of polynomials: Bareiss for
+    constant matrices, cofactor expansion (fraction-free over the polynomial
+    ring) for symbolic ones up to 4x4."""
+    n, c = mx.shape(m)
+    if n != c:
         raise ValueError("determinant of non-square matrix")
-    if m.rows == 0:
+    if n == 0:
         return MultiPoly.constant(Fraction(1))
-    if _all_constant(m):
-        return MultiPoly.constant(mx.det(m.evaluate({})))
-    if m.rows > SYMBOLIC_DET_CAP:
+    if all(e.terms.keys() <= {Monomial.one()} for row in m for e in row):
+        return MultiPoly.constant(mx.det(mx.freeze([[e.evaluate({}) for e in row] for row in m])))
+    if n > SYMBOLIC_DET_CAP:
         raise ResourceCapExceeded(
             f"symbolic determinant capped at {SYMBOLIC_DET_CAP}x{SYMBOLIC_DET_CAP}"
         )
-    return _det_cofactor(m.entries)
-
-
-def _all_constant(m: PolyMatrix) -> bool:
-    return all(
-        not e.terms or (len(e.terms) == 1 and Monomial.one() in e.terms)
-        for row in m.entries
-        for e in row
-    )
+    return _det_cofactor(m)
 
 
 def _det_cofactor(rows) -> MultiPoly:
@@ -576,26 +463,21 @@ def _det_cofactor(rows) -> MultiPoly:
     return total
 
 
-def adjugate(m: PolyMatrix) -> PolyMatrix:
+def adjugate(m) -> mx.Matrix:
     """Transpose cofactor matrix: m * adjugate(m) = determinant(m) * I."""
-    if m.rows != m.cols:
+    n, c = mx.shape(m)
+    if n != c:
         raise ValueError("adjugate of non-square matrix")
-    n = m.rows
     if n == 1:
-        return PolyMatrix([[MultiPoly.constant(Fraction(1))]])
+        return ((MultiPoly.constant(Fraction(1)),),)
     out = []
     for i in range(n):
         row = []
         for j in range(n):
-            minor = [
-                [m.entries[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = _det_cofactor(minor)
+            cof = _det_cofactor([[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
             row.append(cof if (i + j) % 2 == 0 else -cof)
         out.append(row)
-    return PolyMatrix(out)
+    return mx.freeze(out)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,10 @@ from .polyalg import (
     MONOMIAL_ORDER,
     Monomial,
     MultiPoly,
-    PolyMatrix,
     VarId,
     adjugate,
     determinant,
+    symbolic_matrix,
     yvar,
     zvar,
 )
@@ -105,28 +105,25 @@ def _square_blocks(obj: dict, keys, g: int) -> list:
 # Non-archimedean construction
 
 
-def build_nonarch_relation(act: EndomorphismAction) -> PolyMatrix:
-    """The relation matrix Y^t A adj(Y^t) Z^t - det(Y) (Y^t B + Z^t D).
+def build_nonarch_relation(act: EndomorphismAction) -> mx.Matrix:
+    """The relation matrix Y^t A adj(Y^t) Z^t - det(Y) (Y^t B + Z^t D), a
+    g x g tuple of polynomials.
 
     Every nonzero entry is homogeneous of degree g+1.  The adjugate identity
     Y^t adj(Y^t) = det(Y) I that the construction relies on is re-verified
     symbolically before returning.
     """
     g = act.g
-    y = PolyMatrix.symbolic("Y", g)
-    z = PolyMatrix.symbolic("Z", g)
-    yt = y.transpose()
-    zt = z.transpose()
+    y = symbolic_matrix("Y", g)
+    yt = mx.transpose(y)
+    zt = mx.transpose(symbolic_matrix("Z", g))
     adj_yt = adjugate(yt)
     det_y = determinant(y)
-    ident = yt * adj_yt
-    expected = PolyMatrix.identity(g).scale_poly(det_y)
-    if not (ident - expected).is_zero():
+    if not mx.mat_eq(mx.mat_mul(yt, adj_yt), mx.scalar_mul(det_y, mx.identity(g))):
         raise AssertionError("adjugate identity failed symbolically")
-    a = PolyMatrix.from_scalars(act.A)
-    b = PolyMatrix.from_scalars(act.B)
-    d = PolyMatrix.from_scalars(act.D)
-    return yt * a * adj_yt * zt - (yt * b + zt * d).scale_poly(det_y)
+    lhs = mx.mat_mul(mx.mat_mul(mx.mat_mul(yt, act.A), adj_yt), zt)
+    rhs = mx.mat_add(mx.mat_mul(yt, act.B), mx.mat_mul(zt, act.D))
+    return mx.mat_sub(lhs, mx.freeze([[e * det_y for e in row] for row in rhs]))
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ class SelectedEntry:
     case: str  # "B_nonzero" | "A_ne_D" | "A_non_scalar"
 
 
-def select_nontrivial_entry(p: PolyMatrix, act: EndomorphismAction) -> SelectedEntry:
+def select_nontrivial_entry(p, act: EndomorphismAction) -> SelectedEntry:
     """Pick an entry of the relation matrix together with an exact witness
     (y, z) that is isotropic and gives a nonzero value.
 
@@ -157,10 +154,10 @@ def select_nontrivial_entry(p: PolyMatrix, act: EndomorphismAction) -> SelectedE
         wy, wz, case = eye, eye, "A_ne_D"
     else:
         wy, wz, case = eye, _noncommuting_symmetric(act.A), "A_non_scalar"
-    assignment = point_assignment(g, wy, wz)
+    assignment = point_assignment(wy, wz)
     for i in range(g):
         for j in range(g):
-            val = p.entries[i][j].evaluate(assignment)
+            val = p[i][j].evaluate(assignment)
             if val != 0:
                 return SelectedEntry(i + 1, j + 1, wy, wz, val, case)
     raise RelationError("relation matrix vanished at the case witness; action is effectively scalar")
@@ -222,64 +219,49 @@ class SyntheticPeriodData:
         return SyntheticPeriodData(g, *_square_blocks(obj, "MFG", g))
 
 
-def synthesize_period_data(
-    act: EndomorphismAction,
-    seed: int,
-    F=None,
-    max_draws: int = 50,
-) -> SyntheticPeriodData:
+MAX_F_DRAWS = 50  # random F tried before giving up on an invertible one
+
+
+def synthesize_period_data(act: EndomorphismAction, seed: int, F=None) -> SyntheticPeriodData:
     """Produce (M, F, G) satisfying the intertwining equations exactly.
 
     Draws a random invertible F, sets M = F^t A (F^t)^{-1}, and solves the
     Sylvester system M G^t - G^t D = F^t B via its g^2 x g^2 linearization.
     The linearization is singular exactly when the spectra of M (hence A)
     and D overlap; since resampling F cannot move spectra, a singular system
-    is reported rather than perturbed.
+    is reported after its first solve rather than perturbed.
     """
     if act.is_scalar():
         raise RelationError("no relation derivable from scalar endomorphism")
     g = act.g
     rng = random.Random(seed)
-    draws = 0
-    while True:
-        draws += 1
-        if F is not None:
-            f = mx.freeze(F)
-        else:
-            f = mx.freeze(
-                [[Fraction(rng.randint(-4, 4)) for _ in range(g)] for _ in range(g)]
-            )
+    for _ in range(MAX_F_DRAWS):
+        f = mx.freeze(F if F is not None else [[Fraction(rng.randint(-4, 4)) for _ in range(g)] for _ in range(g)])
         ft = mx.transpose(f)
         ft_inv = mx.inverse(ft)
-        if ft_inv is None:
-            if F is not None:
-                raise RelationError("supplied F is singular")
-            if draws >= max_draws:
-                raise RelationError("endomorphism spectra force coupling; supply F manually")
-            continue
-        m = mx.mat_mul(mx.mat_mul(ft, act.A), ft_inv)
-        # linearize M X - X D = F^t B for X = G^t (column-major vec)
-        eye = mx.identity(g)
-        lin = mx.mat_sub(mx.kron(eye, m), mx.kron(mx.transpose(act.D), eye))
-        rhs = mx.vec_cols(mx.mat_mul(ft, act.B))
-        sol = mx.solve_nonsingular(lin, rhs)
-        if sol is None:
-            if F is not None or draws >= max_draws:
-                raise RelationError("endomorphism spectra force coupling; supply F manually")
-            continue
-        gt = mx.unvec_cols(sol, g, g)
-        data = SyntheticPeriodData(g, m, f, mx.transpose(gt))
-        if not data.verify(act):
-            raise AssertionError("synthesized data violates the intertwining equations")
-        return data
+        if ft_inv is not None:
+            break
+        if F is not None:
+            raise RelationError("supplied F is singular")
+    else:
+        raise RelationError("endomorphism spectra force coupling; supply F manually")
+    m = mx.mat_mul(mx.mat_mul(ft, act.A), ft_inv)
+    # linearize M X - X D = F^t B for X = G^t (column-major vec)
+    eye = mx.identity(g)
+    lin = mx.mat_sub(mx.kron(eye, m), mx.kron(mx.transpose(act.D), eye))
+    sol = mx.solve_nonsingular(lin, mx.vec_cols(mx.mat_mul(ft, act.B)))
+    if sol is None:
+        raise RelationError("endomorphism spectra force coupling; supply F manually")
+    data = SyntheticPeriodData(g, m, f, mx.transpose(mx.unvec_cols(sol, g, g)))
+    if not data.verify(act):
+        raise AssertionError("synthesized data violates the intertwining equations")
+    return data
 
 
-def verify_relation_on_data(p: PolyMatrix, data: SyntheticPeriodData) -> bool:
-    """True iff every entry of p vanishes exactly at (F, G)."""
-    assignment = point_assignment(data.g, data.F, data.G)
-    return all(
-        e.evaluate(assignment) == 0 for row in p.entries for e in row
-    )
+def verify_relation_on_data(p, data: SyntheticPeriodData) -> bool:
+    """True iff every entry of the relation matrix p vanishes exactly at (F, G)."""
+    assignment = point_assignment(data.F, data.G)
+    return all(e.evaluate(assignment) == 0 for row in p for e in row)
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +307,14 @@ def _verdict_json(v: MembershipVerdict) -> dict:
     return out
 
 
-def build_nonarch_certificate(
-    act: EndomorphismAction, seed: int = 0, data: SyntheticPeriodData | None = None
-) -> RelationCertificate:
+def build_nonarch_certificate(act: EndomorphismAction, seed: int = 0) -> RelationCertificate:
     """Full pipeline: build the relation matrix, verify it on synthetic data,
     select a non-trivial entry with its exact witness."""
     p = build_nonarch_relation(act)
-    if data is None:
-        data = synthesize_period_data(act, seed)
-    if not verify_relation_on_data(p, data):
+    if not verify_relation_on_data(p, synthesize_period_data(act, seed)):
         raise AssertionError("relation matrix failed to vanish on its own period data")
     entry = select_nontrivial_entry(p, act)
-    poly = p.entries[entry.i - 1][entry.j - 1]
+    poly = p[entry.i - 1][entry.j - 1]
     verdict = MembershipVerdict(
         "not_in_ideal_certified",
         "witness_point",
@@ -416,17 +394,6 @@ def quadratic_relation_polys(g: int) -> tuple[MultiPoly, MultiPoly]:
     return r, s
 
 
-def _top_half_assignment(g: int, hmat) -> dict[VarId, Scalar]:
-    """Y[k,j] -> H[k][j], Z[k,j] -> H[g/2+k][j] for k <= g/2."""
-    h = g // 2
-    out: dict[VarId, Scalar] = {}
-    for k in range(1, h + 1):
-        for j in range(1, g + 1):
-            out[yvar(k, j)] = hmat[k - 1][j - 1]
-            out[zvar(k, j)] = hmat[h + k - 1][j - 1]
-    return out
-
-
 def phi_substitution(inp: Case3Input) -> dict[VarId, MultiPoly]:
     """Y -> A^t Y + C^t Z, Z -> B^t Y + D^t Z as a variable substitution."""
     g = inp.g
@@ -500,7 +467,7 @@ def build_case3_relation(inp: Case3Input) -> RelationCertificate:
     q = r.scale(lam) - s.scale(mu)
     if q.is_zero():
         raise AssertionError("quadratic relation degenerated to zero")
-    qval = q.evaluate(_top_half_assignment(g, inp.H))
+    qval = q.evaluate(point_assignment(inp.H[:h], inp.H[h:]))
     if qval != 0:
         raise AssertionError("quadratic relation failed to vanish at the period matrix")
     phi_scalar = generator_transform_scalar(inp)

@@ -122,10 +122,15 @@ class Place:
 # Rational valuations and absolute values
 
 
-def valuation(x: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational: v_p(num) - v_p(den)."""
+def valuation(x: Scalar, p: int) -> int:
+    """p-adic valuation of a nonzero rational: v_p(num) - v_p(den).  A
+    QuadScalar counts when it is rational-valued."""
     if not is_prime(p):
         raise ScalarError(f"{p} is not prime")
+    if isinstance(x, QuadScalar):
+        if x.b != 0:
+            raise ScalarError("p-adic valuation supported for rational values only")
+        x = x.a
     x = Fraction(x)
     if x == 0:
         raise ScalarError("valuation of zero undefined")

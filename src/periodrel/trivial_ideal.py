@@ -78,12 +78,14 @@ def generators(g: int) -> TrivialIdeal:
 # Point helpers
 
 
-def point_assignment(g: int, y, z) -> dict[VarId, Scalar]:
+def point_assignment(y, z) -> dict[VarId, Scalar]:
+    """Y[i,j] -> y[i-1][j-1] and Z[i,j] -> z[i-1][j-1] for two blocks of one
+    shape (g x g at a point, h x g for the top half of a period matrix)."""
     out: dict[VarId, Scalar] = {}
-    for i in range(1, g + 1):
-        for j in range(1, g + 1):
-            out[yvar(i, j)] = y[i - 1][j - 1]
-            out[zvar(i, j)] = z[i - 1][j - 1]
+    for i, (yrow, zrow) in enumerate(zip(y, z), 1):
+        for j, (yv, zv) in enumerate(zip(yrow, zrow), 1):
+            out[yvar(i, j)] = yv
+            out[zvar(i, j)] = zv
     return out
 
 
@@ -118,7 +120,7 @@ def _iter_sampled_points(g: int, budget: int, seed: int) -> Iterator[tuple]:
 def jacobian_rank_at(ideal: TrivialIdeal, point: tuple) -> int:
     """Exact rank over Q of the m x 2g^2 Jacobian of the generators at a point."""
     y, z = point
-    assignment = point_assignment(ideal.g, y, z)
+    assignment = point_assignment(y, z)
     variables = ideal.variables()
     rows = []
     for f in ideal.generators:
@@ -154,7 +156,7 @@ def radicality_certificate(ideal: TrivialIdeal, seed: int = 0) -> RadicalityCert
     for y, z in candidates:
         tried += 1
         on_v = all(
-            f.evaluate(point_assignment(g, y, z)) == 0 for f in ideal.generators
+            f.evaluate(point_assignment(y, z)) == 0 for f in ideal.generators
         )
         if not on_v:
             continue
@@ -201,7 +203,7 @@ def membership(
     tested = 0
     for y, z in points:
         tested += 1
-        val = p.evaluate(point_assignment(g, y, z))
+        val = p.evaluate(point_assignment(y, z))
         if val != 0:
             return MembershipVerdict(
                 "not_in_ideal_certified",

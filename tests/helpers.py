@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from periodrel import matrices as mx
 from periodrel.gfun import GaussManinCoefficients, PlaceRadii
-from periodrel.polyalg import VarId
+from periodrel.polyalg import MultiPoly, VarId
 from periodrel.relations import EndomorphismAction, SelectedEntry
 from periodrel.scalars import Place, scalar_to_json
 from periodrel.series import TruncatedSeries
@@ -22,6 +22,21 @@ def sampled_points(g: int, budget: int, seed: int) -> list[tuple]:
 def unfreeze(m) -> list:
     """A mutable copy of a frozen matrix."""
     return [list(row) for row in m]
+
+
+def matrix_at(p, assignment) -> tuple:
+    """The value of every entry of a polynomial matrix at one assignment."""
+    return mx.freeze([[e.evaluate(assignment) for e in row] for row in p])
+
+
+def constant_matrix(m) -> tuple:
+    """A scalar matrix as a matrix of constant polynomials."""
+    return mx.freeze([[MultiPoly.constant(x) for x in row] for row in m])
+
+
+def poly_matrix_to_json(p) -> dict:
+    """A polynomial matrix in the relation-matrix JSON format."""
+    return {"rows": len(p), "cols": len(p[0]) if p else 0, "entries": [[e.to_json() for e in row] for row in p]}
 
 
 def radius_at(radii: PlaceRadii, v: Place) -> tuple[float, bool]:

@@ -46,7 +46,7 @@ from periodrel.trivial_ideal import (
     row_swap_permutation,
 )
 
-from helpers import expected_witness_value, identity_family, radius_at, random_action, sampled_points
+from helpers import expected_witness_value, identity_family, matrix_at, radius_at, random_action, sampled_points
 
 TS = TruncatedSeries
 
@@ -86,7 +86,7 @@ def test_criterion_3_torsor_variety_consistency():
                 s = with_multiplier(s, mu)
             assert s.verify()  # M^t J M = mu J, exact
             fr = project_to_V(s)
-            asg = point_assignment(g, fr.y_block, fr.z_block)
+            asg = point_assignment(fr.y_block, fr.z_block)
             for f in ideal.generators:
                 assert f.evaluate(asg) == 0
     _report(3, "100 seeded samples per g in {2,3,4}: similitude + vanishing exact")
@@ -109,7 +109,7 @@ def test_criterion_4_nonarch_relation_suite():
         p = build_nonarch_relation(act)
         sel = select_nontrivial_entry(p, act)
         seen_cases.add(sel.case)
-        vals = p.evaluate(point_assignment(act.g, sel.witness_y, sel.witness_z))
+        vals = matrix_at(p, point_assignment(sel.witness_y, sel.witness_z))
         assert mx.mat_eq(vals, expected_witness_value(act, sel))
         assert not mx.is_zero_matrix(vals)
     assert seen_cases == {"B_nonzero", "A_ne_D", "A_non_scalar"}
@@ -127,7 +127,7 @@ def test_criterion_4_nonarch_relation_suite():
                 mx.mat_sub(mx.mat_mul(mx.transpose(y), z), mx.mat_mul(mx.transpose(z), y))
             )
             assert sel.value != 0
-            vals = p.evaluate(point_assignment(g, y, z))
+            vals = matrix_at(p, point_assignment(y, z))
             assert mx.mat_eq(vals, expected_witness_value(act, sel))
     _report(4, "25 seeded actions per g in {2,3}: exact vanishing + case-table witnesses")
 
@@ -228,7 +228,7 @@ def test_criterion_7_groebner_vs_evaluation():
     points = _evaluation_points(g)
 
     def vanishes_everywhere(p):
-        return all(p.evaluate(point_assignment(g, y, z)) == 0 for y, z in points)
+        return all(p.evaluate(point_assignment(y, z)) == 0 for y, z in points)
 
     # 50 constructed members
     members = 0

@@ -11,7 +11,7 @@ import pytest
 from periodrel.cli import build_parser, dispatch
 from periodrel.series import TruncatedSeries
 
-from helpers import identity_family, random_action, unfreeze
+from helpers import identity_family, poly_matrix_to_json, random_action, unfreeze
 
 
 def run(capsys, argv):
@@ -167,6 +167,50 @@ def test_case3_input_from_mixed_fields_exits_1_with_json(tmp_path):
     ]
 
 
+QUADRATIC_DATA = {"g": 1, "M": [["1"]], "F": [[{"d": 5, "a": "1", "b": "1"}]], "G": [["1"]]}  # F = 1 + sqrt 5
+QUADRATIC_REFERENCE_ERRORS = {
+    ("--x", "5", "--place", "5"): "finite-place absolute value supported for rational values only",
+    ("--x", "1/5", "--place", "arch"): "archimedean place needs an embedding selector for quadratic scalars",
+}
+
+
+@pytest.mark.parametrize("flags", list(QUADRATIC_REFERENCE_ERRORS))
+def test_gfun_check_quadratic_reference_exits_1_with_json(flags, tmp_path):
+    # period data F in Q(sqrt 5) against rational F and G series
+    (tmp_path / "F.json").write_text(json.dumps(DECODE_INPUTS["F.json"]))
+    (tmp_path / "data.json").write_text(json.dumps(QUADRATIC_DATA))
+    proc = run_process(["gfun", "check", "--F", "F.json", "--G", "F.json", "--data", "data.json", *flags], tmp_path)
+    assert proc.returncode == 1
+    doc, end = json.JSONDecoder().raw_decode(proc.stdout)
+    assert proc.stdout[end:].strip() == ""
+    assert doc == {"error": QUADRATIC_REFERENCE_ERRORS[flags]}
+    assert "Traceback" not in proc.stderr
+
+
+def test_gfun_check_quadratic_reference_at_an_embedding(tmp_path, capsys):
+    (tmp_path / "F.json").write_text(json.dumps(DECODE_INPUTS["F.json"]))
+    (tmp_path / "data.json").write_text(json.dumps(QUADRATIC_DATA))
+    argv = ["gfun", "check", "--F", str(tmp_path / "F.json"), "--G", str(tmp_path / "F.json"),
+            "--data", str(tmp_path / "data.json"), "--x", "1/5"]
+    for place, root in (("arch/sigma", math.sqrt(5)), ("arch/tau", -math.sqrt(5))):
+        code, doc = run_json(capsys, [*argv, "--place", place])
+        assert code == 0
+        entry = doc["result"]["report"]["entries"][0]  # the series x at x = 1/5 against 1 + root
+        assert entry["which"] == "F" and math.isclose(entry["discrepancy"], abs(0.2 - (1 + root)))
+
+
+def test_gfun_check_rational_valued_quadratic_reference(tmp_path, capsys):
+    # a QuadScalar with b = 0 is compared exactly, in valuation space at p = 5
+    f = {"g": 1, "integral": True, "entries": [[SERIES]]}
+    data = {"g": 1, "M": [["1"]], "F": [[{"d": 5, "a": "5", "b": "0"}]], "G": [["6"]]}
+    (tmp_path / "F.json").write_text(json.dumps(f))
+    (tmp_path / "data.json").write_text(json.dumps(data))
+    code, doc = run_json(capsys, ["gfun", "check", "--F", str(tmp_path / "F.json"), "--G", str(tmp_path / "F.json"),
+                                  "--data", str(tmp_path / "data.json"), "--x", "5", "--place", "5"])
+    assert code == 0
+    assert [e["ok"] for e in doc["result"]["report"]["entries"]] == [True, False]  # x = 5 against 5, then 6
+
+
 def test_interleaved_dispatch_matches_fresh_processes(tmp_path, capsys, monkeypatch):
     (tmp_path / "f.json").write_text(json.dumps(TruncatedSeries.from_coeffs([0, 1, 2, -1, 3]).to_json()))
     argvs = [
@@ -256,7 +300,7 @@ def test_relation_verify_subcommand(tmp_path, capsys):
     rel = build_nonarch_relation(act)
     data = synthesize_period_data(act, seed=8)
     rel_file, data_file = tmp_path / "rel.json", tmp_path / "data.json"
-    rel_file.write_text(json.dumps(rel.to_json()))
+    rel_file.write_text(json.dumps(poly_matrix_to_json(rel)))
     data_file.write_text(json.dumps(data.to_json()))
     code, doc = run_json(
         capsys, ["relation", "verify", "--rel", str(rel_file), "--data", str(data_file)]

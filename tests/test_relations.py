@@ -25,7 +25,7 @@ from periodrel.scalars import QuadScalar
 from periodrel.symplectic import sample_symplectic
 from periodrel.trivial_ideal import generators, point_assignment
 
-from helpers import expected_witness_value, random_action, unfreeze
+from helpers import expected_witness_value, matrix_at, random_action, unfreeze
 
 
 def F(x):
@@ -45,7 +45,7 @@ def test_scalar_action_gives_zero_matrix_and_is_rejected():
     act = action(2, [[1, 0], [0, 1]], [[0, 0], [0, 0]], [[1, 0], [0, 1]])
     assert act.is_scalar()
     p = build_nonarch_relation(act)
-    assert p.is_zero()
+    assert mx.is_zero_matrix(p)
     with pytest.raises(RelationError, match="no relation derivable"):
         select_nontrivial_entry(p, act)
 
@@ -56,14 +56,14 @@ def test_g1_relation_formula():
     p = build_nonarch_relation(act)
     y, z = MultiPoly.variable(yvar(1, 1)), MultiPoly.variable(zvar(1, 1))
     expect = (y * z).scale(F(3)) - (y * y).scale(F(3))  # (5-2) YZ - 3 Y^2
-    assert p.entries[0][0] == expect
+    assert p[0][0] == expect
 
 
 def test_entries_homogeneous_of_degree_g_plus_one():
     for g in (2, 3):
         act = random_action(g, seed=21)
         p = build_nonarch_relation(act)
-        for row in p.entries:
+        for row in p:
             for e in row:
                 if not e.is_zero():
                     assert e.is_homogeneous()
@@ -78,7 +78,7 @@ def test_witness_case_b_nonzero():
     assert mx.mat_eq(sel.witness_y, mx.identity(2))
     assert mx.is_zero_matrix(sel.witness_z)
     # the whole matrix at the witness equals -B
-    vals = p.evaluate(point_assignment(2, sel.witness_y, sel.witness_z))
+    vals = matrix_at(p, point_assignment(sel.witness_y, sel.witness_z))
     assert mx.mat_eq(vals, expected_witness_value(act, sel))
     assert vals[0][1] == -1
 
@@ -90,7 +90,7 @@ def test_witness_case_a_ne_d():
     assert sel.case == "A_ne_D"
     assert mx.mat_eq(sel.witness_y, mx.identity(2))
     assert mx.mat_eq(sel.witness_z, mx.identity(2))
-    vals = p.evaluate(point_assignment(2, sel.witness_y, sel.witness_z))
+    vals = matrix_at(p, point_assignment(sel.witness_y, sel.witness_z))
     assert mx.mat_eq(vals, mx.mat_sub(act.A, act.D))
 
 
@@ -102,7 +102,7 @@ def test_witness_case_a_non_scalar():
     assert sel.case == "A_non_scalar"
     # z = E_22: column 2 holds the nonzero off-diagonal entry of A
     assert sel.witness_z[1][1] == 1 and sum(x for r in sel.witness_z for x in r) == 1
-    vals = p.evaluate(point_assignment(2, sel.witness_y, sel.witness_z))
+    vals = matrix_at(p, point_assignment(sel.witness_y, sel.witness_z))
     assert mx.mat_eq(vals, expected_witness_value(act, sel))
     assert not mx.is_zero_matrix(vals)
 
@@ -121,7 +121,48 @@ def test_diagonal_action_entry_12_nonzero_polynomial():
     # commutator-type terms and survive as nonzero polynomials
     act = action(2, [[2, 0], [0, 3]], [[0, 0], [0, 0]], [[2, 0], [0, 3]])
     p = build_nonarch_relation(act)
-    assert not p.entries[0][1].is_zero()
+    assert not p[0][1].is_zero()
+
+
+def _mixed_action(rng, g: int, d: int | None) -> EndomorphismAction:
+    """A random action over Q (d None), or over Q(sqrt d) with entries mixing
+    Fraction, rational-valued QuadScalar and genuinely quadratic values."""
+
+    def entry():
+        a = F(rng.randint(-3, 3)) / rng.randint(1, 2)
+        kind = rng.randrange(3) if d else 0
+        return a if kind == 0 else QuadScalar(d, a, F(0) if kind == 1 else F(rng.choice((-2, -1, 1, 2))) / 2)
+
+    make = lambda: mx.freeze([[entry() for _ in range(g)] for _ in range(g)])
+    return EndomorphismAction(g, make(), make(), make())
+
+
+def _random_point(rng, g: int, d: int | None) -> tuple:
+    """A random (Y, Z) with Y invertible, entries in Q or Q(sqrt d)."""
+    entry = lambda: F(rng.randint(-4, 4)) if d is None else QuadScalar(d, F(rng.randint(-3, 3)), F(rng.randint(-2, 2)))
+    while True:
+        y = mx.freeze([[entry() for _ in range(g)] for _ in range(g)])
+        if mx.det(y) != 0:
+            return y, mx.freeze([[entry() for _ in range(g)] for _ in range(g)])
+
+
+@pytest.mark.parametrize("d", [None, 5])
+def test_nonarch_relation_matches_numeric_oracle(d):
+    # oracle: Y^t A adj(Y^t) Z^t - det(Y) (Y^t B + Z^t D) at points, with
+    # adj(Y^t) = det(Y^t) (Y^t)^-1 computed numerically
+    rng = random.Random(41 if d is None else 42)
+    for g in (1, 2, 3):
+        for _ in range(3):
+            act = _mixed_action(rng, g, d)
+            p = build_nonarch_relation(act)
+            for field in (None, 5):
+                y, z = _random_point(rng, g, field)
+                yt, zt = mx.transpose(y), mx.transpose(z)
+                adj = mx.scalar_mul(mx.det(yt), mx.inverse(yt))
+                lhs = mx.mat_mul(mx.mat_mul(mx.mat_mul(yt, act.A), adj), zt)
+                rhs = mx.mat_add(mx.mat_mul(yt, act.B), mx.mat_mul(zt, act.D))
+                expect = mx.mat_sub(lhs, mx.scalar_mul(mx.det(y), rhs))
+                assert mx.mat_eq(matrix_at(p, point_assignment(y, z)), expect)
 
 
 def test_witness_isotropy_always():
@@ -163,6 +204,19 @@ def test_overlapping_spectra_reported():
     act = action(2, [[1, 0], [0, 2]], [[1, 1], [1, 1]], [[1, 0], [0, 2]])
     with pytest.raises(RelationError, match="spectra force coupling"):
         synthesize_period_data(act, seed=0)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_singular_sylvester_system_is_solved_once(g, monkeypatch):
+    # A = D = diag(1..g): the spectra meet, so no redraw of F can help
+    calls = []
+    solve = mx.solve_nonsingular
+    monkeypatch.setattr(mx, "solve_nonsingular", lambda a, rhs: calls.append(a) or solve(a, rhs))
+    diag = [[i + 1 if i == j else 0 for j in range(g)] for i in range(g)]
+    act = action(g, diag, [[1] * g] * g, diag)
+    with pytest.raises(RelationError, match="spectra force coupling"):
+        synthesize_period_data(act, seed=0)
+    assert len(calls) == 1
 
 
 def test_relation_vanishes_on_own_data():
@@ -364,7 +418,7 @@ def test_assemble_product_vanishes_where_factor_does():
     prod = assemble_global_relation([c1, c2])
     data = synthesize_period_data(act, seed=64)
     # the first factor vanishes at its own period data, hence so does the product
-    asg = point_assignment(2, data.F, data.G)
+    asg = point_assignment(data.F, data.G)
     if c1.polynomial.evaluate(asg) == 0:
         assert prod.polynomial.evaluate(asg) == 0
 

@@ -1,11 +1,17 @@
-"""The benchmark's layer tracer wraps periodrel functions by name; a rename
-on either side would leave ``perfbench/run.py --trace 1`` broken."""
+"""Repository invariants: the benchmark's layer tracer wraps periodrel
+functions by name (a rename on either side would leave
+``perfbench/run.py --trace 1`` broken), and the runtime imports only the
+standard library."""
 
 import importlib
+import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
 
 def test_layertrace_targets_resolve_on_periodrel():
@@ -19,3 +25,16 @@ def test_layertrace_targets_resolve_on_periodrel():
             if not callable(obj):
                 missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    # -I -S: no site-packages, no PYTHONPATH, no user site; src is the only addition
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import json, periodrel, periodrel.cli; "
+        "print(json.dumps(sorted({m.partition('.')[0] for m in sys.modules})))"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "periodrel" in loaded
+    assert [m for m in loaded if m not in sys.stdlib_module_names and m not in ("periodrel", "__main__")] == []
