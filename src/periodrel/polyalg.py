@@ -428,16 +428,13 @@ SYMBOLIC_DET_CAP = 4
 
 
 def determinant(m) -> MultiPoly:
-    """Exact determinant of a square matrix of polynomials: Bareiss for
-    constant matrices, cofactor expansion (fraction-free over the polynomial
-    ring) for symbolic ones up to 4x4."""
+    """Exact determinant of a square matrix of polynomials, up to 4x4, by
+    cofactor expansion (fraction-free over the polynomial ring)."""
     n, c = mx.shape(m)
     if n != c:
         raise ValueError("determinant of non-square matrix")
     if n == 0:
         return MultiPoly.constant(Fraction(1))
-    if all(e.terms.keys() <= {Monomial.one()} for row in m for e in row):
-        return MultiPoly.constant(mx.det(mx.freeze([[e.evaluate({}) for e in row] for row in m])))
     if n > SYMBOLIC_DET_CAP:
         raise ResourceCapExceeded(
             f"symbolic determinant capped at {SYMBOLIC_DET_CAP}x{SYMBOLIC_DET_CAP}"

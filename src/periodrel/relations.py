@@ -110,8 +110,8 @@ def build_nonarch_relation(act: EndomorphismAction) -> mx.Matrix:
     g x g tuple of polynomials.
 
     Every nonzero entry is homogeneous of degree g+1.  The adjugate identity
-    Y^t adj(Y^t) = det(Y) I that the construction relies on is re-verified
-    symbolically before returning.
+    Y^t adj(Y^t) = det(Y) I that the construction relies on depends on g
+    alone; the tests check it symbolically for every g up to SYMBOLIC_DET_CAP.
     """
     g = act.g
     y = symbolic_matrix("Y", g)
@@ -119,8 +119,6 @@ def build_nonarch_relation(act: EndomorphismAction) -> mx.Matrix:
     zt = mx.transpose(symbolic_matrix("Z", g))
     adj_yt = adjugate(yt)
     det_y = determinant(y)
-    if not mx.mat_eq(mx.mat_mul(yt, adj_yt), mx.scalar_mul(det_y, mx.identity(g))):
-        raise AssertionError("adjugate identity failed symbolically")
     lhs = mx.mat_mul(mx.mat_mul(mx.mat_mul(yt, act.A), adj_yt), zt)
     rhs = mx.mat_add(mx.mat_mul(yt, act.B), mx.mat_mul(zt, act.D))
     return mx.mat_sub(lhs, mx.freeze([[e * det_y for e in row] for row in rhs]))
@@ -308,13 +306,16 @@ def _verdict_json(v: MembershipVerdict) -> dict:
 
 
 def build_nonarch_certificate(act: EndomorphismAction, seed: int = 0) -> RelationCertificate:
-    """Full pipeline: build the relation matrix, verify it on synthetic data,
-    select a non-trivial entry with its exact witness."""
+    """Full pipeline: build the relation matrix, synthesize period data,
+    select a non-trivial entry with its exact witness.  The data satisfies the
+    intertwining equations, so the matrix there is det(F) (M G^t - F^t B -
+    G^t D) = 0; only the printed entry is evaluated at it."""
     p = build_nonarch_relation(act)
-    if not verify_relation_on_data(p, synthesize_period_data(act, seed)):
-        raise AssertionError("relation matrix failed to vanish on its own period data")
+    data = synthesize_period_data(act, seed)
     entry = select_nontrivial_entry(p, act)
     poly = p[entry.i - 1][entry.j - 1]
+    if poly.evaluate(point_assignment(data.F, data.G)) != 0:
+        raise AssertionError("relation matrix failed to vanish on its own period data")
     verdict = MembershipVerdict(
         "not_in_ideal_certified",
         "witness_point",

@@ -4,8 +4,8 @@ Samples are words in three generator families (block-diagonal with a
 unimodular top block, unit upper-triangular shears with a symmetric block,
 and the standard form J itself), so every sample satisfies M^t J M = J
 exactly by construction; the similitude multiplier enters by a diagonal
-rescaling of the last g columns.  Every constructor re-verifies its defining
-identity before returning.
+rescaling of the last g columns.  A sample checks its defining identity once,
+when it is constructed.
 """
 
 from __future__ import annotations
@@ -26,8 +26,17 @@ def standard_form(g: int):
 
 @dataclass(frozen=True)
 class SymplecticSample:
+    """M^t J M = multiplier * J, checked on construction over the given int or
+    Fraction entries, which are then stored as Fractions."""
+
     matrix: tuple
     multiplier: Fraction
+
+    def __post_init__(self) -> None:
+        if not mx.is_similitude(self.matrix, self.multiplier, self.g):
+            raise ValueError("matrix is not a symplectic similitude for the claimed multiplier")
+        object.__setattr__(self, "matrix", mx.freeze([Fraction(x) for x in row] for row in self.matrix))
+        object.__setattr__(self, "multiplier", Fraction(self.multiplier))
 
     @property
     def g(self) -> int:
@@ -74,14 +83,6 @@ class IsotropicFrame:
 
     def verify(self) -> bool:
         return mx.is_zero_matrix(self.isotropy_defect())
-
-
-def _make_sample(matrix, multiplier: Fraction) -> SymplecticSample:
-    """The sample of a matrix over int or Fraction, checked to be a similitude
-    for the multiplier before its entries become Fractions."""
-    if not mx.is_similitude(matrix, multiplier, len(matrix) // 2):
-        raise ValueError("matrix is not a symplectic similitude for the claimed multiplier")
-    return SymplecticSample(mx.freeze([Fraction(x) for x in row] for row in matrix), Fraction(multiplier))
 
 
 def _random_unimodular(rng: random.Random, g: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -149,7 +150,7 @@ def sample_symplectic(g: int, seed: int, word_length: int = 8) -> SymplecticSamp
             guard += 1
             if guard > 60:
                 raise AssertionError("could not regenerate a non-degenerate word")
-    return _make_sample(m, 1)
+    return SymplecticSample(m, 1)
 
 
 def with_multiplier(s: SymplecticSample, mu: Fraction) -> SymplecticSample:
@@ -161,16 +162,15 @@ def with_multiplier(s: SymplecticSample, mu: Fraction) -> SymplecticSample:
     scaled = [
         [x if j < g else mu * x for j, x in enumerate(row)] for row in s.matrix
     ]
-    return _make_sample(scaled, s.multiplier * mu)
+    return SymplecticSample(scaled, s.multiplier * mu)
 
 
 def project_to_V(s: SymplecticSample) -> IsotropicFrame:
-    """First g columns of the sample; exactly isotropic by the defining identity."""
+    """First g columns of the sample.  The frame is exactly isotropic: its
+    defect Y^t Z - Z^t Y is the top-left block of M^t J M = mu J, which the
+    sample checked when it was built."""
     g = s.g
-    frame = IsotropicFrame(mx.freeze([row[:g] for row in s.matrix]))
-    if not frame.verify():
-        raise AssertionError("projection of a similitude sample must be isotropic")
-    return frame
+    return IsotropicFrame(mx.freeze([row[:g] for row in s.matrix]))
 
 
 def _pairing(u, v) -> Fraction:
@@ -210,7 +210,7 @@ def complete_to_symplectic_basis(frame: IsotropicFrame) -> SymplecticSample:
                 u = [x + c * w for x, w in zip(u, cols[i])]
         duals.append(u)
     full = [[(cols[c][r] if c < g else duals[c - g][r]) for c in range(2 * g)] for r in range(n)]
-    return _make_sample(full, Fraction(1))
+    return SymplecticSample(full, Fraction(1))
 
 
 def _jrow(w, c: int) -> Fraction:

@@ -93,6 +93,7 @@ DECODE_ERRORS = {
     ("gfun", "check", "--F", "F-mixed-orders.json", "--G", "F-mixed-orders.json", "--data", "data-g1.json",
      "--x", "5", "--place", "5"): "entries: entries must share one truncation order",
     ("gfun", "derive", "--F", "F-integral-number.json", "--a", "a.json"): "integral: expected a bool or a list",
+    ("series", "invert", "--series", "unread.json", "--order", "-1"): "--order must be >= 0, got -1",
 }
 
 
@@ -133,6 +134,27 @@ def test_out_of_range_arguments_exit_2_with_json(argv, tmp_path):
     assert proc.stdout[end:].strip() == ""
     assert set(doc) == {"error"}
     assert doc["error"] == DECODE_ERRORS.get(tuple(argv), doc["error"])
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "radius", "--series", "series.json", "--place", "arch/foo"],
+        ["series", "eval", "--series", "series.json", "--x", "1/2", "--place", "arch/foo"],
+        ["gfun", "check", "--F", "F.json", "--G", "F.json", "--data", "data-g1.json", "--x", "1/2",
+         "--place", "arch/foo"],
+    ],
+    ids=["series-radius", "series-eval", "gfun-check"],
+)
+def test_unknown_embedding_exits_1_with_json(argv, tmp_path):
+    for name, doc in {"series.json": SERIES, **DECODE_INPUTS}.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    proc = run_process(argv, tmp_path)
+    assert proc.returncode == 1
+    doc, end = json.JSONDecoder().raw_decode(proc.stdout)
+    assert proc.stdout[end:].strip() == ""
+    assert doc == {"error": "cannot parse place 'arch/foo'"}
     assert "Traceback" not in proc.stderr
 
 

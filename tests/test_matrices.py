@@ -154,7 +154,7 @@ def test_sample_symplectic_checks_the_integer_word(monkeypatch):
     assert all(type(x) is Fraction for row in s.matrix for x in row)
     assert mx.mat_eq(s.matrix, m)
     with pytest.raises(ValueError, match="not a symplectic similitude"):
-        symplectic._make_sample([[1, 1], [1, 0]], 1)
+        symplectic.SymplecticSample([[1, 1], [1, 0]], 1)
 
 
 # ---------------------------------------------------------------------------

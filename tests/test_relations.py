@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from periodrel import matrices as mx
+from periodrel import matrices as mx, relations
 from periodrel.polyalg import MultiPoly, Monomial, yvar, zvar
 from periodrel.relations import (
     Case3Input,
@@ -254,6 +254,35 @@ def test_nonarch_certificate():
     assert cert.degree == 3
     assert cert.nontriviality.status == "not_in_ideal_certified"
     assert cert.polynomial.is_homogeneous()
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_nonarch_certificate_checks_one_entry_at_its_data(g, monkeypatch):
+    # the intertwining equations make every entry vanish at (F, G), so the
+    # certificate evaluates only the entry it prints there
+    act = random_action(g, seed=40 + g, solvable=True)
+    data = synthesize_period_data(act, seed=g)
+    at_data = point_assignment(data.F, data.G)
+    evaluated = []
+    evaluate = MultiPoly.evaluate
+    monkeypatch.setattr(MultiPoly, "evaluate", lambda poly, at: evaluated.append((poly, at)) or evaluate(poly, at))
+    cert = build_nonarch_certificate(act, seed=g)
+    assert [poly for poly, at in evaluated if at == at_data] == [cert.polynomial]
+
+    # move one entry of G off the data, where the printed entry stops vanishing
+    monkeypatch.setattr(MultiPoly, "evaluate", evaluate)
+    (j,) = [j for row in build_nonarch_relation(act) for j, e in enumerate(row) if e == cert.polynomial]
+    for k in range(g):
+        rows = unfreeze(data.G)
+        rows[j][k] += 1
+        perturbed = type(data)(g, data.M, data.F, mx.freeze(rows))
+        if cert.polynomial.evaluate(point_assignment(data.F, perturbed.G)) != 0:
+            break
+    else:
+        pytest.fail("no perturbation of row j of G moves the printed entry")
+    monkeypatch.setattr(relations, "synthesize_period_data", lambda act, seed: perturbed)
+    with pytest.raises(AssertionError, match="relation matrix failed to vanish on its own period data"):
+        build_nonarch_certificate(act, seed=g)
 
 
 def test_data_json_roundtrip():

@@ -7,6 +7,7 @@ from periodrel import matrices as mx
 from periodrel.scalars import QuadScalar
 from periodrel.symplectic import (
     IsotropicFrame,
+    SymplecticSample,
     complete_to_symplectic_basis,
     project_to_V,
     sample_symplectic,
@@ -21,6 +22,23 @@ def test_word_length_zero_is_identity():
     s = sample_symplectic(2, seed=0, word_length=0)
     assert mx.mat_eq(s.matrix, mx.identity(4))
     assert s.verify()
+
+
+def test_sample_rejects_non_similitude_at_construction():
+    g = 2
+    j = standard_form(g)
+    message = "matrix is not a symplectic similitude for the claimed multiplier"
+    for matrix, mu in (
+        (mx.identity(2 * g), Fraction(2)),  # right matrix, wrong multiplier
+        (mx.scalar_mul(Fraction(2), j), Fraction(1)),  # 2J has multiplier 4
+        ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 1),  # over int
+    ):
+        with pytest.raises(ValueError) as exc:
+            SymplecticSample(matrix, mu)
+        assert str(exc.value) == message
+    s = SymplecticSample(mx.scalar_mul(2, j), 4)
+    assert all(type(x) is Fraction for row in s.matrix for x in row)
+    assert type(s.multiplier) is Fraction and s.multiplier == 4
 
 
 def test_standard_form_is_a_sample():
@@ -91,7 +109,7 @@ def test_projection_identity_and_j():
     assert mx.mat_eq(fr2.z_block, mx.scalar_mul(Fraction(-1), mx.identity(g)))
 
 
-@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_projection_random_isotropic(g):
     for seed in range(20):
         fr = project_to_V(sample_symplectic(g, seed=seed))
