@@ -263,13 +263,8 @@ def cmd_ideal_radical(args, digests):
 def cmd_ideal_member(args, digests):
     poly = MultiPoly.from_json(_load_json(args.poly, digests))
     _check_genus(poly, args.g, "poly")
-    ideal = generators(args.g)
-    verdict = membership(poly, ideal, sample_budget=args.budget, seed=args.seed)
-    out = {
-        "status": verdict.status,
-        "evidence": verdict.evidence_kind,
-        "samples_tested": verdict.samples_tested,
-    }
+    verdict = membership(poly, generators(args.g), sample_budget=args.budget, seed=args.seed)
+    out = {"status": verdict.status, "evidence": verdict.evidence_kind, "samples_tested": verdict.samples_tested}
     if verdict.witness is not None:
         out["witness"] = witness_to_json(verdict.witness)
         out["value"] = scalar_to_json(verdict.value)
@@ -402,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=_at_least("--g", 1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mu", type=_multiplier, default=Fraction(1))
-    p.add_argument("--word-length", type=int, default=8)
+    p.add_argument("--word-length", type=_at_least("--word-length", 0), default=8)
     p.set_defaults(func=cmd_symplectic_sample)
 
     p_ideal = sub.add_parser("ideal", help="trivial-relations ideal")
@@ -417,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(i_sub, "member")
     p.add_argument("--poly", required=True)
     p.add_argument("--g", type=_at_least("--g", 1), required=True)
-    p.add_argument("--budget", type=int, default=25)
+    p.add_argument("--budget", type=_at_least("--budget", 0), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ideal_member)
 

@@ -20,6 +20,7 @@ tolerance rather than numerically.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .polyalg import (
     Monomial,
     MultiPoly,
     VarId,
+    _accumulate,
     adjugate,
     determinant,
     symbolic_matrix,
@@ -72,23 +74,11 @@ class EndomorphismAction:
 
     def is_scalar(self) -> bool:
         """True when the 2g x 2g block matrix is lambda * identity."""
-        if not mx.is_zero_matrix(self.B):
-            return False
-        lam = self.A[0][0]
-        for i in range(self.g):
-            for j in range(self.g):
-                want = lam if i == j else 0
-                if self.A[i][j] != want or self.D[i][j] != want:
-                    return False
-        return True
+        scalar = mx.scalar_mul(self.A[0][0], mx.identity(self.g))
+        return mx.is_zero_matrix(self.B) and mx.mat_eq(self.A, scalar) and mx.mat_eq(self.D, scalar)
 
     def to_json(self) -> dict:
-        return {
-            "g": self.g,
-            "A": mx.matrix_to_json(self.A),
-            "B": mx.matrix_to_json(self.B),
-            "D": mx.matrix_to_json(self.D),
-        }
+        return {"g": self.g, **{k: mx.matrix_to_json(getattr(self, k)) for k in "ABD"}}
 
     @staticmethod
     def from_json(obj: dict) -> "EndomorphismAction":
@@ -105,6 +95,27 @@ def _square_blocks(obj: dict, keys, g: int) -> list:
 # Non-archimedean construction
 
 
+@functools.cache
+def _symbolic_blocks(g: int) -> tuple:
+    """(Y^t, Z^t, adj(Y^t), det(Y)) at genus g, built once per g: they depend
+    on g alone, and no MultiPoly operation mutates its terms.  det(Y) comes
+    first, so past SYMBOLIC_DET_CAP the cap is raised before any adjugate."""
+    y = symbolic_matrix("Y", g)
+    det_y = determinant(y)
+    yt = mx.transpose(y)
+    return yt, mx.transpose(symbolic_matrix("Z", g)), adjugate(yt), det_y
+
+
+def _relation_row(act: EndomorphismAction, i: int) -> tuple:
+    """Row i (0-based) of the relation matrix: the products of the whole
+    matrix restricted to row i of Y^t and Z^t, in mat_mul's operand order."""
+    yt, zt, adj_yt, det_y = _symbolic_blocks(act.g)
+    y_row, z_row = (yt[i],), (zt[i],)
+    lhs = mx.mat_mul(mx.mat_mul(mx.mat_mul(y_row, act.A), adj_yt), zt)[0]
+    rhs = mx.mat_add(mx.mat_mul(y_row, act.B), mx.mat_mul(z_row, act.D))[0]
+    return tuple(x - e * det_y for x, e in zip(lhs, rhs))
+
+
 def build_nonarch_relation(act: EndomorphismAction) -> mx.Matrix:
     """The relation matrix Y^t A adj(Y^t) Z^t - det(Y) (Y^t B + Z^t D), a
     g x g tuple of polynomials.
@@ -113,15 +124,7 @@ def build_nonarch_relation(act: EndomorphismAction) -> mx.Matrix:
     Y^t adj(Y^t) = det(Y) I that the construction relies on depends on g
     alone; the tests check it symbolically for every g up to SYMBOLIC_DET_CAP.
     """
-    g = act.g
-    y = symbolic_matrix("Y", g)
-    yt = mx.transpose(y)
-    zt = mx.transpose(symbolic_matrix("Z", g))
-    adj_yt = adjugate(yt)
-    det_y = determinant(y)
-    lhs = mx.mat_mul(mx.mat_mul(mx.mat_mul(yt, act.A), adj_yt), zt)
-    rhs = mx.mat_add(mx.mat_mul(yt, act.B), mx.mat_mul(zt, act.D))
-    return mx.mat_sub(lhs, mx.freeze([[e * det_y for e in row] for row in rhs]))
+    return tuple(_relation_row(act, i) for i in range(act.g))
 
 
 @dataclass(frozen=True)
@@ -135,12 +138,22 @@ class SelectedEntry:
 
 
 def select_nontrivial_entry(p, act: EndomorphismAction) -> SelectedEntry:
-    """Pick an entry of the relation matrix together with an exact witness
-    (y, z) that is isotropic and gives a nonzero value.
+    """Pick an entry of the relation matrix p together with an exact witness
+    (y, z) that is isotropic and gives a nonzero value; only that entry of p
+    is evaluated, for its value (see :func:`_witness_entry`)."""
+    i, j, wy, wz, case = _witness_entry(act)
+    return SelectedEntry(i + 1, j + 1, wy, wz, p[i][j].evaluate(point_assignment(wy, wz)), case)
+
+
+def _witness_entry(act: EndomorphismAction) -> tuple:
+    """(i, j, y, z, case): the case witness (y, z) and the 0-based position
+    of the first nonzero entry of the relation matrix there.
 
     The three-case witness table: B != 0 gives (I, 0) with value -B;
     B = 0, A != D gives (I, I) with value A - D; otherwise A = D is
     non-scalar and a symmetric z not commuting with A gives value Az - zD.
+    At y = I, where adj(I) = I and det(I) = 1, the matrix is A z^t - B - z^t D,
+    so the position is read off that scalar matrix.
     """
     if act.is_scalar():
         raise RelationError("no relation derivable from scalar endomorphism")
@@ -152,12 +165,12 @@ def select_nontrivial_entry(p, act: EndomorphismAction) -> SelectedEntry:
         wy, wz, case = eye, eye, "A_ne_D"
     else:
         wy, wz, case = eye, _noncommuting_symmetric(act.A), "A_non_scalar"
-    assignment = point_assignment(wy, wz)
-    for i in range(g):
-        for j in range(g):
-            val = p[i][j].evaluate(assignment)
-            if val != 0:
-                return SelectedEntry(i + 1, j + 1, wy, wz, val, case)
+    zt = mx.transpose(wz)
+    at_witness = mx.mat_sub(mx.mat_sub(mx.mat_mul(act.A, zt), act.B), mx.mat_mul(zt, act.D))
+    for i, row in enumerate(at_witness):
+        for j, x in enumerate(row):
+            if x != 0:
+                return i, j, wy, wz, case
     raise RelationError("relation matrix vanished at the case witness; action is effectively scalar")
 
 
@@ -166,19 +179,17 @@ def _noncommuting_symmetric(a) -> tuple:
     z = E_ii at a non-diagonal entry's column, else z = E_ij + E_ji at a
     pair of distinct diagonal entries."""
     g = len(a)
-    for j in range(g):
-        for i in range(g):
-            if i != j and a[i][j] != 0:
-                e = [[Fraction(0)] * g for _ in range(g)]
-                e[j][j] = Fraction(1)
-                return mx.freeze(e)
+
+    def unit(*cells) -> tuple:
+        return mx.freeze([[Fraction(int((r, c) in cells)) for c in range(g)] for r in range(g)])
+
+    col = next((j for j in range(g) for i in range(g) if i != j and a[i][j] != 0), None)
+    if col is not None:
+        return unit((col, col))
     for i in range(g):
         for j in range(i + 1, g):
             if a[i][i] != a[j][j]:
-                e = [[Fraction(0)] * g for _ in range(g)]
-                e[i][j] = Fraction(1)
-                e[j][i] = Fraction(1)
-                return mx.freeze(e)
+                return unit((i, j), (j, i))
     raise RelationError("no relation derivable from scalar endomorphism")
 
 
@@ -194,22 +205,13 @@ class SyntheticPeriodData:
     G: tuple
 
     def verify(self, act: EndomorphismAction) -> bool:
-        ft = mx.transpose(self.F)
-        gt = mx.transpose(self.G)
+        ft, gt = mx.transpose(self.F), mx.transpose(self.G)
         eq1 = mx.mat_eq(mx.mat_mul(self.M, ft), mx.mat_mul(ft, act.A))
-        eq2 = mx.mat_eq(
-            mx.mat_mul(self.M, gt),
-            mx.mat_add(mx.mat_mul(ft, act.B), mx.mat_mul(gt, act.D)),
-        )
+        eq2 = mx.mat_eq(mx.mat_mul(self.M, gt), mx.mat_add(mx.mat_mul(ft, act.B), mx.mat_mul(gt, act.D)))
         return eq1 and eq2
 
     def to_json(self) -> dict:
-        return {
-            "g": self.g,
-            "M": mx.matrix_to_json(self.M),
-            "F": mx.matrix_to_json(self.F),
-            "G": mx.matrix_to_json(self.G),
-        }
+        return {"g": self.g, **{k: mx.matrix_to_json(getattr(self, k)) for k in "MFG"}}
 
     @staticmethod
     def from_json(obj: dict) -> "SyntheticPeriodData":
@@ -306,23 +308,26 @@ def _verdict_json(v: MembershipVerdict) -> dict:
 
 
 def build_nonarch_certificate(act: EndomorphismAction, seed: int = 0) -> RelationCertificate:
-    """Full pipeline: build the relation matrix, synthesize period data,
-    select a non-trivial entry with its exact witness.  The data satisfies the
-    intertwining equations, so the matrix there is det(F) (M G^t - F^t B -
-    G^t D) = 0; only the printed entry is evaluated at it."""
-    p = build_nonarch_relation(act)
+    """Full pipeline: synthesize period data, select a non-trivial entry with
+    its exact witness, and build only the row of the relation matrix that
+    holds it.  The data satisfies the intertwining equations, so the matrix
+    there is det(F) (M G^t - F^t B - G^t D) = 0; only the printed entry is
+    evaluated at it.  The symbolic blocks come first, so the symbolic-size
+    cap precedes every other error."""
+    _symbolic_blocks(act.g)
     data = synthesize_period_data(act, seed)
-    entry = select_nontrivial_entry(p, act)
-    poly = p[entry.i - 1][entry.j - 1]
+    i, j, wy, wz, case = _witness_entry(act)
+    poly = _relation_row(act, i)[j]
+    value = poly.evaluate(point_assignment(wy, wz))
     if poly.evaluate(point_assignment(data.F, data.G)) != 0:
         raise AssertionError("relation matrix failed to vanish on its own period data")
     verdict = MembershipVerdict(
         "not_in_ideal_certified",
         "witness_point",
-        witness=(entry.witness_y, entry.witness_z),
-        value=entry.value,
+        witness=(wy, wz),
+        value=value,
         samples_tested=1,
-        detail=f"case {entry.case}",
+        detail=f"case {case}",
     )
     return RelationCertificate(
         polynomial=poly,
@@ -330,7 +335,7 @@ def build_nonarch_certificate(act: EndomorphismAction, seed: int = 0) -> Relatio
         construction_kind="nonarch",
         nontriviality=verdict,
         vanishing_evidence=((f"seed={seed}", "all entries vanish exactly"),),
-        notes=f"entry ({entry.i},{entry.j})",
+        notes=f"entry ({i + 1},{j + 1})",
     )
 
 
@@ -385,40 +390,47 @@ def quadratic_relation_polys(g: int) -> tuple[MultiPoly, MultiPoly]:
     if g % 2 != 0 or g <= 2:
         raise RelationError("Case 3 construction requires even g > 2")
     h = g // 2
-    r = MultiPoly.zero()
-    s = MultiPoly.zero()
-    for k in range(1, h + 1):
-        r = r + MultiPoly({Monomial.of((yvar(k, 1), 1), (zvar(k, 2), 1)): Fraction(1)})
-        r = r - MultiPoly({Monomial.of((zvar(k, 1), 1), (yvar(k, 2), 1)): Fraction(1)})
-        s = s + MultiPoly({Monomial.of((yvar(k, 1), 1), (zvar(k, h + 2), 1)): Fraction(1)})
-        s = s - MultiPoly({Monomial.of((zvar(k, 1), 1), (yvar(k, h + 2), 1)): Fraction(1)})
-    return r, s
+
+    def pairing(col: int) -> MultiPoly:  # sum_k Y[k,1] Z[k,col] - Z[k,1] Y[k,col]
+        terms = {}
+        for k in range(1, h + 1):
+            terms[Monomial.of((yvar(k, 1), 1), (zvar(k, col), 1))] = Fraction(1)
+            terms[Monomial.of((zvar(k, 1), 1), (yvar(k, col), 1))] = Fraction(-1)
+        return MultiPoly(terms)
+
+    return pairing(2), pairing(h + 2)
 
 
-def phi_substitution(inp: Case3Input) -> dict[VarId, MultiPoly]:
-    """Y -> A^t Y + C^t Z, Z -> B^t Y + D^t Z as a variable substitution."""
-    g = inp.g
-    mapping: dict[VarId, MultiPoly] = {}
-    for i in range(1, g + 1):
-        for j in range(1, g + 1):
-            py = MultiPoly.zero()
-            pz = MultiPoly.zero()
-            for k in range(1, g + 1):
-                ay = inp.A[k - 1][i - 1]
-                cz = inp.C[k - 1][i - 1]
-                by = inp.B[k - 1][i - 1]
-                dz = inp.D[k - 1][i - 1]
-                if ay != 0:
-                    py = py + MultiPoly({Monomial.var(yvar(k, j)): ay})
-                if cz != 0:
-                    py = py + MultiPoly({Monomial.var(zvar(k, j)): cz})
-                if by != 0:
-                    pz = pz + MultiPoly({Monomial.var(yvar(k, j)): by})
-                if dz != 0:
-                    pz = pz + MultiPoly({Monomial.var(zvar(k, j)): dz})
-            mapping[yvar(i, j)] = py
-            mapping[zvar(i, j)] = pz
-    return mapping
+def _transport(q: MultiPoly, m) -> MultiPoly:
+    """q after Phi: Y -> A^t Y + C^t Z, Z -> B^t Y + D^t Z, M = (A B; C D).
+
+    Phi maps the stacked W = (Y; Z) to M^t W, so the case-3 quadratic becomes
+    lambda w_1^t N w_2 - mu w_1^t N w_{h+2} with N = M K M^t and
+    K = sum_{k <= h} (e_k e_{g+k}^t - e_{g+k} e_k^t).  The products behind N
+    are summed by :func:`_accumulate` in the order ``q.substitute`` (the test
+    oracle) makes them: terms of q, then the images of their two variables,
+    Y before Z row by row, zero entries of M skipped.  So every coefficient,
+    its type and every sum that cancels and restarts match it.  The two
+    variables of a term lie in distinct columns, so its products never meet.
+    """
+    g = len(m) // 2
+    order = [s for k in range(g) for s in (k, g + k)]
+    images = {}
+
+    def image(v) -> list:
+        if v not in images:
+            r = v.row - 1 + (g if v.block == "Z" else 0)
+            images[v] = [(VarId("Z" if s >= g else "Y", s % g + 1, v.col).code, m[s][r]) for s in order if m[s][r] != 0]
+        return images[v]
+
+    total: dict[Monomial, Scalar] = {}
+    for mono, c in q.terms.items():
+        v1, v2 = mono.variables()
+        right = image(v2)
+        for x, a in image(v1):
+            ca = c * a  # once per left factor, as MultiPoly.__mul__ does
+            _accumulate(total, ((Monomial(sorted((x, y))), ca * b) for y, b in right))
+    return MultiPoly(total, _clean=False)
 
 
 def generator_transform_scalar(inp: Case3Input) -> Scalar:
@@ -428,8 +440,8 @@ def generator_transform_scalar(inp: Case3Input) -> Scalar:
     (Y; Z) by M^t with M = (A B; C D), so Phi(Y^t Z - Z^t Y) is
     (Y; Z)^t M J M^t (Y; Z) and the identity holds exactly when
     M J M^t = (1/e) J.  That matrix identity is checked exactly and an
-    AssertionError is raised if it fails, so callers may rely on Phi
-    preserving the trivial ideal.
+    AssertionError is raised if it fails.  build_case3_relation does not call
+    this: the identity follows from the M^t J M = (1/e) J it checks.
     """
     c = Fraction(1) / inp.e
     if not mx.is_similitude(mx.transpose(inp.change_of_basis()), c, inp.g):
@@ -444,7 +456,9 @@ def build_case3_relation(inp: Case3Input) -> RelationCertificate:
     of entries by an exact rational (lambda, mu), verifies the resulting
     degree-2 polynomial vanishes at H, transports it through the change of
     basis, and attaches non-triviality evidence (row-swap sensitivity plus
-    the exact ideal-preservation identity for the change of basis).
+    the scalar 1/e by which the change of basis scales the ideal's
+    generators).  That scalar rests on M J M^t = (1/e) J, which follows from
+    the checked M^t J M = (1/e) J, so it is not checked again.
     """
     g = inp.g
     if g % 2 != 0 or g <= 2:
@@ -454,8 +468,7 @@ def build_case3_relation(inp: Case3Input) -> RelationCertificate:
     if not inp.verify_similitude():
         raise RelationError("change of basis is not a sqrt(e)-symplectic similitude")
     h = g // 2
-    j = standard_form(h)
-    mprime = mx.mat_mul(mx.mat_mul(mx.transpose(inp.H), j), inp.H)
+    mprime = mx.mat_mul(mx.mat_mul(mx.transpose(inp.H), standard_form(h)), inp.H)
     m12 = mprime[0][1]
     m1h2 = mprime[0][h + 1]
     if m12 == 0:
@@ -468,14 +481,11 @@ def build_case3_relation(inp: Case3Input) -> RelationCertificate:
     q = r.scale(lam) - s.scale(mu)
     if q.is_zero():
         raise AssertionError("quadratic relation degenerated to zero")
-    qval = q.evaluate(point_assignment(inp.H[:h], inp.H[h:]))
-    if qval != 0:
+    if q.evaluate(point_assignment(inp.H[:h], inp.H[h:])) != 0:
         raise AssertionError("quadratic relation failed to vanish at the period matrix")
-    phi_scalar = generator_transform_scalar(inp)
-    p_final = q.substitute(phi_substitution(inp))
-    swap = row_swap_permutation(g)
-    changed = row_permutation_test(q, swap)
-    if not changed:
+    phi_scalar = Fraction(1) / inp.e
+    p_final = _transport(q, inp.change_of_basis())
+    if not row_permutation_test(q, row_swap_permutation(g)):
         raise AssertionError("row-swap test unexpectedly left the relation unchanged")
     verdict = MembershipVerdict(
         "not_in_ideal_certified",
@@ -514,11 +524,8 @@ def random_case3_input(g: int, seed: int, d: int | None = None) -> Case3Input:
     s = sample_symplectic(g, seed + 1, word_length=4).matrix
     inv = sqrt_e.inverse()
     cob = mx.scalar_mul(inv, s)
-    a = mx.submatrix(cob, range(g), range(g))
-    bb = mx.submatrix(cob, range(g), range(g, 2 * g))
-    c = mx.submatrix(cob, range(g, 2 * g), range(g))
-    dd = mx.submatrix(cob, range(g, 2 * g), range(g, 2 * g))
-    return Case3Input(g, hmat, a, bb, c, dd, sqrt_e)
+    halves = (range(g), range(g, 2 * g))
+    return Case3Input(g, hmat, *(mx.submatrix(cob, rows, cols) for rows in halves for cols in halves), sqrt_e)
 
 
 # ---------------------------------------------------------------------------

@@ -145,21 +145,17 @@ def radicality_certificate(ideal: TrivialIdeal, seed: int = 0) -> RadicalityCert
     """Certify radicality: generator count m equals the Jacobian rank at an
     exact point of the variety.  The canonical witness (I, 0) is tried first;
     the fallback search over up to 50 projected frames builds each frame only
-    when it is reached, so none is built when (I, 0) succeeds."""
+    when it is reached, so none is built when (I, 0) succeeds.  Every
+    candidate lies on the variety without an evaluation: (I, 0) is isotropic,
+    and a projected frame is the first g columns of a similitude, checked
+    when its sample was built."""
     g = ideal.g
     m = ideal.generator_count
     eye, zero = mx.identity(g), mx.zeros(g, g)
     if m == 0:
         return RadicalityCertificate(g, 0, (eye, zero), True, 0, "radical")
     candidates = chain([(eye, zero)], _iter_sampled_points(g, 50, seed))
-    tried = 0
-    for y, z in candidates:
-        tried += 1
-        on_v = all(
-            f.evaluate(point_assignment(y, z)) == 0 for f in ideal.generators
-        )
-        if not on_v:
-            continue
+    for tried, (y, z) in enumerate(candidates, 1):
         r = jacobian_rank_at(ideal, (y, z))
         if r == m:
             return RadicalityCertificate(g, m, (y, z), True, r, "radical", tried - 1)

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 from periodrel import matrices as mx
 from periodrel.gfun import GaussManinCoefficients, PlaceRadii
-from periodrel.polyalg import MultiPoly, VarId
-from periodrel.relations import EndomorphismAction, SelectedEntry
-from periodrel.scalars import Place, scalar_to_json
+from periodrel.polyalg import Monomial, MultiPoly, VarId, yvar, zvar
+from periodrel.relations import Case3Input, EndomorphismAction, SelectedEntry, quadratic_relation_polys
+from periodrel.scalars import Place, QuadScalar, scalar_to_json
 from periodrel.series import TruncatedSeries
-from periodrel.symplectic import standard_form
+from periodrel.symplectic import sample_symplectic, standard_form
 from periodrel.trivial_ideal import _iter_sampled_points
 
 
@@ -84,6 +84,99 @@ def random_action(g: int, seed: int, lo: int = -3, hi: int = 3, solvable: bool =
         if solvable and not sylvester_solvable(act):
             continue
         return act
+
+
+def mixed_action(rng, g: int, d: int | None) -> EndomorphismAction:
+    """A random action over Q (d None), or over Q(sqrt d) with entries mixing
+    Fraction, rational-valued QuadScalar and genuinely quadratic values."""
+
+    def entry():
+        a = Fraction(rng.randint(-3, 3)) / rng.randint(1, 2)
+        kind = rng.randrange(3) if d else 0
+        return a if kind == 0 else QuadScalar(d, a, Fraction(0) if kind == 1 else Fraction(rng.choice((-2, -1, 1, 2))) / 2)
+
+    make = lambda: mx.freeze([[entry() for _ in range(g)] for _ in range(g)])
+    return EndomorphismAction(g, make(), make(), make())
+
+
+def mixed_case3_input(g: int, seed: int) -> Case3Input:
+    """Case-3 data whose blocks mix Fraction, rational-valued QuadScalar and
+    genuinely quadratic entries of one Q(sqrt d), with sqrt_e rational or
+    quadratic (deterministic).
+
+    The change of basis is S diag(R, (1/e) R^-1) for a symplectic S and a
+    diagonal R of mixed entries, a similitude with multiplier 1/e; then
+    entries of equal value are retyped at random between Fraction and
+    rational-valued QuadScalar, some of them tagged with another d.  H
+    mixes the same kinds of entries, with zeros common enough that both
+    pairing entries the construction reads vanish now and then.
+    """
+    rng = random.Random(seed)
+    d = rng.choice((2, 3, 5, 7))
+    s = sample_symplectic(g, seed, word_length=rng.randint(1, 6)).matrix
+    sqrt_e = rng.choice(
+        (Fraction(2), Fraction(1, 3), QuadScalar(d, 3, 0), QuadScalar(11, 2, 0),
+         QuadScalar(d, 0, 1), QuadScalar(d, 0, Fraction(1, 2)), QuadScalar(d, 0, 3))
+    )
+    e = (sqrt_e * sqrt_e).a if isinstance(sqrt_e, QuadScalar) else sqrt_e * sqrt_e
+    kinds = (Fraction(1), Fraction(-2), QuadScalar(d, 3, 0), QuadScalar(d, 0, 1), QuadScalar(d, 1, -1))
+    r = [rng.choice(kinds) for _ in range(g)]
+    scale = r + [1 / (e * x) for x in r]
+
+    def retype(x):
+        if isinstance(x, QuadScalar) and x.b == 0 and rng.random() < 0.5:
+            return x.a
+        if isinstance(x, Fraction) and rng.random() < 0.3:
+            return QuadScalar(rng.choice((d, 11)), x, 0)
+        return x
+
+    m = [[retype(s[i][j] * scale[j]) for j in range(2 * g)] for i in range(2 * g)]
+    h_kinds = (Fraction(0), Fraction(0), Fraction(1), Fraction(-2), QuadScalar(d, 1, 0), QuadScalar(11, 3, 0),
+               QuadScalar(d, 0, 1))
+    while True:
+        hmat = mx.freeze([[rng.choice(h_kinds) for _ in range(g)] for _ in range(g)])
+        if mx.det(hmat) != 0:
+            break
+    blocks = [mx.submatrix(m, rows, cols) for rows in (range(g), range(g, 2 * g)) for cols in (range(g), range(g, 2 * g))]
+    return Case3Input(g, hmat, *blocks, sqrt_e)
+
+
+def phi_substitution(inp: Case3Input) -> dict[VarId, MultiPoly]:
+    """Y -> A^t Y + C^t Z, Z -> B^t Y + D^t Z as a variable substitution: the
+    oracle for the case-3 transport of the quadratic relation."""
+    g = inp.g
+    mapping: dict[VarId, MultiPoly] = {}
+    for i in range(1, g + 1):
+        for j in range(1, g + 1):
+            py = MultiPoly.zero()
+            pz = MultiPoly.zero()
+            for k in range(1, g + 1):
+                ay = inp.A[k - 1][i - 1]
+                cz = inp.C[k - 1][i - 1]
+                by = inp.B[k - 1][i - 1]
+                dz = inp.D[k - 1][i - 1]
+                if ay != 0:
+                    py = py + MultiPoly({Monomial.var(yvar(k, j)): ay})
+                if cz != 0:
+                    py = py + MultiPoly({Monomial.var(zvar(k, j)): cz})
+                if by != 0:
+                    pz = pz + MultiPoly({Monomial.var(yvar(k, j)): by})
+                if dz != 0:
+                    pz = pz + MultiPoly({Monomial.var(zvar(k, j)): dz})
+            mapping[yvar(i, j)] = py
+            mapping[zvar(i, j)] = pz
+    return mapping
+
+
+def case3_quadratic(inp: Case3Input) -> MultiPoly:
+    """lambda r - mu s, the quadratic that the case-3 construction reads off
+    the pairing H^t J H before the change of basis, by its (lambda, mu) rule."""
+    h = inp.g // 2
+    pairing = mx.mat_mul(mx.mat_mul(mx.transpose(inp.H), standard_form(h)), inp.H)
+    m12, m1h2 = pairing[0][1], pairing[0][h + 1]
+    lam, mu = (Fraction(1), Fraction(0)) if m12 == 0 else (Fraction(0), Fraction(1)) if m1h2 == 0 else (m1h2, m12)
+    r, s = quadratic_relation_polys(inp.g)
+    return r.scale(lam) - s.scale(mu)
 
 
 def expected_witness_value(act: EndomorphismAction, entry: SelectedEntry):

@@ -94,6 +94,8 @@ DECODE_ERRORS = {
      "--x", "5", "--place", "5"): "entries: entries must share one truncation order",
     ("gfun", "derive", "--F", "F-integral-number.json", "--a", "a.json"): "integral: expected a bool or a list",
     ("series", "invert", "--series", "unread.json", "--order", "-1"): "--order must be >= 0, got -1",
+    ("ideal", "member", "--poly", "unread.json", "--g", "2", "--budget", "-1"): "--budget must be >= 0, got -1",
+    ("symplectic", "sample", "--g", "2", "--word-length", "-1"): "--word-length must be >= 0, got -1",
 }
 
 

@@ -14,7 +14,6 @@ from periodrel.relations import (
     build_nonarch_certificate,
     build_nonarch_relation,
     generator_transform_scalar,
-    phi_substitution,
     quadratic_relation_polys,
     random_case3_input,
     select_nontrivial_entry,
@@ -25,7 +24,16 @@ from periodrel.scalars import QuadScalar
 from periodrel.symplectic import sample_symplectic
 from periodrel.trivial_ideal import generators, point_assignment
 
-from helpers import expected_witness_value, matrix_at, random_action, unfreeze
+from helpers import (
+    case3_quadratic,
+    expected_witness_value,
+    matrix_at,
+    mixed_action,
+    mixed_case3_input,
+    phi_substitution,
+    random_action,
+    unfreeze,
+)
 
 
 def F(x):
@@ -124,19 +132,6 @@ def test_diagonal_action_entry_12_nonzero_polynomial():
     assert not p[0][1].is_zero()
 
 
-def _mixed_action(rng, g: int, d: int | None) -> EndomorphismAction:
-    """A random action over Q (d None), or over Q(sqrt d) with entries mixing
-    Fraction, rational-valued QuadScalar and genuinely quadratic values."""
-
-    def entry():
-        a = F(rng.randint(-3, 3)) / rng.randint(1, 2)
-        kind = rng.randrange(3) if d else 0
-        return a if kind == 0 else QuadScalar(d, a, F(0) if kind == 1 else F(rng.choice((-2, -1, 1, 2))) / 2)
-
-    make = lambda: mx.freeze([[entry() for _ in range(g)] for _ in range(g)])
-    return EndomorphismAction(g, make(), make(), make())
-
-
 def _random_point(rng, g: int, d: int | None) -> tuple:
     """A random (Y, Z) with Y invertible, entries in Q or Q(sqrt d)."""
     entry = lambda: F(rng.randint(-4, 4)) if d is None else QuadScalar(d, F(rng.randint(-3, 3)), F(rng.randint(-2, 2)))
@@ -153,7 +148,7 @@ def test_nonarch_relation_matches_numeric_oracle(d):
     rng = random.Random(41 if d is None else 42)
     for g in (1, 2, 3):
         for _ in range(3):
-            act = _mixed_action(rng, g, d)
+            act = mixed_action(rng, g, d)
             p = build_nonarch_relation(act)
             for field in (None, 5):
                 y, z = _random_point(rng, g, field)
@@ -285,6 +280,21 @@ def test_nonarch_certificate_checks_one_entry_at_its_data(g, monkeypatch):
         build_nonarch_certificate(act, seed=g)
 
 
+def test_nonarch_certificate_builds_one_row_and_evaluates_twice(monkeypatch):
+    # one evaluation at the witness for the printed value, one at the data;
+    # B's first row is zero, so the printed entry is not the first one
+    act = random_action(3, seed=44, solvable=True)
+    act = EndomorphismAction(3, act.A, mx.freeze([[F(0)] * 3, *act.B[1:]]), act.D)
+    evaluated, rows = [], []
+    evaluate, relation_row = MultiPoly.evaluate, relations._relation_row
+    monkeypatch.setattr(MultiPoly, "evaluate", lambda poly, at: evaluated.append(poly) or evaluate(poly, at))
+    monkeypatch.setattr(relations, "_relation_row", lambda act, i: rows.append(i) or relation_row(act, i))
+    cert = build_nonarch_certificate(act, seed=3)
+    assert cert.notes != "entry (1,1)"
+    assert evaluated == [cert.polynomial, cert.polynomial]
+    assert len(rows) == 1
+
+
 def test_data_json_roundtrip():
     act = random_action(2, seed=31, solvable=True)
     data = synthesize_period_data(act, seed=31)
@@ -326,6 +336,38 @@ def test_case3_random_inputs(g):
         assert cert.polynomial.is_homogeneous()
         assert cert.nontriviality.status == "not_in_ideal_certified"
         assert cert.nontriviality.evidence_kind == "row_permutation"
+
+
+def _substituted(inp):
+    """The case-3 relation by symbolic substitution of Phi, the oracle."""
+    return case3_quadratic(inp).substitute(phi_substitution(inp)).to_json()
+
+
+@pytest.mark.parametrize("g", [4, 6, 8])
+def test_case3_polynomial_matches_symbolic_substitution(g):
+    for seed in range(4 if g < 8 else 2):
+        inp = random_case3_input(g, seed=seed)
+        assert build_case3_relation(inp).polynomial.to_json() == _substituted(inp)
+
+
+def test_case3_polynomial_matches_substitution_on_mixed_entry_types():
+    # blocks mix Fraction, rational-valued and quadratic QuadScalar entries,
+    # sqrt_e rational or quadratic: every coefficient's type must match too
+    for seed in range(300):
+        inp = mixed_case3_input(6 if seed % 10 == 0 else 4, seed)
+        assert build_case3_relation(inp).polynomial.to_json() == _substituted(inp), seed
+
+
+def test_case3_relation_needs_no_substitution_or_second_similitude(monkeypatch):
+    # M J M^t = (1/e) J follows from the checked M^t J M = (1/e) J
+    def forbidden(*args):
+        raise AssertionError("not called by build_case3_relation")
+
+    monkeypatch.setattr(MultiPoly, "substitute", forbidden)
+    monkeypatch.setattr(relations, "generator_transform_scalar", forbidden)
+    inp = random_case3_input(6, seed=2)
+    cert = build_case3_relation(inp)
+    assert cert.nontriviality.detail.endswith(f"(generator scalar {Fraction(1) / inp.e})")
 
 
 def test_case3_rejects_bad_g():
