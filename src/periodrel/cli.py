@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import re
 import sys
 from fractions import Fraction
+
+try:  # CPython's built-in SHA-256 (to 3.11): hashlib loads OpenSSL, 3.6 MB resident
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import __version__
 from .gfun import GaussManinCoefficients, GFunMatrix, check_period_equation, compute_radii, derive_G
@@ -95,7 +99,7 @@ def _check_genus(poly: MultiPoly, g: int, path: str) -> None:
 
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return sha256(fh.read()).hexdigest()
 
 
 def _load_json(path: str, digests: dict) -> object:
@@ -283,7 +287,7 @@ def cmd_relation_build_nonarch(args, digests):
     act = EndomorphismAction.from_json(_load_json(args.act, digests))
     try:
         cert = build_nonarch_certificate(act, seed=args.seed)
-    except RelationError as exc:
+    except (RelationError, ScalarError) as exc:
         raise ComputationFailed(str(exc))
     return {"certificate": cert.to_json()}
 

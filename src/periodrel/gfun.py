@@ -28,6 +28,9 @@ from .scalars import (
 from .series import (
     EvalResult,
     TruncatedSeries,
+    _all_fractions,
+    _matmul_trunc,
+    _numerators,
     eval_with_tail_bound,
     radius_lower_bound,
 )
@@ -189,16 +192,25 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
     """G[i][j] = sum_k sum_l a[i][k][l] * d^k/dX^k F[l][j].
 
     Differentiating k <= N times costs N orders of truncation; the result
-    carries order min(F.order - N, a-order).
+    carries order min(F.order - N, a-order).  All-rational input is summed
+    over the integers (see :func:`_derive_rational`); any other takes
+    schoolbook series products.
     """
     if f.g != a.g:
         raise ValueError("dimension mismatch between series matrix and coefficients")
     n = a.deriv_order
     if f.order < n:
         raise ValueError("insufficient precision: truncation order below derivative order")
-    a_order = min(s.order for s in a.all_series())
-    out_order = min(f.order - n, a_order)
-    g = f.g
+    out_order = min(f.order - n, min(s.order for s in a.all_series()))
+    inputs = [s for row in f.entries for s in row] + list(a.all_series())
+    if all(_all_fractions(s.coeffs) for s in inputs):
+        return _derive_rational(f, a, out_order)
+    return _derive_generic(f, a, out_order)
+
+
+def _derive_generic(f: GFunMatrix, a: GaussManinCoefficients, out_order: int) -> GFunMatrix:
+    """derive_G by schoolbook series products: any scalar kind."""
+    g, n = f.g, a.deriv_order
     # derivs[l-1][j-1][k] = d^k F[l][j] truncated, each built once from d^(k-1)
     derivs = []
     for row in f.entries:
@@ -223,6 +235,41 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
             row.append(acc)
         out.append(row)
     return GFunMatrix.from_series(g, out)
+
+
+def _derive_rational(f: GFunMatrix, a: GaussManinCoefficients, out_order: int) -> GFunMatrix:
+    """derive_G over Q as one product of integer series matrices.
+
+    G = A R, where A[i][(k, l)] = a[i][k][l] and R[(k, l)][j] = d^k F[l][j].
+    Row i of A is cleared to one denominator L_i and column j of R to L'_j,
+    so L_i L'_j G[i][j] is an entry of a product over the integers, and each
+    coefficient becomes a Fraction once.  Over one denominator the k-th
+    derivative's numerators are (t+1)..(t+k) times those of F.
+    """
+    g, n, m = f.g, a.deriv_order, out_order + 1
+    right = [[None] * g for _ in range((n + 1) * g)]
+    col_dens = []
+    for j in range(g):
+        nums, den = _numerators([c for row in f.entries for c in row[j].coeffs[: m + n]])
+        col_dens.append(den)
+        for l in range(g):
+            s = nums[l * (m + n) : (l + 1) * (m + n)]
+            for k in range(n + 1):
+                right[k * g + l][j] = s[:m]
+                s = [(t + 1) * x for t, x in enumerate(s[1:])]
+    left, row_dens = [], []
+    for i in range(1, g + 1):
+        nums, den = _numerators([c for k in range(n + 1) for l in range(1, g + 1) for c in a.a(i, k, l).coeffs[:m]])
+        left.append([nums[t * m : (t + 1) * m] for t in range((n + 1) * g)])
+        row_dens.append(den)
+    prod = _matmul_trunc(left, right, m)
+    return GFunMatrix.from_series(
+        g,
+        [
+            [TruncatedSeries(tuple(Fraction(c, rden * cden) for c in s), out_order) for s, cden in zip(row, col_dens)]
+            for row, rden in zip(prod, row_dens)
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

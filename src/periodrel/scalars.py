@@ -425,6 +425,8 @@ def _frac_parse(s, path: str) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     try:
+        if isinstance(s, str) and (s[1:] if s[:1] == "-" else s).isdecimal():
+            return Fraction(int(s))  # a plain integer: skip the general parser
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError):
         raise DecodeError(f"{path}: not a rational number: {s!r}")

@@ -163,7 +163,8 @@ class TruncatedSeries:
 # each list into one int with byte-aligned slots (Kronecker substitution,
 # Harvey 2009), multiplies once, and unpacks with one to_bytes call.  Every
 # slot carries a bias of half its range, so each coefficient is a plain
-# unsigned slice.
+# unsigned slice.  A slot of w bytes holds any value strictly inside
+# +-2^(8w-1); w = bits // 8 + 1 holds values strictly inside +-2^bits.
 
 
 def _slot_bias(w: int, m: int) -> int:
@@ -171,26 +172,52 @@ def _slot_bias(w: int, m: int) -> int:
     return int.from_bytes((bytes(w - 1) + b"\x80") * m, "little")
 
 
+def _pack(xs: list, w: int) -> int:
+    """sum_t xs[t] 2^(8wt) for signed xs[t] strictly inside +-2^(8w-1)."""
+    half = 1 << (8 * w - 1)
+    raw = b"".join((x + half).to_bytes(w, "little") for x in xs)
+    return int.from_bytes(raw, "little") - _slot_bias(w, len(xs))
+
+
+def _unpack(p: int, w: int, m: int) -> list:
+    """The first m slots of a packed int whose slots lie strictly inside
+    +-2^(8w-1).  Only slots < m get the bias; the signed slots above borrow
+    from higher bits only, and the mask drops them."""
+    half = 1 << (8 * w - 1)
+    raw = ((p + _slot_bias(w, m)) & ((1 << (8 * w * m)) - 1)).to_bytes(w * m, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * m, w)]
+
+
+def _max_bits(xs) -> int:
+    return max(map(int.bit_length, xs), default=0)
+
+
 def _mul_trunc(a: list, b: list, m: int) -> list:
     """The first m coefficients of the product of two int lists."""
-    a, b = a[:m], b[:m]
+    return _matmul_trunc([[a]], [[b]], m)[0][0]
+
+
+def _matmul_trunc(a: list, b: list, m: int) -> list:
+    """The product of two matrices whose entries are int lists, each entry
+    to m coefficients.  Every entry is packed once, at one slot width that
+    holds every sum of products, so an entry of the product is a sum of
+    big-int products, unpacked once."""
+    a = [[x[:m] for x in row] for row in a]
+    b = [[x[:m] for x in row] for row in b]
+    # a slot < m sums at most m len(b) products, so it lies strictly inside
+    # +-2^bits, and so inside +-2^(8w-1)
     bits = (
-        max(map(int.bit_length, a))
-        + max(map(int.bit_length, b))
-        + min(len(a), len(b)).bit_length()
+        max(_max_bits(x) for row in a for x in row)
+        + max(_max_bits(x) for row in b for x in row)
+        + (m * len(b)).bit_length()
     )
-    w = bits // 8 + 1  # every product coefficient lies strictly inside +-2^(8w-1)
-    half = 1 << (8 * w - 1)
-
-    def pack(xs: list) -> int:
-        raw = b"".join((x + half).to_bytes(w, "little") for x in xs)
-        return int.from_bytes(raw, "little") - _slot_bias(w, len(xs))
-
-    # only slots < m get the bias; the signed slots above borrow from higher
-    # bits only, and the mask drops them
-    p = (pack(a) * pack(b) + _slot_bias(w, m)) & ((1 << (8 * w * m)) - 1)
-    raw = p.to_bytes(w * m, "little")
-    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * m, w)]
+    w = bits // 8 + 1
+    pb = [[_pack(x, w) for x in row] for row in b]
+    out = []
+    for row in a:
+        pa = [(t, _pack(x, w)) for t, x in enumerate(row) if any(x)]
+        out.append([_unpack(sum(x * pb[t][j] for t, x in pa), w, m) for j in range(len(pb[0]))])
+    return out
 
 
 def _kmul(x: tuple, y: tuple, m: int, d: int | None) -> tuple:
@@ -213,13 +240,58 @@ def _kpad(x: tuple, m: int) -> tuple:
 
 
 def _kcompose(f: tuple, g: tuple, d: int | None) -> tuple:
-    """f(g) by Horner to len(g) coefficients; g has zero constant term."""
+    """f(g) to m = len(g) coefficients; g has zero constant term and f has
+    m coefficients.
+
+    Baby steps and giant steps (Brent & Kung 1978, Algorithm 2.1): with
+    b = isqrt(m), f(g) = sum_j B_j (g^b)^j for the blocks
+    B_j = sum_(i<b) f_(jb+i) g^i.  The baby steps are the b - 1 products
+    that build g^2..g^b.  Each g^i with i < b is packed once, at a slot
+    width that holds every block sum, so a block is a sum of int times
+    packed-int terms, unpacked once.  Horner over the blocks then takes
+    about m/b products by g^b, at a precision that falls by b each step.
+    """
     m = len(g[0])
-    acc = tuple([part[m - 1]] for part in f)
-    for i in range(m - 2, -1, -1):
-        acc = _kmul(acc, g, m, d)
-        for part, fpart in zip(acc, f):
-            part[0] += fpart[i]
+    b = math.isqrt(m)
+    one = tuple([int(j == 0)] + [0] * (m - 1) for j in range(len(g)))
+    powers = [one, g]
+    while len(powers) <= b:
+        powers.append(_kmul(powers[-1], g, m, d))
+    giant = powers.pop()
+    # over Z[sqrt d] a block coefficient sums 2b cross terms, one scaled by d
+    bits = (
+        max(_max_bits(part) for part in f)
+        + max(_max_bits(part) for pw in powers for part in pw)
+        + (2 * b).bit_length()
+        + abs(d or 1).bit_length()
+    )
+    w = bits // 8 + 1
+    packed = [tuple(_pack(part, w) for part in pw) for pw in powers]
+    del powers
+
+    def block(j: int, n: int) -> tuple:
+        """B_j to n coefficients."""
+        fs = [part[j * b : j * b + b] for part in f]
+        if d is None:
+            (fa,) = fs
+            sums = (sum(c * pa for c, (pa,) in zip(fa, packed)),)
+        else:
+            fa, fb = fs
+            sums = (
+                sum(c * pa + d * e * pb for c, e, (pa, pb) in zip(fa, fb, packed)),
+                sum(c * pb + e * pa for c, e, (pa, pb) in zip(fa, fb, packed)),
+            )
+        return tuple(_unpack(s, w, n) for s in sums)
+
+    # acc_j = B_j + g^b acc_(j+1) ends up times g^(bj) = O(X^(bj)), so it is
+    # needed to m - bj coefficients only, and g^b = X^b G
+    shifted = tuple(part[b:] for part in giant)
+    top = (m - 1) // b
+    acc = block(top, m - top * b)
+    for j in range(top - 1, -1, -1):
+        n = m - j * b
+        prod = _kmul(acc, shifted, n - b, d)
+        acc = tuple(x[:b] + [s + t for s, t in zip(x[b:], y)] for x, y in zip(block(j, n), prod))
     return acc
 
 
@@ -366,6 +438,8 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
 
 def _inverse_packed(f: TruncatedSeries, d: int | None) -> TruncatedSeries:
     ci = 1 / f.coeffs[1]
+    if isinstance(ci, QuadScalar) and ci.b == 0:
+        ci = ci.a  # a rational slope scales in Q; the outputs stay in Q(sqrt d)
     h = [x * ci for x in f.coeffs[2:]]
     cols = [h] if d is None else [[x.a for x in h], [x.b for x in h]]
     den = math.lcm(1, *(y.denominator for col in cols for y in col))
@@ -378,8 +452,14 @@ def _inverse_packed(f: TruncatedSeries, d: int | None) -> TruncatedSeries:
     out = [Fraction(0)]
     scale = ci  # c^-k D^-(k-1)
     for k in range(1, f.order + 1):
-        vk = Fraction(v[0][k]) if d is None else QuadScalar(d, v[0][k], v[1][k])
-        out.append(Fraction(0) if k in untouched else vk * scale)
+        if k in untouched:
+            out.append(Fraction(0))
+        elif d is None:
+            out.append(v[0][k] * scale)
+        elif type(scale) is Fraction:
+            out.append(QuadScalar._trusted(d, v[0][k] * scale, v[1][k] * scale))
+        else:
+            out.append(QuadScalar._trusted(d, Fraction(v[0][k]), Fraction(v[1][k])) * scale)
         scale = scale * ci / den
     return TruncatedSeries(tuple(out), f.order)
 

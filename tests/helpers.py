@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from periodrel import matrices as mx
+from periodrel import series
 from periodrel.gfun import GaussManinCoefficients, PlaceRadii
 from periodrel.polyalg import Monomial, MultiPoly, VarId, yvar, zvar
 from periodrel.relations import Case3Input, EndomorphismAction, SelectedEntry, quadratic_relation_polys
@@ -196,6 +197,19 @@ def identity_family(g: int, order: int) -> GaussManinCoefficients:
         for i in range(1, g + 1)
     )
     return GaussManinCoefficients(g, 0, series, integral=True)
+
+
+def horner_kcompose(f: tuple, g: tuple, d: int | None) -> tuple:
+    """The former packed-kernel composition, kept as the oracle for
+    series._kcompose: f(g) by Horner to len(g) coefficients, one truncated
+    product per coefficient of f; g has zero constant term."""
+    m = len(g[0])
+    acc = tuple([part[m - 1]] for part in f)
+    for i in range(m - 2, -1, -1):
+        acc = series._kmul(acc, g, m, d)
+        for part, fpart in zip(acc, f):
+            part[0] += fpart[i]
+    return acc
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -191,7 +192,21 @@ def test_case3_input_from_mixed_fields_exits_1_with_json(tmp_path):
     ]
 
 
-QUADRATIC_DATA = {"g": 1, "M": [["1"]], "F": [[{"d": 5, "a": "1", "b": "1"}]], "G": [["1"]]}  # F = 1 + sqrt 5
+def test_nonarch_action_over_two_fields_exits_1_with_json(tmp_path):
+    act = {  # A holds 1 + sqrt 5, B holds sqrt -7
+        "g": 2,
+        "A": [[{"d": 5, "a": "1", "b": "1"}, "0"], ["0", "1"]],
+        "B": [[{"d": -7, "a": "0", "b": "1"}, "0"], ["0", "0"]],
+        "D": [["2", "0"], ["1", "3"]],
+    }
+    (tmp_path / "act.json").write_text(json.dumps(act))
+    proc = run_process(["relation", "build-nonarch", "--act", "act.json"], tmp_path)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"error": "mixed quadratic contexts: sqrt(-7) vs sqrt(5)"}
+    assert "Traceback" not in proc.stderr
+
+
+QUADRATIC_DATA = {"g": 1,"M": [["1"]], "F": [[{"d": 5, "a": "1", "b": "1"}]], "G": [["1"]]}  # F = 1 + sqrt 5
 QUADRATIC_REFERENCE_ERRORS = {
     ("--x", "5", "--place", "5"): "finite-place absolute value supported for rational values only",
     ("--x", "1/5", "--place", "arch"): "archimedean place needs an embedding selector for quadratic scalars",
@@ -286,7 +301,7 @@ def test_ideal_member_not_in_ideal_embeds_witness(tmp_path, capsys):
     assert res["status"] == "not_in_ideal_certified"
     assert res["witness"]["Y"] == [["1", "0"], ["0", "1"]]
     assert res["value"] == "1"
-    assert str(poly_file) in doc["manifest"]["input_digests"]
+    assert doc["manifest"]["input_digests"] == {str(poly_file): hashlib.sha256(poly_file.read_bytes()).hexdigest()}
 
 
 def test_relation_build_nonarch_roundtrip(tmp_path, capsys):

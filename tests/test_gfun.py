@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from periodrel import gfun, series
 from periodrel.gfun import (
     GaussManinCoefficients,
     GFunMatrix,
@@ -126,6 +127,53 @@ def test_second_derivative_composes():
     via_two_steps = derive_G(derive_G(f, once), once)
     direct = derive_G(f, twice)
     assert via_two_steps.entries[0][0] == direct.entries[0][0]
+
+
+def random_rational_series(rng, order: int, zero: bool = False) -> TS:
+    if zero:
+        return TS.zero(order)
+    return TS.from_coeffs([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 16))) for _ in range(order + 1)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_derive_matches_schoolbook(seed):
+    """The integer-summed derive_G against the schoolbook path, with zero
+    a-series and F entries, and a-orders above and below F.order - N."""
+    rng = random.Random(f"derive-{seed}")
+    for _ in range(4):
+        g, n = rng.randint(1, 3), rng.randint(0, 3)
+        order = rng.randint(n, n + 12)
+        f = GFunMatrix.from_series(
+            g, [[random_rational_series(rng, order, rng.random() < 0.2) for _ in range(g)] for _ in range(g)]
+        )
+        a = GaussManinCoefficients(
+            g,
+            n,
+            tuple(
+                tuple(
+                    tuple(random_rational_series(rng, rng.randint(0, order), rng.random() < 0.3) for _ in range(g))
+                    for _ in range(n + 1)
+                )
+                for _ in range(g)
+            ),
+        )
+        out_order = min(f.order - n, min(s.order for s in a.all_series()))
+        got = derive_G(f, a)
+        assert got.to_json() == gfun._derive_generic(f, a, out_order).to_json()
+        assert all(type(c) is Fraction for row in got.entries for s in row for c in s.coeffs)
+
+
+def test_packed_matrix_product_at_the_slot_edge():
+    """Every entry at its largest magnitude and one sign, so each sum of
+    products comes near the slot bound; the sizes cover every rounding of
+    the slot width to whole bytes."""
+    for k in range(8, 16):
+        c = 2**k - 1
+        for m, inner in ((1, 1), (5, 3), (13, 6)):
+            a = [[[c] * m for _ in range(inner)] for _ in range(2)]
+            b = [[[-c] * m, [c] * m] for _ in range(inner)]
+            want = [[[inner * (t + 1) * c * y for t in range(m)] for y in (-c, c)] for _ in range(2)]
+            assert series._matmul_trunc(a, b, m) == want
 
 
 def test_insufficient_precision_rejected():

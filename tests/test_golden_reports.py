@@ -7,7 +7,9 @@ inputs cover nonarch certificates at g = 1..3 over Q, Q(sqrt 5) and
 Q(sqrt -7) with mixed entry types and every witness case (an action with
 A = D stops at its singular Sylvester system), case-3
 certificates from seeds and from mixed-type input files, small ideal and
-symplectic runs, and every relation error path.  After an intended report
+symplectic runs, every relation error path, series inversions over Z, Q,
+Q(sqrt 5) (zeros in both encodings), Q(sqrt -7) and mixed input, and
+`gfun derive`/`gfun check` over Q and Q(sqrt 5).  After an intended report
 change, GOLDEN is the output of :func:`report_digests` on the new code.
 """
 
@@ -114,7 +116,97 @@ def _inputs() -> tuple[dict, list]:
     for g in (1, 2, 3):
         cases.append((f"sample-{g}", ["symplectic", "sample", "--g", str(g), "--seed", str(g)]))
     cases.append(("sample-mu", ["symplectic", "sample", "--g", "2", "--mu", "-7/5", "--word-length", "3"]))
+    _series_inputs(files, cases)
     return files, cases
+
+
+def _q(d, a, b=0) -> dict:
+    return scalar_to_json(QuadScalar(d, Fraction(a), Fraction(b)))
+
+
+def _series_json(coeffs) -> dict:
+    return {"order": len(coeffs) - 1, "coeffs": [c if isinstance(c, dict) else str(c) for c in coeffs]}
+
+
+def _series_inputs(files: dict, cases: list) -> None:
+    """`series invert`, `gfun derive` and `gfun check` cases."""
+    rng = random.Random(12)
+    files["inv-z.json"] = _series_json([0, 1] + [rng.randint(-3, 3) for _ in range(119)])
+    for order in (1, 2, 60, 120):
+        cases.append((f"invert-z-{order}", ["series", "invert", "--series", "inv-z.json", "--order", str(order)]))
+    files["inv-q.json"] = _series_json(
+        [0, Fraction(-3, 2)] + [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(24)]
+    )
+    # Q(sqrt 5) and Q(sqrt -7): dense, and sparse with zeros in both encodings
+    files["inv-q5-dense.json"] = _series_json(
+        [_q(5, 0), _q(5, 1)] + [_q(5, rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(29)]
+    )
+    files["inv-q5-cancel.json"] = _series_json([_q(5, c) for c in (0, 1, 1, 1, 0)])
+    files["inv-q5-plain.json"] = _series_json([_q(5, c) for c in (0, 1, 0, 1, 0)])
+    files["inv-q5-sparse.json"] = _series_json(
+        ["0", _q(5, 2, 1)] + [_q(5, rng.choice((0, 0, 1)), rng.choice((0,) * 5 + (1,))) for _ in range(23)]
+    )
+    r29 = random.Random(29)  # its inverse has a plain 0 and a quadratic zero past X^1
+    files["inv-q5-rational.json"] = _series_json(
+        [_q(5, 0), _q(5, 1)] + [_q(5, r29.choice((0, 0, 1, -1)), r29.choice((0,) * 9 + (1,))) for _ in range(19)]
+    )
+    files["inv-q-7-sparse.json"] = _series_json(
+        [_q(-7, 0), _q(-7, 1)] + [_q(-7, rng.choice((0, 0, -1)), rng.choice((0,) * 5 + (1,))) for _ in range(19)]
+    )
+    files["inv-mixed.json"] = _series_json(
+        [0, _q(5, 1, 1)] + [rng.choice((rng.randint(-3, 3), _q(5, 1, rng.randint(-2, 2)))) for _ in range(11)]
+    )
+    files["inv-two-fields.json"] = _series_json([0, _q(5, 1), _q(2, 0, 1), 1])
+    for name in ("q", "q5-dense", "q5-cancel", "q5-plain", "q5-sparse", "q5-rational", "q-7-sparse", "mixed", "two-fields"):
+        cases.append((f"invert-{name}", ["series", "invert", "--series", f"inv-{name}.json"]))
+
+    hyp = [Fraction(1)]
+    for n in range(24):
+        hyp.append(hyp[-1] * Fraction((2 * n + 1) ** 2, (2 * n + 2) ** 2))
+    c = [[2, -1], [1, 3]]
+    files["gfun-F.json"] = {
+        "g": 2, "entries": [[_series_json([c[l][j] * x for x in hyp]) for j in range(2)] for l in range(2)]
+    }
+    files["gfun-F-q5.json"] = {
+        "g": 2,
+        "entries": [
+            [_series_json([_q(5, c[l][j] * x, x if j else 0) for x in hyp]) for j in range(2)] for l in range(2)
+        ],
+    }
+
+    def a_json(entry, order) -> dict:
+        return {
+            "g": 2, "N": 2,
+            "a": [[[_series_json([entry(i, k, l, n) for n in range(order + 1)]) for l in range(2)] for k in range(3)] for i in range(2)],
+        }
+
+    # zero a-series at (i, k, l) = (0, 1, *) and (1, 2, 0), and an a-order below F's
+    files["gfun-a.json"] = a_json(
+        lambda i, k, l, n: 0 if (i, k) == (0, 1) or (i, k, l) == (1, 2, 0) else Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+        18,
+    )
+    files["gfun-a-q5.json"] = a_json(lambda i, k, l, n: _q(5, rng.randint(-2, 2), rng.randint(-1, 1)), 24)
+    files["gfun-a-zero.json"] = a_json(lambda i, k, l, n: 0, 24)
+    for fname, aname in (("F", "a"), ("F", "a-q5"), ("F-q5", "a"), ("F", "a-zero")):
+        cases.append(
+            (f"derive-{fname}-{aname}", ["gfun", "derive", "--F", f"gfun-{fname}.json", "--a", f"gfun-{aname}.json"])
+        )
+
+    grids = {
+        k: [[[rng.randint(-5, 5) for _ in range(13)] for _ in range(2)] for _ in range(2)] for k in "FG"
+    }
+    x, tail = Fraction(5), Fraction(5) ** 13
+    refs = {
+        k: [[str(sum(cf * x**n for n, cf in enumerate(s)) + rng.choice((0, 1, -2)) * tail) for s in row] for row in grid]
+        for k, grid in grids.items()
+    }
+    for k, grid in grids.items():
+        files[f"check-{k}.json"] = {"g": 2, "integral": True, "entries": [[_series_json(s) for s in row] for row in grid]}
+    files["check-data.json"] = {"g": 2, "M": [["1", "0"], ["0", "1"]], **refs}
+    check = ["gfun", "check", "--F", "check-F.json", "--G", "check-G.json", "--data", "check-data.json"]
+    cases.append(("check-p5", check + ["--x", "5", "--place", "5"]))
+    cases.append(("check-outside-disc", check + ["--x", "1/5", "--place", "5"]))
+    cases.append(("check-arch", check + ["--x", "1/7", "--place", "arch"]))
 
 
 def report_digests(tmp_path, capsys) -> dict:
@@ -405,6 +497,26 @@ GOLDEN = {
     "sample-2": "0fabd8389e47189983673b4f6fcad58c2e5a68d25b10674c153b252ce38569c6",
     "sample-3": "07ec653c820f18e2fdea2cbc289b49acc076997a0fa63def297a9b3c731412bb",
     "sample-mu": "0c2d99b9d963afe6e30cfcd628c3f398b5d9e63e32faee0da2094c0e0a0efbce",
+    "invert-z-1": "5639d9d3c1fe349630ca21b21bd0d0e6dd1207b38e522457e2fb8138f67e0196",
+    "invert-z-2": "9609b285158f811cf1ef3442bcd0ded88a2e6413f7da01a39e3dc109c0860828",
+    "invert-z-60": "56ad6e598f841e0a02ef1f7d18cb7ddd0a8dc28ec42c3d4884e2b9a894a57736",
+    "invert-z-120": "365dd21a8c18fa93437e0976dd35fd1a89160effec1251dc242c4bc45c0963e1",
+    "invert-q": "a7ad51a6efed6bb90bdfb8eee494fe4c2a98dfba09fe06a78f8ac6649f488d68",
+    "invert-q5-dense": "69f23dac5ee4343820e6fe0d8f97394cc8b9ad7941dee2022ec6cc8e7e2dbc43",
+    "invert-q5-cancel": "968e28bf5fc34cd3eb8707bd806fb732949225c655c693baa0e83b09f6d3a3a5",
+    "invert-q5-plain": "ea170b04e00045e23ae8038acf653c766b4b1d30b32f13cfc474fa17a3062c5b",
+    "invert-q5-sparse": "433205759344dc4e7cba5264b5de2e4bb1b6e592d17d8264acb81215a3ca0a51",
+    "invert-q5-rational": "47e8dc1505579c56b4de1b4bc41dd2afb276853b0d9ce2b1529408b35ad75811",
+    "invert-q-7-sparse": "a12d4bbe50aee663d26f05ba698065a7e16774d2f3d7ae3013fa42fe7176ba5c",
+    "invert-mixed": "2d0f5a5d2dad067b4b7778f07c1671be386166dd817b88de3d3386de59fe7cfb",
+    "invert-two-fields": "fe5f2f306f63bbe8e06b397b8b16160cc279b2cbe1b4493699cfad5e71eaa946",
+    "derive-F-a": "a8d5a016a98b1fbae62e8f817f9d8d7fc8310ce8fc491d5b1ccedf0a324bf75b",
+    "derive-F-a-q5": "44678b674934f9609e818ec4195e723b8980177a1a5a5d263c27e2e1c9ba3f87",
+    "derive-F-q5-a": "b62e62db169de7ee2bfbbbeb71c034d5d98167a4580db01c61c1ab5e1a0d9b5d",
+    "derive-F-a-zero": "6322ca45e13dba491aee3c6023690aa36bf0f17701167c38dd4d47ca9402da83",
+    "check-p5": "10e37d7cfbffcbf55e01ca6da260934e0f62c7b2825ad44150783da04d4db219",
+    "check-outside-disc": "764a1c6674a047f3b859f74ac096c84050f32b37cf96331db19d76b408720ea4",
+    "check-arch": "3fd7327a792f14c5ea5bad7d633b0d4ac51f726d45fbba7771a8c8328ae3d525",
 }
 
 

@@ -370,6 +370,19 @@ def test_case3_relation_needs_no_substitution_or_second_similitude(monkeypatch):
     assert cert.nontriviality.detail.endswith(f"(generator scalar {Fraction(1) / inp.e})")
 
 
+def test_case3_decides_a_degenerate_period_matrix_by_rank(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("H needs its rank, not its inverse")
+
+    monkeypatch.setattr(mx, "inverse", forbidden)
+    inp = random_case3_input(4, seed=3)
+    build_case3_relation(inp)
+    h = [list(row) for row in inp.H]
+    h[3] = [2 * x for x in h[1]]
+    with pytest.raises(RelationError, match="degenerate period matrix"):
+        build_case3_relation(Case3Input(4, mx.freeze(h), inp.A, inp.B, inp.C, inp.D, inp.sqrt_e))
+
+
 def test_case3_rejects_bad_g():
     for g in (2, 3, 5):
         with pytest.raises(RelationError, match="even g > 2"):

@@ -178,3 +178,21 @@ def test_json_roundtrip():
     assert scalar_to_json(Fraction(4)) == "4"
     for pl in (Place.arch(), Place.arch("tau"), Place.finite(13)):
         assert Place.from_json(pl.to_json()) == pl
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "-0", "7", "-12", "00042", "9" * 400, "-" + "9" * 400, "٣", "-٣١",  # integer fast path
+     "1/2", "-6/4", "+5", " 5", "5 ", "1_000", "1.5", "1e3", "--5", "-", "", "5-", "1/0", "x", "9" * 5000],
+)
+def test_integer_strings_parse_like_the_general_parser(text):
+    try:
+        expected = ("ok", Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        expected = ("error", f"x: not a rational number: {text!r}")
+    try:
+        got = ("ok", scalar_from_json(text, "x"))
+    except ValueError as exc:
+        got = ("error", str(exc))
+    assert got == expected
+    assert got[0] != "ok" or type(got[1]) is Fraction

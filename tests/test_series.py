@@ -17,6 +17,8 @@ from periodrel.series import (
     reciprocal,
 )
 
+from helpers import horner_kcompose
+
 TS = TruncatedSeries
 
 
@@ -350,6 +352,46 @@ def test_packed_quadratic_product_matches_schoolbook():
             real = [s + d * t for s, t in zip(schoolbook(a1, a2, n), schoolbook(b1, b2, n))]
             root = [s + t for s, t in zip(schoolbook(a1, b2, n), schoolbook(b1, a2, n))]
             assert got == (real, root)
+
+
+KERNEL_FIELDS = [None, 5, 2, -1, -7, -4093]
+
+
+def kernel_to_series(x: tuple, d) -> TS:
+    """A kernel series as a TruncatedSeries over Q or Q(sqrt d)."""
+    if d is None:
+        return TS.from_coeffs([Fraction(c) for c in x[0]])
+    return TS.from_coeffs([quad(d, a, b) for a, b in zip(*x)])
+
+
+@pytest.mark.parametrize("d", KERNEL_FIELDS)
+def test_kernel_composition_matches_horner_and_generic(d):
+    rng = random.Random(f"kcompose-{d}")
+    for m in (1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 26):
+        for _ in range(3):
+            bits = rng.choice((1, 3, 17, 64, 90))
+            parts = 1 if d is None else 2
+            f = tuple([rng.randint(-(2**bits), 2**bits) for _ in range(m)] for _ in range(parts))
+            g = tuple([0] + [rng.randint(-(2**bits), 2**bits) for _ in range(m - 1)] for _ in range(parts))
+            got = series._kcompose(f, g, d)
+            assert got == horner_kcompose(f, g, d)
+            if m <= 9 and bits <= 17:
+                want = series._compose_generic(kernel_to_series(f, d), kernel_to_series(g, d))
+                assert kernel_to_series(got, d).coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("d", [None, 5, -7, -4093])
+@pytest.mark.parametrize("m", [16, 26])
+def test_kernel_composition_block_sums_at_the_slot_edge(d, m):
+    """Coefficients of magnitude 2^k - 1 with aligned signs, so the block
+    sums come near the slot bound; eight consecutive k cover every rounding
+    of the slot width to whole bytes."""
+    for k in range(8, 16):
+        c = 2**k - 1
+        g = tuple([0] + [c] * (m - 1) for _ in range(1 if d is None else 2))
+        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            f = ([sa * c] * m,) if d is None else ([sa * c] * m, [sb * c] * m)
+            assert series._kcompose(f, g, d) == horner_kcompose(f, g, d)
 
 
 def random_inverse_input(rng, kind, n):
