@@ -45,9 +45,7 @@ from .trivial_ideal import generators, membership, radicality_certificate, witne
 
 
 class ComputationFailed(RuntimeError):
-    def __init__(self, message: str, **extra):
-        super().__init__(message)
-        self.extra = extra
+    """A computation that cannot finish on its input: exit 1 with error JSON."""
 
 
 class UsageError(Exception):
@@ -473,11 +471,7 @@ def dispatch(argv: list[str]) -> int:
     except DecodeError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2
-    except ComputationFailed as exc:
-        err = {"error": str(exc), **exc.extra}
-        print(json.dumps(err, sort_keys=True))
-        return 1
-    except ResourceCapExceeded as exc:
+    except (ComputationFailed, ResourceCapExceeded) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 1
     report["_command"] = f"{args.command} {getattr(args, 'subcommand', '')}".strip()

@@ -76,13 +76,6 @@ class GFunMatrix:
     ) -> "GFunMatrix":
         return GFunMatrix(g, tuple(tuple(row) for row in grid), integral)
 
-    def truncate(self, order: int) -> "GFunMatrix":
-        return GFunMatrix(
-            self.g,
-            tuple(tuple(s.truncate(order) for s in row) for row in self.entries),
-            self.integral,
-        )
-
     def __add__(self, other: "GFunMatrix") -> "GFunMatrix":
         if self.g != other.g:
             raise ValueError("dimension mismatch")

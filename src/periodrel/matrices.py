@@ -210,8 +210,8 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
         pr = rows[r]
         piv = pr[c]
         for i in range(n):
-            if i != r:
-                f = rows[i][c]
+            f = rows[i][c]
+            if i != r and (f or piv != prev):  # else the step leaves row i as it is
                 rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], pr)]
         pivots.append(c)
         prev = piv

@@ -36,13 +36,12 @@ from .polyalg import (
     adjugate,
     determinant,
     symbolic_matrix,
-    yvar,
-    zvar,
 )
 from .scalars import QuadScalar, Scalar, json_field, json_int, scalar_from_json, scalar_to_json
 from .symplectic import sample_symplectic, standard_form
 from .trivial_ideal import (
     MembershipVerdict,
+    generator_poly,
     point_assignment,
     row_permutation_test,
     row_swap_permutation,
@@ -386,19 +385,11 @@ class Case3Input:
 def quadratic_relation_polys(g: int) -> tuple[MultiPoly, MultiPoly]:
     """The two degree-2 polynomials reading off the (1,2) and (1, g/2+2)
     entries of the skew pairing of a stacked period matrix, written in the
-    top-half Y and Z variables."""
+    top-half Y and Z variables: sum_{k <= g/2} Y[k,1] Z[k,col] - Z[k,1] Y[k,col]."""
     if g % 2 != 0 or g <= 2:
         raise RelationError("Case 3 construction requires even g > 2")
     h = g // 2
-
-    def pairing(col: int) -> MultiPoly:  # sum_k Y[k,1] Z[k,col] - Z[k,1] Y[k,col]
-        terms = {}
-        for k in range(1, h + 1):
-            terms[Monomial.of((yvar(k, 1), 1), (zvar(k, col), 1))] = Fraction(1)
-            terms[Monomial.of((zvar(k, 1), 1), (yvar(k, col), 1))] = Fraction(-1)
-        return MultiPoly(terms)
-
-    return pairing(2), pairing(h + 2)
+    return generator_poly(h, 1, 2), generator_poly(h, 1, h + 2)
 
 
 def _transport(q: MultiPoly, m) -> MultiPoly:

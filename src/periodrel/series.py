@@ -24,7 +24,6 @@ from .scalars import (
     json_field,
     json_int,
     json_list,
-    padic_abs_exact,
     scalar_from_json,
     scalar_to_json,
     valuation,
@@ -687,5 +686,4 @@ __all__ = [
     "globally_bounded_scan",
     "eval_with_tail_bound",
     "padic_partial_sum",
-    "padic_abs_exact",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import matrices as mx
 
@@ -111,46 +112,53 @@ def _random_symmetric(rng: random.Random, g: int) -> list[list[int]]:
     return b
 
 
+def _times(m, b) -> list[list[int]]:
+    """The integer product of a 2g x g column block and a g x g matrix."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in m]
+
+
 def sample_symplectic(g: int, seed: int, word_length: int = 8) -> SymplecticSample:
     """Deterministic exact sample of Sp_2g(Z) as a word in three generator kinds.
 
-    Every generator is integral (a unimodular block beside its
-    inverse-transpose, a symmetric shear, or J), so the word is multiplied
-    out over int, verified over int and converted to Fraction once.  A sample
-    depends on its seed alone; callers drawing many build each on reaching it.
+    Every generator is integral, and right multiplication by one is a column
+    operation on the blocks of M = (L | R): diag(a, a^-t) sends them to
+    (L a, R a^-t), the shear (I S; 0 I) to (L, R + L S), and J to (-R, L).
+    So the word is applied over int, verified over int and converted to
+    Fraction once.  A sample depends on its seed alone; callers drawing many
+    build each on reaching it.
 
     Degenerate draws (words whose leading g x g block is singular, which would
     park the projected frame outside the open cell) are regenerated by
-    extending the word; the result is still an exact generator word and is
-    deterministic given the seed.
+    extending the word by a shear and J; the result is still an exact
+    generator word and is deterministic given the seed.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
     rng = random.Random(seed)
-    eye = mx.freeze([[int(i == j) for j in range(g)] for i in range(g)])
-    zero = mx.freeze([[0] * g for _ in range(g)])
-    j = mx.block(zero, eye, mx.scalar_mul(-1, eye), zero)
-    m = mx.block(eye, zero, zero, eye)
+    left = [[int(i == j) for j in range(g)] for i in range(2 * g)]
+    right = [[int(i == j + g) for j in range(g)] for i in range(2 * g)]
 
-    def gen_of(kind: str):
+    def apply(kind: str, left: list, right: list) -> tuple[list, list]:
         if kind == "linear":
             a, a_inv_t = _random_unimodular(rng, g)
-            return mx.block(mx.freeze(a), zero, zero, mx.freeze(a_inv_t))
+            return _times(left, a), _times(right, a_inv_t)
         if kind == "shear":
-            return mx.block(eye, mx.freeze(_random_symmetric(rng, g)), zero, eye)
-        return j
+            ls = _times(left, _random_symmetric(rng, g))
+            return left, [[x + y for x, y in zip(r, s)] for r, s in zip(right, ls)]
+        return [[-x for x in row] for row in right], left
 
     for _ in range(word_length):
-        m = mx.mat_mul(m, gen_of(rng.choice(("linear", "shear", "swap"))))
+        left, right = apply(rng.choice(("linear", "shear", "swap")), left, right)
     if word_length > 0:
         guard = 0
-        while mx.det(mx.freeze([row[:g] for row in m[:g]])) == 0:
+        while mx.det(left[:g]) == 0:
             # a shear followed by J replaces the leading block by a generic mix
-            m = mx.mat_mul(mx.mat_mul(m, gen_of("shear")), j)
+            left, right = apply("swap", *apply("shear", left, right))
             guard += 1
             if guard > 60:
                 raise AssertionError("could not regenerate a non-degenerate word")
-    return SymplecticSample(m, 1)
+    return SymplecticSample([lr + rr for lr, rr in zip(left, right)], 1)
 
 
 def with_multiplier(s: SymplecticSample, mu: Fraction) -> SymplecticSample:

@@ -118,13 +118,23 @@ def _iter_sampled_points(g: int, budget: int, seed: int) -> Iterator[tuple]:
 
 
 def jacobian_rank_at(ideal: TrivialIdeal, point: tuple) -> int:
-    """Exact rank over Q of the m x 2g^2 Jacobian of the generators at a point."""
+    """Exact rank over Q of the m x 2g^2 Jacobian of the generators at a point.
+
+    f_ij is bilinear, so its row is read off the point: Y[k,i] gets z[k][j],
+    Y[k,j] gets -z[k][i], Z[k,j] gets y[k][i] and Z[k,i] gets -y[k][j], in
+    the column order of :meth:`TrivialIdeal.variables`."""
     y, z = point
-    assignment = point_assignment(y, z)
-    variables = ideal.variables()
+    g = ideal.g
     rows = []
-    for f in ideal.generators:
-        rows.append([f.partial(v).evaluate(assignment) for v in variables])
+    for i, j in ideal.pairs():
+        row = [Fraction(0)] * (2 * g * g)
+        for k in range(g):
+            yk, zk = k * g - 1, (g + k) * g - 1  # Y[k+1, c] is column yk + c, Z[k+1, c] zk + c
+            row[yk + i] += z[k][j - 1]
+            row[yk + j] -= z[k][i - 1]
+            row[zk + j] += y[k][i - 1]
+            row[zk + i] -= y[k][j - 1]
+        rows.append(row)
     if not rows:
         return 0
     return mx.rank(mx.freeze(rows))

@@ -12,12 +12,20 @@ from periodrel.relations import Case3Input, EndomorphismAction, SelectedEntry, q
 from periodrel.scalars import Place, QuadScalar, scalar_to_json
 from periodrel.series import TruncatedSeries
 from periodrel.symplectic import sample_symplectic, standard_form
-from periodrel.trivial_ideal import _iter_sampled_points
+from periodrel.trivial_ideal import TrivialIdeal, _iter_sampled_points, point_assignment
 
 
 def sampled_points(g: int, budget: int, seed: int) -> list[tuple]:
     """The first ``budget`` sampled isotropic points that membership tries."""
     return list(_iter_sampled_points(g, budget, seed))
+
+
+def jacobian_rows(ideal: TrivialIdeal, point: tuple) -> list[list]:
+    """The Jacobian of the generators at (y, z) by symbolic differentiation
+    and evaluation: the oracle for the rows jacobian_rank_at reads off."""
+    assignment = point_assignment(*point)
+    variables = ideal.variables()
+    return [[f.partial(v).evaluate(assignment) for v in variables] for f in ideal.generators]
 
 
 def unfreeze(m) -> list:

@@ -275,6 +275,13 @@ def test_ideal_radical_report(capsys):
     assert doc["manifest"]["versions"]["periodrel"]
 
 
+def test_ideal_radical_at_g24(capsys):
+    code, doc = run_json(capsys, ["ideal", "radical", "--g", "24"])
+    assert code == 0
+    assert doc["result"]["verdict"] == "radical"
+    assert doc["result"]["rank"] == doc["result"]["generator_count"] == 276
+
+
 def test_reports_are_byte_identical_for_same_seed(capsys):
     _, out1 = run(capsys, ["symplectic", "sample", "--g", "2", "--seed", "42"])
     _, out2 = run(capsys, ["symplectic", "sample", "--g", "2", "--seed", "42"])

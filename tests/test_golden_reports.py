@@ -111,11 +111,12 @@ def _inputs() -> tuple[dict, list]:
     for fname in ("member-2.json", "nonmember-2.json", "hidden-2.json"):
         cases.append((f"member-{fname}", ["ideal", "member", "--poly", fname, "--g", "2", "--budget", "4"]))
     cases.append(("member-3", ["ideal", "member", "--poly", "member-3.json", "--g", "3", "--budget", "2", "--seed", "5"]))
-    for g in (1, 2, 3):
+    for g in (1, 2, 3, 6, 8):
         cases.append((f"radical-{g}", ["ideal", "radical", "--g", str(g), "--seed", "3"]))
     for g in (1, 2, 3):
         cases.append((f"sample-{g}", ["symplectic", "sample", "--g", str(g), "--seed", str(g)]))
     cases.append(("sample-mu", ["symplectic", "sample", "--g", "2", "--mu", "-7/5", "--word-length", "3"]))
+    cases.append(("sample-6-w20", ["symplectic", "sample", "--g", "6", "--seed", "6", "--word-length", "20"]))
     _series_inputs(files, cases)
     return files, cases
 
@@ -493,10 +494,13 @@ GOLDEN = {
     "radical-1": "c7c946c641fd2a2e48c9c9bf1c63feceb6c69a3184241b00c533eb9be3a61720",
     "radical-2": "adf05944cfa9b3f588c02a198f3a141cc001d7b25920af68b83f9f259aa7baba",
     "radical-3": "bb519613e9fa37012a5b0d3389b61bd3d686ad1095546f8095d79acdba04b5af",
+    "radical-6": "6ad562ca05cc9b17b0a93d91fba05b751b8d9be3c80df1597e225e2fd7445942",
+    "radical-8": "7d667118943e58f536d834d78e9d11ed88979381fbf2fd4b2c9eef63685d4c05",
     "sample-1": "fbc8f34ad3b684661adcbc2a4cae1e9f5e82bf96920e7c8ddd3ddaa56b1dcfda",
     "sample-2": "0fabd8389e47189983673b4f6fcad58c2e5a68d25b10674c153b252ce38569c6",
     "sample-3": "07ec653c820f18e2fdea2cbc289b49acc076997a0fa63def297a9b3c731412bb",
     "sample-mu": "0c2d99b9d963afe6e30cfcd628c3f398b5d9e63e32faee0da2094c0e0a0efbce",
+    "sample-6-w20": "4f4de9438524d3b59985734b6d0aa7c9eb6cb727a04572b6e02774887e2b5c34",
     "invert-z-1": "5639d9d3c1fe349630ca21b21bd0d0e6dd1207b38e522457e2fb8138f67e0196",
     "invert-z-2": "9609b285158f811cf1ef3442bcd0ded88a2e6413f7da01a39e3dc109c0860828",
     "invert-z-60": "56ad6e598f841e0a02ef1f7d18cb7ddd0a8dc28ec42c3d4884e2b9a894a57736",

@@ -185,18 +185,22 @@ def gauss_inverse(m):
 
 
 _ENTRY = st.just(Fraction(0)) | st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_SPARSE = st.sampled_from((Fraction(0), Fraction(0), Fraction(0), Fraction(1), Fraction(-1)))
 
 
 @st.composite
 def _system(draw, square: bool = False):
     """(a, rhs): a rational matrix, often of deficient rank, and a right-hand
-    side that is consistent when ``a x`` was drawn, arbitrary otherwise."""
+    side that is consistent when ``a x`` was drawn, arbitrary otherwise.
+    Some draws are sparse 0/+-1 matrices, whose eliminations leave rows
+    with a zero in the pivot column untouched."""
+    entry = draw(st.sampled_from((_ENTRY, _SPARSE)))
     r = draw(st.integers(1, 6))
     c = r if square else draw(st.integers(1, 7))
     independent = draw(st.integers(1, r))
-    rows = [[draw(_ENTRY) for _ in range(c)] for _ in range(independent)]
+    rows = [[draw(entry) for _ in range(c)] for _ in range(independent)]
     for _ in range(r - independent):  # combinations stay in the span of the first rows
-        coeffs = [draw(_ENTRY) for _ in rows]
+        coeffs = [draw(entry) for _ in rows]
         rows.append([sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(c)])
     a = mx.freeze(rows[i] for i in draw(st.permutations(range(r))))
     if draw(st.booleans()):

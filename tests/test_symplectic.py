@@ -232,11 +232,20 @@ def _fraction_word(g, seed, word_length):
     return m
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("word_length", [0, 1, 4, 8])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("word_length", [0, 1, 4, 8, 20])
 def test_integer_word_matches_fraction_oracle(g, word_length):
     for seed in range(20):
         s = sample_symplectic(g, seed, word_length)
         assert all(type(x) is Fraction for row in s.matrix for x in row)
         assert s.matrix == _fraction_word(g, seed, word_length)
         assert s.multiplier == 1
+
+
+def test_words_apply_as_column_operations(monkeypatch):
+    wide = []
+    real = mx.mat_mul
+    monkeypatch.setattr(mx, "mat_mul", lambda a, b: wide.extend(len(m) for m in (a, b) if len(m) == 6) or real(a, b))
+    for seed in range(10):
+        sample_symplectic(3, seed, word_length=8)
+    assert wide == []

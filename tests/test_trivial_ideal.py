@@ -5,6 +5,7 @@ import pytest
 
 from periodrel import matrices as mx
 from periodrel.polyalg import Monomial, MultiPoly, determinant, symbolic_matrix, yvar, zvar
+from periodrel.scalars import QuadScalar
 from periodrel.symplectic import project_to_V, sample_symplectic, with_multiplier
 from periodrel.trivial_ideal import (
     generators,
@@ -17,7 +18,7 @@ from periodrel.trivial_ideal import (
     structured_witnesses,
 )
 
-from helpers import sampled_points
+from helpers import jacobian_rows, sampled_points
 
 
 def test_generator_counts():
@@ -89,6 +90,57 @@ def test_jacobian_rank_at_canonical_witness(g, expected):
 def test_jacobian_rank_at_origin_is_zero():
     ideal = generators(2)
     assert jacobian_rank_at(ideal, (mx.zeros(2, 2), mx.zeros(2, 2))) == 0
+
+
+def _jacobian_points(g: int) -> list[tuple]:
+    """(I, 0), the origin, the structured witnesses, sampled frames, and
+    random points off the variety over Q and over Q(sqrt 5)."""
+    rng = random.Random(g)
+
+    def q() -> Fraction:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def block(entry):
+        return mx.freeze([[entry() for _ in range(g)] for _ in range(g)])
+
+    def q5():
+        return rng.choice((q(), QuadScalar(5, q(), q())))
+
+    zero = mx.zeros(g, g)
+    return [
+        (mx.identity(g), zero),
+        (zero, zero),
+        *structured_witnesses(g),
+        *sampled_points(g, 3, g),
+        (block(q), block(q)),
+        (block(q5), block(q5)),
+    ]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_jacobian_rows_match_the_symbolic_oracle(g, monkeypatch):
+    ideal = generators(g)
+    seen = []
+    real = mx.rank
+    monkeypatch.setattr(mx, "rank", lambda m: seen.append(m) or real(m))
+    for point in _jacobian_points(g):
+        seen.clear()
+        r = jacobian_rank_at(ideal, point)
+        want = jacobian_rows(ideal, point)
+        got = [list(row) for row in seen[0]] if seen else []
+        assert got == want
+        assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+        assert r == (real(mx.freeze(want)) if want else 0)
+
+
+def test_radicality_makes_no_symbolic_derivative(monkeypatch):
+    calls = []
+    for name in ("partial", "evaluate"):
+        real = getattr(MultiPoly, name)
+        monkeypatch.setattr(MultiPoly, name, lambda self, *a, _n=name, _f=real: calls.append(_n) or _f(self, *a))
+    cert = radicality_certificate(generators(4))
+    assert cert.verdict == "radical" and cert.rank == 6
+    assert calls == []
 
 
 def test_radicality_certificates():
