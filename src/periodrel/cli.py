@@ -25,14 +25,13 @@ from .polyalg import MONOMIAL_ORDER, MultiPoly, ResourceCapExceeded, poly_matrix
 from .relations import (
     Case3Input,
     EndomorphismAction,
-    RelationError,
     SyntheticPeriodData,
     build_case3_relation,
     build_nonarch_certificate,
     random_case3_input,
     verify_relation_on_data,
 )
-from .scalars import DecodeError, Place, ScalarError, json_list, scalar_from_json, scalar_to_json
+from .scalars import DecodeError, Place, json_list, scalar_from_json, scalar_to_json
 from .series import (
     TruncatedSeries,
     compositional_inverse,
@@ -130,22 +129,16 @@ def _summarise(report: dict) -> str:
 
 
 def _parse_place(text: str) -> Place:
-    if text in ("arch", "inf"):
-        return Place.arch()
-    if text.startswith("arch/"):
-        try:
+    """``arch``, ``inf``, ``arch/<embedding>``, a place's JSON object or a prime."""
+    try:
+        if text in ("arch", "inf"):
+            return Place.arch()
+        if text.startswith("arch/"):
             return Place.arch(text.split("/", 1)[1])
-        except ScalarError:
-            raise ComputationFailed(f"cannot parse place {text!r}")
-    try:
-        obj = json.loads(text)
-        if isinstance(obj, dict):
-            return Place.from_json(obj)
-    except (json.JSONDecodeError, DecodeError):
-        pass
-    try:
+        if text.lstrip().startswith("{"):
+            return Place.from_json(json.loads(text))
         return Place.finite(int(text))
-    except (ValueError, ScalarError):
+    except ValueError:  # JSON, DecodeError, ScalarError or int()
         raise ComputationFailed(f"cannot parse place {text!r}")
 
 
@@ -161,8 +154,11 @@ def _emit(args, report: dict, digests: dict) -> None:
     doc = {"manifest": manifest, "result": report}
     text = json.dumps(doc, sort_keys=True, indent=2 if args.pretty else None)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ComputationFailed(f"cannot write {args.out}: {exc}")
         print(f"report written to {args.out}")
     else:
         print(text)
@@ -176,10 +172,7 @@ def cmd_series_invert(args, digests):
     f = TruncatedSeries.from_json(_load_json(args.series, digests))
     if args.order is not None:
         f = f.truncate(args.order)
-    try:
-        g = compositional_inverse(f)
-    except ValueError as exc:
-        raise ComputationFailed(str(exc))
+    g = compositional_inverse(f)
     return {"inverse": g.to_json(), "order": g.order}
 
 
@@ -211,8 +204,6 @@ def cmd_series_eval(args, digests):
     x = scalar_from_json(args.x, "--x")
     try:
         res = eval_with_tail_bound(f, x, v, integral_tail=args.integral_tail)
-    except ScalarError as exc:
-        raise ComputationFailed(str(exc))
     except OverflowError:
         raise ComputationFailed(f"evaluation at x = {args.x} overflows a float")
     value = res.value if isinstance(res.value, float) else scalar_to_json(res.value)
@@ -265,16 +256,7 @@ def cmd_ideal_radical(args, digests):
 def cmd_ideal_member(args, digests):
     poly = MultiPoly.from_json(_load_json(args.poly, digests))
     _check_genus(poly, args.g, "poly")
-    verdict = membership(poly, generators(args.g), sample_budget=args.budget, seed=args.seed)
-    out = {"status": verdict.status, "evidence": verdict.evidence_kind, "samples_tested": verdict.samples_tested}
-    if verdict.witness is not None:
-        out["witness"] = witness_to_json(verdict.witness)
-        out["value"] = scalar_to_json(verdict.value)
-    if verdict.remainder is not None:
-        out["remainder"] = verdict.remainder.to_json()
-    if verdict.detail:
-        out["detail"] = verdict.detail
-    return out
+    return membership(poly, generators(args.g), sample_budget=args.budget, seed=args.seed).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +265,7 @@ def cmd_ideal_member(args, digests):
 
 def cmd_relation_build_nonarch(args, digests):
     act = EndomorphismAction.from_json(_load_json(args.act, digests))
-    try:
-        cert = build_nonarch_certificate(act, seed=args.seed)
-    except (RelationError, ScalarError) as exc:
-        raise ComputationFailed(str(exc))
+    cert = build_nonarch_certificate(act, seed=args.seed)
     return {"certificate": cert.to_json()}
 
 
@@ -307,10 +286,7 @@ def cmd_relation_case3(args, digests):
         if args.g % 2 != 0 or args.g <= 2:
             raise ComputationFailed("Case 3 construction requires even g > 2")
         inp = random_case3_input(args.g, args.seed)
-    try:
-        cert = build_case3_relation(inp)
-    except (RelationError, ScalarError) as exc:
-        raise ComputationFailed(str(exc))
+    cert = build_case3_relation(inp)
     return {"certificate": cert.to_json()}
 
 
@@ -321,10 +297,7 @@ def cmd_relation_case3(args, digests):
 def cmd_gfun_derive(args, digests):
     f = GFunMatrix.from_json(_load_json(args.F, digests))
     a = GaussManinCoefficients.from_json(_load_json(args.a, digests))
-    try:
-        g = derive_G(f, a)
-    except ValueError as exc:
-        raise ComputationFailed(str(exc))
+    g = derive_G(f, a)
     return {"G": g.to_json()}
 
 
@@ -345,10 +318,7 @@ def cmd_gfun_check(args, digests):
     data = SyntheticPeriodData.from_json(_load_json(args.data, digests))
     v = _parse_place(args.place)
     x = scalar_from_json(args.x, "--x")
-    try:
-        report = check_period_equation(f, g, data.F, data.G, x, v, tolerance=args.tolerance)
-    except ScalarError as exc:
-        raise ComputationFailed(str(exc))
+    report = check_period_equation(f, g, data.F, data.G, x, v, tolerance=args.tolerance)
     return {"report": report.to_json()}
 
 
@@ -459,24 +429,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(_attach_negative_values(argv))
-    except UsageError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return 2
+    """Run one command and return its exit code; the one place that maps an
+    exception to an exit code.  Bad input exits 2 and a computation that
+    cannot finish exits 1, each printing one ``{"error": ...}`` on stdout.
+    DecodeError is a ValueError, so its clause comes first.  A failed
+    self-check (AssertionError) is not caught, and argparse's own usage
+    errors exit 2 through SystemExit."""
     digests: dict[str, str] = {}
     try:
+        args = build_parser().parse_args(_attach_negative_values(argv))
         report = args.func(args, digests)
-    except DecodeError as exc:
+        report["_command"] = f"{args.command} {getattr(args, 'subcommand', '')}".strip()
+        report["_arguments"] = list(argv)
+        _emit(args, report, digests)
+    except (DecodeError, UsageError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2
-    except (ComputationFailed, ResourceCapExceeded) as exc:
+    except (ComputationFailed, ResourceCapExceeded, ValueError) as exc:  # ScalarError, RelationError
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 1
-    report["_command"] = f"{args.command} {getattr(args, 'subcommand', '')}".strip()
-    report["_arguments"] = list(argv)
-    _emit(args, report, digests)
     return 0
 
 

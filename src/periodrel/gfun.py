@@ -20,6 +20,7 @@ from .scalars import (
     Scalar,
     ScalarError,
     abs_at_place,
+    integer_rows,
     json_field,
     json_int,
     json_list,
@@ -30,7 +31,6 @@ from .series import (
     TruncatedSeries,
     _all_fractions,
     _matmul_trunc,
-    _numerators,
     eval_with_tail_bound,
     radius_lower_bound,
 )
@@ -243,17 +243,16 @@ def _derive_rational(f: GFunMatrix, a: GaussManinCoefficients, out_order: int) -
     right = [[None] * g for _ in range((n + 1) * g)]
     col_dens = []
     for j in range(g):
-        nums, den = _numerators([c for row in f.entries for c in row[j].coeffs[: m + n]])
+        nums, den = integer_rows([row[j].coeffs[: m + n] for row in f.entries])
         col_dens.append(den)
-        for l in range(g):
-            s = nums[l * (m + n) : (l + 1) * (m + n)]
+        for l, s in enumerate(nums):
             for k in range(n + 1):
                 right[k * g + l][j] = s[:m]
                 s = [(t + 1) * x for t, x in enumerate(s[1:])]
     left, row_dens = [], []
     for i in range(1, g + 1):
-        nums, den = _numerators([c for k in range(n + 1) for l in range(1, g + 1) for c in a.a(i, k, l).coeffs[:m]])
-        left.append([nums[t * m : (t + 1) * m] for t in range((n + 1) * g)])
+        nums, den = integer_rows([a.a(i, k, l).coeffs[:m] for k in range(n + 1) for l in range(1, g + 1)])
+        left.append(nums)
         row_dens.append(den)
     prod = _matmul_trunc(left, right, m)
     return GFunMatrix.from_series(
@@ -365,15 +364,20 @@ def check_period_equation(
     """Evaluate both series matrices at x and compare against reference
     period matrices entrywise; each discrepancy is held against the tail
     bound plus the caller's tolerance."""
+    if not f.g == g.g == len(ref_f) == len(ref_g):
+        raise ValueError("dimension mismatch between series matrices and period data")
     checks = []
     for which, mat, ref in (("F", f, ref_f), ("G", g, ref_g)):
         for i in range(mat.g):
             for j in range(mat.g):
-                res: EvalResult = eval_with_tail_bound(
-                    mat.entries[i][j], x_value, v,
-                    integral_tail=mat.integral_at(i, j) and v.is_finite(),
-                )
-                disc = _discrepancy(res.value, ref[i][j], v)
+                try:
+                    res: EvalResult = eval_with_tail_bound(
+                        mat.entries[i][j], x_value, v,
+                        integral_tail=mat.integral_at(i, j) and v.is_finite(),
+                    )
+                    disc = _discrepancy(res.value, ref[i][j], v)
+                except OverflowError:
+                    raise ScalarError(f"{which}[{i + 1}][{j + 1}]: its value or reference overflows a float")
                 if res.tail_valuation is not None and not isinstance(res.value, float):
                     # exact comparison in valuation space, no float boundary
                     diff = res.value - ref[i][j]

@@ -10,11 +10,10 @@ similitude test.  Other entries take the generic field path.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .scalars import QuadScalar, Scalar, json_list, scalar_from_json, scalar_to_json
+from .scalars import QuadScalar, Scalar, integer_rows, json_list, scalar_from_json, scalar_to_json
 
 Matrix = tuple  # tuple[tuple[Scalar, ...], ...]
 
@@ -137,11 +136,10 @@ def clear_denominators(m):
                     d = x.d
             elif not isinstance(x, (int, Fraction)):
                 return None
-    parts = [[(x.a, x.b) if isinstance(x, QuadScalar) else (x, 0) for x in row] for row in m]
-    den = lcm(*(y.denominator for row in parts for pair in row for y in pair))
-    p = [[a.numerator * (den // a.denominator) for a, _ in row] for row in parts]
-    q = [[b.numerator * (den // b.denominator) for _, b in row] for row in parts]
-    return d, p, q, den
+    parts = [[x.a if isinstance(x, QuadScalar) else x for x in row] for row in m]
+    parts += ([x.b if isinstance(x, QuadScalar) else 0 for x in row] for row in m)
+    rows, den = integer_rows(parts)
+    return d, rows[: len(m)], rows[len(m) :], den
 
 
 def is_similitude(m, mu, g: int) -> bool:
@@ -180,8 +178,7 @@ def _int_rows(rows) -> tuple[list[list[int]], int] | None:
     """(the rows times their common denominator D, as ints; D), or None
     unless every entry is an int or a Fraction."""
     if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
-        _, p, _, den = clear_denominators(rows)
-        return p, den
+        return integer_rows(rows)
     return None
 
 

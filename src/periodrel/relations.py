@@ -37,7 +37,7 @@ from .polyalg import (
     determinant,
     symbolic_matrix,
 )
-from .scalars import QuadScalar, Scalar, json_field, json_int, scalar_from_json, scalar_to_json
+from .scalars import QuadScalar, Scalar, json_field, json_int, scalar_from_json
 from .symplectic import sample_symplectic, standard_form
 from .trivial_ideal import (
     MembershipVerdict,
@@ -45,7 +45,6 @@ from .trivial_ideal import (
     point_assignment,
     row_permutation_test,
     row_swap_permutation,
-    witness_to_json,
 )
 
 
@@ -296,13 +295,9 @@ class RelationCertificate:
 
 
 def _verdict_json(v: MembershipVerdict) -> dict:
-    out = {"status": v.status, "evidence": v.evidence_kind, "samples": v.samples_tested}
-    if v.witness is not None:
-        out["witness"] = witness_to_json(v.witness)
-    if v.value is not None:
-        out["value"] = scalar_to_json(v.value)
-    if v.detail:
-        out["detail"] = v.detail
+    """The membership verdict under the certificate format's key ``samples``."""
+    out = v.to_json()
+    out["samples"] = out.pop("samples_tested")
     return out
 
 

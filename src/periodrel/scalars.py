@@ -161,18 +161,29 @@ def padic_abs_exact(x: Fraction | int, p: int) -> Fraction:
     return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
 
 
+def integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Rows of rationals as integer rows over their least common denominator:
+    (the rows times D, D).  Rows may differ in length."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 def abs_at_place(x: Scalar, v: Place) -> float:
     """The absolute value |x|_v at the given place, as a double.
 
     The single sanctioned exact-to-float boundary.  Returns 0.0 exactly
-    when x = 0.
+    when x = 0, and raises :class:`ScalarError` when |x|_v or the parts it
+    is computed from are past a double's range.
     """
-    if isinstance(x, QuadScalar):
-        return x.abs_at_place(v)
-    x = Fraction(x)
-    if v.kind == "arch":
-        return abs(float(x.numerator) / float(x.denominator))
-    return padic_abs(x, v.p)
+    try:
+        if isinstance(x, QuadScalar):
+            return x.abs_at_place(v)
+        x = Fraction(x)
+        if v.kind == "arch":
+            return abs(float(x.numerator) / float(x.denominator))
+        return padic_abs(x, v.p)
+    except OverflowError:
+        raise ScalarError(f"an absolute value at {v} overflows a float")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .scalars import (
     Scalar,
     ScalarError,
     abs_at_place,
+    integer_rows,
     is_prime,
     json_field,
     json_int,
@@ -352,12 +353,6 @@ def _quadratic_field(coeffs) -> int | None:
     return d if type(c0) is Fraction or (isinstance(c0, QuadScalar) and c0.d == d) else None
 
 
-def _numerators(coeffs) -> tuple[list, int]:
-    """Rational coefficients as integer numerators over one common denominator."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 # ---------------------------------------------------------------------------
 # Composition and inversion
 
@@ -374,8 +369,8 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     n = min(f.order, g.order)
     if not _all_fractions(f.coeffs + g.coeffs):
         return _compose_generic(f, g)
-    fnum, fden = _numerators(f.coeffs[: n + 1])
-    gnum, gden = _numerators(g.coeffs[: n + 1])
+    (fnum,), fden = integer_rows([f.coeffs[: n + 1]])
+    (gnum,), gden = integer_rows([g.coeffs[: n + 1]])
     scaled = [c * gden ** max(k - 1, 0) for k, c in enumerate(gnum)]  # g(D X)
     (r,) = _kcompose((fnum,), (scaled,), None)
     return TruncatedSeries(tuple(Fraction(c, fden * gden**k) for k, c in enumerate(r)), n)
@@ -440,13 +435,9 @@ def _inverse_packed(f: TruncatedSeries, d: int | None) -> TruncatedSeries:
     if isinstance(ci, QuadScalar) and ci.b == 0:
         ci = ci.a  # a rational slope scales in Q; the outputs stay in Q(sqrt d)
     h = [x * ci for x in f.coeffs[2:]]
-    cols = [h] if d is None else [[x.a for x in h], [x.b for x in h]]
-    den = math.lcm(1, *(y.denominator for col in cols for y in col))
+    cols, den = integer_rows([h] if d is None else [[x.a for x in h], [x.b for x in h]])
     # u = X + sum_k (f_k / c) D^(k-1) X^k, integral
-    u = tuple(
-        [0, int(j == 0)] + [y.numerator * (den // y.denominator) * den**k for k, y in enumerate(col)]
-        for j, col in enumerate(cols)
-    )
+    u = tuple([0, int(j == 0)] + [y * den**k for k, y in enumerate(col)] for j, col in enumerate(cols))
     v, untouched = _kinverse(u, d)
     out = [Fraction(0)]
     scale = ci  # c^-k D^-(k-1)
@@ -577,9 +568,7 @@ def globally_bounded_scan(f: TruncatedSeries, prime_bound: int) -> GloballyBound
         return GloballyBoundedReport(pos_radius, (), "bounded")
 
     half = f.order // 2
-    l = 1
-    for den in dens[: half + 1]:
-        l = l * den // math.gcd(l, den)
+    l = math.lcm(*dens[: half + 1])
     if all(l % den == 0 for den in dens):
         return GloballyBoundedReport(pos_radius, bad, "bounded")
 
@@ -619,11 +608,12 @@ def eval_with_tail_bound(
 
     if v.is_finite():
         absx = abs_at_place(x, v)
-        total = f.coeffs[0]
-        xp = x
-        for n in range(1, f.order + 1):
-            total = total + f.coeffs[n] * xp
-            xp = xp * x if n < f.order else xp
+        if _all_fractions(f.coeffs):  # Horner, from the top coefficient down
+            total = f.coeffs[-1]
+            for c in reversed(f.coeffs[:-1]):
+                total = total * x + c
+        else:  # term by term from c_0, the order in which two fields' scalars meet
+            total = sum((c * x**n for n, c in enumerate(f.coeffs[1:], 1)), f.coeffs[0])
         if integral_tail:
             if not f.is_integral():
                 raise ScalarError("integral tail asserted but computed coefficients are not integers")

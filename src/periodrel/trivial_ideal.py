@@ -23,7 +23,7 @@ from .polyalg import (
     yvar,
     zvar,
 )
-from .scalars import Scalar
+from .scalars import Scalar, scalar_to_json
 from .symplectic import project_to_V, sample_symplectic
 
 
@@ -189,6 +189,19 @@ class MembershipVerdict:
 
     def certified_nontrivial(self) -> bool:
         return self.status == "not_in_ideal_certified"
+
+    def to_json(self) -> dict:
+        """The verdict as the reports write it; unset fields are left out."""
+        out = {"status": self.status, "evidence": self.evidence_kind, "samples_tested": self.samples_tested}
+        if self.witness is not None:
+            out["witness"] = witness_to_json(self.witness)
+        if self.value is not None:
+            out["value"] = scalar_to_json(self.value)
+        if self.remainder is not None:
+            out["remainder"] = self.remainder.to_json()
+        if self.detail:
+            out["detail"] = self.detail
+        return out
 
 
 def membership(

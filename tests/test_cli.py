@@ -250,6 +250,65 @@ def test_gfun_check_rational_valued_quadratic_reference(tmp_path, capsys):
     assert [e["ok"] for e in doc["result"]["report"]["entries"]] == [True, False]  # x = 5 against 5, then 6
 
 
+QUADRATIC_ENTRY = {"d": 5, "a": "0", "b": "1"}  # sqrt 5
+ENGINE_ERROR_INPUTS = {
+    "S.json": {"order": 3, "coeffs": ["0", "1", "1/2", "1/3"]},
+    "Q.json": {"order": 3, "coeffs": ["0", "1", QUADRATIC_ENTRY, "1/3"]},
+    "F.json": {"g": 1, "entries": [[{"order": 3, "coeffs": ["1", "1", "1", "1"]}]]},
+    "AQ.json": {"g": 1, "N": 0, "a": [[[{"order": 3, "coeffs": ["1", QUADRATIC_ENTRY, "0", "0"]}]]]},
+    "A.json": {"g": 1, "N": 0, "a": [[[{"order": 3, "coeffs": ["1", "1/2", "0", "0"]}]]]},
+    "G2.json": {"g": 2, "entries": [[SERIES, SERIES], [SERIES, SERIES]]},
+    "data-g1.json": DECODE_INPUTS["data-g1.json"],
+    "huge.json": {"order": 2, "coeffs": ["0", "1", "1" + "0" * 400]},
+}
+RADII = ("gfun", "radii", "--F", "F.json", "--a")
+ENGINE_ERRORS = {  # a ScalarError each, but for the last, a plain ValueError
+    ("series", "radius", "--series", "S.json", "--place", "3", "--integral"): (
+        "integrality asserted but computed coefficients are not integers"
+    ),
+    ("series", "radius", "--series", "Q.json", "--place", "3"): (
+        "finite-place absolute value supported for rational values only"
+    ),
+    ("series", "radius", "--series", "Q.json", "--place", "arch"): (
+        "archimedean place needs an embedding selector for quadratic scalars"
+    ),
+    ("series", "gb-scan", "--series", "Q.json"): "globally-bounded scan is defined over rational coefficients",
+    (*RADII, "AQ.json", "--places", '[{"kind":"finite","p":3}]'): (
+        "finite-place absolute value supported for rational values only"
+    ),
+    (*RADII, "AQ.json", "--places", '[{"kind":"arch"}]'): (
+        "archimedean place needs an embedding selector for quadratic scalars"
+    ),
+    (*RADII, "A.json", "--places", '[{"kind":"arch"}]', "--excluded", json.dumps([QUADRATIC_ENTRY])): (
+        "archimedean place needs an embedding selector for quadratic scalars"
+    ),
+    ("series", "radius", "--series", "huge.json", "--place", "arch"): "an absolute value at arch overflows a float",
+    ("gfun", "check", "--F", "F.json", "--G", "F.json", "--data", "data-g1.json", "--x", "1e400", "--place", "arch"): (
+        "F[1][1]: its value or reference overflows a float"
+    ),
+    ("gfun", "check", "--F", "F.json", "--G", "G2.json", "--data", "data-g1.json", "--x", "0", "--place", "3"): (
+        "dimension mismatch between series matrices and period data"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(ENGINE_ERRORS))
+def test_engine_errors_exit_1_with_json(argv, tmp_path):
+    for name, doc in ENGINE_ERROR_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    proc = run_process(list(argv), tmp_path)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"error": ENGINE_ERRORS[argv]}
+    assert proc.stderr == ""
+
+
+def test_unwritable_out_file_exits_1_with_json(tmp_path):
+    proc = run_process(["ideal", "gens", "--g", "1", "--out", str(tmp_path / "missing" / "r.json")], tmp_path)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"].startswith(f"cannot write {tmp_path / 'missing' / 'r.json'}: ")
+    assert proc.stderr == ""
+
+
 def test_interleaved_dispatch_matches_fresh_processes(tmp_path, capsys, monkeypatch):
     (tmp_path / "f.json").write_text(json.dumps(TruncatedSeries.from_coeffs([0, 1, 2, -1, 3]).to_json()))
     argvs = [
