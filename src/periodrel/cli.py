@@ -52,13 +52,19 @@ class UsageError(Exception):
     which argparse would turn into a usage message on stderr."""
 
 
-def _at_least(flag: str, low: int):
-    """An argparse type: an int >= low, else a UsageError naming the flag."""
+GENUS_CAP = 32  # every --g flag: past it, ideal gens and radical take seconds and hundreds of MB
+
+
+def _int_in(flag: str, low: int | None = None, high: int | None = None):
+    """An argparse type: an int in [low, high], either end open when None,
+    else a UsageError naming the flag."""
 
     def parse(text: str) -> int:
         n = int(text)
-        if n < low:
+        if low is not None and n < low:
             raise UsageError(f"{flag} must be >= {low}, got {n}")
+        if high is not None and n > high:
+            raise UsageError(f"{flag} must be <= {high}, got {n}")
         return n
 
     parse.__name__ = "int"  # argparse names the type in its own errors
@@ -142,10 +148,10 @@ def _parse_place(text: str) -> Place:
         raise ComputationFailed(f"cannot parse place {text!r}")
 
 
-def _emit(args, report: dict, digests: dict) -> None:
+def _emit(args, argv: list[str], report: dict, digests: dict) -> None:
     manifest = {
-        "command": report.pop("_command"),
-        "arguments": report.pop("_arguments"),
+        "command": f"{args.command} {getattr(args, 'subcommand', '')}".strip(),
+        "arguments": list(argv),
         "seed": getattr(args, "seed", None),
         "versions": {"periodrel": __version__, "report_format": 1},
         "input_digests": digests,
@@ -234,8 +240,7 @@ def cmd_ideal_gens(args, digests):
         "count": ideal.generator_count,
         "monomial_order": MONOMIAL_ORDER,
         "generators": [
-            {"i": i, "j": j, "poly": ideal.generator(i, j).to_json()}
-            for i, j in ideal.pairs()
+            {"i": i, "j": j, "poly": f.to_json()} for (i, j), f in zip(ideal.pairs(), ideal.generators)
         ],
     }
 
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_sub = p_series.add_subparsers(dest="subcommand", required=True)
     p = leaf(s_sub, "invert", help="compositional inverse")
     p.add_argument("--series", required=True)
-    p.add_argument("--order", type=_at_least("--order", 0), default=None)
+    p.add_argument("--order", type=_int_in("--order", 0), default=None)
     p.set_defaults(func=cmd_series_invert)
     p = leaf(s_sub, "radius", help="per-place radius lower bound")
     p.add_argument("--series", required=True)
@@ -354,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series_radius)
     p = leaf(s_sub, "gb-scan", help="globally-bounded denominator scan")
     p.add_argument("--series", required=True)
-    p.add_argument("--prime-bound", type=_at_least("--prime-bound", 2), default=50)
+    p.add_argument("--prime-bound", type=_int_in("--prime-bound", 2), default=50)
     p.set_defaults(func=cmd_series_gb_scan)
     p = leaf(s_sub, "eval", help="evaluate with a tail bound")
     p.add_argument("--series", required=True)
@@ -366,25 +371,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_sym = sub.add_parser("symplectic", help="exact similitude sampling")
     y_sub = p_sym.add_subparsers(dest="subcommand", required=True)
     p = leaf(y_sub, "sample")
-    p.add_argument("--g", type=_at_least("--g", 1), required=True)
+    p.add_argument("--g", type=_int_in("--g", 1, GENUS_CAP), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mu", type=_multiplier, default=Fraction(1))
-    p.add_argument("--word-length", type=_at_least("--word-length", 0), default=8)
+    p.add_argument("--word-length", type=_int_in("--word-length", 0), default=8)
     p.set_defaults(func=cmd_symplectic_sample)
 
     p_ideal = sub.add_parser("ideal", help="trivial-relations ideal")
     i_sub = p_ideal.add_subparsers(dest="subcommand", required=True)
     p = leaf(i_sub, "gens")
-    p.add_argument("--g", type=_at_least("--g", 1), required=True)
+    p.add_argument("--g", type=_int_in("--g", 1, GENUS_CAP), required=True)
     p.set_defaults(func=cmd_ideal_gens)
     p = leaf(i_sub, "radical")
-    p.add_argument("--g", type=_at_least("--g", 1), required=True)
+    p.add_argument("--g", type=_int_in("--g", 1, GENUS_CAP), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ideal_radical)
     p = leaf(i_sub, "member")
     p.add_argument("--poly", required=True)
-    p.add_argument("--g", type=_at_least("--g", 1), required=True)
-    p.add_argument("--budget", type=_at_least("--budget", 0), default=25)
+    p.add_argument("--g", type=_int_in("--g", 1, GENUS_CAP), required=True)
+    p.add_argument("--budget", type=_int_in("--budget", 0), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ideal_member)
 
@@ -399,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_relation_verify)
     p = leaf(r_sub, "case3")
-    p.add_argument("--g", type=int, default=4)
+    p.add_argument("--g", type=_int_in("--g", high=GENUS_CAP), default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--input", default=None, help="explicit Case3 input JSON")
     p.set_defaults(func=cmd_relation_case3)
@@ -438,10 +443,7 @@ def dispatch(argv: list[str]) -> int:
     digests: dict[str, str] = {}
     try:
         args = build_parser().parse_args(_attach_negative_values(argv))
-        report = args.func(args, digests)
-        report["_command"] = f"{args.command} {getattr(args, 'subcommand', '')}".strip()
-        report["_arguments"] = list(argv)
-        _emit(args, report, digests)
+        _emit(args, argv, args.func(args, digests), digests)
     except (DecodeError, UsageError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2

@@ -16,14 +16,15 @@ from typing import Sequence
 from .scalars import (
     DecodeError,
     Place,
-    QuadScalar,
     Scalar,
     ScalarError,
     abs_at_place,
+    arch_value,
     integer_rows,
     json_field,
     json_int,
     json_list,
+    scalar_to_json,
     valuation,
 )
 from .series import (
@@ -329,8 +330,6 @@ class PeriodCheckReport:
     all_ok: bool
 
     def to_json(self) -> dict:
-        from .scalars import scalar_to_json
-
         def enc(x):
             return x if isinstance(x, float) else scalar_to_json(x)
 
@@ -395,15 +394,5 @@ def check_period_equation(
 def _discrepancy(value, reference, v: Place) -> float:
     if v.is_finite():
         return abs_at_place(value - reference, v)  # a ScalarError unless rational-valued
-    value, reference = (_arch_float(x, v) for x in (value, reference))
+    value, reference = (x if isinstance(x, float) else arch_value(x, v) for x in (value, reference))
     return abs(value - reference)
-
-
-def _arch_float(x, v: Place) -> float | complex:
-    """A value or reference as a number at the archimedean place v."""
-    if isinstance(x, QuadScalar) and x.b != 0:
-        if v.embedding is None:
-            raise ScalarError("archimedean place needs an embedding selector for quadratic scalars")
-        return x.embed(v.embedding)  # complex over an imaginary field
-    x = x.a if isinstance(x, QuadScalar) else x
-    return x if isinstance(x, float) else float(Fraction(x))

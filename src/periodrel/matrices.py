@@ -98,23 +98,6 @@ def submatrix(m, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
     return freeze([[m[i][j] for j in cols] for i in rows])
 
 
-def kron(a, b) -> Matrix:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    out = [[a[i // rb][j // cb] * b[i % rb][j % cb] for j in range(ca * cb)] for i in range(ra * rb)]
-    return freeze(out)
-
-
-def vec_cols(m) -> list:
-    """Column-major stacking (so vec(AXB) = kron(B^t, A) vec(X))."""
-    r, c = shape(m)
-    return [m[i][j] for j in range(c) for i in range(r)]
-
-
-def unvec_cols(v: Sequence[Scalar], rows: int, cols: int) -> Matrix:
-    return freeze([[v[j * rows + i] for j in range(cols)] for i in range(rows)])
-
-
 # ---------------------------------------------------------------------------
 # Exact integer kernel: matrices over Q or one Q(sqrt d), denominators cleared
 

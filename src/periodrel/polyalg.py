@@ -346,13 +346,15 @@ class MultiPoly:
         powers: dict[tuple[int, int], MultiPoly] = {}  # each power once per call
         total: dict[Monomial, Scalar] = {}
         for m, c in self.terms.items():
-            part = MultiPoly.constant(c)
+            part = None
             for code, e in _runs(m):
                 if (code, e) not in powers:
                     rep = reps.get(code, MultiPoly({Monomial((code,)): Fraction(1)}))
                     powers[code, e] = rep**e
-                part = part * powers[code, e]
-            _accumulate(total, part.terms.items())
+                # the first factor's monomials are distinct, so scaling it
+                # makes constant(c) * factor's products in the same order
+                part = powers[code, e].scale(c) if part is None else part * powers[code, e]
+            _accumulate(total, (MultiPoly.constant(c) if part is None else part).terms.items())
         return MultiPoly(total, _clean=False)
 
     def rename_variables(self, func: Callable[[VarId], VarId]) -> "MultiPoly":

@@ -32,7 +32,6 @@ from .polyalg import (
     Monomial,
     MultiPoly,
     VarId,
-    _accumulate,
     adjugate,
     determinant,
     symbolic_matrix,
@@ -224,8 +223,8 @@ def synthesize_period_data(act: EndomorphismAction, seed: int, F=None) -> Synthe
     """Produce (M, F, G) satisfying the intertwining equations exactly.
 
     Draws a random invertible F, sets M = F^t A (F^t)^{-1}, and solves the
-    Sylvester system M G^t - G^t D = F^t B via its g^2 x g^2 linearization.
-    The linearization is singular exactly when the spectra of M (hence A)
+    Sylvester system M G^t - G^t D = F^t B as g^2 linear equations.
+    The system is singular exactly when the spectra of M (hence A)
     and D overlap; since resampling F cannot move spectra, a singular system
     is reported after its first solve rather than perturbed.
     """
@@ -244,13 +243,21 @@ def synthesize_period_data(act: EndomorphismAction, seed: int, F=None) -> Synthe
     else:
         raise RelationError("endomorphism spectra force coupling; supply F manually")
     m = mx.mat_mul(mx.mat_mul(ft, act.A), ft_inv)
-    # linearize M X - X D = F^t B for X = G^t (column-major vec)
-    eye = mx.identity(g)
-    lin = mx.mat_sub(mx.kron(eye, m), mx.kron(mx.transpose(act.D), eye))
-    sol = mx.solve_nonsingular(lin, mx.vec_cols(mx.mat_mul(ft, act.B)))
+    # M X - X D = F^t B for X = G^t: equation (i, j) is row j*g + i, and X[k][l]
+    # is unknown l*g + k, so row j of G is unknowns j*g .. j*g + g - 1
+    lin = []
+    for j in range(g):
+        for i in range(g):
+            row = [Fraction(0)] * (g * g)
+            row[j * g : j * g + g] = m[i]
+            for l in range(g):
+                row[l * g + i] = row[l * g + i] - act.D[l][j]
+            lin.append(row)
+    fb = mx.mat_mul(ft, act.B)
+    sol = mx.solve_nonsingular(lin, [fb[i][j] for j in range(g) for i in range(g)])
     if sol is None:
         raise RelationError("endomorphism spectra force coupling; supply F manually")
-    data = SyntheticPeriodData(g, m, f, mx.transpose(mx.unvec_cols(sol, g, g)))
+    data = SyntheticPeriodData(g, m, f, mx.freeze(sol[j * g : j * g + g] for j in range(g)))
     if not data.verify(act):
         raise AssertionError("synthesized data violates the intertwining equations")
     return data
@@ -387,36 +394,19 @@ def quadratic_relation_polys(g: int) -> tuple[MultiPoly, MultiPoly]:
     return generator_poly(h, 1, 2), generator_poly(h, 1, h + 2)
 
 
-def _transport(q: MultiPoly, m) -> MultiPoly:
-    """q after Phi: Y -> A^t Y + C^t Z, Z -> B^t Y + D^t Z, M = (A B; C D).
-
-    Phi maps the stacked W = (Y; Z) to M^t W, so the case-3 quadratic becomes
-    lambda w_1^t N w_2 - mu w_1^t N w_{h+2} with N = M K M^t and
-    K = sum_{k <= h} (e_k e_{g+k}^t - e_{g+k} e_k^t).  The products behind N
-    are summed by :func:`_accumulate` in the order ``q.substitute`` (the test
-    oracle) makes them: terms of q, then the images of their two variables,
-    Y before Z row by row, zero entries of M skipped.  So every coefficient,
-    its type and every sum that cancels and restarts match it.  The two
-    variables of a term lie in distinct columns, so its products never meet.
-    """
+def _phi(q: MultiPoly, m) -> dict[VarId, MultiPoly]:
+    """Phi on the variables of q: W[r, c] -> sum_s M[s][r] W[s, c] on the
+    stacked W = (Y; Z), i.e. Y -> A^t Y + C^t Z and Z -> B^t Y + D^t Z for
+    M = (A B; C D).  Each image lists Y before Z row by row, and MultiPoly
+    drops M's zero entries: the order of the symbolic substitution over all
+    2g^2 variables, so ``q.substitute`` makes the same sums."""
     g = len(m) // 2
     order = [s for k in range(g) for s in (k, g + k)]
-    images = {}
-
-    def image(v) -> list:
-        if v not in images:
-            r = v.row - 1 + (g if v.block == "Z" else 0)
-            images[v] = [(VarId("Z" if s >= g else "Y", s % g + 1, v.col).code, m[s][r]) for s in order if m[s][r] != 0]
-        return images[v]
-
-    total: dict[Monomial, Scalar] = {}
-    for mono, c in q.terms.items():
-        v1, v2 = mono.variables()
-        right = image(v2)
-        for x, a in image(v1):
-            ca = c * a  # once per left factor, as MultiPoly.__mul__ does
-            _accumulate(total, ((Monomial(sorted((x, y))), ca * b) for y, b in right))
-    return MultiPoly(total, _clean=False)
+    phi = {}
+    for v in q.variables():
+        r = v.row - 1 + (g if v.block == "Z" else 0)
+        phi[v] = MultiPoly({Monomial.var(VarId("Z" if s >= g else "Y", s % g + 1, v.col)): m[s][r] for s in order})
+    return phi
 
 
 def generator_transform_scalar(inp: Case3Input) -> Scalar:
@@ -470,7 +460,7 @@ def build_case3_relation(inp: Case3Input) -> RelationCertificate:
     if q.evaluate(point_assignment(inp.H[:h], inp.H[h:])) != 0:
         raise AssertionError("quadratic relation failed to vanish at the period matrix")
     phi_scalar = Fraction(1) / inp.e
-    p_final = _transport(q, inp.change_of_basis())
+    p_final = q.substitute(_phi(q, inp.change_of_basis()))
     if not row_permutation_test(q, row_swap_permutation(g)):
         raise AssertionError("row-swap test unexpectedly left the relation unchanged")
     verdict = MembershipVerdict(

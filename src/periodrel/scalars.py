@@ -186,6 +186,18 @@ def abs_at_place(x: Scalar, v: Place) -> float:
         raise ScalarError(f"an absolute value at {v} overflows a float")
 
 
+def arch_value(x: Scalar, v: Place) -> float | complex:
+    """x as a number at the archimedean place v: the float of a
+    rational-valued x, else its image under v's embedding, complex over an
+    imaginary field.  A genuinely quadratic x needs an embedding, and a value
+    past a double's range raises OverflowError."""
+    if isinstance(x, QuadScalar) and x.b != 0:
+        if v.embedding is None:
+            raise ScalarError("archimedean place needs an embedding selector for quadratic scalars")
+        return x.embed(v.embedding)
+    return float(x.a if isinstance(x, QuadScalar) else x)
+
+
 # ---------------------------------------------------------------------------
 # Quadratic extension scalars
 
@@ -346,11 +358,7 @@ class QuadScalar:
             if self.d < 0:
                 # both complex embeddings share one modulus
                 return math.sqrt(float(self.a * self.a - self.d * self.b * self.b))
-            if self.b == 0:
-                return abs(float(self.a))
-            if v.embedding is None:
-                raise ScalarError("archimedean place needs an embedding selector for quadratic scalars")
-            return abs(self.embed(v.embedding))
+            return abs(arch_value(self, v))
         if self.b == 0:
             return padic_abs(self.a, v.p)
         raise ScalarError("finite-place absolute value supported for rational values only")
@@ -407,8 +415,8 @@ def json_field(obj, key: str, at: str = ""):
     return obj[key]
 
 
-def json_int(obj, key: str, at: str = "", low: int | None = None) -> int:
-    """``obj[key]`` as an int, at least ``low`` when given."""
+def json_int(obj, key: str, at: str = "", low: int | None = None, high: int | None = None) -> int:
+    """``obj[key]`` as an int, at least ``low`` and at most ``high`` when given."""
     value = json_field(obj, key, at)
     try:
         n = int(value)
@@ -416,6 +424,8 @@ def json_int(obj, key: str, at: str = "", low: int | None = None) -> int:
         raise DecodeError(f"{at}{key}: not an integer: {value!r}")
     if low is not None and n < low:
         raise DecodeError(f"{at}{key}: must be >= {low}, got {n}")
+    if high is not None and n > high:
+        raise DecodeError(f"{at}{key}: must be <= {high}, got {n}")
     return n
 
 

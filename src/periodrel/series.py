@@ -20,6 +20,7 @@ from .scalars import (
     Scalar,
     ScalarError,
     abs_at_place,
+    arch_value,
     integer_rows,
     is_prime,
     json_field,
@@ -29,6 +30,9 @@ from .scalars import (
     scalar_to_json,
     valuation,
 )
+
+
+MAX_ORDER = 100000  # a decoded order: from_coeffs pads to order + 1 entries, about 30 MB per million
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ class TruncatedSeries:
         at = (path + ".") if path else ""
         if not isinstance(obj, dict):
             raise DecodeError(f"{path or 'series'}: expected an object")
-        order = json_int(obj, "order", at, low=0)
+        order = json_int(obj, "order", at, low=0, high=MAX_ORDER)
         coeffs = json_list(json_field(obj, "coeffs", at), f"{at}coeffs")
         return TruncatedSeries.from_coeffs(
             [scalar_from_json(c, f"{at}coeffs[{i}]") for i, c in enumerate(coeffs)], order
@@ -626,11 +630,13 @@ def eval_with_tail_bound(
         return EvalResult(total, tail, True)
 
     # archimedean: float partial sum, geometric tail from trailing ratios
-    xf = _arch_value(x, v)
+    if any(isinstance(c, QuadScalar) and c.d < 0 and c.b != 0 for c in (x, *f.coeffs)):
+        raise ScalarError("archimedean evaluation over imaginary quadratic scalars is not supported")
+    xf = arch_value(x, v)
     mags = [abs_at_place(c, v) for c in f.coeffs]
     total_f = 0.0
     for n in range(f.order, -1, -1):
-        total_f = total_f * xf + _arch_value(f.coeffs[n], v)
+        total_f = total_f * xf + arch_value(f.coeffs[n], v)
     ratios = [
         mags[i] / mags[i - 1]
         for i in range(max(1, f.order - 4), f.order + 1)
@@ -644,14 +650,6 @@ def eval_with_tail_bound(
     maxterm = max((m * abs(xf) ** n for n, m in enumerate(mags)), default=0.0)
     tail += 2.3e-16 * (f.order + 1) * maxterm
     return EvalResult(total_f, tail, True)
-
-
-def _arch_value(c: Scalar, v: Place) -> float:
-    if isinstance(c, QuadScalar):
-        if c.d < 0:
-            raise ScalarError("archimedean evaluation over imaginary quadratic scalars is not supported")
-        return c.embed(v.embedding or "sigma")
-    return float(c.numerator) / float(c.denominator)
 
 
 def padic_partial_sum(f: TruncatedSeries, x: Fraction) -> Fraction:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import matrices as mx
+from .scalars import scalar_to_json
 
 
 def standard_form(g: int):
@@ -47,8 +48,6 @@ class SymplecticSample:
         return mx.is_similitude(self.matrix, self.multiplier, self.g)
 
     def to_json(self) -> dict:
-        from .scalars import scalar_to_json
-
         return {
             "g": self.g,
             "multiplier": scalar_to_json(self.multiplier),

@@ -56,6 +56,12 @@ def radius_at(radii: PlaceRadii, v: Place) -> tuple[float, bool]:
     raise KeyError(f"no radius for place {v}")
 
 
+def kron(a, b) -> tuple:
+    """The Kronecker product a (x) b, entry by entry a[i][j] * b[k][l]."""
+    (ra, ca), (rb, cb) = mx.shape(a), mx.shape(b)
+    return mx.freeze([[a[i // rb][j // cb] * b[i % rb][j % cb] for j in range(ca * cb)] for i in range(ra * rb)])
+
+
 def sylvester_solvable(act: EndomorphismAction) -> bool:
     """Whether the period-data Sylvester system is nonsingular.
 
@@ -63,7 +69,7 @@ def sylvester_solvable(act: EndomorphismAction) -> bool:
     choice of F can repair; checked via the Kronecker linearization.
     """
     eye = mx.identity(act.g)
-    lin = mx.mat_sub(mx.kron(eye, act.A), mx.kron(mx.transpose(act.D), eye))
+    lin = mx.mat_sub(kron(eye, act.A), kron(mx.transpose(act.D), eye))
     return mx.rank(lin) == act.g * act.g
 
 

@@ -302,6 +302,59 @@ def test_engine_errors_exit_1_with_json(argv, tmp_path):
     assert proc.stderr == ""
 
 
+CAP_INPUTS = {
+    "order-cap.json": {"order": 100001, "coeffs": ["0", "1"]},
+    "F-order-cap.json": {"g": 1, "entries": [[{"order": 1000000, "coeffs": ["1"]}]]},
+    "a.json": DECODE_INPUTS["a.json"],
+}
+CAP_ERRORS = {
+    ("ideal", "gens", "--g", "33"): "--g must be <= 32, got 33",
+    ("ideal", "radical", "--g", "64"): "--g must be <= 32, got 64",
+    ("ideal", "member", "--poly", "unread.json", "--g", "33"): "--g must be <= 32, got 33",
+    ("symplectic", "sample", "--g", "33"): "--g must be <= 32, got 33",
+    ("relation", "case3", "--g", "34"): "--g must be <= 32, got 34",
+    ("series", "radius", "--series", "order-cap.json", "--place", "3"): "order: must be <= 100000, got 100001",
+    ("gfun", "derive", "--F", "F-order-cap.json", "--a", "a.json"): (
+        "entries[0][0].order: must be <= 100000, got 1000000"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(CAP_ERRORS))
+def test_caps_exit_2_with_json(argv, tmp_path):
+    for name, doc in CAP_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    proc = run_process(list(argv), tmp_path)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {"error": CAP_ERRORS[argv]}
+    assert proc.stderr == ""
+
+
+def test_caps_admit_their_bounds(tmp_path, capsys):
+    for argv in (["ideal", "gens"], ["ideal", "radical"], ["ideal", "member", "--poly", "p.json"],
+                 ["symplectic", "sample"], ["relation", "case3"]):
+        assert build_parser().parse_args([*argv, "--g", "32"]).g == 32
+    (tmp_path / "s.json").write_text(json.dumps({"order": 100000, "coeffs": ["0", "1"]}))
+    code, doc = run_json(capsys, ["series", "radius", "--series", str(tmp_path / "s.json"), "--place", "3"])
+    assert code == 0
+    assert doc["result"]["place"] == {"kind": "finite", "p": 3}
+
+
+def test_series_eval_arch_reads_a_rational_valued_imaginary_coefficient(tmp_path, capsys):
+    # {"d": -1, "a": "1/2", "b": "0"} is the rational 1/2, as series radius already reads it
+    quad = {"order": 2, "coeffs": ["1", {"d": -1, "a": "1/2", "b": "0"}, "1"]}
+    plain = {"order": 2, "coeffs": ["1", "1/2", "1"]}
+    results = []
+    for name, doc in (("quad.json", quad), ("plain.json", plain)):
+        (tmp_path / name).write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["series", "eval", "--series", str(tmp_path / name), "--place", "arch",
+                                      "--x", "1/4"])
+        assert code == 0
+        results.append(out["result"])
+    assert results[0] == results[1]
+    assert results[0]["value"] == 1.1875
+
+
 def test_unwritable_out_file_exits_1_with_json(tmp_path):
     proc = run_process(["ideal", "gens", "--g", "1", "--out", str(tmp_path / "missing" / "r.json")], tmp_path)
     assert proc.returncode == 1

@@ -220,6 +220,47 @@ def test_substitute_and_evaluate():
     assert val == 26  # (3+2)^2 + 1
 
 
+def _substitute_by_constant_product(p, mapping):
+    """MultiPoly.substitute as it started each term, constant(c) times the
+    first factor: the oracle for starting it as the first factor scaled by c."""
+    reps = {v.code: q for v, q in mapping.items()}
+    powers, total = {}, {}
+    for m, c in p.terms.items():
+        part = MultiPoly.constant(c)
+        for code, e in polyalg._runs(m):
+            if (code, e) not in powers:
+                powers[code, e] = reps.get(code, MultiPoly({Monomial((code,)): Fraction(1)})) ** e
+            part = part * powers[code, e]
+        polyalg._accumulate(total, part.terms.items())
+    return MultiPoly(total, _clean=False)
+
+
+def test_substitute_matches_the_constant_product_oracle():
+    y11, y12, y21, z11, z12 = yvar(1, 1), yvar(1, 2), yvar(2, 1), zvar(1, 1), zvar(1, 2)
+    v = MultiPoly.variable
+    q5 = QuadScalar(5, Fraction(1, 2), Fraction(-1, 3))
+    # a constant term; y21 maps to 0; (y11 + z11)^2 and y11 y12's image meet
+    # in Y11 Z11; coefficients mix Fraction, genuine and rational-valued Q(sqrt 5)
+    p = MultiPoly({
+        Monomial.one(): Fraction(7),
+        Monomial.of((y11, 2)): q5,
+        Monomial.of((y11, 1), (y12, 1)): Fraction(-2, 3),
+        Monomial.of((y21, 1), (z12, 1)): Fraction(4),
+        Monomial.of((y12, 1), (z12, 2)): QuadScalar(5, 3, 0),
+        Monomial.of((z12, 1)): Fraction(1, 5),
+    })
+    mapping = {
+        y11: v(y11) + v(z11).scale(q5),
+        y12: v(z11).scale(Fraction(-3)) + MultiPoly.constant(QuadScalar(5, 0, 2)),
+        y21: MultiPoly.zero(),
+        z12: v(y11).scale(QuadScalar(5, 2, 0)) - v(z12),
+    }
+    got, want = p.substitute(mapping), _substitute_by_constant_product(p, mapping)
+    assert got.to_json() == want.to_json()
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+    assert list(got.terms) == list(want.terms)
+
+
 # ---------------------------------------------------------------------------
 # Ideal membership by exact linear algebra; Buchberger is the oracle
 

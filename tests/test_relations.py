@@ -20,18 +20,20 @@ from periodrel.relations import (
     synthesize_period_data,
     verify_relation_on_data,
 )
-from periodrel.scalars import QuadScalar
+from periodrel.scalars import QuadScalar, scalar_to_json
 from periodrel.symplectic import sample_symplectic
 from periodrel.trivial_ideal import generators, point_assignment
 
 from helpers import (
     case3_quadratic,
     expected_witness_value,
+    kron,
     matrix_at,
     mixed_action,
     mixed_case3_input,
     phi_substitution,
     random_action,
+    sylvester_solvable,
     unfreeze,
 )
 
@@ -214,6 +216,38 @@ def test_singular_sylvester_system_is_solved_once(g, monkeypatch):
     assert len(calls) == 1
 
 
+def _kronecker_g(act, data):
+    """G from a solve of the Kronecker linearization kron(I, M) - kron(D^t, I)
+    of M X - X D = F^t B, X = G^t stacked column by column: the oracle for
+    the system synthesize_period_data writes down entry by entry."""
+    g = act.g
+    eye = mx.identity(g)
+    lin = mx.mat_sub(kron(eye, data.M), kron(mx.transpose(act.D), eye))
+    fb = mx.mat_mul(mx.transpose(data.F), act.B)
+    x = mx.solve_nonsingular(lin, [fb[i][j] for j in range(g) for i in range(g)])
+    return mx.freeze(x[j * g : j * g + g] for j in range(g))
+
+
+def test_sylvester_solution_matches_the_kronecker_linearization():
+    actions = [random_action(g, seed) for g in (1, 2, 3) for seed in range(12)]
+    for d in (5, -7):
+        rng = random.Random(d)
+        actions += [mixed_action(rng, g, d) for g in (1, 2, 3) for _ in range(12)]
+    solved = 0
+    for act in actions:
+        if act.is_scalar():
+            continue
+        try:
+            data = synthesize_period_data(act, seed=3)
+        except RelationError:
+            assert not sylvester_solvable(act)
+            continue
+        solved += 1
+        typed = lambda m: [[(type(x), scalar_to_json(x)) for x in row] for row in m]
+        assert typed(data.G) == typed(_kronecker_g(act, data))
+    assert solved >= 100
+
+
 def test_relation_vanishes_on_own_data():
     for g in (2, 3):
         for seed in range(5):
@@ -359,15 +393,29 @@ def test_case3_polynomial_matches_substitution_on_mixed_entry_types():
 
 
 def test_case3_relation_needs_no_substitution_or_second_similitude(monkeypatch):
-    # M J M^t = (1/e) J follows from the checked M^t J M = (1/e) J
+    # M J M^t = (1/e) J follows from the checked M^t J M = (1/e) J, and q is
+    # transported by one substitution over its own variables, not all 2g^2
     def forbidden(*args):
         raise AssertionError("not called by build_case3_relation")
 
-    monkeypatch.setattr(MultiPoly, "substitute", forbidden)
+    calls = []
+    substitute = MultiPoly.substitute
+
+    def spy(self, mapping):
+        calls.append((self.variables(), set(mapping)))
+        return substitute(self, mapping)
+
+    monkeypatch.setattr(MultiPoly, "substitute", spy)
     monkeypatch.setattr(relations, "generator_transform_scalar", forbidden)
-    inp = random_case3_input(6, seed=2)
-    cert = build_case3_relation(inp)
-    assert cert.nontriviality.detail.endswith(f"(generator scalar {Fraction(1) / inp.e})")
+    # mixed seeds 1 (lambda = 0) and 8 (mu = 0): q has 2g variables there
+    for inp in (random_case3_input(6, seed=2), random_case3_input(4, seed=0), mixed_case3_input(4, 1),
+                mixed_case3_input(4, 8)):
+        calls.clear()
+        cert = build_case3_relation(inp)
+        assert cert.nontriviality.detail.endswith(f"(generator scalar {Fraction(1) / inp.e})")
+        assert len(calls) == 1
+        q_variables, keys = calls[0]
+        assert keys == q_variables == case3_quadratic(inp).variables()
 
 
 def test_case3_decides_a_degenerate_period_matrix_by_rank(monkeypatch):

@@ -9,6 +9,7 @@ from periodrel.scalars import (
     QuadScalar,
     ScalarError,
     abs_at_place,
+    arch_value,
     conjugate,
     padic_abs_exact,
     scalar_from_json,
@@ -64,6 +65,22 @@ def test_abs_quadratic_conjugate_embedding():
     assert abs_at_place(x, sigma) == pytest.approx(1 + math.sqrt(2), abs=1e-12)
     with pytest.raises(ScalarError):
         abs_at_place(x, Place.arch())  # selector required
+
+
+def test_arch_value():
+    arch, sigma, tau = Place.arch(), Place.arch("sigma"), Place.arch("tau")
+    assert arch_value(Fraction(-3, 8), arch) == -0.375
+    assert arch_value(Fraction(10**400 + 1, 10**399), arch) == 10.0  # the float of the rational
+    for d in (5, -1):  # rational-valued: no embedding needed, real or imaginary field
+        assert arch_value(QuadScalar(d, Fraction(1, 2), 0), arch) == 0.5
+    x = QuadScalar(2, 1, 1)
+    assert (arch_value(x, sigma), arch_value(x, tau)) == (1 + math.sqrt(2), 1 - math.sqrt(2))
+    assert arch_value(QuadScalar(-7, 1, 2), tau) == complex(1, -2 * math.sqrt(7))
+    for y in (x, QuadScalar(-7, 1, 2)):
+        with pytest.raises(ScalarError, match="needs an embedding selector"):
+            arch_value(y, arch)
+    with pytest.raises(OverflowError):
+        arch_value(Fraction(10**400), arch)
 
 
 def test_conjugate_and_norm():

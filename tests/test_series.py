@@ -259,6 +259,21 @@ def test_eval_geometric_arch_closed_form():
     assert abs(res.value - 1.5) <= res.tail_bound
 
 
+def test_eval_arch_quadratic_values():
+    f = TS.from_coeffs([Fraction(1), QuadScalar(-1, Fraction(1, 2), 0), Fraction(1)], 2)
+    g = TS.from_coeffs([Fraction(1), Fraction(1, 2), Fraction(1)], 2)
+    quarter = Fraction(1, 4)
+    assert eval_with_tail_bound(f, quarter, Place.arch()) == eval_with_tail_bound(g, quarter, Place.arch())
+    root5 = QuadScalar(5, 0, 1)
+    with pytest.raises(ScalarError, match="needs an embedding selector"):
+        eval_with_tail_bound(g, root5 / 4, Place.arch())
+    assert eval_with_tail_bound(g, root5 / 4, Place.arch("tau")).value == pytest.approx(1 - math.sqrt(5) / 8 + 5 / 16)
+    for x, h in ((Fraction(1, 4), TS.from_coeffs([1, QuadScalar(-7, 0, 1)], 1)), (QuadScalar(-7, 0, 1) / 8, g)):
+        for v in (Place.arch(), Place.arch("sigma")):
+            with pytest.raises(ScalarError, match="imaginary quadratic scalars is not supported"):
+                eval_with_tail_bound(h, x, v)
+
+
 def test_padic_truncation_consistency():
     # values at two truncation orders differ by at most |x|_p^(N1+1), checked
     # exactly through valuations
