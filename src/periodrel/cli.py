@@ -246,7 +246,7 @@ def cmd_ideal_gens(args, digests):
 
 
 def cmd_ideal_radical(args, digests):
-    cert = radicality_certificate(generators(args.g), seed=args.seed)
+    cert = radicality_certificate(generators(args.g))
     return {
         "g": args.g,
         "generator_count": cert.generator_count,
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ideal_gens)
     p = leaf(i_sub, "radical")
     p.add_argument("--g", type=_int_in("--g", 1, GENUS_CAP), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="recorded in the manifest; the certificate draws nothing")
     p.set_defaults(func=cmd_ideal_radical)
     p = leaf(i_sub, "member")
     p.add_argument("--poly", required=True)

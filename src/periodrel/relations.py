@@ -150,10 +150,10 @@ def _witness_entry(act: EndomorphismAction) -> tuple:
     B = 0, A != D gives (I, I) with value A - D; otherwise A = D is
     non-scalar and a symmetric z not commuting with A gives value Az - zD.
     At y = I, where adj(I) = I and det(I) = 1, the matrix is A z^t - B - z^t D,
-    so the position is read off that scalar matrix.
+    so the position is read off that scalar matrix.  It is never zero there:
+    it is -B, A - D or Az - zA, and a scalar action, which has no such z,
+    is refused by :func:`_noncommuting_symmetric`.
     """
-    if act.is_scalar():
-        raise RelationError("no relation derivable from scalar endomorphism")
     g = act.g
     eye, zero = mx.identity(g), mx.zeros(g, g)
     if not mx.is_zero_matrix(act.B):
@@ -164,11 +164,8 @@ def _witness_entry(act: EndomorphismAction) -> tuple:
         wy, wz, case = eye, _noncommuting_symmetric(act.A), "A_non_scalar"
     zt = mx.transpose(wz)
     at_witness = mx.mat_sub(mx.mat_sub(mx.mat_mul(act.A, zt), act.B), mx.mat_mul(zt, act.D))
-    for i, row in enumerate(at_witness):
-        for j, x in enumerate(row):
-            if x != 0:
-                return i, j, wy, wz, case
-    raise RelationError("relation matrix vanished at the case witness; action is effectively scalar")
+    i, j = next((i, j) for i, row in enumerate(at_witness) for j, x in enumerate(row) if x != 0)
+    return i, j, wy, wz, case
 
 
 def _noncommuting_symmetric(a) -> tuple:
@@ -455,8 +452,6 @@ def build_case3_relation(inp: Case3Input) -> RelationCertificate:
         lam, mu = m1h2, m12
     r, s = quadratic_relation_polys(g)
     q = r.scale(lam) - s.scale(mu)
-    if q.is_zero():
-        raise AssertionError("quadratic relation degenerated to zero")
     if q.evaluate(point_assignment(inp.H[:h], inp.H[h:])) != 0:
         raise AssertionError("quadratic relation failed to vanish at the period matrix")
     phi_scalar = Fraction(1) / inp.e

@@ -26,6 +26,11 @@ class DecodeError(ValueError):
     """Input JSON of the wrong shape; the message starts with its path."""
 
 
+# Primes of finite places and |d| of quadratic fields stay below this cap, so
+# the trial division of is_prime and is_squarefree stays under a millisecond.
+TRIAL_DIVISION_CAP = 1 << 24
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -73,6 +78,8 @@ class Place:
         if self.kind not in ("arch", "finite"):
             raise ScalarError(f"unknown place kind {self.kind!r}")
         if self.kind == "finite":
+            if self.p is not None and self.p >= TRIAL_DIVISION_CAP:
+                raise ScalarError(f"finite place needs a prime < 2^24, got {self.p}")
             if self.p is None or not is_prime(self.p):
                 raise ScalarError(f"finite place needs a prime, got {self.p!r}")
             if self.embedding is not None:
@@ -171,9 +178,9 @@ def integer_rows(rows) -> tuple[list[list[int]], int]:
 def abs_at_place(x: Scalar, v: Place) -> float:
     """The absolute value |x|_v at the given place, as a double.
 
-    The single sanctioned exact-to-float boundary.  Returns 0.0 exactly
-    when x = 0, and raises :class:`ScalarError` when |x|_v or the parts it
-    is computed from are past a double's range.
+    The single sanctioned exact-to-float boundary.  Returns 0.0 when x = 0
+    or when |x|_p underflows, and raises :class:`ScalarError` when |x|_v or
+    the parts it is computed from are past a double's range.
     """
     try:
         if isinstance(x, QuadScalar):
@@ -216,6 +223,8 @@ class QuadScalar:
     b: Fraction
 
     def __post_init__(self) -> None:
+        if abs(self.d) >= TRIAL_DIVISION_CAP:
+            raise ScalarError(f"|d| must be < 2^24, got {self.d}")
         if self.d in (0, 1) or not is_squarefree(self.d):
             raise ScalarError(f"d must be squarefree and != 0, 1; got {self.d}")
         object.__setattr__(self, "a", Fraction(self.a))

@@ -22,7 +22,6 @@ from .scalars import (
     abs_at_place,
     arch_value,
     integer_rows,
-    is_prime,
     json_field,
     json_int,
     json_list,
@@ -509,8 +508,11 @@ def radius_lower_bound(
         if c == 0:
             continue
         a = abs_at_place(c, v)
-        if a > 0:
-            best = min(best, a ** (-1.0 / idx))
+        if a > 0:  # 0.0 when |a_n|_v underflows
+            try:
+                best = min(best, a ** (-1.0 / idx))
+            except OverflowError:  # a subnormal |a_n|_v: the bound is +inf and lowers nothing
+                pass
     return RadiusReport(v, best, False)
 
 
@@ -520,25 +522,30 @@ def radius_lower_bound(
 
 @dataclass(frozen=True)
 class GloballyBoundedReport:
-    positive_radius_everywhere: bool
     bad_primes: tuple[int, ...]
     verdict: str  # "bounded" | "unbounded_evidence" | "inconclusive"
     witness: tuple[int, int] | None = None  # (n, p) with |a_n|_p > 1
 
+    @property
+    def positive_radius_everywhere(self) -> bool:
+        """Always true: at every place, :func:`radius_lower_bound` is a
+        minimum of finitely many positive floats, or +inf."""
+        return True
 
-def _denominator_factors(den: int, limit: int) -> dict[int, int]:
-    out: dict[int, int] = {}
+
+def _denominator_primes(den: int, limit: int) -> set[int]:
+    """The primes dividing den, by trial division up to limit.  A tail left
+    once p * p passes it is prime; a tail left once p passes limit is kept
+    unfactored as -tail, which is never a witness."""
+    out = set()
     p = 2
     while p * p <= den and p <= limit:
         while den % p == 0:
-            out[p] = out.get(p, 0) + 1
+            out.add(p)
             den //= p
         p += 1 if p == 2 else 2
     if den > 1:
-        if is_prime(den):
-            out[den] = out.get(den, 0) + 1
-        else:
-            out[-den] = 1  # unfactored composite tail; recorded, never a witness
+        out.add(den if p * p > den else -den)
     return out
 
 
@@ -558,29 +565,24 @@ def globally_bounded_scan(f: TruncatedSeries, prime_bound: int) -> GloballyBound
 
     entry: dict[int, int] = {}
     for n, den in enumerate(dens):
-        for p in _denominator_factors(den, max(prime_bound, 10**5)):
-            # negative keys mark unfactored composite tails; not primes
+        for p in _denominator_primes(den, max(prime_bound, 10**5)):
             if p > 1 and p not in entry:
                 entry[p] = n
     bad = tuple(sorted(entry))
 
-    pos_radius = all(
-        radius_lower_bound(f, Place.finite(p)).lower_bound > 0 for p in bad
-    ) and radius_lower_bound(f, Place.arch()).lower_bound > 0
-
     if all(den == 1 for den in dens):
-        return GloballyBoundedReport(pos_radius, (), "bounded")
+        return GloballyBoundedReport((), "bounded")
 
     half = f.order // 2
     l = math.lcm(*dens[: half + 1])
     if all(l % den == 0 for den in dens):
-        return GloballyBoundedReport(pos_radius, bad, "bounded")
+        return GloballyBoundedReport(bad, "bounded")
 
     late = [(n, p) for p, n in entry.items() if n > half and 1 < p <= prime_bound]
     if late:
         n, p = max(late)
-        return GloballyBoundedReport(pos_radius, bad, "unbounded_evidence", witness=(n, p))
-    return GloballyBoundedReport(pos_radius, bad, "inconclusive")
+        return GloballyBoundedReport(bad, "unbounded_evidence", witness=(n, p))
+    return GloballyBoundedReport(bad, "inconclusive")
 
 
 # ---------------------------------------------------------------------------
@@ -661,17 +663,3 @@ def padic_partial_sum(f: TruncatedSeries, x: Fraction) -> Fraction:
         xp *= x
     return total
 
-
-__all__ = [
-    "TruncatedSeries",
-    "RadiusReport",
-    "GloballyBoundedReport",
-    "EvalResult",
-    "compose",
-    "reciprocal",
-    "compositional_inverse",
-    "radius_lower_bound",
-    "globally_bounded_scan",
-    "eval_with_tail_bound",
-    "padic_partial_sum",
-]

@@ -251,6 +251,7 @@ def test_gfun_check_rational_valued_quadratic_reference(tmp_path, capsys):
 
 
 QUADRATIC_ENTRY = {"d": 5, "a": "0", "b": "1"}  # sqrt 5
+MERSENNE_61 = 2**61 - 1  # a prime past the 2^24 caps; trial division to its root would take minutes
 ENGINE_ERROR_INPUTS = {
     "S.json": {"order": 3, "coeffs": ["0", "1", "1/2", "1/3"]},
     "Q.json": {"order": 3, "coeffs": ["0", "1", QUADRATIC_ENTRY, "1/3"]},
@@ -262,7 +263,7 @@ ENGINE_ERROR_INPUTS = {
     "huge.json": {"order": 2, "coeffs": ["0", "1", "1" + "0" * 400]},
 }
 RADII = ("gfun", "radii", "--F", "F.json", "--a")
-ENGINE_ERRORS = {  # a ScalarError each, but for the last, a plain ValueError
+ENGINE_ERRORS = {  # a ScalarError each, but for the dimension mismatch, a plain ValueError
     ("series", "radius", "--series", "S.json", "--place", "3", "--integral"): (
         "integrality asserted but computed coefficients are not integers"
     ),
@@ -289,6 +290,9 @@ ENGINE_ERRORS = {  # a ScalarError each, but for the last, a plain ValueError
     ("gfun", "check", "--F", "F.json", "--G", "G2.json", "--data", "data-g1.json", "--x", "0", "--place", "3"): (
         "dimension mismatch between series matrices and period data"
     ),
+    ("series", "radius", "--series", "S.json", "--place", str(MERSENNE_61)): (
+        f"cannot parse place '{MERSENNE_61}'"
+    ),
 }
 
 
@@ -306,6 +310,8 @@ CAP_INPUTS = {
     "order-cap.json": {"order": 100001, "coeffs": ["0", "1"]},
     "F-order-cap.json": {"g": 1, "entries": [[{"order": 1000000, "coeffs": ["1"]}]]},
     "a.json": DECODE_INPUTS["a.json"],
+    "d-cap.json": {"order": 2, "coeffs": ["0", {"d": MERSENNE_61, "a": "1", "b": "1"}, "1"]},
+    "F.json": DECODE_INPUTS["F.json"],
 }
 CAP_ERRORS = {
     ("ideal", "gens", "--g", "33"): "--g must be <= 32, got 33",
@@ -316,6 +322,12 @@ CAP_ERRORS = {
     ("series", "radius", "--series", "order-cap.json", "--place", "3"): "order: must be <= 100000, got 100001",
     ("gfun", "derive", "--F", "F-order-cap.json", "--a", "a.json"): (
         "entries[0][0].order: must be <= 100000, got 1000000"
+    ),
+    ("series", "radius", "--series", "d-cap.json", "--place", "3"): (
+        f"coeffs[1].d: |d| must be < 2^24, got {MERSENNE_61}"
+    ),
+    (*RADII, "a.json", "--places", json.dumps([{"kind": "finite", "p": MERSENNE_61}])): (
+        f"--places[0]: finite place needs a prime < 2^24, got {MERSENNE_61}"
     ),
 }
 
@@ -338,6 +350,38 @@ def test_caps_admit_their_bounds(tmp_path, capsys):
     code, doc = run_json(capsys, ["series", "radius", "--series", str(tmp_path / "s.json"), "--place", "3"])
     assert code == 0
     assert doc["result"]["place"] == {"kind": "finite", "p": 3}
+
+
+SUBNORMAL = {"order": 2, "coeffs": ["0", str(3**660), "1/3"]}  # |3^660|_3 is a subnormal float
+FLOAT_EDGE_INPUTS = {
+    "subnormal.json": SUBNORMAL,
+    "huge.json": {"order": 2, "coeffs": ["0", "1" + "0" * 400, "1/3"]},
+    "F.json": {"g": 1, "entries": [[SERIES]]},
+    "a.json": {"g": 1, "N": 0, "a": [[[SUBNORMAL]]]},
+}
+PLACE_3 = {"kind": "finite", "p": 3}
+GB_SCAN_3 = {
+    "bad_primes": [3], "positive_radius_everywhere": True, "verdict": "unbounded_evidence", "witness": [2, 3],
+}
+FLOAT_EDGE_RESULTS = {  # radii from |a_2|_3 = 3; the overflowing bound of a_1 lowers nothing
+    ("series", "radius", "--series", "subnormal.json", "--place", "3"): (
+        {"certified": False, "lower_bound": 3.0**-0.5, "place": PLACE_3}
+    ),
+    (*RADII, "a.json", "--places", json.dumps([PLACE_3])): (
+        {"radii": [{"certified": False, "place": PLACE_3, "r": 3.0**-0.5}]}
+    ),
+    ("series", "gb-scan", "--series", "subnormal.json"): GB_SCAN_3,
+    ("series", "gb-scan", "--series", "huge.json"): GB_SCAN_3,
+}
+
+
+@pytest.mark.parametrize("argv", list(FLOAT_EDGE_RESULTS))
+def test_coefficients_past_a_float_exit_0(argv, tmp_path):
+    for name, doc in FLOAT_EDGE_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    proc = run_process(list(argv), tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["result"] == FLOAT_EDGE_RESULTS[argv]
 
 
 def test_series_eval_arch_reads_a_rational_valued_imaginary_coefficient(tmp_path, capsys):

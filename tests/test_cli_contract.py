@@ -46,8 +46,10 @@ def _rational(n: int, den: int) -> str:
 
 
 small_rational = st.builds(_rational, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 13)))
-# past a float's range at the archimedean place, or at the 2-adic one
-huge_rational = st.sampled_from(("1" + "0" * 400, f"1/{10**400}", f"{10**400 + 1}/{10**399}", f"1/{2**1100}"))
+# past a float's range at the archimedean place, or at the 2-adic one; |2^1060|_2 is subnormal
+huge_rational = st.sampled_from(
+    ("1" + "0" * 400, f"1/{10**400}", f"{10**400 + 1}/{10**399}", f"1/{2**1100}", str(2**1060))
+)
 
 
 @st.composite

@@ -431,6 +431,12 @@ def test_case3_decides_a_degenerate_period_matrix_by_rank(monkeypatch):
         build_case3_relation(Case3Input(4, mx.freeze(h), inp.A, inp.B, inp.C, inp.D, inp.sqrt_e))
 
 
+def test_case3_refuses_a_zero_relation_by_the_row_swap_check(monkeypatch):
+    monkeypatch.setattr(relations, "quadratic_relation_polys", lambda g: (MultiPoly.zero(), MultiPoly.zero()))
+    with pytest.raises(AssertionError, match="row-swap test unexpectedly left the relation unchanged"):
+        build_case3_relation(random_case3_input(4, seed=3))
+
+
 def test_case3_rejects_bad_g():
     for g in (2, 3, 5):
         with pytest.raises(RelationError, match="even g > 2"):

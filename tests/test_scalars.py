@@ -187,6 +187,16 @@ def test_finite_place_quadratic_restricted():
     assert abs_at_place(r, Place.finite(2)) == 0.125
 
 
+def test_trial_division_caps_admit_their_bounds():
+    below = 2**24 - 3  # the largest prime below 2^24
+    assert Place.finite(below).p == below
+    assert QuadScalar(-below, 1, 1).d == -below
+    with pytest.raises(ScalarError, match=r"finite place needs a prime < 2\^24, got 16777259"):
+        Place.finite(16777259)  # the smallest prime past 2^24
+    with pytest.raises(ScalarError, match=r"\|d\| must be < 2\^24, got -16777217"):
+        QuadScalar(-(2**24 + 1), 1, 1)  # 97 * 257 * 673, squarefree
+
+
 def test_json_roundtrip():
     vals = [Fraction(3, 7), Fraction(-5), QuadScalar(5, Fraction(1, 2), Fraction(-3))]
     for v in vals:

@@ -217,6 +217,19 @@ def test_scan_central_binomial_squared_bounded():
     assert globally_bounded_scan(f, 50).verdict == "bounded"
 
 
+@pytest.mark.parametrize(
+    "tail, bad",
+    [
+        (1000000007, (2, 3, 1000000007)),  # left once p * p passes it, so prime
+        (99991 * 100003, (2, 3, 99991, 100003)),
+        (10**12 + 39, (2, 3)),  # prime, but left once p passes 10^5: unfactored and unlisted
+    ],
+)
+def test_scan_lists_a_tail_only_when_trial_division_proves_it_prime(tail, bad):
+    f = TS.from_coeffs([Fraction(1, 6), Fraction(1, 6 * tail)], 1)
+    assert globally_bounded_scan(f, 50).bad_primes == bad
+
+
 def test_scan_stable_denominator_bounded():
     f = TS.from_coeffs([Fraction(n, 6) for n in range(25)], 24)
     assert globally_bounded_scan(f, 50).verdict == "bounded"

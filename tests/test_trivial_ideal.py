@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from periodrel import matrices as mx
+from periodrel.cli import GENUS_CAP
 from periodrel.polyalg import Monomial, MultiPoly, determinant, symbolic_matrix, yvar, zvar
 from periodrel.scalars import QuadScalar
 from periodrel.symplectic import project_to_V, sample_symplectic, with_multiplier
@@ -133,6 +134,27 @@ def test_jacobian_rows_match_the_symbolic_oracle(g, monkeypatch):
         assert r == (real(mx.freeze(want)) if want else 0)
 
 
+def test_radicality_rows_at_the_witness_have_disjoint_supports(monkeypatch):
+    """At (I, 0) the row of f_ij is e(Z[i,j]) - e(Z[j,i]), so the rows are
+    independent at every g; rank is stubbed to len(rows) to keep g = 32 fast."""
+    seen = []
+    monkeypatch.setattr(mx, "rank", lambda m: seen.append(m) or len(m))
+    for g in range(1, GENUS_CAP + 1):
+        seen.clear()
+        ideal = generators(g)
+        cert = radicality_certificate(ideal)
+        assert cert.verdict == "radical" and cert.rank == ideal.generator_count
+        (rows,) = seen
+        assert len(rows) == ideal.generator_count
+        for (i, j), row in zip(ideal.pairs(), rows):
+            zij, zji = (g + i - 1) * g + j - 1, (g + j - 1) * g + i - 1  # columns of Z[i,j], Z[j,i]
+            assert row[zij] == 1 and row[zji] == -1
+            assert all(x == 0 for c, x in enumerate(row) if c not in (zij, zji))
+    monkeypatch.setattr(mx, "rank", lambda m: len(m) - 1)
+    with pytest.raises(AssertionError, match="Jacobian rank 2 at"):
+        radicality_certificate(generators(3))
+
+
 def test_radicality_makes_no_symbolic_derivative(monkeypatch):
     calls = []
     for name in ("partial", "evaluate"):
@@ -214,9 +236,10 @@ def test_samples_are_built_only_when_reached(monkeypatch):
         return sample_symplectic(*args, **kwargs)
 
     monkeypatch.setattr(ti, "sample_symplectic", counting)
-    for g in (2, 3, 4, 5):
-        cert = radicality_certificate(generators(g), seed=g)
-        assert cert.verdict == "radical" and cert.fallback_points_tried == 0
+    for g in (1, 2, 3, 4, 5, 6, 7, 8):
+        cert = radicality_certificate(generators(g))
+        assert cert.verdict == "radical" and cert.rank == cert.generator_count
+        assert mx.mat_eq(cert.witness[0], mx.identity(g)) and mx.is_zero_matrix(cert.witness[1])
     assert len(built) == 0
 
     ideal = generators(2)
