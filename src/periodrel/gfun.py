@@ -37,6 +37,13 @@ from .series import (
 )
 
 
+def _json_bool(x, path: str) -> bool:
+    """An integrality flag, which only a JSON ``true`` or ``false`` sets."""
+    if not isinstance(x, bool):
+        raise DecodeError(f"{path}: expected a bool")
+    return x
+
+
 @dataclass(frozen=True)
 class GFunMatrix:
     g: int
@@ -106,7 +113,8 @@ class GFunMatrix:
         flags = obj.get("integral", False)
         if isinstance(flags, list):
             flags = tuple(
-                tuple(bool(x) for x in json_list(row, f"integral[{i}]", g))
+                tuple(_json_bool(x, f"integral[{i}][{j}]")
+                      for j, x in enumerate(json_list(row, f"integral[{i}]", g)))
                 for i, row in enumerate(json_list(flags, "integral", g))
             )
         elif not isinstance(flags, bool):
@@ -178,7 +186,7 @@ class GaussManinCoefficients:
                 )
                 for i, block in enumerate(json_list(json_field(obj, "a"), "a", g))
             ),
-            bool(obj.get("integral", False)),
+            _json_bool(obj.get("integral", False), "integral"),
         )
 
 
@@ -301,8 +309,8 @@ def compute_radii(
             # exact absolute values of explicit algebraic numbers count as certified
             candidates.append((abs_at_place(x, v), v.is_finite()))
         r = min(c[0] for c in candidates)
-        if r <= 0:
-            raise ValueError("radius collapsed to zero; excluded value at the centre?")
+        if r <= 0:  # only a nonzero excluded |x|_v below a double's range gives 0.0
+            raise ValueError(f"the radius at {v} underflows a float")
         certified = all(c[1] for c in candidates)
         out.append((v, r, certified))
     return PlaceRadii(tuple(out))

@@ -1,11 +1,11 @@
-"""Dense exact linear algebra over the scalar fields.
+"""Dense exact linear algebra over Q and one Q(sqrt d).
 
 Matrices are plain tuples of tuples (immutable) or lists of lists during
-construction; entries are Fractions or QuadScalars.  Everything here is
-exact.  Matrices over Q or one Q(sqrt d) run on cleared integer rows: Bareiss
-elimination for rank, solve, inverse and det, and integer products for the
-similitude test.  Other entries take the generic field path.
-"""
+construction; entries are ints, Fractions or QuadScalars.  One Bareiss kernel
+eliminates on cleared denominators: over the integers, a matrix over
+Q(sqrt d) in its rational block form, except det over Q(sqrt d), which runs
+on the entries P + Q sqrt d.  Entries from two quadratic fields are refused;
+only the similitude test takes them, by the generic product."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .scalars import QuadScalar, Scalar, integer_rows, json_list, scalar_from_json, scalar_to_json
+from .scalars import QuadScalar, Scalar, ScalarError, integer_rows, json_list, scalar_from_json, scalar_to_json
 
 Matrix = tuple  # tuple[tuple[Scalar, ...], ...]
 
@@ -102,6 +102,26 @@ def submatrix(m, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
 # Exact integer kernel: matrices over Q or one Q(sqrt d), denominators cleared
 
 
+def _clear(m):
+    """:func:`clear_denominators`, raising where it returns None: ScalarError
+    names the first entry, in row-major order, from a second quadratic field
+    before the field of the entries ahead of it; TypeError names a non-scalar."""
+    d = None
+    for row in m:
+        for x in row:
+            if isinstance(x, QuadScalar):
+                if x.b and x.d != d:
+                    if d is not None:
+                        raise ScalarError(f"mixed quadratic contexts: sqrt({x.d}) vs sqrt({d})")
+                    d = x.d
+            elif not isinstance(x, (int, Fraction)):
+                raise TypeError(f"not a scalar: {x!r}")
+    parts = [[x.a if isinstance(x, QuadScalar) else x for x in row] for row in m]
+    parts += ([x.b if isinstance(x, QuadScalar) else 0 for x in row] for row in m)
+    rows, den = integer_rows(parts)
+    return d, rows[: len(m)], rows[len(m) :], den
+
+
 def clear_denominators(m):
     """Write m as (P + Q sqrt(d)) / D with P, Q int rows and D > 0.
 
@@ -109,20 +129,10 @@ def clear_denominators(m):
     when entries lie in two quadratic fields or are not scalars.  Rows may
     differ in length, so a scalar can ride along as a row of its own.
     """
-    d = None
-    for row in m:
-        for x in row:
-            if isinstance(x, QuadScalar):
-                if x.b and x.d != d:
-                    if d is not None:
-                        return None
-                    d = x.d
-            elif not isinstance(x, (int, Fraction)):
-                return None
-    parts = [[x.a if isinstance(x, QuadScalar) else x for x in row] for row in m]
-    parts += ([x.b if isinstance(x, QuadScalar) else 0 for x in row] for row in m)
-    rows, den = integer_rows(parts)
-    return d, rows[: len(m)], rows[len(m) :], den
+    try:
+        return _clear(m)
+    except (ScalarError, TypeError):
+        return None
 
 
 def is_similitude(m, mu, g: int) -> bool:
@@ -157,23 +167,15 @@ def is_similitude(m, mu, g: int) -> bool:
     )
 
 
-def _int_rows(rows) -> tuple[list[list[int]], int] | None:
-    """(the rows times their common denominator D, as ints; D), or None
-    unless every entry is an int or a Fraction."""
-    if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
-        return integer_rows(rows)
-    return None
-
-
-def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+def _bareiss(rows: list[list], ncols: int, field: bool = False) -> tuple[list[int], object, int]:
     """Fraction-free Gauss-Jordan elimination of int rows, in place (Bareiss).
 
-    Pivots are taken as in :func:`_gauss`.  After each step the rows below
-    hold minors of the input and the rows above their reduced rows times the
-    new pivot, so every division by the previous pivot is exact.  Returns
-    (pivot columns, last pivot, sign of the row permutation); the rows end
-    as the reduced row echelon form times the last pivot.
-    """
+    A column's pivot is its first nonzero entry at or below the current row.
+    After each step the rows below hold minors and the rows above are reduced
+    times the new pivot, so every division by the previous pivot is exact (by
+    ``/`` when the rows hold ``field`` elements).  Returns (pivot columns,
+    last pivot, sign of the row permutation); the rows end as the reduced
+    row echelon form times the last pivot."""
     pivots = []
     prev = sign = 1
     n = len(rows)
@@ -192,83 +194,74 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
         for i in range(n):
             f = rows[i][c]
             if i != r and (f or piv != prev):  # else the step leaves row i as it is
-                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], pr)]
+                if field:
+                    rows[i] = [(piv * x - f * y) / prev for x, y in zip(rows[i], pr)]
+                else:
+                    rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], pr)]
         pivots.append(c)
         prev = piv
     return pivots, prev, sign
 
 
-def _gauss(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """In-place row echelon over a field; returns (rows, pivot column list)."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _reduce(rows: list[list], ncols: int) -> tuple[list[list], list[int], int | None]:
-    """Reduced row echelon form in the first ncols columns: (rows, pivots, unit).
-
-    Rows of ints and Fractions are cleared and run through :func:`_bareiss`,
-    and a reduced entry x stands for x / unit.  Other scalars run
-    :func:`_gauss`, and unit is None.
-    """
-    cleared = _int_rows(rows)
-    if cleared is None:
-        return *_gauss(rows, ncols), None
-    pivots, unit, _ = _bareiss(cleared[0], ncols)
-    return cleared[0], pivots, unit
+def _echelon(rows, ncols: int) -> tuple[int | None, list[list[int]], list[int], int]:
+    """(d, int rows, pivots, unit): rows over Q or one Q(sqrt d) as int rows
+    with the same solutions, reduced by :func:`_bareiss`; a reduced entry x
+    stands for x / unit.  Rational rows are cleared of their denominators (d
+    None).  Over Q(sqrt d) an entry (p + q sqrt d)/D of the first ncols
+    columns becomes the block [[p, dq], [q, p]] on (u_j, v_j), x_j = u_j +
+    v_j sqrt d, and a later (right-hand side) entry the column (p, q).  The
+    columns interleave as (u_0, v_0, u_1, ...), so a column is free exactly
+    when both of its rational columns are."""
+    if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+        d, ints = None, integer_rows(rows)[0]
+    else:
+        d, ints, q, _ = _clear(rows)
+        if d is not None:
+            p, ints = ints, []
+            for pr, qr in zip(p, q):
+                ints.append([y for j in range(ncols) for y in (pr[j], d * qr[j])] + pr[ncols:])
+                ints.append([y for j in range(ncols) for y in (qr[j], pr[j])] + qr[ncols:])
+    pivots, unit, _ = _bareiss(ints, ncols if d is None else 2 * ncols)
+    return d, ints, pivots, unit
 
 
 def rank(m) -> int:
-    return len(_reduce([list(row) for row in m], shape(m)[1])[1])
+    d, _, pivots, _ = _echelon(m, shape(m)[1])
+    return len(pivots) if d is None else len(pivots) // 2
 
 
-def _solve(a, rhs: Sequence[Scalar]) -> tuple[list | None, int]:
-    """(the solution of solve(a, rhs), rank of a) from one elimination."""
-    r, c = shape(a)
-    rows, pivots, unit = _reduce([list(row) + [rhs[i]] for i, row in enumerate(a)], c)
-    # consistency: a zero row with nonzero augment
-    if any(row[c] != 0 for row in rows[len(pivots):]):
-        return None, len(pivots)
-    x = [Fraction(0)] * c
-    for rix, col in enumerate(pivots):
-        x[col] = rows[rix][c] if unit is None else Fraction(rows[rix][c], unit)
-    return x, len(pivots)
+def _solve(a, b) -> tuple[list[list] | None, int]:
+    """(X, rank of a) for a X = b, from one elimination of the rows of
+    [a | b]: X is None when the system has no solution, else the solution
+    whose free variables are zero."""
+    c = shape(a)[1]
+    d, rows, pivots, unit = _echelon([[*ra, *rb] for ra, rb in zip(a, b)], c)
+    step = 1 if d is None else 2
+    w = step * c
+    if any(any(row[w:]) for row in rows[len(pivots) :]):  # a zero row with nonzero augment
+        return None, len(pivots) // step
+    x = [[Fraction(0)] * (len(rows[0]) - w) for _ in range(c)]
+    for i in range(0, len(pivots), step):
+        if d is None:
+            x[pivots[i]] = [Fraction(u, unit) for u in rows[i][w:]]
+        else:
+            parts = zip(rows[i][w:], rows[i + 1][w:])
+            x[pivots[i] // 2] = [QuadScalar._trusted(d, Fraction(u, unit), Fraction(v, unit)) for u, v in parts]
+    return x, len(pivots) // step
 
 
 def solve(a, rhs: Sequence[Scalar]):
-    """Solve a x = rhs exactly; None when the system has no solution.
-
-    For underdetermined consistent systems returns the particular solution
-    with all free variables set to zero (pivot scan in column index order,
-    hence deterministic).
-    """
-    return _solve(a, rhs)[0]
+    """Solve a x = rhs exactly; None when the system has no solution.  An
+    underdetermined system gets the solution whose free variables are zero,
+    pivots scanned in column order."""
+    x = _solve(a, [[y] for y in rhs])[0]
+    return None if x is None else [v for v, in x]
 
 
 def solve_nonsingular(a, rhs: Sequence[Scalar]):
     """Solve a square system a x = rhs in one elimination; None when a is singular."""
-    x, r = _solve(a, rhs)
-    return x if r == len(a) else None
+    x, r = _solve(a, [[y] for y in rhs])
+    return [v for v, in x] if r == len(a) else None
 
 
 def inverse(m):
@@ -276,50 +269,26 @@ def inverse(m):
     n, c = shape(m)
     if n != c:
         raise ValueError("inverse of non-square matrix")
-    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    rows, pivots, unit = _reduce(rows, n)
-    if len(pivots) != n:
-        return None
-    return freeze([[x if unit is None else Fraction(x, unit) for x in row[n:]] for row in rows])
+    x, r = _solve(m, identity(n))
+    return freeze(x) if r == n else None
 
 
 def det(m) -> Scalar:
-    """Exact determinant; Bareiss on cleared denominators for rationals."""
+    """Exact determinant by Bareiss on cleared denominators.  Over Q(sqrt d)
+    the elimination runs on the entries (P + Q sqrt d) themselves."""
     n, c = shape(m)
     if n != c:
         raise ValueError("determinant of non-square matrix")
     if n == 0:
         return Fraction(1)
-    cleared = _int_rows(m)
-    if cleared is None:
-        return _det_gauss(m)
-    pivots, last, sign = _bareiss(cleared[0], n)
-    return Fraction(sign * last, cleared[1] ** n) if len(pivots) == n else Fraction(0)
-
-
-def _det_gauss(m) -> Scalar:
-    n = len(m)
-    rows = [list(row) for row in m]
-    out = None
-    sign = 1
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if rows[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        p = rows[k][k]
-        out = p if out is None else out * p
-        for i in range(k + 1, n):
-            if rows[i][k] != 0:
-                f = rows[i][k] / p
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
-    return out if sign == 1 else -out
+    if all(isinstance(x, (int, Fraction)) for row in m for x in row):
+        d, (rows, den) = None, integer_rows(m)
+    else:
+        d, rows, q, den = _clear(m)
+        if d is not None:
+            rows = [[QuadScalar._trusted(d, Fraction(u), Fraction(v)) for u, v in zip(*pq)] for pq in zip(rows, q)]
+    pivots, last, sign = _bareiss(rows, n, field=d is not None)
+    return sign * last * Fraction(1, den**n) if len(pivots) == n else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

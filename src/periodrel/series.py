@@ -558,13 +558,15 @@ def globally_bounded_scan(f: TruncatedSeries, prime_bound: int) -> GloballyBound
     satisfies |a_n|_p > 1.  Everything else is inconclusive.
     """
     dens = []
+    first: dict[int, int] = {}  # each distinct denominator and where it first appears
     for c in f.coeffs:
         if not isinstance(c, Fraction):
             raise ScalarError("globally-bounded scan is defined over rational coefficients")
+        first.setdefault(c.denominator, len(dens))
         dens.append(c.denominator)
 
     entry: dict[int, int] = {}
-    for n, den in enumerate(dens):
+    for den, n in first.items():  # in order of n, so a prime keeps its first n
         for p in _denominator_primes(den, max(prime_bound, 10**5)):
             if p > 1 and p not in entry:
                 entry[p] = n

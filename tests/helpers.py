@@ -56,6 +56,61 @@ def radius_at(radii: PlaceRadii, v: Place) -> tuple[float, bool]:
     raise KeyError(f"no radius for place {v}")
 
 
+def gauss(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
+    """In-place Gauss-Jordan over a field: (rows, pivot columns).  The
+    former field engine of ``matrices``, kept as the oracle for its Bareiss
+    kernel."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def det_gauss(m):
+    """The determinant by Gaussian elimination over the entries' own field:
+    the former field determinant of ``matrices``, kept as an oracle."""
+    n = len(m)
+    rows = [list(row) for row in m]
+    out = None
+    sign = 1
+    for k in range(n):
+        pivot = None
+        for i in range(k, n):
+            if rows[i][k] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        p = rows[k][k]
+        out = p if out is None else out * p
+        for i in range(k + 1, n):
+            if rows[i][k] != 0:
+                f = rows[i][k] / p
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return out if sign == 1 else -out
+
+
 def kron(a, b) -> tuple:
     """The Kronecker product a (x) b, entry by entry a[i][j] * b[k][l]."""
     (ra, ca), (rb, cb) = mx.shape(a), mx.shape(b)

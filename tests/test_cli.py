@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -678,3 +679,44 @@ def test_out_file_writing(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out_file.read_text())
     assert doc["result"]["verdict"] == "radical"
+
+
+POWERS_OF_3 = {"order": 3, "coeffs": ["1", "3", "9"]}
+NON_BOOLEAN_FLAGS = {  # which file carries a string flag -> (F, a, the refusal)
+    "a": ({"g": 1, "integral": True, "entries": [[POWERS_OF_3]]},
+          {"g": 1, "N": 0, "integral": "no", "a": [[[POWERS_OF_3]]]}, "integral: expected a bool"),
+    "F": ({"g": 1, "integral": [["false"]], "entries": [[POWERS_OF_3]]},
+          {"g": 1, "N": 0, "integral": True, "a": [[[POWERS_OF_3]]]}, "integral[0][0]: expected a bool"),
+}
+
+
+@pytest.mark.parametrize("which", list(NON_BOOLEAN_FLAGS))
+def test_integrality_flags_must_be_json_booleans(which, tmp_path):
+    # a string flag used to count as true, and "no" certified r = 1 at p = 3
+    f, a, message = NON_BOOLEAN_FLAGS[which]
+    (tmp_path / "F.json").write_text(json.dumps(f))
+    (tmp_path / "a.json").write_text(json.dumps(a))
+    proc = run_process([*RADII, "a.json", "--places", json.dumps([PLACE_3])], tmp_path)
+    assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == (2, {"error": message}, "")
+
+
+def test_radii_say_when_an_excluded_value_underflows_a_float(tmp_path):
+    f, a, _ = NON_BOOLEAN_FLAGS["a"]
+    (tmp_path / "F.json").write_text(json.dumps(f))
+    (tmp_path / "a.json").write_text(json.dumps({**a, "integral": True}))
+    argv = [*RADII, "a.json", "--places", json.dumps([PLACE_3]), "--excluded", json.dumps([str(3**700)])]
+    proc = run_process(argv, tmp_path)  # |3^700|_3 = 3^-700 is below a double's range
+    want = {"error": "the radius at p=3 underflows a float"}
+    assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == (1, want, "")
+
+
+def test_gb_scan_factors_each_distinct_denominator_once(tmp_path):
+    # 2000 equal denominators, each once trial-divided to 10^5 (about 10 s in all)
+    (tmp_path / "s.json").write_text(json.dumps({"order": 2000, "coeffs": ["1/1000000000039"] * 2000}))
+    start = time.perf_counter()
+    proc = run_process(["series", "gb-scan", "--series", "s.json"], tmp_path)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and proc.stderr == ""
+    want = {"bad_primes": [], "positive_radius_everywhere": True, "verdict": "bounded", "witness": None}
+    assert json.loads(proc.stdout)["result"] == want
+    assert elapsed < 2.0

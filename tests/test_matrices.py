@@ -2,8 +2,9 @@
 
 ``is_similitude`` is checked against ``helpers.similitude_defect`` (the
 product M^t J M - mu J over the matrices' own scalars), and the Bareiss
-paths of ``rank``, ``solve``, ``inverse`` and ``det`` against ``_gauss`` and
-``_det_gauss`` over ``Fraction``.
+kernel of ``rank``, ``solve``, ``inverse`` and ``det`` against the field
+eliminations ``helpers.gauss`` and ``helpers.det_gauss``, over Q and over
+one Q(sqrt d).
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from periodrel.relations import Case3Input, generator_transform_scalar, random_c
 from periodrel.scalars import QuadScalar, ScalarError
 from periodrel.symplectic import sample_symplectic, with_multiplier
 
-from helpers import similitude_defect, unfreeze
+from helpers import det_gauss, gauss, similitude_defect, unfreeze
 
 _NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 
@@ -162,13 +163,13 @@ def test_sample_symplectic_checks_the_integer_word(monkeypatch):
 
 
 def gauss_rank(m) -> int:
-    return len(mx._gauss([list(row) for row in m], len(m[0]))[1])
+    return len(gauss([list(row) for row in m], len(m[0]))[1])
 
 
 def gauss_solve(a, rhs):
     """The Gauss-Jordan solve: free variables zero, pivots in column order."""
     c = len(a[0])
-    rows, pivots = mx._gauss([list(row) + [rhs[i]] for i, row in enumerate(a)], c)
+    rows, pivots = gauss([list(row) + [rhs[i]] for i, row in enumerate(a)], c)
     if any(all(x == 0 for x in row[:c]) and row[c] != 0 for row in rows):
         return None
     x = [Fraction(0)] * c
@@ -180,7 +181,7 @@ def gauss_solve(a, rhs):
 def gauss_inverse(m):
     n = len(m)
     rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    rows, pivots = mx._gauss(rows, n)
+    rows, pivots = gauss(rows, n)
     return mx.freeze(row[n:] for row in rows) if len(pivots) == n else None
 
 
@@ -230,7 +231,7 @@ def test_bareiss_rank_and_solve_agree_with_gauss(system):
 def test_bareiss_inverse_det_and_square_solve_agree_with_gauss(system):
     a, rhs = system
     n = len(a)
-    assert mx.det(a) == mx._det_gauss(a)
+    assert mx.det(a) == det_gauss(a)
     assert mx.inverse(a) == gauss_inverse(a)
     want = gauss_solve(a, rhs) if gauss_rank(a) == n else None
     assert mx.solve_nonsingular(a, rhs) == want
@@ -256,4 +257,89 @@ def test_quadratic_matrices_take_gauss():
     b = mx.freeze([[r, Fraction(1)], [Fraction(1), r]])
     assert mx.inverse(b) == gauss_inverse(b)
     assert mx.solve(b, [Fraction(1), Fraction(0)]) == gauss_solve(b, [Fraction(1), Fraction(0)])
-    assert mx.det(b) == mx._det_gauss(b) == 4
+    assert mx.det(b) == det_gauss(b) == 4
+
+
+# ---------------------------------------------------------------------------
+# Over one Q(sqrt d): the Bareiss kernel on the rational block form
+
+
+@st.composite
+def _quadratic_system(draw, square: bool = False):
+    """(a, rhs) over Q(sqrt d), d in {2, 5, -1, -7}: entries mix Fraction,
+    rational-valued QuadScalar (some tagged with another d) and genuinely
+    quadratic values.  Dependent rows are Q(sqrt d)-combinations of the
+    first ones, and the right-hand side is consistent when a x was drawn."""
+    d = draw(st.sampled_from((2, 5, -1, -7)))
+    root = QuadScalar(d, 0, 1)
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    dense = st.one_of(
+        st.builds(lambda a, b: a + b * root, small, small), small, st.builds(lambda a: QuadScalar(11, a, 0), small)
+    )
+    sparse = st.sampled_from((Fraction(0), Fraction(0), Fraction(0), Fraction(1), Fraction(-1), root, -root))
+    entry = draw(st.sampled_from((dense, sparse)))
+    r = draw(st.integers(1, 5))
+    c = r if square else draw(st.integers(1, 5))
+    independent = draw(st.integers(1, r))
+    rows = [[draw(entry) for _ in range(c)] for _ in range(independent)]
+    for _ in range(r - independent):
+        coeffs = [draw(entry) for _ in rows]
+        rows.append([sum((k * row[j] for k, row in zip(coeffs, rows)), Fraction(0)) for j in range(c)])
+    a = mx.freeze(rows[i] for i in draw(st.permutations(range(r))))
+    if draw(st.booleans()):
+        x = [draw(entry) for _ in range(c)]
+        rhs = [sum((u * v for u, v in zip(row, x)), Fraction(0)) for row in a]
+    else:
+        rhs = [draw(entry) for _ in range(r)]
+    return a, rhs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_quadratic_system())
+def test_quadratic_rank_and_solve_agree_with_gauss(system):
+    a, rhs = system
+    assert mx.rank(a) == gauss_rank(a)
+    assert mx.solve(a, rhs) == gauss_solve(a, rhs)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_quadratic_system(square=True))
+def test_quadratic_inverse_det_and_square_solve_agree_with_gauss(system):
+    a, rhs = system
+    assert mx.det(a) == det_gauss(a)
+    assert mx.inverse(a) == gauss_inverse(a)
+    want = gauss_solve(a, rhs) if gauss_rank(a) == len(a) else None
+    assert mx.solve_nonsingular(a, rhs) == want
+
+
+def test_two_quadratic_fields_are_refused_before_eliminating():
+    """diag(sqrt 2, sqrt 3): the first entry from a second field, in
+    row-major order, is named before the field of the entries ahead of it."""
+    m = mx.freeze([[QuadScalar(2, 0, 1), Fraction(0)], [Fraction(0), QuadScalar(3, 0, 1)]])
+    for call in (lambda: mx.rank(m), lambda: mx.solve(m, [Fraction(1), Fraction(1)]), lambda: mx.inverse(m),
+                 lambda: mx.det(m)):
+        with pytest.raises(ScalarError, match=r"^mixed quadratic contexts: sqrt\(3\) vs sqrt\(2\)$"):
+            call()
+    # a rational-valued entry tagged with another d belongs to every field
+    assert mx.rank(mx.freeze([[QuadScalar(3, 2, 0), QuadScalar(2, 0, 1)]])) == 1
+
+
+def test_quadratic_solve_runs_on_integer_rows(monkeypatch):
+    r = QuadScalar(5, 0, 1)
+    a = mx.freeze([[r, Fraction(1), Fraction(0)], [Fraction(1, 2), 1 + r, Fraction(3)], [Fraction(5), r, Fraction(0)]])
+    rhs = [Fraction(1), r, r]  # the third row is sqrt 5 times the first: one free column
+    want = gauss_solve(a, rhs)
+    calls = []
+    real = mx._bareiss
+
+    def integer_only(rows, ncols, field=False):
+        assert not field and all(type(x) is int for row in rows for x in row)
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(mx, "_bareiss", integer_only)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(QuadScalar, name, lambda *args: pytest.fail("field arithmetic in a Q(sqrt d) solve"))
+    got = mx.solve(a, rhs)
+    monkeypatch.undo()
+    assert calls == [6] and got == want and want is not None

@@ -230,6 +230,15 @@ def test_scan_lists_a_tail_only_when_trial_division_proves_it_prime(tail, bad):
     assert globally_bounded_scan(f, 50).bad_primes == bad
 
 
+def test_scan_dates_a_prime_by_the_first_index_of_a_repeated_denominator():
+    # 1/3 at n = 1 and again at n = 9, 1/5 first at n = 7: only 5 enters late
+    coeffs = [Fraction(0)] * 11
+    coeffs[1] = coeffs[9] = Fraction(1, 3)
+    coeffs[7] = Fraction(1, 5)
+    rep = globally_bounded_scan(TS.from_coeffs(coeffs, 10), 50)
+    assert (rep.bad_primes, rep.verdict, rep.witness) == ((3, 5), "unbounded_evidence", (7, 5))
+
+
 def test_scan_stable_denominator_bounded():
     f = TS.from_coeffs([Fraction(n, 6) for n in range(25)], 24)
     assert globally_bounded_scan(f, 50).verdict == "bounded"
