@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -326,11 +327,26 @@ class MultiPoly:
         return MultiPoly(_accumulate({}, lowered), _clean=False)
 
     def evaluate(self, assignment: Mapping[VarId, Scalar]) -> Scalar:
+        """The exact value.  Fraction coefficients over C at rational values
+        over L make one int sum, Σ C c_m Π L x_v L^(deg - |m|) / (C L^deg)."""
         total: Scalar = Fraction(0)
-        if not self.terms:
-            return total
         values = {v.code: x for v, x in assignment.items()}
         try:
+            rational = all(isinstance(x, (int, Fraction)) for x in values.values())
+            if rational and all(type(c) is Fraction for c in self.terms.values()):
+                cden, den, whole = 1, 1, 0  # the lcms fold one at a time: no tuple of denominators
+                for c in self.terms.values():
+                    cden = math.lcm(cden, c.denominator)
+                for x in values.values():
+                    den = math.lcm(den, x.denominator)
+                nums = {code: x.numerator * (den // x.denominator) for code, x in values.items()}
+                powers = [den**k for k in range(self.degree() + 1)]  # powers[-1 - |m|] = L^(deg - |m|)
+                for m, c in self.terms.items():
+                    val = c.numerator * (cden // c.denominator) * powers[-1 - len(m)]
+                    for code in m:
+                        val *= nums[code]
+                    whole += val
+                return Fraction(whole, cden * powers[-1])
             for m, c in self.terms.items():
                 val = c
                 for code in m:

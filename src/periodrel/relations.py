@@ -36,7 +36,7 @@ from .polyalg import (
     determinant,
     symbolic_matrix,
 )
-from .scalars import QuadScalar, Scalar, json_field, json_int, scalar_from_json
+from .scalars import QuadScalar, Scalar, integer_rows, json_field, json_int, scalar_from_json
 from .symplectic import sample_symplectic, standard_form
 from .trivial_ideal import (
     MembershipVerdict,
@@ -406,6 +406,33 @@ def _phi(q: MultiPoly, m) -> dict[VarId, MultiPoly]:
     return phi
 
 
+def _transport(q: MultiPoly, m) -> MultiPoly:
+    """q after Phi.  When every entry of M is a QuadScalar of one d and q is
+    a quadratic form over Q, M = (P + Q sqrt d)/D and q = sum (n/L) v w: the
+    products of the images of v and w sum as int pairs (u, w), and each
+    coefficient (u + w sqrt d)/(L D^2) is built once.  Else ``substitute``."""
+    tags = {x.d if isinstance(x, QuadScalar) else None for row in m for x in row}
+    if None in tags or len(tags) != 1 or any(type(c) is not Fraction or len(t) != 2 for t, c in q.terms.items()):
+        return q.substitute(_phi(q, m))
+    (d,), (_, p, r, den) = tags, mx.clear_denominators(m)
+    g, forms, out = len(m) // 2, {}, {}
+    for v in q.variables():  # v = W[k, c] -> sum_s M[s][k] W[s, c] on W = (Y; Z), as in _phi
+        k = v.row - 1 + (g if v.block == "Z" else 0)
+        cells = ((VarId("Z" if s >= g else "Y", s % g + 1, v.col).code, p[s][k], r[s][k]) for s in range(2 * g))
+        forms[v.code] = [(code, a, b, d * b) for code, a, b in cells if a or b]
+    (nums,), lcm = integer_rows([list(q.terms.values())])
+    for (v1, v2), n in zip(q.terms, nums):
+        for x, a1, b1, _ in forms[v1]:
+            a1, b1 = n * a1, n * b1
+            for y, a2, b2, db2 in forms[v2]:
+                pair = out.setdefault((x, y) if x <= y else (y, x), [0, 0])
+                pair[0] += a1 * a2 + b1 * db2
+                pair[1] += a1 * b2 + b1 * a2
+    ldd = lcm * den * den
+    terms = {Monomial(t): QuadScalar._trusted(d, Fraction(u, ldd), Fraction(w, ldd)) for t, (u, w) in out.items() if u or w}
+    return MultiPoly(terms, _clean=False)
+
+
 def generator_transform_scalar(inp: Case3Input) -> Scalar:
     """The exact scalar c with Phi(Y^t Z - Z^t Y) = c * (Y^t Z - Z^t Y).
 
@@ -455,7 +482,7 @@ def build_case3_relation(inp: Case3Input) -> RelationCertificate:
     if q.evaluate(point_assignment(inp.H[:h], inp.H[h:])) != 0:
         raise AssertionError("quadratic relation failed to vanish at the period matrix")
     phi_scalar = Fraction(1) / inp.e
-    p_final = q.substitute(_phi(q, inp.change_of_basis()))
+    p_final = _transport(q, inp.change_of_basis())
     if not row_permutation_test(q, row_swap_permutation(g)):
         raise AssertionError("row-swap test unexpectedly left the relation unchanged")
     verdict = MembershipVerdict(

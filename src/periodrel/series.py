@@ -616,7 +616,14 @@ def eval_with_tail_bound(
 
     if v.is_finite():
         absx = abs_at_place(x, v)
-        if _all_fractions(f.coeffs):  # Horner, from the top coefficient down
+        if _all_fractions(f.coeffs) and isinstance(x, (int, Fraction)):  # Horner on ints, from the top:
+            (nums,), den = integer_rows([f.coeffs])  # sum N_n a^n b^(N-n) / (L b^N) for x = a/b
+            total, bpow = nums[-1], 1
+            for c in reversed(nums[:-1]):
+                bpow *= x.denominator
+                total = total * x.numerator + c * bpow
+            total = Fraction(total, den * bpow)
+        elif _all_fractions(f.coeffs):  # Horner, from the top coefficient down
             total = f.coeffs[-1]
             for c in reversed(f.coeffs[:-1]):
                 total = total * x + c

@@ -28,6 +28,26 @@ def jacobian_rows(ideal: TrivialIdeal, point: tuple) -> list[list]:
     return [[f.partial(v).evaluate(assignment) for v in variables] for f in ideal.generators]
 
 
+def evaluate_term_by_term(p: MultiPoly, assignment):
+    """The value of p at the assignment, one exact term at a time: the oracle
+    for the one-denominator int sum of ``MultiPoly.evaluate``."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        for v, e in m.exps:
+            c = c * assignment[v] ** e
+        total = total + c
+    return total
+
+
+def horner(coeffs, x):
+    """sum c_n x^n by Horner over the scalars themselves, from the top: the
+    oracle for the int Horner of ``series.eval_with_tail_bound``."""
+    total = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        total = total * x + c
+    return total
+
+
 def unfreeze(m) -> list:
     """A mutable copy of a frozen matrix."""
     return [list(row) for row in m]

@@ -25,7 +25,15 @@ from periodrel.relations import build_nonarch_certificate
 from periodrel.scalars import QuadScalar
 from periodrel.trivial_ideal import generators, membership, point_assignment
 
-from helpers import PairMonomial, constant_matrix, pair_poly_to_json, poly_matrix_to_json, random_action, sampled_points
+from helpers import (
+    PairMonomial,
+    constant_matrix,
+    evaluate_term_by_term,
+    pair_poly_to_json,
+    poly_matrix_to_json,
+    random_action,
+    sampled_points,
+)
 
 
 def test_varid_order_matches_declared_chain():
@@ -218,6 +226,40 @@ def test_substitute_and_evaluate():
     q = p.substitute({y11: MultiPoly.variable(zvar(1, 1)) + MultiPoly.constant(Fraction(2))})
     val = q.evaluate({zvar(1, 1): Fraction(3)})
     assert val == 26  # (3+2)^2 + 1
+
+
+_POINT_VARIABLES = [VarId(b, i, j) for b in ("Y", "Z", "Yp") for i in (1, 2) for j in (1, 2)]
+_RATIONALS = (
+    st.integers(-50, 50).map(Fraction)
+    | st.fractions(max_denominator=30)
+    | st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.dictionaries(st.sampled_from(_POINT_VARIABLES), st.integers(1, 3), max_size=3), _RATIONALS),
+        max_size=6,
+    ),
+    st.lists(st.integers(-(10**12), 10**12) | _RATIONALS, min_size=len(_POINT_VARIABLES), max_size=len(_POINT_VARIABLES)),
+)
+def test_evaluate_matches_the_term_by_term_oracle(terms, values):
+    # non-homogeneous polynomials with constant terms, int and Fraction
+    # values, denominators up to 10^40 on both sides
+    p = MultiPoly({Monomial.of(*exps.items()): c for exps, c in terms})
+    point = dict(zip(_POINT_VARIABLES, values))
+    got, want = p.evaluate(point), evaluate_term_by_term(p, point)
+    assert got == want and type(got) is type(want) is Fraction
+
+
+@pytest.mark.parametrize("kind", ["rational", "quadratic"])
+def test_evaluate_names_a_missing_variable(kind):
+    y11, z21 = yvar(1, 1), zvar(2, 1)
+    p = MultiPoly({Monomial.of((y11, 2), (z21, 1)): Fraction(3, 4), Monomial.one(): Fraction(1)})
+    value = Fraction(2, 3) if kind == "rational" else QuadScalar(5, 1, 1)
+    with pytest.raises(KeyError, match=r"no value for variable Z\[2,1\]"):
+        p.evaluate({y11: value, zvar(1, 2): value})
 
 
 def _substitute_by_constant_product(p, mapping):

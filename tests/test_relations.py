@@ -394,28 +394,98 @@ def test_case3_polynomial_matches_substitution_on_mixed_entry_types():
 
 def test_case3_relation_needs_no_substitution_or_second_similitude(monkeypatch):
     # M J M^t = (1/e) J follows from the checked M^t J M = (1/e) J, and q is
-    # transported by one substitution over its own variables, not all 2g^2
+    # transported over its own variables, not all 2g^2: on cleared integers
+    # when M lies in one Q(sqrt d), else by one substitution
     def forbidden(*args):
         raise AssertionError("not called by build_case3_relation")
 
-    calls = []
-    substitute = MultiPoly.substitute
+    transported, substituted = [], []
+    transport, substitute = relations._transport, MultiPoly.substitute
+
+    def spy_transport(q, m):
+        transported.append(q.variables())
+        return transport(q, m)
 
     def spy(self, mapping):
-        calls.append((self.variables(), set(mapping)))
+        substituted.append((self.variables(), set(mapping)))
         return substitute(self, mapping)
 
+    monkeypatch.setattr(relations, "_transport", spy_transport)
     monkeypatch.setattr(MultiPoly, "substitute", spy)
     monkeypatch.setattr(relations, "generator_transform_scalar", forbidden)
     # mixed seeds 1 (lambda = 0) and 8 (mu = 0): q has 2g variables there
-    for inp in (random_case3_input(6, seed=2), random_case3_input(4, seed=0), mixed_case3_input(4, 1),
-                mixed_case3_input(4, 8)):
-        calls.clear()
+    for inp, cleared in ((random_case3_input(6, seed=2), True), (random_case3_input(4, seed=0), True),
+                         (mixed_case3_input(4, 1), False), (mixed_case3_input(4, 8), False)):
+        transported.clear()
+        substituted.clear()
         cert = build_case3_relation(inp)
         assert cert.nontriviality.detail.endswith(f"(generator scalar {Fraction(1) / inp.e})")
-        assert len(calls) == 1
-        q_variables, keys = calls[0]
-        assert keys == q_variables == case3_quadratic(inp).variables()
+        q_variables = case3_quadratic(inp).variables()
+        assert transported == [q_variables]
+        assert substituted == ([] if cleared else [(q_variables, q_variables)])
+
+
+def _with_period_matrix(inp, h):
+    return Case3Input(inp.g, mx.freeze(h), inp.A, inp.B, inp.C, inp.D, inp.sqrt_e)
+
+
+def _rational_valued(inp):
+    """The same data with M replaced by the symplectic sqrt(e) M, whose
+    entries are rational-valued QuadScalars tagged with sqrt(e)'s d."""
+    blocks = (mx.scalar_mul(inp.sqrt_e, b) for b in (inp.A, inp.B, inp.C, inp.D))
+    return Case3Input(inp.g, inp.H, *blocks, QuadScalar(inp.sqrt_e.d, 1, 0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("g", [4, 6, 8])
+def test_case3_integer_transport_matches_substitution(g, d, monkeypatch):
+    # H = I gives (lambda, mu) = (1, 0); I with columns 2 and g/2 + 1 swapped
+    # pairs them, so the pairing's (1,2) entry is 1 and (1, g/2+2) is 0: (0, 1)
+    h = g // 2
+    swapped = [[Fraction(int(c == {1: h, h: 1}.get(r, r))) for c in range(g)] for r in range(g)]
+    substituted = []
+    substitute = MultiPoly.substitute
+    monkeypatch.setattr(MultiPoly, "substitute", lambda p, m: substituted.append(p) or substitute(p, m))
+    notes = set()
+    for seed in range(2 if g < 8 else 1):
+        inp = random_case3_input(g, seed=seed, d=d)
+        rational = _rational_valued(inp)  # entries QuadScalar(d, a, 0): the tag d must reach the output
+        for case in (inp, _with_period_matrix(inp, mx.identity(g)), _with_period_matrix(inp, swapped), rational):
+            substituted.clear()
+            cert = build_case3_relation(case)
+            assert substituted == []  # one field: the cleared integers, no substitution
+            notes.add(cert.notes)
+            assert cert.polynomial.to_json() == _substituted(case), (seed, cert.notes)
+    assert {"lambda=1, mu=0", "lambda=0, mu=1"} <= notes
+
+
+def test_case3_takes_substitution_exactly_on_mixed_inputs(monkeypatch):
+    # the mixed inputs of the oracle test above mix Fraction entries, other
+    # d tags or QuadScalar (lambda, mu) into M or q: each keeps substitute,
+    # whose result the oracle test compares
+    substituted = []
+    monkeypatch.setattr(MultiPoly, "substitute", lambda p, m: substituted.append(p) or MultiPoly.zero())
+    for seed in range(300):
+        inp = mixed_case3_input(6 if seed % 10 == 0 else 4, seed)
+        substituted.clear()
+        relations._transport(case3_quadratic(inp), inp.change_of_basis())
+        assert len(substituted) == 1, seed
+
+
+def test_case3_substitutes_when_one_entry_carries_another_tag(monkeypatch):
+    # every entry a QuadScalar, but one nonzero rational-valued entry tagged
+    # sqrt(11): two tags, so substitute decides the coefficients' tags
+    inp = _rational_valued(random_case3_input(4, seed=0, d=5))
+    a = [list(row) for row in inp.A]
+    i, j = next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x != 0)
+    a[i][j] = QuadScalar(11, a[i][j].a, 0)
+    inp = Case3Input(4, inp.H, mx.freeze(a), inp.B, inp.C, inp.D, inp.sqrt_e)
+    substituted = []
+    substitute = MultiPoly.substitute
+    monkeypatch.setattr(MultiPoly, "substitute", lambda p, m: substituted.append(p) or substitute(p, m))
+    got = build_case3_relation(inp).polynomial.to_json()
+    assert len(substituted) == 1
+    assert got == _substituted(inp)
 
 
 def test_case3_decides_a_degenerate_period_matrix_by_rank(monkeypatch):

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodrel import series
 from periodrel.scalars import DecodeError, Place, QuadScalar, ScalarError, valuation
 from periodrel.series import (
+    EvalResult,
     TruncatedSeries,
     compose,
     compositional_inverse,
@@ -17,7 +19,7 @@ from periodrel.series import (
     reciprocal,
 )
 
-from helpers import horner_kcompose
+from helpers import horner, horner_kcompose
 
 TS = TruncatedSeries
 
@@ -263,6 +265,24 @@ def test_eval_geometric_padic():
     assert res.value == padic_partial_sum(f, Fraction(2))
     assert res.tail_bound == pytest.approx(2.0 ** (-(n + 1)))
     assert not res.heuristic
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(st.fractions(max_denominator=40) | st.integers(-(10**30), 10**30).map(Fraction), min_size=1, max_size=30),
+    (st.integers(-(10**6), 10**6) | st.fractions(max_denominator=10**9)).filter(bool),
+    st.sampled_from((2, 3, 7)),
+)
+def test_finite_place_sum_matches_fraction_horner(coeffs, x, p):
+    # all-Fraction coefficients at a rational x take the int Horner; a
+    # rational-valued QuadScalar x keeps Horner over the scalars
+    f = TS.from_coeffs(coeffs)
+    res = eval_with_tail_bound(f, x, Place.finite(p))
+    want = horner(f.coeffs, x)
+    assert res.value == want and type(res.value) is Fraction
+    quad = eval_with_tail_bound(f, QuadScalar(5, x, 0), Place.finite(p))
+    assert quad == EvalResult(horner(f.coeffs, QuadScalar(5, x, 0)), res.tail_bound, True)
+    assert isinstance(quad.value, QuadScalar) == (f.order > 0)
 
 
 def test_eval_outside_disc_rejected():
