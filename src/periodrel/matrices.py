@@ -13,7 +13,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .scalars import QuadScalar, Scalar, ScalarError, integer_rows, json_list, scalar_from_json, scalar_to_json
+from .scalars import QuadScalar, Scalar, ScalarError, integer_rows, json_list, quadratic_field
+from .scalars import scalar_from_json, scalar_to_json
 
 Matrix = tuple  # tuple[tuple[Scalar, ...], ...]
 
@@ -104,18 +105,13 @@ def submatrix(m, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
 
 def _clear(m):
     """:func:`clear_denominators`, raising where it returns None: ScalarError
-    names the first entry, in row-major order, from a second quadratic field
-    before the field of the entries ahead of it; TypeError names a non-scalar."""
-    d = None
+    from :func:`quadratic_field` for entries from two quadratic fields,
+    scanned in row-major order; TypeError names a non-scalar."""
     for row in m:
         for x in row:
-            if isinstance(x, QuadScalar):
-                if x.b and x.d != d:
-                    if d is not None:
-                        raise ScalarError(f"mixed quadratic contexts: sqrt({x.d}) vs sqrt({d})")
-                    d = x.d
-            elif not isinstance(x, (int, Fraction)):
+            if not isinstance(x, (int, Fraction, QuadScalar)):
                 raise TypeError(f"not a scalar: {x!r}")
+    d = quadratic_field(x for row in m for x in row)
     parts = [[x.a if isinstance(x, QuadScalar) else x for x in row] for row in m]
     parts += ([x.b if isinstance(x, QuadScalar) else 0 for x in row] for row in m)
     rows, den = integer_rows(parts)

@@ -36,7 +36,7 @@ from .polyalg import (
     determinant,
     symbolic_matrix,
 )
-from .scalars import QuadScalar, Scalar, integer_rows, json_field, json_int, scalar_from_json
+from .scalars import QuadScalar, Scalar, json_field, json_int, quadratic_field, scalar_from_json
 from .symplectic import sample_symplectic, standard_form
 from .trivial_ideal import (
     MembershipVerdict,
@@ -391,45 +391,33 @@ def quadratic_relation_polys(g: int) -> tuple[MultiPoly, MultiPoly]:
     return generator_poly(h, 1, 2), generator_poly(h, 1, h + 2)
 
 
-def _phi(q: MultiPoly, m) -> dict[VarId, MultiPoly]:
-    """Phi on the variables of q: W[r, c] -> sum_s M[s][r] W[s, c] on the
-    stacked W = (Y; Z), i.e. Y -> A^t Y + C^t Z and Z -> B^t Y + D^t Z for
-    M = (A B; C D).  Each image lists Y before Z row by row, and MultiPoly
-    drops M's zero entries: the order of the symbolic substitution over all
-    2g^2 variables, so ``q.substitute`` makes the same sums."""
-    g = len(m) // 2
-    order = [s for k in range(g) for s in (k, g + k)]
-    phi = {}
-    for v in q.variables():
-        r = v.row - 1 + (g if v.block == "Z" else 0)
-        phi[v] = MultiPoly({Monomial.var(VarId("Z" if s >= g else "Y", s % g + 1, v.col)): m[s][r] for s in order})
-    return phi
-
-
 def _transport(q: MultiPoly, m) -> MultiPoly:
-    """q after Phi.  When every entry of M is a QuadScalar of one d and q is
-    a quadratic form over Q, M = (P + Q sqrt d)/D and q = sum (n/L) v w: the
-    products of the images of v and w sum as int pairs (u, w), and each
-    coefficient (u + w sqrt d)/(L D^2) is built once.  Else ``substitute``."""
-    tags = {x.d if isinstance(x, QuadScalar) else None for row in m for x in row}
-    if None in tags or len(tags) != 1 or any(type(c) is not Fraction or len(t) != 2 for t, c in q.terms.items()):
-        return q.substitute(_phi(q, m))
-    (d,), (_, p, r, den) = tags, mx.clear_denominators(m)
-    g, forms, out = len(m) // 2, {}, {}
-    for v in q.variables():  # v = W[k, c] -> sum_s M[s][k] W[s, c] on W = (Y; Z), as in _phi
+    """q after Phi: W[k, c] -> sum_s M[s][k] W[s, c] on the stacked W = (Y; Z),
+    i.e. Y -> A^t Y + C^t Z and Z -> B^t Y + D^t Z for M = (A B; C D).
+
+    Over the one Q(sqrt d) of M's entries and q's coefficients (Q when d is
+    None), M = (P + Q sqrt d)/D and the quadratic form q is
+    sum ((n + n' sqrt d)/L) v w: the products of the images of v and w sum as
+    int pairs (u, w), and each coefficient (u + w sqrt d)/(L D^2) is built
+    once, a Fraction when w = 0."""
+    d = quadratic_field([*(x for row in m for x in row), *q.terms.values()])
+    _, p, r, den = mx.clear_denominators(m)
+    e, g, forms, out = d or 0, len(m) // 2, {}, {}
+    for v in q.variables():
         k = v.row - 1 + (g if v.block == "Z" else 0)
         cells = ((VarId("Z" if s >= g else "Y", s % g + 1, v.col).code, p[s][k], r[s][k]) for s in range(2 * g))
-        forms[v.code] = [(code, a, b, d * b) for code, a, b in cells if a or b]
-    (nums,), lcm = integer_rows([list(q.terms.values())])
-    for (v1, v2), n in zip(q.terms, nums):
-        for x, a1, b1, _ in forms[v1]:
-            a1, b1 = n * a1, n * b1
+        forms[v.code] = [(code, a, b, e * b) for code, a, b in cells if a or b]
+    _, (nums,), (roots,), lcm = mx.clear_denominators([list(q.terms.values())])
+    for (v1, v2), n, n2 in zip(q.terms, nums, roots):
+        for x, a1, b1, db1 in forms[v1]:
+            a1, b1 = n * a1 + n2 * db1, n * b1 + n2 * a1  # (n + n' sqrt d)(a1 + b1 sqrt d)
             for y, a2, b2, db2 in forms[v2]:
                 pair = out.setdefault((x, y) if x <= y else (y, x), [0, 0])
                 pair[0] += a1 * a2 + b1 * db2
                 pair[1] += a1 * b2 + b1 * a2
     ldd = lcm * den * den
-    terms = {Monomial(t): QuadScalar._trusted(d, Fraction(u, ldd), Fraction(w, ldd)) for t, (u, w) in out.items() if u or w}
+    terms = {Monomial(t): QuadScalar._trusted(d, Fraction(u, ldd), Fraction(w, ldd)) if w else Fraction(u, ldd)
+             for t, (u, w) in out.items() if u or w}
     return MultiPoly(terms, _clean=False)
 
 

@@ -134,11 +134,9 @@ def valuation(x: Scalar, p: int) -> int:
     QuadScalar counts when it is rational-valued."""
     if not is_prime(p):
         raise ScalarError(f"{p} is not prime")
-    if isinstance(x, QuadScalar):
-        if x.b != 0:
-            raise ScalarError("p-adic valuation supported for rational values only")
-        x = x.a
-    x = Fraction(x)
+    x = rational_value(x)
+    if x is None:
+        raise ScalarError("p-adic valuation supported for rational values only")
     if x == 0:
         raise ScalarError("valuation of zero undefined")
 
@@ -378,6 +376,28 @@ class QuadScalar:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
+def rational_value(x: Scalar) -> Fraction | None:
+    """x as a Fraction when its value is rational, whatever its type; None
+    for a genuinely quadratic x."""
+    if isinstance(x, QuadScalar):
+        return x.a if x.b == 0 else None
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def quadratic_field(values) -> int | None:
+    """The d of the one Q(sqrt d) that holds every value, None when every
+    value is rational.  A rational-valued QuadScalar counts as rational
+    whatever its tag; a value from a second field raises ScalarError, naming
+    its field before the field of the values ahead of it."""
+    d = None
+    for x in values:
+        if isinstance(x, QuadScalar) and x.b and x.d != d:
+            if d is not None:
+                raise ScalarError(f"mixed quadratic contexts: sqrt({x.d}) vs sqrt({d})")
+            d = x.d
+    return d
+
+
 def conjugate(x: Scalar) -> Scalar:
     """Galois conjugate: a + b*sqrt(d) -> a - b*sqrt(d); rationals are fixed."""
     if isinstance(x, QuadScalar):
@@ -390,14 +410,17 @@ def conjugate(x: Scalar) -> Scalar:
 
 
 def scalar_to_json(x: Scalar):
+    """The one encoding of a scalar, a function of its value: a rational
+    value as "num/den" whatever its type, else {d, a, b}."""
     if isinstance(x, QuadScalar):
-        return {"d": x.d, "a": _frac_str(x.a), "b": _frac_str(x.b)}
+        return _frac_str(x.a) if x.b == 0 else {"d": x.d, "a": _frac_str(x.a), "b": _frac_str(x.b)}
     return _frac_str(Fraction(x))
 
 
 def scalar_from_json(obj, path: str = "scalar") -> Scalar:
-    """Decode a scalar; a malformed one raises :class:`DecodeError` naming
-    its path, e.g. ``coeffs[2].b: missing``."""
+    """Decode a scalar from either form, {d, a, b} also for b = 0; a
+    malformed one raises :class:`DecodeError` naming its path, e.g.
+    ``coeffs[2].b: missing``."""
     if not isinstance(obj, dict):
         return _frac_parse(obj, path)
     for key in ("d", "a", "b"):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .matrices import clear_denominators
 from .scalars import (
     DecodeError,
     Place,
@@ -25,6 +26,8 @@ from .scalars import (
     json_field,
     json_int,
     json_list,
+    quadratic_field,
+    rational_value,
     scalar_from_json,
     scalar_to_json,
     valuation,
@@ -130,10 +133,9 @@ class TruncatedSeries:
         )
 
     def is_integral(self) -> bool:
-        """All computed coefficients lie in Z."""
-        return all(
-            isinstance(c, Fraction) and c.denominator == 1 for c in self.coeffs
-        )
+        """All computed coefficients lie in Z, whatever their type."""
+        return all(c.denominator == 1 if type(c) is Fraction else c.b == 0 and c.a.denominator == 1
+                   for c in self.coeffs)
 
     def __str__(self) -> str:
         parts = [f"{c}*X^{n}" for n, c in enumerate(self.coeffs) if c != 0]
@@ -298,30 +300,19 @@ def _kcompose(f: tuple, g: tuple, d: int | None) -> tuple:
     return acc
 
 
-def _kinverse(u: tuple, d: int | None) -> tuple[tuple, set]:
-    """Compositional inverse of u = X + O(X^2) by Newton iteration, and,
-    over Z[sqrt d] only, the set of indices k >= 1 where it is zero without
-    any nonzero term (over Z the set stays empty: the generic path writes
-    every rational zero the same way).
+def _kinverse(u: tuple, d: int | None) -> tuple:
+    """Compositional inverse of u = X + O(X^2) by Newton iteration.
 
     A step from v = u^-1 mod X^(p+1) to precision q <= 2p subtracts
     (u(v) - X) / u'(v).  The error u(v) - X is O(X^(p+1)), so the divisor is
     needed only mod X^(q-p), and there it equals v', because
     (u^-1)' = 1 / u'(u^-1).  Every step stays integral.
-
-    In the generic path, a coefficient k that a step computes first
-    (p < k <= q) is the sum of the products err_i (1/f'(g))_(k-i) whose
-    factors are both nonzero.  Rescaling keeps which factors vanish, and
-    there the divisor coefficient vanishes with v'_(k-i), that is with
-    v_(k-i+1).  A zero that no such product reaches is a plain 0 there.
     """
     n = len(u[0]) - 1
     v = _kpad(u, 2)  # X
-    untouched = set()
     prec = 1
     while prec < n:
         p, prec = prec, min(2 * prec, n)
-        old = v
         v = _kpad(v, prec + 1)
         err = _kcompose(_kpad(u, prec + 1), v, d)  # X + X^(p+1) E
         dv = tuple([(i + 1) * part[i + 1] for i in range(prec - p)] for part in v)
@@ -330,30 +321,11 @@ def _kinverse(u: tuple, d: int | None) -> tuple[tuple, set]:
             part[: p + 1] + [s - t for s, t in zip(part[p + 1 :], c)]
             for part, c in zip(v, corr)
         )
-        if d is None:
-            continue
-        for k in range(p + 1, prec + 1):
-            if not any(part[k] for part in v) and not any(
-                any(part[i] for part in err) and any(part[k - i + 1] for part in old)
-                for i in range(p + 1, k + 1)
-            ):
-                untouched.add(k)
-    return v, untouched
+    return v
 
 
 def _all_fractions(coeffs) -> bool:
     return all(type(c) is Fraction for c in coeffs)
-
-
-def _quadratic_field(coeffs) -> int | None:
-    """d when coefficients 1.. are QuadScalars of one Q(sqrt d) and
-    coefficient 0 is a Fraction or another of them; else None."""
-    ds = {c.d if isinstance(c, QuadScalar) else None for c in coeffs[1:]}
-    if len(ds) != 1 or None in ds:
-        return None
-    (d,) = ds
-    c0 = coeffs[0]
-    return d if type(c0) is Fraction or (isinstance(c0, QuadScalar) and c0.d == d) else None
 
 
 # ---------------------------------------------------------------------------
@@ -413,41 +385,30 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
     Requires f(0) = 0 and f'(0) != 0.  When f has integer coefficients and
     f'(0) = +-1 the result again has integer coefficients.
 
-    Over Q, and over one Q(sqrt d), the work runs on the packed integer
-    kernel.  With c = f'(0) and D the common denominator of f/c, the series
+    The work runs on the packed integer kernel, over Q or over the one
+    Q(sqrt d) of :func:`quadratic_field`, a rational coefficient lifted as
+    (a, 0).  With c = f'(0) and D the common denominator of f/c, the series
     u(X) = f(D X) / (c D) is X plus integral terms, so its inverse v comes
-    from integral Newton steps, and [X^k] g = v_k / (c^k D^(k-1)).  A zero
-    coefficient over Q(sqrt d) keeps the generic path's encoding: a plain 0
-    when no nonzero term reaches it, a quadratic zero when terms cancel.
-    Mixed input takes the generic path.
+    from integral Newton steps, and [X^k] g = v_k / (c^k D^(k-1)).
+    Coefficients from two quadratic fields raise ScalarError.
     """
     if f.coeffs[0] != 0:
         raise ValueError("series must vanish at origin")
     if f.order < 1 or f.coeffs[1] == 0:
         raise ValueError("series needs a unit linear coefficient")
-    if _all_fractions(f.coeffs):
-        return _inverse_packed(f, None)
-    d = _quadratic_field(f.coeffs)
-    if d is not None:
-        return _inverse_packed(f, d)
-    return _inverse_generic(f)
-
-
-def _inverse_packed(f: TruncatedSeries, d: int | None) -> TruncatedSeries:
-    ci = 1 / f.coeffs[1]
-    if isinstance(ci, QuadScalar) and ci.b == 0:
-        ci = ci.a  # a rational slope scales in Q; the outputs stay in Q(sqrt d)
+    d = quadratic_field(f.coeffs)
+    c = f.coeffs[1]
+    ci = 1 / (rational_value(c) or c)  # a rational slope scales in Q
     h = [x * ci for x in f.coeffs[2:]]
-    cols, den = integer_rows([h] if d is None else [[x.a for x in h], [x.b for x in h]])
+    _, (a,), (b,), den = clear_denominators([h])
+    cols = [a] if d is None else [a, b]
     # u = X + sum_k (f_k / c) D^(k-1) X^k, integral
     u = tuple([0, int(j == 0)] + [y * den**k for k, y in enumerate(col)] for j, col in enumerate(cols))
-    v, untouched = _kinverse(u, d)
+    v = _kinverse(u, d)
     out = [Fraction(0)]
     scale = ci  # c^-k D^-(k-1)
     for k in range(1, f.order + 1):
-        if k in untouched:
-            out.append(Fraction(0))
-        elif d is None:
+        if d is None:
             out.append(v[0][k] * scale)
         elif type(scale) is Fraction:
             out.append(QuadScalar._trusted(d, v[0][k] * scale, v[1][k] * scale))
@@ -455,26 +416,6 @@ def _inverse_packed(f: TruncatedSeries, d: int | None) -> TruncatedSeries:
             out.append(QuadScalar._trusted(d, Fraction(v[0][k]), Fraction(v[1][k])) * scale)
         scale = scale * ci / den
     return TruncatedSeries(tuple(out), f.order)
-
-
-def _inverse_generic(f: TruncatedSeries) -> TruncatedSeries:
-    """Newton iteration with doubling precision over schoolbook scalar
-    arithmetic: any scalar kind, mixed fields."""
-    n = f.order
-    c1 = f.coeffs[1]
-    inv1 = Fraction(1) / c1 if isinstance(c1, Fraction) else c1.inverse()
-    # zero-pad the derivative to order n: with doubling precision the padded
-    # coefficient only ever multiplies into orders beyond the truncation
-    fprime = TruncatedSeries.from_coeffs(list(f.derivative().coeffs), n)
-    g = TruncatedSeries.from_coeffs([0, inv1], 1)
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        gk = TruncatedSeries.from_coeffs(list(g.coeffs), prec)
-        err = _compose_generic(f.truncate(prec), gk) - TruncatedSeries.x(prec)
-        corr = err * reciprocal(_compose_generic(fprime.truncate(prec), gk))
-        g = gk - corr
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +501,11 @@ def globally_bounded_scan(f: TruncatedSeries, prime_bound: int) -> GloballyBound
     dens = []
     first: dict[int, int] = {}  # each distinct denominator and where it first appears
     for c in f.coeffs:
-        if not isinstance(c, Fraction):
+        r = rational_value(c)
+        if r is None:
             raise ScalarError("globally-bounded scan is defined over rational coefficients")
-        first.setdefault(c.denominator, len(dens))
-        dens.append(c.denominator)
+        first.setdefault(r.denominator, len(dens))
+        dens.append(r.denominator)
 
     entry: dict[int, int] = {}
     for den, n in first.items():  # in order of n, so a prime keeps its first n
@@ -615,18 +557,15 @@ def eval_with_tail_bound(
         return EvalResult(f.coeffs[0], 0.0, False)
 
     if v.is_finite():
-        absx = abs_at_place(x, v)
-        if _all_fractions(f.coeffs) and isinstance(x, (int, Fraction)):  # Horner on ints, from the top:
+        absx = abs_at_place(x, v)  # refuses an x that is not rational-valued
+        x = rational_value(x)
+        if _all_fractions(f.coeffs):  # Horner on ints, from the top:
             (nums,), den = integer_rows([f.coeffs])  # sum N_n a^n b^(N-n) / (L b^N) for x = a/b
             total, bpow = nums[-1], 1
             for c in reversed(nums[:-1]):
                 bpow *= x.denominator
                 total = total * x.numerator + c * bpow
             total = Fraction(total, den * bpow)
-        elif _all_fractions(f.coeffs):  # Horner, from the top coefficient down
-            total = f.coeffs[-1]
-            for c in reversed(f.coeffs[:-1]):
-                total = total * x + c
         else:  # term by term from c_0, the order in which two fields' scalars meet
             total = sum((c * x**n for n, c in enumerate(f.coeffs[1:], 1)), f.coeffs[0])
         if integral_tail:

@@ -48,6 +48,28 @@ def horner(coeffs, x):
     return total
 
 
+def inverse_generic(f: TruncatedSeries) -> TruncatedSeries:
+    """Newton iteration with doubling precision over schoolbook scalar
+    arithmetic, any scalar kind: the former generic path of
+    ``series.compositional_inverse``, kept as the oracle for its packed
+    kernel."""
+    n = f.order
+    c1 = f.coeffs[1]
+    inv1 = Fraction(1) / c1 if isinstance(c1, Fraction) else c1.inverse()
+    # zero-pad the derivative to order n: with doubling precision the padded
+    # coefficient only ever multiplies into orders beyond the truncation
+    fprime = TruncatedSeries.from_coeffs(list(f.derivative().coeffs), n)
+    g = TruncatedSeries.from_coeffs([0, inv1], 1)
+    prec = 1
+    while prec < n:
+        prec = min(2 * prec, n)
+        gk = TruncatedSeries.from_coeffs(list(g.coeffs), prec)
+        err = series._compose_generic(f.truncate(prec), gk) - TruncatedSeries.x(prec)
+        corr = err * series.reciprocal(series._compose_generic(fprime.truncate(prec), gk))
+        g = gk - corr
+    return g
+
+
 def unfreeze(m) -> list:
     """A mutable copy of a frozen matrix."""
     return [list(row) for row in m]

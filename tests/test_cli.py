@@ -193,6 +193,47 @@ def test_case3_input_from_mixed_fields_exits_1_with_json(tmp_path):
     ]
 
 
+def test_two_quadratic_fields_are_refused_up_front(tmp_path):
+    from periodrel import matrices as mx
+    from periodrel.relations import random_case3_input
+    from periodrel.scalars import QuadScalar, scalar_to_json
+
+    # Newton's products never meet sqrt 5 with sqrt 2 to order 4
+    two = {"order": 4, "coeffs": ["0", "1", "0", {"d": 5, "a": "0", "b": "1"}, {"d": 2, "a": "0", "b": "1"}]}
+    (tmp_path / "two.json").write_text(json.dumps(two))
+    inp = random_case3_input(6, seed=5, d=3)
+    h = unfreeze(inp.H)
+    h[1][0] = h[1][0] + QuadScalar(7, 0, 2)  # the relation's coefficients in Q(sqrt 7), M in Q(sqrt 3)
+    blocks = {k: mx.matrix_to_json(m) for k, m in zip("HABCD", (h, inp.A, inp.B, inp.C, inp.D))}
+    (tmp_path / "h7.json").write_text(json.dumps({"g": 6, **blocks, "sqrt_e": scalar_to_json(inp.sqrt_e)}))
+    for argv, error in (
+        (["series", "invert", "--series", "two.json"], "mixed quadratic contexts: sqrt(2) vs sqrt(5)"),
+        (["relation", "case3", "--input", "h7.json"], "mixed quadratic contexts: sqrt(7) vs sqrt(3)"),
+    ):
+        proc = run_process(argv, tmp_path)
+        assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == (1, {"error": error}, "")
+
+
+@pytest.mark.parametrize("a", ["2", "1/2"])
+def test_rational_valued_coefficients_are_read_by_value(a, tmp_path):
+    # the object form of a rational coefficient gives the report of its
+    # plain rational form, so integrality and the scan read it by value
+    (tmp_path / "quad.json").write_text(json.dumps({"order": 2, "coeffs": ["0", {"d": 5, "a": a, "b": "0"}, "1"]}))
+    (tmp_path / "plain.json").write_text(json.dumps({"order": 2, "coeffs": ["0", a, "1"]}))
+    for argv in (
+        ["series", "gb-scan"],
+        ["series", "eval", "--x", "3", "--place", "3", "--integral-tail"],
+        ["series", "radius", "--place", "3", "--integral"],
+    ):
+        quad, plain = (run_process(argv + ["--series", f"{name}.json"], tmp_path) for name in ("quad", "plain"))
+        assert (quad.stderr, plain.stderr) == ("", "")
+        assert quad.returncode == plain.returncode == (0 if a == "2" or argv[1] == "gb-scan" else 1)
+        if quad.returncode:
+            assert quad.stdout == plain.stdout
+        else:
+            assert json.loads(quad.stdout)["result"] == json.loads(plain.stdout)["result"]
+
+
 def test_nonarch_action_over_two_fields_exits_1_with_json(tmp_path):
     act = {  # A holds 1 + sqrt 5, B holds sqrt -7
         "g": 2,

@@ -9,8 +9,7 @@ quadratic field or from two, rational-valued quadratic scalars, singular and
 scalar matrices, non-prime and quadratic places, values past a float's
 range, missing and non-JSON files.  ``--g`` stays at most 5, since
 ``ideal gens`` and ``ideal radical`` have no cap, and series orders at most
-20: a series mixing Q with Q(sqrt d) is inverted on the generic path, which
-takes about a second at order 30.
+30.
 """
 
 import contextlib
@@ -31,7 +30,7 @@ from periodrel.scalars import scalar_to_json
 from helpers import mixed_action, mixed_case3_input
 
 MAX_G = 5
-MAX_ORDER = 20
+MAX_ORDER = 30
 JUNK = (None, "x", [], {}, -1, 0, 2, True, 1.5, "1/0", {"d": 4, "a": "1", "b": "1"})
 
 CONTRACT = settings(derandomize=True, database=None, deadline=None, max_examples=25)

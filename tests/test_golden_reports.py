@@ -8,9 +8,11 @@ Q(sqrt -7) with mixed entry types and every witness case (an action with
 A = D stops at its singular Sylvester system), case-3
 certificates from seeds and from mixed-type input files, small ideal and
 symplectic runs, every relation error path, series inversions over Z, Q,
-Q(sqrt 5) (zeros in both encodings), Q(sqrt -7) and mixed input, and
-`gfun derive`/`gfun check` over Q and Q(sqrt 5).  After an intended report
-change, GOLDEN is the output of :func:`report_digests` on the new code.
+Q(sqrt 5) (rational values in both input forms), Q(sqrt -7) and mixed
+input, and `gfun derive`/`gfun check` over Q and Q(sqrt 5).  Output is
+canonical: a rational value prints as "num/den" whatever its type.  After an
+intended report change, GOLDEN is the output of :func:`report_digests` on
+the new code.
 """
 
 import hashlib
@@ -122,7 +124,8 @@ def _inputs() -> tuple[dict, list]:
 
 
 def _q(d, a, b=0) -> dict:
-    return scalar_to_json(QuadScalar(d, Fraction(a), Fraction(b)))
+    """a + b sqrt(d) in the object form, also for b = 0: input accepts it."""
+    return {"d": d, "a": str(Fraction(a)), "b": str(Fraction(b))}
 
 
 def _series_json(coeffs) -> dict:
@@ -138,7 +141,7 @@ def _series_inputs(files: dict, cases: list) -> None:
     files["inv-q.json"] = _series_json(
         [0, Fraction(-3, 2)] + [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(24)]
     )
-    # Q(sqrt 5) and Q(sqrt -7): dense, and sparse with zeros in both encodings
+    # Q(sqrt 5) and Q(sqrt -7): dense, and sparse with rational values in the object form
     files["inv-q5-dense.json"] = _series_json(
         [_q(5, 0), _q(5, 1)] + [_q(5, rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(29)]
     )
@@ -147,7 +150,7 @@ def _series_inputs(files: dict, cases: list) -> None:
     files["inv-q5-sparse.json"] = _series_json(
         ["0", _q(5, 2, 1)] + [_q(5, rng.choice((0, 0, 1)), rng.choice((0,) * 5 + (1,))) for _ in range(23)]
     )
-    r29 = random.Random(29)  # its inverse has a plain 0 and a quadratic zero past X^1
+    r29 = random.Random(29)  # its inverse has zeros past X^1, reached by nonzero products or not
     files["inv-q5-rational.json"] = _series_json(
         [_q(5, 0), _q(5, 1)] + [_q(5, r29.choice((0, 0, 1, -1)), r29.choice((0,) * 9 + (1,))) for _ in range(19)]
     )
@@ -243,28 +246,28 @@ GOLDEN = {
     "nonarch-act-1-None-2-AD.json-7": "38624fe631736af810744b0e232d055e4edaff82c2eb3ff7b3dc39c4367df909",
     "nonarch-act-1-None-2-AA.json-0": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
     "nonarch-act-1-None-2-AA.json-7": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
-    "nonarch-act-1-5-0-B.json-0": "6810ba8b8ba5c6e8faf49fdd83184bac1089b573eff54bf9385ecb3eae7368a2",
-    "nonarch-act-1-5-0-B.json-7": "57c476cdf7873835bde0014a6cfe46ff9ddcb8ba38d69aa2368c5009a7b6cb4e",
-    "nonarch-act-1-5-0-AD.json-0": "fc1dad2f520bb450d0342c1b14614578cab0846ab99030282c8134748731ad7c",
-    "nonarch-act-1-5-0-AD.json-7": "d462cb9862c4ec1d849b0b792b3622bc0db3b8943db54bc86bfdaeabd9563990",
+    "nonarch-act-1-5-0-B.json-0": "c417805ee038974c3ee369716154908ba6deaab6c6da9c39f21b07d4ff17b059",
+    "nonarch-act-1-5-0-B.json-7": "0ca5353f51453f7c29df5474a96cb3277b021dfd0a740ad5f694388bd6e7db88",
+    "nonarch-act-1-5-0-AD.json-0": "8bfe5353e9dfe5b93c478a133becf326c562bd8ed6190fd0711d7414d87c70fa",
+    "nonarch-act-1-5-0-AD.json-7": "38624fe631736af810744b0e232d055e4edaff82c2eb3ff7b3dc39c4367df909",
     "nonarch-act-1-5-0-AA.json-0": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
     "nonarch-act-1-5-0-AA.json-7": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
-    "nonarch-act-1-5-1-B.json-0": "3d89313183afeb36da9d5c9d7c130d41da6122125073655ef00cf3cab39af5bd",
-    "nonarch-act-1-5-1-B.json-7": "68ec7323b3502543978f9465f28bebe666d3dbb8dc9eec9b361669b2c51ab9a5",
-    "nonarch-act-1-5-1-AD.json-0": "fc1dad2f520bb450d0342c1b14614578cab0846ab99030282c8134748731ad7c",
-    "nonarch-act-1-5-1-AD.json-7": "d462cb9862c4ec1d849b0b792b3622bc0db3b8943db54bc86bfdaeabd9563990",
+    "nonarch-act-1-5-1-B.json-0": "fec78bef357b244b3a24f9f0f392508cfdcd129c119974d45b89fd76949e594d",
+    "nonarch-act-1-5-1-B.json-7": "9e4c068cf3990236b5a2abdb0cc56bb41ccc66dedba167b6373756585c085345",
+    "nonarch-act-1-5-1-AD.json-0": "8bfe5353e9dfe5b93c478a133becf326c562bd8ed6190fd0711d7414d87c70fa",
+    "nonarch-act-1-5-1-AD.json-7": "38624fe631736af810744b0e232d055e4edaff82c2eb3ff7b3dc39c4367df909",
     "nonarch-act-1-5-1-AA.json-0": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
     "nonarch-act-1-5-1-AA.json-7": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
-    "nonarch-act-1-5-2-B.json-0": "6b1058f33c43805f0bd92fc52fed81fee32eee469af77c83d621c7c34c26aaf3",
-    "nonarch-act-1-5-2-B.json-7": "cc94693a3ba1970333ef6d8b4c604a28f4383ef8b028128ec73087020faf4735",
-    "nonarch-act-1-5-2-AD.json-0": "fc1dad2f520bb450d0342c1b14614578cab0846ab99030282c8134748731ad7c",
-    "nonarch-act-1-5-2-AD.json-7": "d462cb9862c4ec1d849b0b792b3622bc0db3b8943db54bc86bfdaeabd9563990",
+    "nonarch-act-1-5-2-B.json-0": "282e81867a3b06b56aa8a3a5e147f683051c9a5130a67bc17a3960f951103bf3",
+    "nonarch-act-1-5-2-B.json-7": "d20941ee88e1ce19bac19d8a1d99c8725868b528388a634f1947f4fe7f582fa2",
+    "nonarch-act-1-5-2-AD.json-0": "8bfe5353e9dfe5b93c478a133becf326c562bd8ed6190fd0711d7414d87c70fa",
+    "nonarch-act-1-5-2-AD.json-7": "38624fe631736af810744b0e232d055e4edaff82c2eb3ff7b3dc39c4367df909",
     "nonarch-act-1-5-2-AA.json-0": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
     "nonarch-act-1-5-2-AA.json-7": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
-    "nonarch-act-1--7-0-B.json-0": "f2b989ace947111a74ae09b7e095c0b866b0bdab693992c4484bde7664b5e7d9",
-    "nonarch-act-1--7-0-B.json-7": "7e0d8ab0a13ddcdd2f4a338a14a769ca720b0464e1943dff3318b77b603b09cd",
-    "nonarch-act-1--7-0-AD.json-0": "a2ea8930803a8d9dc53ccd25c2f92bcbb067a84e9e524fce837e05c930811cea",
-    "nonarch-act-1--7-0-AD.json-7": "4bb4088d474da3475da2d627edb3c4d10f903c5ecabe89dccfdfe6ba06f4fb9c",
+    "nonarch-act-1--7-0-B.json-0": "23e6f81d542842d82e138ed8ca87c1b1a639df7b169791aa15158aacb1b4e4da",
+    "nonarch-act-1--7-0-B.json-7": "8c6a37223a37084f8f684d118db402909fe07c9679dc4502d975aded931c3b66",
+    "nonarch-act-1--7-0-AD.json-0": "8bfe5353e9dfe5b93c478a133becf326c562bd8ed6190fd0711d7414d87c70fa",
+    "nonarch-act-1--7-0-AD.json-7": "38624fe631736af810744b0e232d055e4edaff82c2eb3ff7b3dc39c4367df909",
     "nonarch-act-1--7-0-AA.json-0": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
     "nonarch-act-1--7-0-AA.json-7": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
     "nonarch-act-1--7-1-B.json-0": "50d56ad8d0e584acf09603fd45d8768d77c84b18401b147bf2e96ca49b6bec24",
@@ -275,8 +278,8 @@ GOLDEN = {
     "nonarch-act-1--7-1-AA.json-7": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
     "nonarch-act-1--7-2-B.json-0": "fae349d10e19b64b0f9673a14722ec38343fc7a8817591b8f71e7cd9bf9b5faa",
     "nonarch-act-1--7-2-B.json-7": "ee074877da01bff4b8ad8cca9f71eb531ee5eec3325416e0cfbf9017f34239d9",
-    "nonarch-act-1--7-2-AD.json-0": "a2ea8930803a8d9dc53ccd25c2f92bcbb067a84e9e524fce837e05c930811cea",
-    "nonarch-act-1--7-2-AD.json-7": "4bb4088d474da3475da2d627edb3c4d10f903c5ecabe89dccfdfe6ba06f4fb9c",
+    "nonarch-act-1--7-2-AD.json-0": "8bfe5353e9dfe5b93c478a133becf326c562bd8ed6190fd0711d7414d87c70fa",
+    "nonarch-act-1--7-2-AD.json-7": "38624fe631736af810744b0e232d055e4edaff82c2eb3ff7b3dc39c4367df909",
     "nonarch-act-1--7-2-AA.json-0": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
     "nonarch-act-1--7-2-AA.json-7": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
     "nonarch-act-2-None-0-B.json-0": "60952f744dc33e99b05a9c85fc9eeabe9a17f1f2105264629de71e2999d09363",
@@ -309,66 +312,66 @@ GOLDEN = {
     "nonarch-act-2-None-2-Blate.json-7": "005b77448256140b99582a79f44df832b6cf2db4da7c2d6f2b5ff71544f03a08",
     "nonarch-act-2-None-2-ADlate.json-0": "0b25cb449e56483e318fb2a87623c44a6a74d34ec8345d154af8ba02d1386a79",
     "nonarch-act-2-None-2-ADlate.json-7": "eb2000a1d6dccb2894b08cadd311588f465a0131ae0228d2dad5a6d4ac702be4",
-    "nonarch-act-2-5-0-B.json-0": "087a2aa960150d0c3bc74b757594365adee817a83e7d25bf2a5a233b59fde4bb",
-    "nonarch-act-2-5-0-B.json-7": "042068b3689221aee445f833b58c5707b8f3b068769132ff6c1629f33739f322",
-    "nonarch-act-2-5-0-AD.json-0": "6cc8349f2eb188741aa386140a7c1a1d2a94eff90c23c71d14693702f08c3e27",
-    "nonarch-act-2-5-0-AD.json-7": "b65e2eb20c7c1290a7f996b90fdee9f627181a1f6e28dfc97cf19f48166f4be6",
+    "nonarch-act-2-5-0-B.json-0": "a5664276dd5656808d58a827a0f8b0e6a4d7f333f179d02955ce43347ffd50b1",
+    "nonarch-act-2-5-0-B.json-7": "d3f1132d2f5061cc2dd9c25f2fd267da3f9c337fd056a7badcf1110e8f3f1259",
+    "nonarch-act-2-5-0-AD.json-0": "8667e3aacc05cd38652d653ca4f1527ebf478b8a94ef5595acc9e89369f274ab",
+    "nonarch-act-2-5-0-AD.json-7": "832988b4248f3bdec9bc4d558e6cf580983f6fbefe0a79af73dbf98651109aa7",
     "nonarch-act-2-5-0-AA.json-0": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-act-2-5-0-AA.json-7": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
-    "nonarch-act-2-5-0-Blate.json-0": "b0b124ae5dc8bc48715782dd5fe7787e4da2a0bafe8bbbf543bc7fd30d4a5cf7",
-    "nonarch-act-2-5-0-Blate.json-7": "aa88a9b6c2cddb844d4937299b7bafae0fb1dee1ae9145c077c454866a2c9ae8",
+    "nonarch-act-2-5-0-Blate.json-0": "d052e683f6cb05e47b63de55ed7d0b3674bda449eaf9fb4d5adcc22a65ef96a2",
+    "nonarch-act-2-5-0-Blate.json-7": "b051ef5629e9ecce7d3998dc5474a7f3e55307dd707ab93bb7052958844a4148",
     "nonarch-act-2-5-0-ADlate.json-0": "c00525d5597bd86738ce290a74a6570ea6d07f5b81806c4c9db32746d0f42ceb",
     "nonarch-act-2-5-0-ADlate.json-7": "fd5818189feb1e60b634e90c740074e306afb950ff3db3065380bb3cb2d5de3f",
-    "nonarch-act-2-5-1-B.json-0": "dd44c3831228ee854782ad26254ac24506b905118de55995373f845bb3a53f42",
-    "nonarch-act-2-5-1-B.json-7": "bf7dff25a08c31125e7c33a7228a88908ddcc7e6293d4c1be49944cbd7e5727a",
-    "nonarch-act-2-5-1-AD.json-0": "c2ae6c42ff078409c88797530f2f70eda091636d4ad42652a769877df122c092",
-    "nonarch-act-2-5-1-AD.json-7": "4d1d9592c9fd8670ad76c6a0cf05ed052bc7cb462c620ddb6f8d9781a531b782",
+    "nonarch-act-2-5-1-B.json-0": "4133fa027ca83a7f40a21bbe018b397a1e1fe11bf683b80a8a754e9c14f7dcef",
+    "nonarch-act-2-5-1-B.json-7": "1dadc7b9ece9c9643986e266d97fd90aaf812700272e0024cbcc3d6729e01de0",
+    "nonarch-act-2-5-1-AD.json-0": "bb93e2d6587094ade0e87ab3b2fe7a91b04f376dd22aba59b422ab707a4dce3c",
+    "nonarch-act-2-5-1-AD.json-7": "0249e6a88d3f7a4c911396293071cceaae663800e4f3356a2ce9b3e2d844a500",
     "nonarch-act-2-5-1-AA.json-0": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-act-2-5-1-AA.json-7": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
-    "nonarch-act-2-5-1-Blate.json-0": "9f908826df3da4cdf2a0560657f57e40c27f6b52713bf6a61bdf01cf5a85f450",
-    "nonarch-act-2-5-1-Blate.json-7": "df4b1e51dd16d6ea9778798d321d54979e359e9f82748784250c8214d3f43904",
-    "nonarch-act-2-5-1-ADlate.json-0": "cf766fe13a139d503d4ca75783d980bd5537ca0e0744f9c85c7fc20e90f213fd",
-    "nonarch-act-2-5-1-ADlate.json-7": "9e4ffd98c199817564fbfd27f9708d4742c8f7667996ac5aba84d3481e3f40dc",
-    "nonarch-act-2-5-2-B.json-0": "efc917181783841c1ac29be64e50d8d363fc42463303068e0afe5689d510eb59",
-    "nonarch-act-2-5-2-B.json-7": "f26320a013234d69a7716e4430d55b2c619d752b7513501b6dc07966e30ec649",
-    "nonarch-act-2-5-2-AD.json-0": "8d5bfcbe47c7c5f881830fd9bbf4436c7445c93392ccbc14382eab5eb82f7561",
-    "nonarch-act-2-5-2-AD.json-7": "dd09d658a605d60016ac6e94130a80b2596b3bc1613143481bee925efe5524b6",
+    "nonarch-act-2-5-1-Blate.json-0": "3b3082ebc5d5875d040e6d5db4c4c1c9036a324f0901796fda03fceb00eba009",
+    "nonarch-act-2-5-1-Blate.json-7": "89f9fd196d3deb71db1a94e08eb646de0b40af6999ad1d9c0ebe0e9cbd424cce",
+    "nonarch-act-2-5-1-ADlate.json-0": "a1318d0f300239317b478ddd7c9625607f3be81a030340996a0d40dfa107f9b7",
+    "nonarch-act-2-5-1-ADlate.json-7": "c2c2976d60bfc3b2d8051e17035fac75fa8af1e80efa5444109b79762c4c8ca2",
+    "nonarch-act-2-5-2-B.json-0": "8ecb7ee745a3dbb888c2679ed98b0674fcfcc6d8ccb1557010527e1bc3e88b96",
+    "nonarch-act-2-5-2-B.json-7": "f49b93b59d312935127ff5c535a131ee352a848f8be3422edab39782a99a6f7e",
+    "nonarch-act-2-5-2-AD.json-0": "dbce14762085750ce4e1f445b38c396d80487c2fca43e25b8915602362d5759b",
+    "nonarch-act-2-5-2-AD.json-7": "05f70b636e322c3aae07dc4f6615beacff8e68b36322993f1db9f385db9088dd",
     "nonarch-act-2-5-2-AA.json-0": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-act-2-5-2-AA.json-7": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
-    "nonarch-act-2-5-2-Blate.json-0": "99e2300ec5e7aa83483ce9b18c3386ab090fb6ce55f79729982f8e10a438a20b",
-    "nonarch-act-2-5-2-Blate.json-7": "572d7e095a9c54c7133d3f27861f42d450b6d8e24415a5828aa37fc0157ca851",
+    "nonarch-act-2-5-2-Blate.json-0": "bd28838748796ea176d660c1d58f2b4d57c620835e136be313729ac375681bcd",
+    "nonarch-act-2-5-2-Blate.json-7": "b921d01a83862d131e0ea2963a7803817a15de417568a113b2e00888de1487f2",
     "nonarch-act-2-5-2-ADlate.json-0": "02d2f2455f7ab92a3dbc2d665a4e48d4b3f432b12ad70bf24a00ca86de4d51c4",
     "nonarch-act-2-5-2-ADlate.json-7": "1b92f6ab2b3e8ad9234c870a886ca917a052b647a98d1950262be3911750a7ec",
-    "nonarch-act-2--7-0-B.json-0": "9c58a60d183aabff311c6a22c7df0bd943dd3def25759c0340d892b7d5c71310",
-    "nonarch-act-2--7-0-B.json-7": "af7a18f2032d003b37dc2a6ffbf2fa99b96e39abe846511498498d09fc6804e0",
-    "nonarch-act-2--7-0-AD.json-0": "8948cc5cc017e48ad50447cde3a08cf5eb0b9bcec46600b378e4e3e2c5a704cd",
-    "nonarch-act-2--7-0-AD.json-7": "f2d350d0e29a28f0a5b4b3b61eb179b78917d4ab833d2dac639612c00109b55d",
+    "nonarch-act-2--7-0-B.json-0": "82d7402d627a87aa46bd6a15595d5fad5936fca13a1cb783307d468f6e294513",
+    "nonarch-act-2--7-0-B.json-7": "0c9d9087f6648101f78fafc8843798cdde16b333a99b667e11de263d5431979f",
+    "nonarch-act-2--7-0-AD.json-0": "06162369dad8f623e47fb072a09b3d25617a41df7cec584eac9e9f1c035e2152",
+    "nonarch-act-2--7-0-AD.json-7": "ad256b030cd850870b58ad4ca8817f159a3728c69150254a29b14582da641e38",
     "nonarch-act-2--7-0-AA.json-0": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-act-2--7-0-AA.json-7": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
-    "nonarch-act-2--7-0-Blate.json-0": "69376064d54cbe24a2761a5bbd6a8da0d2320dfcce9968585f6411030a416bfc",
-    "nonarch-act-2--7-0-Blate.json-7": "566297669383d652856678a5f517768bb56638ebdb970adabec7d398069fdbb8",
-    "nonarch-act-2--7-0-ADlate.json-0": "6aaa3dbdd2fe6b66836acaa0d50dc872abf707aa05e72ad55f01c169095d1ea3",
-    "nonarch-act-2--7-0-ADlate.json-7": "4984effaf2053b0591c1f1841e30477064dd3e0bf1e56c4e7a8b9efffb6b334e",
-    "nonarch-act-2--7-1-B.json-0": "334de4bb6a6f9d9635705c8ba12fedd8462f02860da6a84e51c8f9d75cdbb60e",
-    "nonarch-act-2--7-1-B.json-7": "4a4b2a2cbb9368115cebb4f341c924b6b40bdd20bf3cc86986417b9855c2b215",
-    "nonarch-act-2--7-1-AD.json-0": "d047092e2c54fee81845261f411bba25c52e403ca08d69dea879712c2a0e2ce3",
-    "nonarch-act-2--7-1-AD.json-7": "211bcc60842afe7a6ee645403d099e8edb4e6dababf81dfbd978551788768df8",
+    "nonarch-act-2--7-0-Blate.json-0": "6574019cc82311a9f547849d391ea2fdc9720cc360f4a7c01f0333d9c782c39f",
+    "nonarch-act-2--7-0-Blate.json-7": "1514b54dccff8afcb1a8e6b732b49e2bc41d95899d2c4bc64567ddfb821b02c7",
+    "nonarch-act-2--7-0-ADlate.json-0": "04e51d34f00fc26853b79027c41964fdd8cafd1c6ca01bd3c68d5a2864ca140a",
+    "nonarch-act-2--7-0-ADlate.json-7": "2fde3ffe754492c4813eb0ef92d20741f99fe654706072d036daa84bfb4ef654",
+    "nonarch-act-2--7-1-B.json-0": "6cb440afaa6a7c84800109eaf3cfb524c6f7ff245de2265ed88997f3aa24698e",
+    "nonarch-act-2--7-1-B.json-7": "62c9969fa6be5b59cec7c0efc0bf9b06e7c83cdbce944291de6305066d9e40c4",
+    "nonarch-act-2--7-1-AD.json-0": "43cc99752fabb03f8782fbaa3058b78825b859fd83290d01f7b89d1a77311863",
+    "nonarch-act-2--7-1-AD.json-7": "6e474fbb036e9ed145c29a723bda1581873060da1636b566978ae2450fae92bf",
     "nonarch-act-2--7-1-AA.json-0": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-act-2--7-1-AA.json-7": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
-    "nonarch-act-2--7-1-Blate.json-0": "bba684544bcc793655a6a56d22697d2628609e964865300c52607e9677260135",
-    "nonarch-act-2--7-1-Blate.json-7": "627cd6497bfa9850f18952acf6e265078d598c3480697597b81548d971260986",
-    "nonarch-act-2--7-1-ADlate.json-0": "4a3447691038ef656b8cc07e33aed8e7f560760cc9518f9bc872def6794e9ba5",
-    "nonarch-act-2--7-1-ADlate.json-7": "b6a80ecc65a652b18fa9fb4e1ce24a5b4e31c3f30149be09e9d04669d681049a",
-    "nonarch-act-2--7-2-B.json-0": "66d4cc7ace49f8cc9675cdda3172965b04de364792287a1ba485f879840b602d",
-    "nonarch-act-2--7-2-B.json-7": "879136230462c2827d2729e14704ff867830adef919fdc349e4ba021d76d50ac",
-    "nonarch-act-2--7-2-AD.json-0": "185da1a256c278e55afb7ff49211109b3e8534a4c734eddf25e485dbf86eb838",
-    "nonarch-act-2--7-2-AD.json-7": "7a105f19d9b284ee6f640455ca2d72bbcd6141d464a9641dcdd1fe6d56710e61",
+    "nonarch-act-2--7-1-Blate.json-0": "3a84f13b66e155d01dc8dd09d4c25556be7f4eadfbfe603792e8f302d506a5b9",
+    "nonarch-act-2--7-1-Blate.json-7": "e614e3bb0b590fa6bf08ea566faf0d9523a295a4fde3a737650da46c51d0dda8",
+    "nonarch-act-2--7-1-ADlate.json-0": "fa1a40b91373e1302678b27871f728067fbf48a2bdb244f8db7649daac1bf29e",
+    "nonarch-act-2--7-1-ADlate.json-7": "1434b967de7a4f2561d507334ba8dbd2ea50c9c48c1ace06877f2c9c090609fc",
+    "nonarch-act-2--7-2-B.json-0": "3a26b3e9d69dec32d756cc180b8acc5e33b3ad5eb32d9b33c3afbc90242d5702",
+    "nonarch-act-2--7-2-B.json-7": "73fce90780414ae95d87f8659cfbdd2e0809dc48c00bdb507e6274b03bd41b52",
+    "nonarch-act-2--7-2-AD.json-0": "65fc92d9aaf4120e610890e65dc6c47386c6c7ba0a5fc56424a3ce45cc25e523",
+    "nonarch-act-2--7-2-AD.json-7": "2bd234b733e48b1312e464b597e365b098c56be2e24717939276b2ddc11b4131",
     "nonarch-act-2--7-2-AA.json-0": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-act-2--7-2-AA.json-7": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
-    "nonarch-act-2--7-2-Blate.json-0": "db6747a55949da6302243380992dbc2a4ec301e8f51298e62ee0af1e31fd95c8",
-    "nonarch-act-2--7-2-Blate.json-7": "13542a0533c50d130b4a062c67088b787bcfbbe60941e046505ffb219a4001c8",
-    "nonarch-act-2--7-2-ADlate.json-0": "d147d6fe663999bb3df7bf1be6d4edea4d7366fb3bc2848373ba7e6a196a3681",
-    "nonarch-act-2--7-2-ADlate.json-7": "c6687568ddb1f34631f9706191caeca4ec31b6d8679e568e1782d681f74b757c",
+    "nonarch-act-2--7-2-Blate.json-0": "79223fbd6a6e0f6b4ee3d1b34965953af7448a3e18e042a554432e55ec00b0e7",
+    "nonarch-act-2--7-2-Blate.json-7": "3a5c917a974c00656920a3a5986b4a0d8bb4e5acf73770562f07f33ed5137a59",
+    "nonarch-act-2--7-2-ADlate.json-0": "cfc5ec01d25d7c7a5692c64d21d98d2473770d61dd8e19ca0f7cb4e0c96af358",
+    "nonarch-act-2--7-2-ADlate.json-7": "4e5638ccd5f602cb243c9ee121d73d7e90db642774d85f682929d19af81aedbe",
     "nonarch-act-3-None-0-B.json-0": "75239fcf597652b92ae3496d6703d354b2f0067ef22acb149648bfff28dd0652",
     "nonarch-act-3-None-0-B.json-7": "8f6197bd4f012c1f2a80e3958c33a1009219250ea8f9c91ab6088a9bb3fb2097",
     "nonarch-act-3-None-0-AD.json-0": "39c98dabb042c694695675f1b05629d951f9b43708c1eec14ad9e65b233014ed",
@@ -399,91 +402,91 @@ GOLDEN = {
     "nonarch-act-3-None-2-Blate.json-7": "407fde024c3c2b08864216fd812b9fd482e16105b7b8502b3227df6ff39a6a1f",
     "nonarch-act-3-None-2-ADlate.json-0": "2ba29438d3944375abe8fe6903896d4771fcb0cb207a32158f6a9350efc5a1d0",
     "nonarch-act-3-None-2-ADlate.json-7": "3f5ff34b93660a11d7bb1d44d0e8141c0223434b34e7a16842aecd09b1ed7f39",
-    "nonarch-act-3-5-0-B.json-0": "30f07984cd6d14ff4c34634eb7f61c0d506c0bb5b8fa4c9de33461f945d74e23",
-    "nonarch-act-3-5-0-B.json-7": "8179491369781ddafc0cc6705f7f399f79d474106f71dad96711cadb581adc17",
-    "nonarch-act-3-5-0-AD.json-0": "5b11c2912968a8e895acbc9ec792716d8273f24fda22e47895670d19aca168e9",
-    "nonarch-act-3-5-0-AD.json-7": "4d99d04b192c232487468d4d4a2f6f2253eaf5f83dbf51a54e680e1014b44843",
+    "nonarch-act-3-5-0-B.json-0": "af97063ee68b5ce587679ffdae87adc0e6fbb0c9e8fcd7dabad7914f2104dd62",
+    "nonarch-act-3-5-0-B.json-7": "4a583a673dad08e8654dc93f2e4ce023cf916d4614140c2ebcb346851c9df6d8",
+    "nonarch-act-3-5-0-AD.json-0": "745ac1d6d45dc970e5bae4d0785b3536bf57ece1803d128df73ca7ab44d83bc0",
+    "nonarch-act-3-5-0-AD.json-7": "e5701baed6890993c4f59c8f12fba22d0c6b6b7780c8b0e27904d339f7567943",
     "nonarch-act-3-5-0-AA.json-0": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-act-3-5-0-AA.json-7": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
-    "nonarch-act-3-5-0-Blate.json-0": "7683272f73e56c4a71a05cc3075b6240fa5728e3ba907b33cbac79c4b67beb8f",
-    "nonarch-act-3-5-0-Blate.json-7": "85d0dda600439b0c4ad56cd14e702abef97739abbfad232e57d655edfd86ea4f",
-    "nonarch-act-3-5-0-ADlate.json-0": "bf923f06b889fb9fdeb318caea9584e6ff67308d92522c7873cd99a54fc018b6",
-    "nonarch-act-3-5-0-ADlate.json-7": "e36e92dfae0de34cbd17faf646f74002660b5c31cce297a1a7711b922f71930d",
-    "nonarch-act-3-5-1-B.json-0": "c59eedb77105f669449e4928a69a71c3c0dcdf261c714e064f9f3afeeb4dd066",
-    "nonarch-act-3-5-1-B.json-7": "2d00c5956638a7ad7c13b12eb9dc3188fe770375978201e6ac90a3ec361bce10",
-    "nonarch-act-3-5-1-AD.json-0": "fbb8f39e62eaedcabb5393586c2a4956d7289b825dcd21faf932cae8ba13a4cd",
-    "nonarch-act-3-5-1-AD.json-7": "e0c81ba7ff00c4848365441528457e491b2dae33403d344a619ceaf1e4d0d779",
+    "nonarch-act-3-5-0-Blate.json-0": "15234fca734c3db122f9b77f088e6cc6cf19b909b84f2967db408b49e4f0e99e",
+    "nonarch-act-3-5-0-Blate.json-7": "7dea354bda1c5b123323effd66887a468a4ef1efb3fcbf2f1e16a0bdb264b846",
+    "nonarch-act-3-5-0-ADlate.json-0": "300ebdad443c5230349942cdc8009f27e408e6fa2f2a30b76b4cc6bf9fc597ce",
+    "nonarch-act-3-5-0-ADlate.json-7": "830f850c40c5dada4213d7fe05adb7b91bbc2b4845c3df24788ae2ff19e45820",
+    "nonarch-act-3-5-1-B.json-0": "a3d3968f47daf3a05cca25dc20848a43d4bb49729792d08785cccee8f6281e8c",
+    "nonarch-act-3-5-1-B.json-7": "c6868c9731c9eb961ca9ed10605a1e90b71e6312f2c1d4a1e705f134a8dc0ba6",
+    "nonarch-act-3-5-1-AD.json-0": "eb295d2bcf8a4c9919881efe5d1ca7a27dfd2a7d44589b74ce0aadf9b3fd9395",
+    "nonarch-act-3-5-1-AD.json-7": "ad42c44ffcda6ee060e6c7ff4ebf03329148d5715db3bd3fadc7fe54e42a7b07",
     "nonarch-act-3-5-1-AA.json-0": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-act-3-5-1-AA.json-7": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
-    "nonarch-act-3-5-1-Blate.json-0": "fc418b140cfec4967298866dacd45f4b77356ede27ead81d8a2600f20128fb95",
-    "nonarch-act-3-5-1-Blate.json-7": "aabd0fca5a7ed4e6d9fd7f9b0af0d5a4b088dc01575d08a40a32683f51c6104d",
-    "nonarch-act-3-5-1-ADlate.json-0": "e70186eb63e937e204c0ef4849659e6356dab96ad029777050ebd59f16d98e2b",
-    "nonarch-act-3-5-1-ADlate.json-7": "69c1491d4c2d36b335ba2e8fd4daaea57499ed4958a4132f9be5e1e788d4e21a",
-    "nonarch-act-3-5-2-B.json-0": "cc20d9a30b330f80ad7a053579a614aee999281b2e51b8241a51e89a82d4ae5d",
-    "nonarch-act-3-5-2-B.json-7": "ab59ab199d567b13493dc32bf6a3df6491ff887916c3d8da158f68bca2e0a824",
-    "nonarch-act-3-5-2-AD.json-0": "4c2cc5497f80d927447b216daeae0cf6c4ba965bbab368a0cae165959544e803",
-    "nonarch-act-3-5-2-AD.json-7": "b2d200551d243fb3edde20ad9440368fcbf3b3f28ba1c6726cc5e31a11ccfbe4",
+    "nonarch-act-3-5-1-Blate.json-0": "9e432d7fdab7c5efd8cdb4c07b796b0f4b7a8cc21b037b85b06840809a90a7d9",
+    "nonarch-act-3-5-1-Blate.json-7": "4fd2f374107914a809f4439bb9adf3f3b26781cf0dfa8d06487671e024faa97d",
+    "nonarch-act-3-5-1-ADlate.json-0": "3e7dbf1c6fcefcb5f4fb55ee330712c1a4b43f1a47fa6e40358e3f6b8881d187",
+    "nonarch-act-3-5-1-ADlate.json-7": "e76d4a0f075c68e294332c1035d5f0cabbecd17029dd52db9ced27ff10d81cb6",
+    "nonarch-act-3-5-2-B.json-0": "633641b277cf4a9a3b6e2f9a0898b6dc6f35af107850acb1ccc082e252516f68",
+    "nonarch-act-3-5-2-B.json-7": "d744897b02d101b3db1e8948f37ffaa0254e5bf223d7546136e84f2a108de3d7",
+    "nonarch-act-3-5-2-AD.json-0": "9af5d63678354e92613618ff5a36388c668d5353e1f19c136fdb51f9e398ba40",
+    "nonarch-act-3-5-2-AD.json-7": "54f0c0967da95de80fd9dda908e40f78d43ea0de9cf574ca2e2d0d007e5c3dd8",
     "nonarch-act-3-5-2-AA.json-0": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-act-3-5-2-AA.json-7": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
-    "nonarch-act-3-5-2-Blate.json-0": "82d0eb68a875b446c6b6b040c02a8b69b6b714088471afa30d23d7dbed12b5de",
-    "nonarch-act-3-5-2-Blate.json-7": "21ddc23989020a56a2d68e3d38e5f3e300af263a21ab77fbcc412cd842fb15c0",
-    "nonarch-act-3-5-2-ADlate.json-0": "96b4179c8898646ca57d05dddcc3e10d3a5355a2e48897e6e9217cd6bc8f569a",
-    "nonarch-act-3-5-2-ADlate.json-7": "b2a6ef71ec9885a2bcbf3bb43cc6ba6d21a15297e5ab49f3862f79373154b5b9",
-    "nonarch-act-3--7-0-B.json-0": "63d8b64b79db1142bf727762ab8429f49a50db901a242fb2099314ec03352136",
-    "nonarch-act-3--7-0-B.json-7": "7cbdc775786db3f8f53040eb4507c449a1b0f41da3c505d82d5dd9ba7428e8fb",
-    "nonarch-act-3--7-0-AD.json-0": "4efe039637cd2f02d65e67a3198daebf13410b8a7047b2bffa85d78c7cff5490",
-    "nonarch-act-3--7-0-AD.json-7": "7f9fac0958c8bcd9a6e8548ce83af9b6f666e1c9412347de772ccd57f7f522a5",
+    "nonarch-act-3-5-2-Blate.json-0": "ffd783b394dac9ceb661b552cffbd45921eae561b448a2b5907ba319a6de5837",
+    "nonarch-act-3-5-2-Blate.json-7": "3c7bf15f7a1e76ad896d529916e15d9d0fe3e5cd88e4d65bb00decdf83fcc93e",
+    "nonarch-act-3-5-2-ADlate.json-0": "7c936f68f5c75cb3d472b4fd94dcf5314cfe8924dd946e91191f07202d66e5dc",
+    "nonarch-act-3-5-2-ADlate.json-7": "5aa3ace92982b10c32181ff4569f2cb6ed4bf82b921746b431650465433ae2d5",
+    "nonarch-act-3--7-0-B.json-0": "d9e812521d4e709ec8793f26bb4d92b2d937f7fa616dc658901bc3f49042baec",
+    "nonarch-act-3--7-0-B.json-7": "a634630c2029ff28af027104991a0312fb487332e60d0c917483ce4d3fee843a",
+    "nonarch-act-3--7-0-AD.json-0": "356bb46d4204e3d69823852ff31cc522892a041b84d78d0fbbfd9ec421328c03",
+    "nonarch-act-3--7-0-AD.json-7": "abb11e4e2a7d26690b2270b059d2443a4af6b8967e0f55eac08ec29b76e78df0",
     "nonarch-act-3--7-0-AA.json-0": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-act-3--7-0-AA.json-7": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
-    "nonarch-act-3--7-0-Blate.json-0": "9fb36af22c6ee6b16a4312ad2a38706c1ef7b1f346dfdd6f63648474f88a2f3d",
-    "nonarch-act-3--7-0-Blate.json-7": "0965360511f9a765239c9968a3ab482a0101ae9f0eb05764ff31f05fdc668762",
-    "nonarch-act-3--7-0-ADlate.json-0": "ac3fd37e06c6f0fc2302899e841e2c972eaf14bcddd153534d65ec44104905b6",
-    "nonarch-act-3--7-0-ADlate.json-7": "7ae7f4ce3a596732264eb616fc518c32bd429b51c36693bacdf22009aef50d17",
-    "nonarch-act-3--7-1-B.json-0": "1a3606ea094cf09e7853c3d85f2577e65c29b0e4a761ed96b1428d4326aa7c1c",
-    "nonarch-act-3--7-1-B.json-7": "536a9020c75f7505d5bdf0c6a0da431b9bd535929236a574c87c2fcfb12173c0",
-    "nonarch-act-3--7-1-AD.json-0": "6c711725fe8d0c3fe9265465490018b86754e460aa504cd629b3a565ca417ddc",
-    "nonarch-act-3--7-1-AD.json-7": "42e8bb985f0b0ec4e3c40626c222b6ad1a1f8907a4cb7016a35aadb166867cb2",
+    "nonarch-act-3--7-0-Blate.json-0": "cc8727bcfae3dbe9af226bac5b465ff60e5961d605eaf23cde9facd97a1743c8",
+    "nonarch-act-3--7-0-Blate.json-7": "29b88e2f4bd2bca58a4184d0053f2b08a47dfb22db1b3dc2e2ccd1bcca1f9eea",
+    "nonarch-act-3--7-0-ADlate.json-0": "0cd9ca3ca44367bb378b6b1391ef4661dee389388dc9e449fe86af8caa01ea69",
+    "nonarch-act-3--7-0-ADlate.json-7": "dd169e60e0ae9abe172fe9c0878ce15d67723689a7ca208b8345686c88513f56",
+    "nonarch-act-3--7-1-B.json-0": "4f13403d0c654a8b12b7ea3243a5aec05910d79b321fb4f28dab5a93bc1e1326",
+    "nonarch-act-3--7-1-B.json-7": "4f555db6ce9508bbe2d070faf27fed0576826675902de3db890f1623afee4eb6",
+    "nonarch-act-3--7-1-AD.json-0": "5ead0c641afe1e9519ac9b8787134213ca7cb8289f987aa15bb22235b36efeb7",
+    "nonarch-act-3--7-1-AD.json-7": "4b3613e6f920cb179f54570b8d4b907e4302d67cd8c726daf8f952ad7999a8a9",
     "nonarch-act-3--7-1-AA.json-0": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-act-3--7-1-AA.json-7": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
-    "nonarch-act-3--7-1-Blate.json-0": "37a038447353157f09d95b64950f6b137d26f0eb38f254f1a4ed3df60e3e2fb4",
-    "nonarch-act-3--7-1-Blate.json-7": "eb28b11e47e9bbd5388df960001b8127db1315600d179bcbe374c1f6c55a4308",
-    "nonarch-act-3--7-1-ADlate.json-0": "a93bf1293d5f283fb6ff60d0003deac71d053eade141973d8ffeabaf187e65ac",
-    "nonarch-act-3--7-1-ADlate.json-7": "7d9e6587b566d9203da424f405ba430fb19c7744cd230d399c3953b28f20c357",
-    "nonarch-act-3--7-2-B.json-0": "a276e3df0e71ccdf819c08c11bd3e36f18e3d146092a689481bdb2f73f9137c4",
-    "nonarch-act-3--7-2-B.json-7": "d3faf55ed8e035126350171461b25f3c18189b75e94b836363976a5fa01209b7",
-    "nonarch-act-3--7-2-AD.json-0": "571a70ca79dc7bea127eaef4b5a7429ce8b98b63731af769e060c28d591fdc16",
-    "nonarch-act-3--7-2-AD.json-7": "31c1d13b0b814e77867e58e16a37608836e892570b292a7f9b6632a4918e7cea",
+    "nonarch-act-3--7-1-Blate.json-0": "ef9cf9a0dcf8d919f873625b8fe6e6ed67496b967f3d3167d122b09a2e6afcac",
+    "nonarch-act-3--7-1-Blate.json-7": "39c82c16f76a0a75684391eda9f435cdb1371e2caba526f06321f89a97f89808",
+    "nonarch-act-3--7-1-ADlate.json-0": "5e0e1f1eeec29ffa8d6e64c38321accf6f6a480d4fa9001b4e94c46972606138",
+    "nonarch-act-3--7-1-ADlate.json-7": "480a46cfb679a0c6f461007802611322074b15a33b54e0b7a7f35497139679b8",
+    "nonarch-act-3--7-2-B.json-0": "fd2240c69b85ff84b891ffc4443a9216b723ffebcdce283dc387543dacb52717",
+    "nonarch-act-3--7-2-B.json-7": "c874dd24a6ab0ebf44fbaaf81e17ecf6396b735e022b8a30a948515390724869",
+    "nonarch-act-3--7-2-AD.json-0": "7869af0188a8dd58b4662165d29a7eeb26452971171d3a575a729d6154016ee0",
+    "nonarch-act-3--7-2-AD.json-7": "565caae246f2d98ec914d6bd584305c17600baff037047c34d012cdbf3e1ee10",
     "nonarch-act-3--7-2-AA.json-0": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-act-3--7-2-AA.json-7": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
-    "nonarch-act-3--7-2-Blate.json-0": "480d515c74b97f790dc22f24334959692390e7aa55a2f4d33cb07e15e9332f31",
-    "nonarch-act-3--7-2-Blate.json-7": "5958a9b08f322959cb33cb55bdb9b7adc7afaf140781b94fbd34e2e93c17a645",
-    "nonarch-act-3--7-2-ADlate.json-0": "be55030aea4629c412838d9d98f85aca5affdcc5f871b055a24dbf53ab90f479",
-    "nonarch-act-3--7-2-ADlate.json-7": "c93efbad301df5c6ee9771887441ce6c55ef6f4c8fa7d228202dc5be5fe143ce",
+    "nonarch-act-3--7-2-Blate.json-0": "1b189ec99e94fe25dd3cd2207d7586084ed1f47ce69f4b7f44ae6b8abe72c587",
+    "nonarch-act-3--7-2-Blate.json-7": "455bc313cb9d00db286a887ad0dd90c8df70979ba4b705519acd78e53bbb3716",
+    "nonarch-act-3--7-2-ADlate.json-0": "4b11385a4a7196b600b5672c4e05571b094ee475ab89b339f3c0264e7dfd1314",
+    "nonarch-act-3--7-2-ADlate.json-7": "47591c1f22dd609eaeb24520976fcb86e6889b7c3326c9f2ac574f697d308b81",
     "nonarch-offdiag": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-diag": "7555a3194af8330023ec1c04869c200554bb3511eba9a4b8409fccc6ca211d0b",
     "nonarch-scalar": "177adfc0baadba44fab49f58d7d1f7a6a7677abe7a75dac9a56f7fd7ae20fd73",
     "nonarch-g5-scalar": "3b4bfc2f1387d23df4c6d41f95973045260fe37b6a04cff5f4d9cc505e69de51",
     "nonarch-g5": "3b4bfc2f1387d23df4c6d41f95973045260fe37b6a04cff5f4d9cc505e69de51",
-    "case3-4-0": "4850e6cf8825488a252ecad43c711605e1270852c6113450363c528e57364700",
-    "case3-4-1": "0b0072eb8046d30cc5dc80a07da014aaaff4da171ccd5e6275b22b60c763f792",
-    "case3-4-2": "ae26c799e7edad1bc76bf47600974fdc47737b5d3fba3cf8da981f7cd142402c",
-    "case3-4-3": "4955c07f544544acee89a0b560996aa24354da09a44ea7c948530508328590b8",
-    "case3-6-0": "9cce114941721cd8d07c2666f1ce4ff3b386769e61c87f7769b9b282ca771d09",
-    "case3-6-1": "225e1653891e1a833a0de290fbb935d663cb5ca7b0f3d3c4314d1a110b2ac385",
-    "case3-6-2": "c12ac10226389f93d6fbfc358cbf49cd0dfdb0d5bb5ca8fd893ef2b6b4ed345c",
-    "case3-6-3": "572d2411c29fe3f71729c87fa18fe9f675f60674ec2eb6075d719cf4a1eba1eb",
+    "case3-4-0": "0e639fec39eba0d434dbd2c6701ba4fd93f2e96bd95c8894d06980a767e714e5",
+    "case3-4-1": "e10659defb592b03365c30795dddc7a1ed6c9d1f5632f99a1101b9f77649a228",
+    "case3-4-2": "e1ddbaa0295988703ddd3ff35b85a898b2abf8520f81e8930eecf8811b8796d8",
+    "case3-4-3": "e9913ba6b075a6ada759f190e7f10e6db0d46f146e48f10682ca78b4fc7961eb",
+    "case3-6-0": "eb8227bef7c8b0e8d3825ad5265d1fc99074a7921d1cf5bf16289739c302a8c8",
+    "case3-6-1": "c918759e41ce2704c5cca96f27e294a285b8a92e93d36a70b665f70b8c73d984",
+    "case3-6-2": "c8e07166f93a2888bbac97648f13592f3720b2946a9fa6df191a8337c61a35d2",
+    "case3-6-3": "ba5835fb64097dcdaa5b8cf9cacdff0f1f8216d5f9b992176380ade5644c4de5",
     "case3-g3": "d75f710e731499f2510f4d824df7106d412a4337a00f76bcc9fabb84e604d5a5",
     "case3-degenerate-H.json": "6281cf326466c05ccd0b708e7857bf4dde7df9120a864ef8a8abd162814522cc",
     "case3-g2.json": "d75f710e731499f2510f4d824df7106d412a4337a00f76bcc9fabb84e604d5a5",
     "case3-irrational-e.json": "7d4dc2e89b1fbfb3ba71389ad06937521bbd815aedaa42f94aa01748689d991b",
     "case3-irrational-square.json": "62759f78497b905cfe488ca9917f3b00924b9e119e1a297d3b533b52a99f4fa8",
     "case3-mixed-0.json": "2c049548fc865869b2c0a25a72f537a886cf6aa4ec5c1e8b5bb4163c8ac11787",
-    "case3-mixed-1.json": "1d749c9503eb21abb5d64c0fb4bc2582a244554b43b52719093228a90748a044",
-    "case3-mixed-2.json": "faa49b5a42c45a9d9679523c6c349068392dda6ea255e8633c34987dbe84e4e1",
+    "case3-mixed-1.json": "defb861c49a2f1dba74c38b9e8e9198ab942eca029215cbf8ae05ad0e560bb7b",
+    "case3-mixed-2.json": "57d90ef2d22b7c3dd1cb1e24f085dbe9257fde2be4ff9da448e28c320e1bb8a1",
     "case3-mixed-3.json": "ca349f3aa3624f526e8982462ac2724bb2477bffdef179b4c937e97554248abd",
-    "case3-mixed-4.json": "14be633a4d63db216803779569e8f451ceb5b95b8bdcea23617d8378fac83018",
+    "case3-mixed-4.json": "87373a926cb3543d148934146c502b80872a245b0e00faf6f3716cdd58f102e6",
     "case3-mixed-5.json": "1fcbde5f4aca1db09dd3b9b6d9d2d491e3da1254c37118b3f3be8b1d256ce974",
-    "case3-mixed-6.json": "965d5686989e3b23b1008d11d44d3a8e12a89570e5adb689538d8bbe25667fe1",
+    "case3-mixed-6.json": "99f6e6a684b20d34bb18ac12ed3f42733c5ab70243eabb82886b5cd65c4caba9",
     "case3-not-similitude.json": "62759f78497b905cfe488ca9917f3b00924b9e119e1a297d3b533b52a99f4fa8",
     "case3-odd-g.json": "d75f710e731499f2510f4d824df7106d412a4337a00f76bcc9fabb84e604d5a5",
     "case3-two-fields.json": "f8d670242d66a1af3c8dbe0bbad459ce617fc34ebb82f6f950ac90ea0d16cf8b",
@@ -506,17 +509,17 @@ GOLDEN = {
     "invert-z-60": "56ad6e598f841e0a02ef1f7d18cb7ddd0a8dc28ec42c3d4884e2b9a894a57736",
     "invert-z-120": "365dd21a8c18fa93437e0976dd35fd1a89160effec1251dc242c4bc45c0963e1",
     "invert-q": "a7ad51a6efed6bb90bdfb8eee494fe4c2a98dfba09fe06a78f8ac6649f488d68",
-    "invert-q5-dense": "69f23dac5ee4343820e6fe0d8f97394cc8b9ad7941dee2022ec6cc8e7e2dbc43",
-    "invert-q5-cancel": "968e28bf5fc34cd3eb8707bd806fb732949225c655c693baa0e83b09f6d3a3a5",
-    "invert-q5-plain": "ea170b04e00045e23ae8038acf653c766b4b1d30b32f13cfc474fa17a3062c5b",
+    "invert-q5-dense": "b3b00755e76606789f1f454719eda3af6c50f0a53228b6d054d96cd9b6278470",
+    "invert-q5-cancel": "fe463e81447ad4d1a5def58fff39c4f156c33c9a6184e4e50cc05431dd3b1a5f",
+    "invert-q5-plain": "c9b96617bd64a09d0b0647ed96545ffbee6c5ab4a2cad13388b8ebd67690ab3c",
     "invert-q5-sparse": "433205759344dc4e7cba5264b5de2e4bb1b6e592d17d8264acb81215a3ca0a51",
-    "invert-q5-rational": "47e8dc1505579c56b4de1b4bc41dd2afb276853b0d9ce2b1529408b35ad75811",
-    "invert-q-7-sparse": "a12d4bbe50aee663d26f05ba698065a7e16774d2f3d7ae3013fa42fe7176ba5c",
+    "invert-q5-rational": "272f4e0dd064506877ed86f7af058c8a7c346acbe37974a67d0561b5097c2474",
+    "invert-q-7-sparse": "f1cc86aed494b6a989d8f6f42d3b9cfd13775467288db773c330ce869f3c9271",
     "invert-mixed": "2d0f5a5d2dad067b4b7778f07c1671be386166dd817b88de3d3386de59fe7cfb",
-    "invert-two-fields": "fe5f2f306f63bbe8e06b397b8b16160cc279b2cbe1b4493699cfad5e71eaa946",
+    "invert-two-fields": "03cc821aefc28826ab05b64c264957586a499a85c28e2668aa9e2144aeced938",
     "derive-F-a": "a8d5a016a98b1fbae62e8f817f9d8d7fc8310ce8fc491d5b1ccedf0a324bf75b",
     "derive-F-a-q5": "44678b674934f9609e818ec4195e723b8980177a1a5a5d263c27e2e1c9ba3f87",
-    "derive-F-q5-a": "b62e62db169de7ee2bfbbbeb71c034d5d98167a4580db01c61c1ab5e1a0d9b5d",
+    "derive-F-q5-a": "d49f24e933820691a72deccc7756cb9161f060ed00e1ae70edd9801726e995e5",
     "derive-F-a-zero": "6322ca45e13dba491aee3c6023690aa36bf0f17701167c38dd4d47ca9402da83",
     "check-p5": "10e37d7cfbffcbf55e01ca6da260934e0f62c7b2825ad44150783da04d4db219",
     "check-outside-disc": "764a1c6674a047f3b859f74ac096c84050f32b37cf96331db19d76b408720ea4",

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodrel.scalars import (
     Place,
@@ -12,6 +13,7 @@ from periodrel.scalars import (
     arch_value,
     conjugate,
     padic_abs_exact,
+    quadratic_field,
     scalar_from_json,
     scalar_to_json,
     valuation,
@@ -205,6 +207,32 @@ def test_json_roundtrip():
     assert scalar_to_json(Fraction(4)) == "4"
     for pl in (Place.arch(), Place.arch("tau"), Place.finite(13)):
         assert Place.from_json(pl.to_json()) == pl
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, -1, -7)),
+    st.fractions(max_denominator=10**6) | st.integers(-(10**30), 10**30).map(Fraction),
+    st.fractions(max_denominator=10**6).filter(bool),
+)
+def test_encoding_is_a_function_of_the_value(d, a, b):
+    # a rational value prints as "num/den" whatever its type; a quadratic
+    # value keeps its object form; both input forms decode to equal values
+    text = scalar_to_json(a)
+    assert scalar_to_json(QuadScalar(d, a, 0)) == text == scalar_to_json(QuadScalar(11, a, 0))
+    obj = {"d": d, "a": scalar_to_json(a), "b": "0"}
+    assert scalar_from_json(obj) == scalar_from_json(text) == a
+    x = QuadScalar(d, a, b)
+    assert scalar_to_json(x) == {"d": d, "a": scalar_to_json(a), "b": scalar_to_json(b)}
+    assert scalar_from_json(scalar_to_json(x)) == x
+    assert scalar_to_json(x - QuadScalar(d, 0, b)) == text  # a zero b part from arithmetic
+
+
+def test_quadratic_field_names_the_one_field():
+    assert quadratic_field([Fraction(1), 3, QuadScalar(7, 2, 0)]) is None
+    assert quadratic_field([QuadScalar(7, 2, 0), Fraction(1), QuadScalar(5, 0, 1), QuadScalar(5, 1, 1)]) == 5
+    with pytest.raises(ScalarError, match=r"^mixed quadratic contexts: sqrt\(7\) vs sqrt\(5\)$"):
+        quadratic_field([QuadScalar(5, 0, 1), QuadScalar(11, 1, 0), QuadScalar(7, 0, 1), QuadScalar(2, 0, 1)])
 
 
 @pytest.mark.parametrize(

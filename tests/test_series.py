@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodrel import series
-from periodrel.scalars import DecodeError, Place, QuadScalar, ScalarError, valuation
+from periodrel.scalars import DecodeError, Place, QuadScalar, ScalarError, rational_value, valuation
 from periodrel.series import (
     EvalResult,
     TruncatedSeries,
@@ -19,7 +19,7 @@ from periodrel.series import (
     reciprocal,
 )
 
-from helpers import horner, horner_kcompose
+from helpers import horner, horner_kcompose, inverse_generic
 
 TS = TruncatedSeries
 
@@ -274,15 +274,32 @@ def test_eval_geometric_padic():
     st.sampled_from((2, 3, 7)),
 )
 def test_finite_place_sum_matches_fraction_horner(coeffs, x, p):
-    # all-Fraction coefficients at a rational x take the int Horner; a
-    # rational-valued QuadScalar x keeps Horner over the scalars
+    # all-Fraction coefficients take the int Horner, at a rational x and at a
+    # rational-valued QuadScalar x alike, since x is read by its value
     f = TS.from_coeffs(coeffs)
     res = eval_with_tail_bound(f, x, Place.finite(p))
     want = horner(f.coeffs, x)
     assert res.value == want and type(res.value) is Fraction
-    quad = eval_with_tail_bound(f, QuadScalar(5, x, 0), Place.finite(p))
-    assert quad == EvalResult(horner(f.coeffs, QuadScalar(5, x, 0)), res.tail_bound, True)
-    assert isinstance(quad.value, QuadScalar) == (f.order > 0)
+    assert eval_with_tail_bound(f, QuadScalar(5, x, 0), Place.finite(p)) == res
+
+
+def test_finite_place_sum_has_two_branches(monkeypatch):
+    # rational coefficients: the int Horner, whatever the type of a rational
+    # x; quadratic coefficients: the term-by-term sum, without integer_rows
+    cleared = []
+    rows = series.integer_rows
+    monkeypatch.setattr(series, "integer_rows", lambda r: cleared.append(1) or rows(r))
+    f = TS.from_coeffs([Fraction(1, 3), 2, Fraction(-5, 7), 9])
+    for x in (3, Fraction(3, 5), QuadScalar(-7, Fraction(3, 5), 0)):
+        cleared.clear()
+        res = eval_with_tail_bound(f, x, Place.finite(3))
+        assert cleared == [1] and res.value == horner(f.coeffs, rational_value(x))
+    g = TS.from_coeffs([quad(5, 1, 1), Fraction(2, 3), quad(5, 0, -1), quad(2, 1), 1, 2, 3, 4])
+    cleared.clear()
+    res = eval_with_tail_bound(g, Fraction(3, 5), Place.finite(3))
+    assert cleared == [] and res.value == horner(g.coeffs, Fraction(3, 5))
+    with pytest.raises(ScalarError, match="rational values only"):
+        eval_with_tail_bound(f, quad(5, 0, 1), Place.finite(3))
 
 
 def test_eval_outside_disc_rejected():
@@ -495,7 +512,7 @@ def test_inverse_is_byte_identical_to_generic_path(kind):
     rng = random.Random(f"inverse-{kind}")
     for _ in range(60 if kind == "cancel" else 25):
         f = TS.from_coeffs(random_inverse_input(rng, kind, rng.randint(1, 10)))
-        assert compositional_inverse(f).to_json() == series._inverse_generic(f).to_json()
+        assert compositional_inverse(f).to_json() == inverse_generic(f).to_json()
 
 
 def test_compose_is_byte_identical_to_generic_path():
@@ -520,40 +537,83 @@ def test_quadratic_inverse_composes_to_x(d):
         assert series._compose_generic(g, f) == x
 
 
-def count_generic_inversions(monkeypatch):
+def count_packed_inversions(monkeypatch):
+    """Spy on the inversion paths: each packed-kernel inversion is counted,
+    and any generic series arithmetic fails the test."""
     calls = []
-    generic = series._inverse_generic
-    monkeypatch.setattr(series, "_inverse_generic", lambda f: calls.append(f) or generic(f))
+    kinverse = series._kinverse
+
+    def forbidden(*args):
+        raise AssertionError("compositional_inverse takes the packed kernel only")
+
+    monkeypatch.setattr(series, "_kinverse", lambda u, d: calls.append(d) or kinverse(u, d))
+    monkeypatch.setattr(series, "_compose_generic", forbidden)
+    monkeypatch.setattr(series, "reciprocal", forbidden)
     return calls
-
-
-Q5 = {k: {"d": 5, "a": str(k), "b": "0"} for k in (-1, 0, 1)}
 
 
 @pytest.mark.parametrize(
     "coeffs, expected",
     [
         # X + X^2 + X^3 inverts to X - X^2 + X^3 + 0 X^4: the generic path
-        # reaches that zero through nonzero products, a quadratic zero
-        ([0, 1, 1, 1, 0], ["0", Q5[1], Q5[-1], Q5[1], Q5[0]]),
-        # X + X^3: g_2 = -f_2 = 0 and g_4 come from no nonzero product, plain 0
-        ([0, 1, 0, 1, 0], ["0", Q5[1], "0", Q5[-1], "0"]),
+        # reaches that zero through nonzero products, the kernel does not
+        ([0, 1, 1, 1, 0], ["0", "1", "-1", "1", "0"]),
+        # X + X^3: g_2 = -f_2 = 0 and g_4 come from no nonzero product
+        ([0, 1, 0, 1, 0], ["0", "1", "0", "-1", "0"]),
     ],
 )
 def test_zero_coefficients_keep_their_generic_encoding(monkeypatch, coeffs, expected):
-    calls = count_generic_inversions(monkeypatch)
+    # a zero is encoded by its value alone, so the kernel's zeros and the
+    # generic path's print the same whichever products reach them
+    calls = count_packed_inversions(monkeypatch)
     f = TS.from_coeffs([quad(5, c) for c in coeffs])
     assert compositional_inverse(f).to_json()["coeffs"] == expected
-    assert calls == []
-    assert series._inverse_generic(f).to_json()["coeffs"] == expected
+    assert calls == [None]
+    monkeypatch.undo()
+    assert inverse_generic(f).to_json()["coeffs"] == expected
 
 
 def test_only_mixed_input_takes_generic_path(monkeypatch):
-    calls = count_generic_inversions(monkeypatch)
-    compositional_inverse(TS.from_coeffs([0, 1, 2, -3, 1]))
-    compositional_inverse(TS.from_coeffs([quad(5, 0), quad(5, 1), quad(5, 2, 1), quad(5, 0, 1)]))
-    compositional_inverse(TS.from_coeffs([0, quad(-7, 1), quad(-7, 0), quad(-7, 1, 1)]))
-    assert calls == []
-    compositional_inverse(TS.from_coeffs([0, quad(5, 1), 1, quad(5, 0, 1)]))
-    compositional_inverse(TS.from_coeffs([0, quad(5, 1), quad(2, 0, 1)]))
-    assert len(calls) == 2
+    # every input over Q or one Q(sqrt d) runs on the packed kernel, mixed
+    # Fraction and QuadScalar coefficients and other tags of rational values too
+    inputs = [
+        ([0, 1, 2, -3, 1], None),
+        ([quad(5, 0), quad(5, 1), quad(5, 2, 1), quad(5, 0, 1)], 5),
+        ([0, quad(-7, 1), quad(-7, 0), quad(-7, 1, 1)], -7),
+        ([0, quad(5, 1), 1, quad(5, 0, 1)], 5),
+        ([0, quad(5, 1), quad(2, 0, 1)], 2),
+        ([0, quad(3, 2), Fraction(1, 2), quad(11, -1)], None),
+    ]
+    calls = count_packed_inversions(monkeypatch)
+    got = [compositional_inverse(TS.from_coeffs(coeffs)).to_json() for coeffs, _ in inputs]
+    assert calls == [d for _, d in inputs]
+    monkeypatch.undo()
+    assert got == [inverse_generic(TS.from_coeffs(coeffs)).to_json() for coeffs, _ in inputs]
+
+
+@pytest.mark.parametrize("d", [2, 5, -1, -7])
+def test_mixed_inverse_matches_generic_path_to_order_30(d, monkeypatch):
+    # Fraction, rational-valued and quadratic coefficients of one Q(sqrt d),
+    # some rational values tagged with another d
+    rng = random.Random(f"mixed-{d}")
+    inputs = []
+    for order in (25, 30):
+        coeffs = [0, rng.choice((1, -1, quad(d, 1, 1), quad(11, 2)))]
+        for _ in range(order - 1):
+            r = rng.random()
+            a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+            coeffs.append(a if r < 0.4 else quad(11, a) if r < 0.5 else quad(d, a, b))
+        inputs.append(TS.from_coeffs(coeffs))
+    calls = count_packed_inversions(monkeypatch)
+    got = [compositional_inverse(f).to_json() for f in inputs]
+    assert calls == [d, d]
+    monkeypatch.undo()
+    assert got == [inverse_generic(f).to_json() for f in inputs]
+
+
+def test_two_quadratic_fields_are_refused_before_inverting():
+    # Newton's products never meet sqrt 5 with sqrt 2 to order 4, yet the
+    # input is refused
+    f = TS.from_coeffs([0, 1, 0, quad(5, 0, 1), quad(2, 0, 1)])
+    with pytest.raises(ScalarError, match=r"^mixed quadratic contexts: sqrt\(2\) vs sqrt\(5\)$"):
+        compositional_inverse(f)
