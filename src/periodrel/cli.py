@@ -31,7 +31,7 @@ from .relations import (
     random_case3_input,
     verify_relation_on_data,
 )
-from .scalars import DecodeError, Place, json_list, scalar_from_json, scalar_to_json
+from .scalars import TRIAL_DIVISION_CAP, DecodeError, Place, json_list, scalar_from_json, scalar_to_json
 from .series import (
     TruncatedSeries,
     compositional_inverse,
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series_radius)
     p = leaf(s_sub, "gb-scan", help="globally-bounded denominator scan")
     p.add_argument("--series", required=True)
-    p.add_argument("--prime-bound", type=_int_in("--prime-bound", 2), default=50)
+    p.add_argument("--prime-bound", type=_int_in("--prime-bound", 2, TRIAL_DIVISION_CAP - 1), default=50)
     p.set_defaults(func=cmd_series_gb_scan)
     p = leaf(s_sub, "eval", help="evaluate with a tail bound")
     p.add_argument("--series", required=True)

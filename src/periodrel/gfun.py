@@ -10,7 +10,6 @@ content here is the exact series algebra and the honest radius bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .scalars import (
@@ -20,17 +19,18 @@ from .scalars import (
     ScalarError,
     abs_at_place,
     arch_value,
-    integer_rows,
     json_field,
     json_int,
     json_list,
+    quadratic_field,
     scalar_to_json,
     valuation,
 )
 from .series import (
     EvalResult,
     TruncatedSeries,
-    _all_fractions,
+    _kclear,
+    _kscalars,
     _matmul_trunc,
     eval_with_tail_bound,
     radius_lower_bound,
@@ -194,9 +194,17 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
     """G[i][j] = sum_k sum_l a[i][k][l] * d^k/dX^k F[l][j].
 
     Differentiating k <= N times costs N orders of truncation; the result
-    carries order min(F.order - N, a-order).  All-rational input is summed
-    over the integers (see :func:`_derive_rational`); any other takes
-    schoolbook series products.
+    carries order min(F.order - N, a-order).
+
+    G = A R, where A[i][(k, l)] = a[i][k][l] and R[(k, l)][j] = d^k F[l][j],
+    over Q or the one Q(sqrt d) of :func:`quadratic_field`; coefficients from
+    two quadratic fields raise ScalarError before any work.  Row i of A is
+    cleared to P_i + Q_i sqrt(d) over one denominator L_i and column j of R
+    to P'_j + Q'_j sqrt(d) over L'_j, so L_i L'_j G[i][j] is read off one
+    product of integer series matrices: rows [P_i, d Q_i] and [Q_i, P_i]
+    times the column [P'_j; Q'_j] (over Q, P_i times P'_j).  Each
+    coefficient becomes a scalar once.  Over one denominator the k-th
+    derivative's numerators are (t+1)..(t+k) times those of F.
     """
     if f.g != a.g:
         raise ValueError("dimension mismatch between series matrix and coefficients")
@@ -205,72 +213,34 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
         raise ValueError("insufficient precision: truncation order below derivative order")
     out_order = min(f.order - n, min(s.order for s in a.all_series()))
     inputs = [s for row in f.entries for s in row] + list(a.all_series())
-    if all(_all_fractions(s.coeffs) for s in inputs):
-        return _derive_rational(f, a, out_order)
-    return _derive_generic(f, a, out_order)
-
-
-def _derive_generic(f: GFunMatrix, a: GaussManinCoefficients, out_order: int) -> GFunMatrix:
-    """derive_G by schoolbook series products: any scalar kind."""
-    g, n = f.g, a.deriv_order
-    # derivs[l-1][j-1][k] = d^k F[l][j] truncated, each built once from d^(k-1)
-    derivs = []
-    for row in f.entries:
-        derivs.append([])
-        for s in row:
-            chain = [s]
-            for _ in range(n):
-                chain.append(chain[-1].derivative())
-            derivs[-1].append([c.truncate(out_order) for c in chain])
-    out = []
-    for i in range(1, g + 1):
-        row = []
-        for j in range(1, g + 1):
-            acc = TruncatedSeries.zero(out_order)
-            for k in range(0, n + 1):
-                for l in range(1, g + 1):
-                    coeff = a.a(i, k, l)
-                    if coeff.is_zero():
-                        continue
-                    term = coeff.truncate(out_order) * derivs[l - 1][j - 1][k]
-                    acc = acc + term
-            row.append(acc)
-        out.append(row)
-    return GFunMatrix.from_series(g, out)
-
-
-def _derive_rational(f: GFunMatrix, a: GaussManinCoefficients, out_order: int) -> GFunMatrix:
-    """derive_G over Q as one product of integer series matrices.
-
-    G = A R, where A[i][(k, l)] = a[i][k][l] and R[(k, l)][j] = d^k F[l][j].
-    Row i of A is cleared to one denominator L_i and column j of R to L'_j,
-    so L_i L'_j G[i][j] is an entry of a product over the integers, and each
-    coefficient becomes a Fraction once.  Over one denominator the k-th
-    derivative's numerators are (t+1)..(t+k) times those of F.
-    """
-    g, n, m = f.g, a.deriv_order, out_order + 1
-    right = [[None] * g for _ in range((n + 1) * g)]
+    d = quadratic_field(c for s in inputs for c in s.coeffs)
+    g, m, width = f.g, out_order + 1, 1 if d is None else 2
+    right = [[None] * g for _ in range(width * (n + 1) * g)]  # rows (part, k, l)
     col_dens = []
     for j in range(g):
-        nums, den = integer_rows([row[j].coeffs[: m + n] for row in f.entries])
+        parts, den = _kclear([row[j].coeffs[: m + n] for row in f.entries], d)
         col_dens.append(den)
-        for l, s in enumerate(nums):
-            for k in range(n + 1):
-                right[k * g + l][j] = s[:m]
-                s = [(t + 1) * x for t, x in enumerate(s[1:])]
+        for h, part in enumerate(parts):
+            for l, s in enumerate(part):
+                for k in range(n + 1):
+                    right[(h * (n + 1) + k) * g + l][j] = s[:m]
+                    s = [(t + 1) * x for t, x in enumerate(s[1:])]
     left, row_dens = [], []
     for i in range(1, g + 1):
-        nums, den = integer_rows([a.a(i, k, l).coeffs[:m] for k in range(n + 1) for l in range(1, g + 1)])
-        left.append(nums)
+        parts, den = _kclear([a.a(i, k, l).coeffs[:m] for k in range(n + 1) for l in range(1, g + 1)], d)
         row_dens.append(den)
+        if d is None:
+            left += parts
+        else:
+            p, q = parts
+            left += [p + [[d * x for x in s] for s in q], q + p]
     prod = _matmul_trunc(left, right, m)
-    return GFunMatrix.from_series(
-        g,
-        [
-            [TruncatedSeries(tuple(Fraction(c, rden * cden) for c in s), out_order) for s, cden in zip(row, col_dens)]
-            for row, rden in zip(prod, row_dens)
-        ],
-    )
+    out = []
+    for i, rden in enumerate(row_dens):
+        rows = prod[width * i : width * i + width]  # the rational part, then the sqrt(d) part
+        out.append([TruncatedSeries(_kscalars([r[j] for r in rows], [rden * cden] * m, d), out_order)
+                    for j, cden in enumerate(col_dens)])
+    return GFunMatrix.from_series(g, out)
 
 
 # ---------------------------------------------------------------------------

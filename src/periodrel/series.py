@@ -324,8 +324,22 @@ def _kinverse(u: tuple, d: int | None) -> tuple:
     return v
 
 
-def _all_fractions(coeffs) -> bool:
-    return all(type(c) is Fraction for c in coeffs)
+def _kclear(rows, d: int | None) -> tuple[tuple, int]:
+    """Rows of scalars of Q (d None) or Q(sqrt d) as int rows P, or P and Q,
+    over one denominator D: ((P,) or (P, Q), D)."""
+    if d is None:  # every value is rational; a QuadScalar is read by value
+        nums, den = integer_rows([[c.a if type(c) is QuadScalar else c for c in row] for row in rows])
+        return (nums,), den
+    _, p, q, den = clear_denominators(rows)
+    return (p, q), den
+
+
+def _kscalars(x: tuple, dens: list, d: int | None) -> tuple:
+    """The scalars (A_k + B_k sqrt d) / dens_k of a kernel series x, each
+    built once."""
+    if d is None:
+        return tuple(map(Fraction, x[0], dens))
+    return tuple(QuadScalar._trusted(d, Fraction(a, e), Fraction(b, e)) for a, b, e in zip(*x, dens))
 
 
 # ---------------------------------------------------------------------------
@@ -335,31 +349,20 @@ def _all_fractions(coeffs) -> bool:
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """f(g(X)) to the shared truncation order; requires g(0) = 0.
 
-    Over Q this runs on the packed kernel: with D the common denominator of
-    g, g(D X) has integer coefficients, and with F = D_f f integral,
-    f(g(X)) = R(X/D) / D_f for the integral R = F(g(D X)).
+    The work runs on the packed kernel, over Q or over the one Q(sqrt d) of
+    :func:`quadratic_field`; coefficients from two quadratic fields raise
+    ScalarError.  With D the common denominator of g, g(D X) has
+    coefficients in Z or Z[sqrt d], and with F = D_f f cleared likewise,
+    f(g(X)) = R(X/D) / D_f for R = F(g(D X)).
     """
     if g.coeffs[0] != 0:
         raise ValueError("inner series must vanish at origin")
     n = min(f.order, g.order)
-    if not _all_fractions(f.coeffs + g.coeffs):
-        return _compose_generic(f, g)
-    (fnum,), fden = integer_rows([f.coeffs[: n + 1]])
-    (gnum,), gden = integer_rows([g.coeffs[: n + 1]])
-    scaled = [c * gden ** max(k - 1, 0) for k, c in enumerate(gnum)]  # g(D X)
-    (r,) = _kcompose((fnum,), (scaled,), None)
-    return TruncatedSeries(tuple(Fraction(c, fden * gden**k) for k, c in enumerate(r)), n)
-
-
-def _compose_generic(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Horner over schoolbook scalar products: any scalar kind, mixed fields."""
-    n = min(f.order, g.order)
-    g = g.truncate(n)
-    # Horner from the top coefficient down
-    acc = TruncatedSeries.constant(f.coeffs[n], n)
-    for i in range(n - 1, -1, -1):
-        acc = acc * g + TruncatedSeries.constant(f.coeffs[i], n)
-    return acc
+    d = quadratic_field(f.coeffs + g.coeffs)
+    (fk, fden), (gk, gden) = (_kclear([s.coeffs[: n + 1]], d) for s in (f, g))
+    scaled = tuple([c * gden ** max(k - 1, 0) for k, c in enumerate(part)] for (part,) in gk)  # g(D X)
+    r = _kcompose(tuple(part for (part,) in fk), scaled, d)
+    return TruncatedSeries(_kscalars(r, [fden * gden**k for k in range(n + 1)], d), n)
 
 
 def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
@@ -559,7 +562,7 @@ def eval_with_tail_bound(
     if v.is_finite():
         absx = abs_at_place(x, v)  # refuses an x that is not rational-valued
         x = rational_value(x)
-        if _all_fractions(f.coeffs):  # Horner on ints, from the top:
+        if all(type(c) is Fraction for c in f.coeffs):  # Horner on ints, from the top:
             (nums,), den = integer_rows([f.coeffs])  # sum N_n a^n b^(N-n) / (L b^N) for x = a/b
             total, bpow = nums[-1], 1
             for c in reversed(nums[:-1]):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from periodrel import matrices as mx
 from periodrel import series
-from periodrel.gfun import GaussManinCoefficients, PlaceRadii
+from periodrel.gfun import GaussManinCoefficients, GFunMatrix, PlaceRadii
 from periodrel.polyalg import Monomial, MultiPoly, VarId, yvar, zvar
 from periodrel.relations import Case3Input, EndomorphismAction, SelectedEntry, quadratic_relation_polys
 from periodrel.scalars import Place, QuadScalar, scalar_to_json
@@ -48,6 +48,50 @@ def horner(coeffs, x):
     return total
 
 
+def compose_generic(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """f(g) by Horner over schoolbook scalar products, any scalar kind: the
+    former generic path of ``series.compose``, kept as the oracle for its
+    packed kernel."""
+    n = min(f.order, g.order)
+    g = g.truncate(n)
+    # Horner from the top coefficient down
+    acc = TruncatedSeries.constant(f.coeffs[n], n)
+    for i in range(n - 1, -1, -1):
+        acc = acc * g + TruncatedSeries.constant(f.coeffs[i], n)
+    return acc
+
+
+def derive_generic(f: GFunMatrix, a: GaussManinCoefficients, out_order: int) -> GFunMatrix:
+    """derive_G by schoolbook series products, any scalar kind: the former
+    generic path of ``gfun.derive_G``, kept as the oracle for its packed
+    kernel."""
+    g, n = f.g, a.deriv_order
+    # derivs[l-1][j-1][k] = d^k F[l][j] truncated, each built once from d^(k-1)
+    derivs = []
+    for row in f.entries:
+        derivs.append([])
+        for s in row:
+            chain = [s]
+            for _ in range(n):
+                chain.append(chain[-1].derivative())
+            derivs[-1].append([c.truncate(out_order) for c in chain])
+    out = []
+    for i in range(1, g + 1):
+        row = []
+        for j in range(1, g + 1):
+            acc = TruncatedSeries.zero(out_order)
+            for k in range(0, n + 1):
+                for l in range(1, g + 1):
+                    coeff = a.a(i, k, l)
+                    if coeff.is_zero():
+                        continue
+                    term = coeff.truncate(out_order) * derivs[l - 1][j - 1][k]
+                    acc = acc + term
+            row.append(acc)
+        out.append(row)
+    return GFunMatrix.from_series(g, out)
+
+
 def inverse_generic(f: TruncatedSeries) -> TruncatedSeries:
     """Newton iteration with doubling precision over schoolbook scalar
     arithmetic, any scalar kind: the former generic path of
@@ -64,8 +108,8 @@ def inverse_generic(f: TruncatedSeries) -> TruncatedSeries:
     while prec < n:
         prec = min(2 * prec, n)
         gk = TruncatedSeries.from_coeffs(list(g.coeffs), prec)
-        err = series._compose_generic(f.truncate(prec), gk) - TruncatedSeries.x(prec)
-        corr = err * series.reciprocal(series._compose_generic(fprime.truncate(prec), gk))
+        err = compose_generic(f.truncate(prec), gk) - TruncatedSeries.x(prec)
+        corr = err * series.reciprocal(compose_generic(fprime.truncate(prec), gk))
         g = gk - corr
     return g
 

@@ -98,6 +98,9 @@ DECODE_ERRORS = {
     ("series", "invert", "--series", "unread.json", "--order", "-1"): "--order must be >= 0, got -1",
     ("ideal", "member", "--poly", "unread.json", "--g", "2", "--budget", "-1"): "--budget must be >= 0, got -1",
     ("symplectic", "sample", "--g", "2", "--word-length", "-1"): "--word-length must be >= 0, got -1",
+    ("series", "gb-scan", "--series", "unread.json", "--prime-bound", "16777216"): (
+        "--prime-bound must be <= 16777215, got 16777216"
+    ),
 }
 
 
@@ -206,9 +209,14 @@ def test_two_quadratic_fields_are_refused_up_front(tmp_path):
     h[1][0] = h[1][0] + QuadScalar(7, 0, 2)  # the relation's coefficients in Q(sqrt 7), M in Q(sqrt 3)
     blocks = {k: mx.matrix_to_json(m) for k, m in zip("HABCD", (h, inp.A, inp.B, inp.C, inp.D))}
     (tmp_path / "h7.json").write_text(json.dumps({"g": 6, **blocks, "sqrt_e": scalar_to_json(inp.sqrt_e)}))
+    # G = a F to order 2 never multiplies the sqrt 5 of F by the sqrt 2 of a
+    root = lambda d: {"order": 2, "coeffs": ["0", "0", {"d": d, "a": "0", "b": "1"}]}
+    (tmp_path / "F5.json").write_text(json.dumps({"g": 1, "entries": [[root(5)]]}))
+    (tmp_path / "a2.json").write_text(json.dumps({"g": 1, "N": 0, "a": [[[root(2)]]]}))
     for argv, error in (
         (["series", "invert", "--series", "two.json"], "mixed quadratic contexts: sqrt(2) vs sqrt(5)"),
         (["relation", "case3", "--input", "h7.json"], "mixed quadratic contexts: sqrt(7) vs sqrt(3)"),
+        (["gfun", "derive", "--F", "F5.json", "--a", "a2.json"], "mixed quadratic contexts: sqrt(2) vs sqrt(5)"),
     ):
         proc = run_process(argv, tmp_path)
         assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == (1, {"error": error}, "")

@@ -12,10 +12,10 @@ from periodrel.gfun import (
     compute_radii,
     derive_G,
 )
-from periodrel.scalars import Place
+from periodrel.scalars import Place, QuadScalar
 from periodrel.series import TruncatedSeries
 
-from helpers import identity_family, radius_at
+from helpers import derive_generic, identity_family, radius_at
 
 TS = TruncatedSeries
 
@@ -129,38 +129,67 @@ def test_second_derivative_composes():
     assert via_two_steps.entries[0][0] == direct.entries[0][0]
 
 
-def random_rational_series(rng, order: int, zero: bool = False) -> TS:
+def random_scalar_series(rng, order: int, field, zero: bool = False) -> TS:
+    """A series over Q (field None); over Q with some rational values tagged
+    as QuadScalars of any d (field "tagged"); or mixing Fraction, such tagged
+    values and quadratic values of Q(sqrt field)."""
     if zero:
         return TS.zero(order)
-    return TS.from_coeffs([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 16))) for _ in range(order + 1)])
+
+    def coeff():
+        a = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 16)))
+        r = rng.random()
+        if field is None or r < 0.3:
+            return a
+        if field == "tagged" or r < 0.5:
+            return QuadScalar(rng.choice((2, 5, 11, -1)), a, 0)
+        return QuadScalar(field, a, Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))))
+
+    return TS.from_coeffs([coeff() for _ in range(order + 1)])
+
+
+DERIVE_FIELDS = [None, "tagged", 2, 5, -1, -7]
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_integer_derive_matches_schoolbook(seed):
-    """The integer-summed derive_G against the schoolbook path, with zero
-    a-series and F entries, and a-orders above and below F.order - N."""
+def test_integer_derive_matches_schoolbook(seed, monkeypatch):
+    """The packed derive_G against the schoolbook oracle over Q, over Q with
+    rational values tagged as QuadScalars, and over each Q(sqrt d), some
+    series rational and some mixed; with zero a-series and F entries, and
+    a-orders above and below F.order - N.  One packed product, no series
+    product, each time."""
     rng = random.Random(f"derive-{seed}")
-    for _ in range(4):
+    matmul = gfun._matmul_trunc
+
+    def forbidden(*args):
+        raise AssertionError("derive_G takes the packed kernel only")
+
+    def draw(field, order, p_zero):  # now and then a rational series
+        return random_scalar_series(rng, order, field if rng.random() < 0.7 else None, rng.random() < p_zero)
+
+    for t in range(len(DERIVE_FIELDS)):
+        field = DERIVE_FIELDS[(seed + t) % len(DERIVE_FIELDS)]
         g, n = rng.randint(1, 3), rng.randint(0, 3)
         order = rng.randint(n, n + 12)
-        f = GFunMatrix.from_series(
-            g, [[random_rational_series(rng, order, rng.random() < 0.2) for _ in range(g)] for _ in range(g)]
-        )
+        f = GFunMatrix.from_series(g, [[draw(field, order, 0.2) for _ in range(g)] for _ in range(g)])
         a = GaussManinCoefficients(
             g,
             n,
             tuple(
-                tuple(
-                    tuple(random_rational_series(rng, rng.randint(0, order), rng.random() < 0.3) for _ in range(g))
-                    for _ in range(n + 1)
-                )
+                tuple(tuple(draw(field, rng.randint(0, order), 0.3) for _ in range(g)) for _ in range(n + 1))
                 for _ in range(g)
             ),
         )
         out_order = min(f.order - n, min(s.order for s in a.all_series()))
-        got = derive_G(f, a)
-        assert got.to_json() == gfun._derive_generic(f, a, out_order).to_json()
-        assert all(type(c) is Fraction for row in got.entries for s in row for c in s.coeffs)
+        calls = []
+        with monkeypatch.context() as spy:
+            spy.setattr(gfun, "_matmul_trunc", lambda *args: calls.append(1) or matmul(*args))
+            spy.setattr(TS, "__mul__", forbidden)
+            got = derive_G(f, a)
+        assert calls == [1]
+        assert got.to_json() == derive_generic(f, a, out_order).to_json()
+        if field in (None, "tagged"):
+            assert all(type(c) is Fraction for row in got.entries for s in row for c in s.coeffs)
 
 
 def test_packed_matrix_product_at_the_slot_edge():

@@ -19,7 +19,7 @@ from periodrel.series import (
     reciprocal,
 )
 
-from helpers import horner, horner_kcompose, inverse_generic
+from helpers import compose_generic, horner, horner_kcompose, inverse_generic
 
 TS = TruncatedSeries
 
@@ -450,7 +450,7 @@ def test_kernel_composition_matches_horner_and_generic(d):
             got = series._kcompose(f, g, d)
             assert got == horner_kcompose(f, g, d)
             if m <= 9 and bits <= 17:
-                want = series._compose_generic(kernel_to_series(f, d), kernel_to_series(g, d))
+                want = compose_generic(kernel_to_series(f, d), kernel_to_series(g, d))
                 assert kernel_to_series(got, d).coeffs == want.coeffs
 
 
@@ -515,13 +515,33 @@ def test_inverse_is_byte_identical_to_generic_path(kind):
         assert compositional_inverse(f).to_json() == inverse_generic(f).to_json()
 
 
-def test_compose_is_byte_identical_to_generic_path():
+def test_compose_is_byte_identical_to_generic_path(monkeypatch):
+    # over Q, over Q with rational values tagged as QuadScalars, and over each
+    # Q(sqrt d), f or g now and then rational, mixing Fraction, rational
+    # values tagged with another d and quadratic values
     rng = random.Random(13)
-    for _ in range(60):
-        n = rng.randint(0, 12)
-        f = TS.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)])
-        g = TS.from_coeffs([0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 13))])
-        assert compose(f, g).to_json() == series._compose_generic(f, g).to_json()
+
+    def coeff(d):
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        r = rng.random()
+        if d is None or r < 0.3:
+            return a
+        if d == "tagged" or r < 0.45:
+            return quad(11, a)
+        return quad(d, a, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    def forbidden(*args):
+        raise AssertionError("compose takes the packed kernel only")
+
+    for t in range(120):
+        d = (None, "tagged", 2, 5, -1, -7)[t % 6]
+        fd, gd = (d if rng.random() < 0.8 else None for _ in range(2))
+        f = TS.from_coeffs([coeff(fd) for _ in range(rng.randint(0, 12) + 1)])
+        g = TS.from_coeffs([0] + [coeff(gd) for _ in range(rng.randint(0, 13))])
+        with monkeypatch.context() as spy:
+            spy.setattr(TS, "__mul__", forbidden)
+            got = compose(f, g)
+        assert got.to_json() == compose_generic(f, g).to_json()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, -1, -7])
@@ -533,8 +553,8 @@ def test_quadratic_inverse_composes_to_x(d):
         )
         g = compositional_inverse(f)
         x = TS.from_coeffs([0, quad(d, 1)], n)
-        assert series._compose_generic(f, g) == x
-        assert series._compose_generic(g, f) == x
+        assert compose_generic(f, g) == x
+        assert compose_generic(g, f) == x
 
 
 def count_packed_inversions(monkeypatch):
@@ -547,7 +567,7 @@ def count_packed_inversions(monkeypatch):
         raise AssertionError("compositional_inverse takes the packed kernel only")
 
     monkeypatch.setattr(series, "_kinverse", lambda u, d: calls.append(d) or kinverse(u, d))
-    monkeypatch.setattr(series, "_compose_generic", forbidden)
+    monkeypatch.setattr(TS, "__mul__", forbidden)
     monkeypatch.setattr(series, "reciprocal", forbidden)
     return calls
 
