@@ -19,18 +19,18 @@ from .scalars import (
     ScalarError,
     abs_at_place,
     arch_value,
+    cleared,
     json_field,
     json_int,
     json_list,
     quadratic_field,
     scalar_to_json,
+    uncleared,
     valuation,
 )
 from .series import (
     EvalResult,
     TruncatedSeries,
-    _kclear,
-    _kscalars,
     _matmul_trunc,
     eval_with_tail_bound,
     radius_lower_bound,
@@ -218,7 +218,7 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
     right = [[None] * g for _ in range(width * (n + 1) * g)]  # rows (part, k, l)
     col_dens = []
     for j in range(g):
-        parts, den = _kclear([row[j].coeffs[: m + n] for row in f.entries], d)
+        parts, den = cleared([row[j].coeffs[: m + n] for row in f.entries], d)
         col_dens.append(den)
         for h, part in enumerate(parts):
             for l, s in enumerate(part):
@@ -227,7 +227,7 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
                     s = [(t + 1) * x for t, x in enumerate(s[1:])]
     left, row_dens = [], []
     for i in range(1, g + 1):
-        parts, den = _kclear([a.a(i, k, l).coeffs[:m] for k in range(n + 1) for l in range(1, g + 1)], d)
+        parts, den = cleared([a.a(i, k, l).coeffs[:m] for k in range(n + 1) for l in range(1, g + 1)], d)
         row_dens.append(den)
         if d is None:
             left += parts
@@ -238,7 +238,7 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
     out = []
     for i, rden in enumerate(row_dens):
         rows = prod[width * i : width * i + width]  # the rational part, then the sqrt(d) part
-        out.append([TruncatedSeries(_kscalars([r[j] for r in rows], [rden * cden] * m, d), out_order)
+        out.append([TruncatedSeries(uncleared([r[j] for r in rows], [rden * cden] * m, d), out_order)
                     for j, cden in enumerate(col_dens)])
     return GFunMatrix.from_series(g, out)
 

@@ -10,10 +10,11 @@ only the similitude test takes them, by the generic product."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 from typing import Sequence
 
-from .scalars import QuadScalar, Scalar, ScalarError, integer_rows, json_list, quadratic_field
+from .scalars import Scalar, ScalarError, cleared, json_list, quadratic_field, uncleared
 from .scalars import scalar_from_json, scalar_to_json
 
 Matrix = tuple  # tuple[tuple[Scalar, ...], ...]
@@ -103,34 +104,6 @@ def submatrix(m, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
 # Exact integer kernel: matrices over Q or one Q(sqrt d), denominators cleared
 
 
-def _clear(m):
-    """:func:`clear_denominators`, raising where it returns None: ScalarError
-    from :func:`quadratic_field` for entries from two quadratic fields,
-    scanned in row-major order; TypeError names a non-scalar."""
-    for row in m:
-        for x in row:
-            if not isinstance(x, (int, Fraction, QuadScalar)):
-                raise TypeError(f"not a scalar: {x!r}")
-    d = quadratic_field(x for row in m for x in row)
-    parts = [[x.a if isinstance(x, QuadScalar) else x for x in row] for row in m]
-    parts += ([x.b if isinstance(x, QuadScalar) else 0 for x in row] for row in m)
-    rows, den = integer_rows(parts)
-    return d, rows[: len(m)], rows[len(m) :], den
-
-
-def clear_denominators(m):
-    """Write m as (P + Q sqrt(d)) / D with P, Q int rows and D > 0.
-
-    Returns (d, P, Q, D), d None when every entry is rational-valued, or None
-    when entries lie in two quadratic fields or are not scalars.  Rows may
-    differ in length, so a scalar can ride along as a row of its own.
-    """
-    try:
-        return _clear(m)
-    except (ScalarError, TypeError):
-        return None
-
-
 def is_similitude(m, mu, g: int) -> bool:
     """Whether M^t J M = mu J exactly, J = [[0, I], [-I, 0]] of size 2g.
 
@@ -142,15 +115,17 @@ def is_similitude(m, mu, g: int) -> bool:
     generic product M^t (J M) instead.
     """
     n = 2 * g
-    cleared = clear_denominators([*m, (mu,)])
-    if cleared is None:
+    try:
+        d = quadratic_field(x for row in (*m, (mu,)) for x in row)
+    except ScalarError:
         prod = mat_mul(transpose(m), [*m[g:], *([-x for x in row] for row in m[:g])])
         return all(
             prod[i][j] - (mu if j == i + g else -mu if i == j + g else 0) == 0
             for i in range(n)
             for j in range(n)
         )
-    d, p, q, den = cleared
+    parts, den = cleared([*m, (mu,)], d)
+    p, q = parts if d is not None else (*parts, [[0] * len(row) for row in parts[0]])
     (u,), (v,) = p.pop(), q.pop()
     pc, qc = list(zip(*p)), list(zip(*q))
     jp = [c[g:] + tuple(-x for x in c[:g]) for c in pc]  # columns of J P
@@ -208,15 +183,14 @@ def _echelon(rows, ncols: int) -> tuple[int | None, list[list[int]], list[int], 
     v_j sqrt d, and a later (right-hand side) entry the column (p, q).  The
     columns interleave as (u_0, v_0, u_1, ...), so a column is free exactly
     when both of its rational columns are."""
-    if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
-        d, ints = None, integer_rows(rows)[0]
-    else:
-        d, ints, q, _ = _clear(rows)
-        if d is not None:
-            p, ints = ints, []
-            for pr, qr in zip(p, q):
-                ints.append([y for j in range(ncols) for y in (pr[j], d * qr[j])] + pr[ncols:])
-                ints.append([y for j in range(ncols) for y in (qr[j], pr[j])] + qr[ncols:])
+    d = quadratic_field(x for row in rows for x in row)
+    parts, _ = cleared(rows, d)
+    ints = parts[0]
+    if d is not None:
+        ints = []
+        for pr, qr in zip(*parts):
+            ints.append([y for j in range(ncols) for y in (pr[j], d * qr[j])] + pr[ncols:])
+            ints.append([y for j in range(ncols) for y in (qr[j], pr[j])] + qr[ncols:])
     pivots, unit, _ = _bareiss(ints, ncols if d is None else 2 * ncols)
     return d, ints, pivots, unit
 
@@ -238,11 +212,7 @@ def _solve(a, b) -> tuple[list[list] | None, int]:
         return None, len(pivots) // step
     x = [[Fraction(0)] * (len(rows[0]) - w) for _ in range(c)]
     for i in range(0, len(pivots), step):
-        if d is None:
-            x[pivots[i]] = [Fraction(u, unit) for u in rows[i][w:]]
-        else:
-            parts = zip(rows[i][w:], rows[i + 1][w:])
-            x[pivots[i] // 2] = [QuadScalar._trusted(d, Fraction(u, unit), Fraction(v, unit)) for u, v in parts]
+        x[pivots[i] // step] = list(uncleared([row[w:] for row in rows[i : i + step]], repeat(unit), d))
     return x, len(pivots) // step
 
 
@@ -277,12 +247,9 @@ def det(m) -> Scalar:
         raise ValueError("determinant of non-square matrix")
     if n == 0:
         return Fraction(1)
-    if all(isinstance(x, (int, Fraction)) for row in m for x in row):
-        d, (rows, den) = None, integer_rows(m)
-    else:
-        d, rows, q, den = _clear(m)
-        if d is not None:
-            rows = [[QuadScalar._trusted(d, Fraction(u), Fraction(v)) for u, v in zip(*pq)] for pq in zip(rows, q)]
+    d = quadratic_field(x for row in m for x in row)
+    parts, den = cleared(m, d)
+    rows = parts[0] if d is None else [list(uncleared(pq, repeat(1), d)) for pq in zip(*parts)]
     pivots, last, sign = _bareiss(rows, n, field=d is not None)
     return sign * last * Fraction(1, den**n) if len(pivots) == n else Fraction(0)
 

@@ -109,8 +109,8 @@ class Monomial(tuple):
     degree the plain tuple order is degrevlex (the first differing code is a
     variable the smaller monomial holds more often, and every smaller
     variable has equal exponents in both), so ``(len(m), *m)`` is the order's
-    key.  Product, degree, hash and equality are the tuple's own; the
-    (VarId, exponent) pairs exist only as :attr:`exps`.
+    key, which < and > compare.  Product, degree, hash, equality, <= and >=
+    are the tuple's own; the (VarId, exponent) pairs exist only as :attr:`exps`.
     """
 
     __slots__ = ()
@@ -134,12 +134,6 @@ class Monomial(tuple):
 
     def degree(self) -> int:
         return len(self)
-
-    def variables(self) -> tuple[VarId, ...]:
-        return tuple(map(_var_of, dict.fromkeys(self)))
-
-    def exponent(self, v: VarId) -> int:
-        return self.count(v.code)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(sorted(self + other))
@@ -165,14 +159,8 @@ class Monomial(tuple):
     def __lt__(self, other: "Monomial") -> bool:
         return _degrevlex(self) < _degrevlex(other)
 
-    def __le__(self, other: "Monomial") -> bool:
-        return _degrevlex(self) <= _degrevlex(other)
-
     def __gt__(self, other: "Monomial") -> bool:
         return _degrevlex(self) > _degrevlex(other)
-
-    def __ge__(self, other: "Monomial") -> bool:
-        return _degrevlex(self) >= _degrevlex(other)
 
     def __str__(self) -> str:
         if not self:
@@ -334,7 +322,9 @@ class MultiPoly:
         try:
             rational = all(isinstance(x, (int, Fraction)) for x in values.values())
             if rational and all(type(c) is Fraction for c in self.terms.values()):
-                cden, den, whole = 1, 1, 0  # the lcms fold one at a time: no tuple of denominators
+                # the lcms fold one at a time, not through scalars.cleared, which would hold
+                # every scaled numerator at once: the ideal workload's peak RSS rose 4 % on it
+                cden, den, whole = 1, 1, 0
                 for c in self.terms.values():
                     cden = math.lcm(cden, c.denominator)
                 for x in values.values():

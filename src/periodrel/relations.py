@@ -24,6 +24,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 from . import matrices as mx
@@ -36,7 +37,7 @@ from .polyalg import (
     determinant,
     symbolic_matrix,
 )
-from .scalars import QuadScalar, Scalar, json_field, json_int, quadratic_field, scalar_from_json
+from .scalars import QuadScalar, Scalar, cleared, json_field, json_int, quadratic_field, scalar_from_json
 from .symplectic import sample_symplectic, standard_form
 from .trivial_ideal import (
     MembershipVerdict,
@@ -401,13 +402,15 @@ def _transport(q: MultiPoly, m) -> MultiPoly:
     int pairs (u, w), and each coefficient (u + w sqrt d)/(L D^2) is built
     once, a Fraction when w = 0."""
     d = quadratic_field([*(x for row in m for x in row), *q.terms.values()])
-    _, p, r, den = mx.clear_denominators(m)
     e, g, forms, out = d or 0, len(m) // 2, {}, {}
+    parts, den = cleared(m, d)
+    p, r = parts if d is not None else (*parts, [[0] * len(m)] * len(m))
     for v in q.variables():
         k = v.row - 1 + (g if v.block == "Z" else 0)
         cells = ((VarId("Z" if s >= g else "Y", s % g + 1, v.col).code, p[s][k], r[s][k]) for s in range(2 * g))
         forms[v.code] = [(code, a, b, e * b) for code, a, b in cells if a or b]
-    _, (nums,), (roots,), lcm = mx.clear_denominators([list(q.terms.values())])
+    coeffs, lcm = cleared([list(q.terms.values())], d)
+    nums, roots = [row for row, in coeffs] if d is not None else (coeffs[0][0], repeat(0))
     for (v1, v2), n, n2 in zip(q.terms, nums, roots):
         for x, a1, b1, db1 in forms[v1]:
             a1, b1 = n * a1 + n2 * db1, n * b1 + n2 * a1  # (n + n' sqrt d)(a1 + b1 sqrt d)

@@ -9,6 +9,8 @@ boundary is :func:`abs_at_place`.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -164,13 +166,6 @@ def padic_abs_exact(x: Fraction | int, p: int) -> Fraction:
         return Fraction(0)
     v = valuation(x, p)
     return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
-
-
-def integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Rows of rationals as integer rows over their least common denominator:
-    (the rows times D, D).  Rows may differ in length."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def abs_at_place(x: Scalar, v: Place) -> float:
@@ -398,6 +393,26 @@ def quadratic_field(values) -> int | None:
     return d
 
 
+def cleared(rows, d: int | None) -> tuple[tuple, int]:
+    """Rows of scalars as int rows over one denominator D > 0: ((P,), D) over
+    Q (d None) or ((P, Q), D) over Q(sqrt d), with rows = (P + Q sqrt d) / D.
+    d is the :func:`quadratic_field` of these values or of more; a
+    QuadScalar is read by its value.  Rows may differ in length."""
+    parts = [[[x.a if type(x) is QuadScalar else x for x in row] for row in rows]]
+    if d is not None:
+        parts.append([[x.b if type(x) is QuadScalar else 0 for x in row] for row in rows])
+    den = math.lcm(*(x.denominator for part in parts for row in part for x in row))
+    return tuple([[x.numerator * (den // x.denominator) for x in row] for row in part] for part in parts), den
+
+
+def uncleared(parts: tuple, dens, d: int | None) -> tuple:
+    """The scalars (P_k + Q_k sqrt d) / dens_k of cleared parts (P,) or
+    (P, Q), each built once."""
+    if d is None:
+        return tuple(map(Fraction, parts[0], dens))
+    return tuple(QuadScalar._trusted(d, Fraction(a, e), Fraction(b, e)) for a, b, e in zip(*parts, dens))
+
+
 def conjugate(x: Scalar) -> Scalar:
     """Galois conjugate: a + b*sqrt(d) -> a - b*sqrt(d); rationals are fixed."""
     if isinstance(x, QuadScalar):
@@ -474,6 +489,9 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+QUOTE_CAP = 40  # characters of a refused value that an error message repeats
+
+
 def _frac_parse(s, path: str) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
@@ -482,4 +500,9 @@ def _frac_parse(s, path: str) -> Fraction:
             return Fraction(int(s))  # a plain integer: skip the general parser
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError):
-        raise DecodeError(f"{path}: not a rational number: {s!r}")
+        quoted = repr(s)
+        quoted = quoted if len(quoted) <= QUOTE_CAP else quoted[:QUOTE_CAP] + "..."
+        limit = sys.get_int_max_str_digits()
+        if limit and max(map(len, re.findall(r"\d+", str(s))), default=0) > limit:
+            raise DecodeError(f"{path}: a number past the limit of {limit} digits: {quoted}")
+        raise DecodeError(f"{path}: not a rational number: {quoted}")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import clear_denominators
 from .scalars import (
     DecodeError,
     Place,
@@ -22,7 +21,7 @@ from .scalars import (
     ScalarError,
     abs_at_place,
     arch_value,
-    integer_rows,
+    cleared,
     json_field,
     json_int,
     json_list,
@@ -30,6 +29,7 @@ from .scalars import (
     rational_value,
     scalar_from_json,
     scalar_to_json,
+    uncleared,
     valuation,
 )
 
@@ -83,9 +83,6 @@ class TruncatedSeries:
 
     # -- basics
 
-    def __getitem__(self, n: int) -> Scalar:
-        return self.coeffs[n]
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
             return self
@@ -105,12 +102,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)), n
         )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs), self.order)
-
-    def scale(self, c: Scalar) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(c * x for x in self.coeffs), self.order)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
@@ -324,24 +315,6 @@ def _kinverse(u: tuple, d: int | None) -> tuple:
     return v
 
 
-def _kclear(rows, d: int | None) -> tuple[tuple, int]:
-    """Rows of scalars of Q (d None) or Q(sqrt d) as int rows P, or P and Q,
-    over one denominator D: ((P,) or (P, Q), D)."""
-    if d is None:  # every value is rational; a QuadScalar is read by value
-        nums, den = integer_rows([[c.a if type(c) is QuadScalar else c for c in row] for row in rows])
-        return (nums,), den
-    _, p, q, den = clear_denominators(rows)
-    return (p, q), den
-
-
-def _kscalars(x: tuple, dens: list, d: int | None) -> tuple:
-    """The scalars (A_k + B_k sqrt d) / dens_k of a kernel series x, each
-    built once."""
-    if d is None:
-        return tuple(map(Fraction, x[0], dens))
-    return tuple(QuadScalar._trusted(d, Fraction(a, e), Fraction(b, e)) for a, b, e in zip(*x, dens))
-
-
 # ---------------------------------------------------------------------------
 # Composition and inversion
 
@@ -359,10 +332,10 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
         raise ValueError("inner series must vanish at origin")
     n = min(f.order, g.order)
     d = quadratic_field(f.coeffs + g.coeffs)
-    (fk, fden), (gk, gden) = (_kclear([s.coeffs[: n + 1]], d) for s in (f, g))
+    (fk, fden), (gk, gden) = (cleared([s.coeffs[: n + 1]], d) for s in (f, g))
     scaled = tuple([c * gden ** max(k - 1, 0) for k, c in enumerate(part)] for (part,) in gk)  # g(D X)
     r = _kcompose(tuple(part for (part,) in fk), scaled, d)
-    return TruncatedSeries(_kscalars(r, [fden * gden**k for k in range(n + 1)], d), n)
+    return TruncatedSeries(uncleared(r, [fden * gden**k for k in range(n + 1)], d), n)
 
 
 def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
@@ -403,8 +376,8 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
     c = f.coeffs[1]
     ci = 1 / (rational_value(c) or c)  # a rational slope scales in Q
     h = [x * ci for x in f.coeffs[2:]]
-    _, (a,), (b,), den = clear_denominators([h])
-    cols = [a] if d is None else [a, b]
+    parts, den = cleared([h], d)
+    cols = [row for row, in parts]
     # u = X + sum_k (f_k / c) D^(k-1) X^k, integral
     u = tuple([0, int(j == 0)] + [y * den**k for k, y in enumerate(col)] for j, col in enumerate(cols))
     v = _kinverse(u, d)
@@ -563,7 +536,7 @@ def eval_with_tail_bound(
         absx = abs_at_place(x, v)  # refuses an x that is not rational-valued
         x = rational_value(x)
         if all(type(c) is Fraction for c in f.coeffs):  # Horner on ints, from the top:
-            (nums,), den = integer_rows([f.coeffs])  # sum N_n a^n b^(N-n) / (L b^N) for x = a/b
+            ((nums,),), den = cleared([f.coeffs], None)  # sum N_n a^n b^(N-n) / (L b^N) for x = a/b
             total, bpow = nums[-1], 1
             for c in reversed(nums[:-1]):
                 bpow *= x.denominator

@@ -256,6 +256,18 @@ def test_nonarch_action_over_two_fields_exits_1_with_json(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_rational_past_the_digit_limit_exits_2_with_a_short_error(tmp_path):
+    # a valid rational whose denominator has more digits than int() converts
+    limit = sys.get_int_max_str_digits()
+    coeff = "1/" + "7" * (limit + 100)
+    (tmp_path / "s.json").write_text(json.dumps({"order": 2, "coeffs": ["0", "1", coeff]}))
+    proc = run_process(["series", "radius", "--series", "s.json", "--place", "3"], tmp_path)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert len(proc.stdout) < 200
+    (error,) = json.loads(proc.stdout).values()
+    assert error.startswith(f"coeffs[2]: a number past the limit of {limit} digits: '1/777")
+
+
 QUADRATIC_DATA = {"g": 1,"M": [["1"]], "F": [[{"d": 5, "a": "1", "b": "1"}]], "G": [["1"]]}  # F = 1 + sqrt 5
 QUADRATIC_REFERENCE_ERRORS = {
     ("--x", "5", "--place", "5"): "finite-place absolute value supported for rational values only",

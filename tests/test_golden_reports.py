@@ -9,7 +9,10 @@ A = D stops at its singular Sylvester system), case-3
 certificates from seeds and from mixed-type input files, small ideal and
 symplectic runs, every relation error path, series inversions over Z, Q,
 Q(sqrt 5) (rational values in both input forms), Q(sqrt -7) and mixed
-input, and `gfun derive`/`gfun check` over Q and Q(sqrt 5).  Output is
+input, `series radius`, `series gb-scan` and `series eval` at finite and
+archimedean places, `ideal gens`, `relation verify` on vanishing and
+non-vanishing data, `gfun radii`, and `gfun derive`/`gfun check` over Q and
+Q(sqrt 5).  Every parser leaf has a case.  Output is
 canonical: a rational value prints as "num/den" whatever its type.  After an
 intended report change, GOLDEN is the output of :func:`report_digests` on
 the new code.
@@ -21,8 +24,14 @@ import random
 from fractions import Fraction
 
 from periodrel import matrices as mx
-from periodrel.cli import dispatch
-from periodrel.relations import Case3Input, EndomorphismAction, random_case3_input
+from periodrel.cli import build_parser, dispatch
+from periodrel.relations import (
+    Case3Input,
+    EndomorphismAction,
+    build_nonarch_relation,
+    random_case3_input,
+    synthesize_period_data,
+)
 from periodrel.scalars import QuadScalar, scalar_to_json
 from periodrel.trivial_ideal import generators
 
@@ -120,6 +129,7 @@ def _inputs() -> tuple[dict, list]:
     cases.append(("sample-mu", ["symplectic", "sample", "--g", "2", "--mu", "-7/5", "--word-length", "3"]))
     cases.append(("sample-6-w20", ["symplectic", "sample", "--g", "6", "--seed", "6", "--word-length", "20"]))
     _series_inputs(files, cases)
+    _leaf_inputs(files, cases)
     return files, cases
 
 
@@ -211,6 +221,55 @@ def _series_inputs(files: dict, cases: list) -> None:
     cases.append(("check-p5", check + ["--x", "5", "--place", "5"]))
     cases.append(("check-outside-disc", check + ["--x", "1/5", "--place", "5"]))
     cases.append(("check-arch", check + ["--x", "1/7", "--place", "arch"]))
+
+
+def _leaf_inputs(files: dict, cases: list) -> None:
+    """`ideal gens`, `relation verify`, `gfun radii` and the `series` reports
+    other than `invert`, on the series files above and a few more."""
+    for g in (1, 2, 3):
+        cases.append((f"gens-{g}", ["ideal", "gens", "--g", str(g)]))
+
+    for name, d in (("q", None), ("q5", 5)):
+        act = mixed_action(random.Random(31), 2, d)
+        rel = build_nonarch_relation(act)
+        files[f"rel-{name}.json"] = {"rows": 2, "cols": 2, "entries": [[e.to_json() for e in row] for row in rel]}
+        files[f"data-{name}.json"] = synthesize_period_data(act, 3).to_json()
+    for rel, data in (("q", "q"), ("q5", "q5"), ("q", "q5")):
+        cases.append((f"verify-{rel}-{data}", ["relation", "verify", "--rel", f"rel-{rel}.json", "--data", f"data-{data}.json"]))
+
+    places = '[{"kind": "arch"}, {"kind": "finite", "p": 3}, {"kind": "finite", "p": 5}]'
+    sigma = '[{"kind": "arch", "embedding": "sigma"}]'
+    for name, aname, place_list, excluded in (
+        ("radii-a", "a", places, "[]"),
+        ("radii-a-excluded", "a", places, '["1/5", "2", "0"]'),
+        ("radii-a-q5", "a-q5", sigma, '["3"]'),
+    ):
+        radii = ["gfun", "radii", "--F", "gfun-F.json", "--a", f"gfun-{aname}.json", "--places", place_list]
+        cases.append((name, radii + ["--excluded", excluded]))
+
+    files["log.json"] = _series_json([0] + [Fraction(1, n) for n in range(1, 31)])
+    files["eval-q5.json"] = _series_json([_q(5, 1, 1), Fraction(2, 3), _q(5, 0, -1), _q(2, 1), 1, 2, 3, 4, 5])
+    for fname, place, extra in (
+        ("inv-z", "3", ["--integral"]),
+        ("inv-q", "3", []),
+        ("inv-q", "arch", []),
+        ("log", "7", []),
+        ("inv-q5-dense", "arch/sigma", []),
+        ("inv-q-7-sparse", "arch", []),
+        ("inv-q5-dense", "5", []),
+    ):
+        cases.append((f"radius-{fname}-{place}{''.join(extra)}", ["series", "radius", "--series", f"{fname}.json", "--place", place, *extra]))
+    for fname, extra in (("inv-z", []), ("inv-q", []), ("log", []), ("log", ["--prime-bound", "5"]), ("inv-q5-dense", [])):
+        cases.append((f"gb-scan-{fname}{''.join(extra)}", ["series", "gb-scan", "--series", f"{fname}.json", *extra]))
+    for fname, x, place, extra in (
+        ("inv-q", "3", "3", []),
+        ("inv-z", "3", "3", ["--integral-tail"]),
+        ("inv-z", "1/3", "3", ["--integral-tail"]),
+        ("log", "1/7", "arch", []),
+        ("eval-q5", "3/5", "3", []),
+        ("inv-q5-dense", "1/7", "arch/sigma", []),
+    ):
+        cases.append((f"eval-{fname}-{x}-{place}{''.join(extra)}", ["series", "eval", "--series", f"{fname}.json", "--x", x, "--place", place, *extra]))
 
 
 def report_digests(tmp_path, capsys) -> dict:
@@ -524,8 +583,41 @@ GOLDEN = {
     "check-p5": "10e37d7cfbffcbf55e01ca6da260934e0f62c7b2825ad44150783da04d4db219",
     "check-outside-disc": "764a1c6674a047f3b859f74ac096c84050f32b37cf96331db19d76b408720ea4",
     "check-arch": "3fd7327a792f14c5ea5bad7d633b0d4ac51f726d45fbba7771a8c8328ae3d525",
+    "gens-1": "fde51d4a2bc887856083d76261dc835fb33bbbf9539bc9b9ce8da13a5a035b96",
+    "gens-2": "4f84d16d9d17f111449e40a89ab2eb89992ce5534e63244ba2bdf55d1c2baa83",
+    "gens-3": "3e69be48c4cca4200387a1fec5514e8ea0656a0b84df739b0c3604299432a87a",
+    "verify-q-q": "6215ae26cbaa6b57668ed772320464991cfb2bfac92d4bab9af508b80b3b9a3c",
+    "verify-q5-q5": "6215ae26cbaa6b57668ed772320464991cfb2bfac92d4bab9af508b80b3b9a3c",
+    "verify-q-q5": "3fd70cf1f8a2cff54f1c8f2150bd783f74ad3b0a2a8e14bde06d67e4518f28b2",
+    "radii-a": "3c3eebd05d6c50a4a9d8ae361a2fa433e56533736074c9adc49b5347a08b065c",
+    "radii-a-excluded": "ae1402d043cceebc5d692ac9222ac8ddaf28de35942e9f502a82d7fe3c1ac413",
+    "radii-a-q5": "467ae10cf0fe6596f472ddbb8a58ab59ee726ee98f40e39cbcb730a4e005ab7e",
+    "radius-inv-z-3--integral": "9f05957bb58c8a2a79b737257ced325f8348e235a5f2f2fedffc279a1e6d1004",
+    "radius-inv-q-3": "2df57b6d37e2f780db73c536ca0e2896082fad1ae0e1312f60fb6878dd5f908d",
+    "radius-inv-q-arch": "e10e457683172d56e672b87da684f7fd29a1eb6404b4048359939c9a9de42d3a",
+    "radius-log-7": "529c2534919f5d8f45d96b2d6ed63e6fe4cdd722f1f1264dd593e66ea85a0f77",
+    "radius-inv-q5-dense-arch/sigma": "ef7648cfc3b8235dda53c4dc7daed665417a333e90e4bd1396597060317717ab",
+    "radius-inv-q-7-sparse-arch": "8d531e4379dfa941d1bd619812c96d3d787798f7272d0fd4d464fc298b3f94cf",
+    "radius-inv-q5-dense-5": "ddebd15970059f6aaf6b1539c11f8fe4eefc678bfad50d5c0f675369bf02cd5d",
+    "gb-scan-inv-z": "0e0fdef9092474ce7a623dbaab3f3dfaa26e3a3eec9da08d64c71d8bfb02979e",
+    "gb-scan-inv-q": "c66a361691058b63805f59dd3a9280019c8f096f5e5fe8c2b3be698048dee907",
+    "gb-scan-log": "d82fe7fac14f2f17ab4933a26580efceb3d82d64bbba15f2f45f1a4081c883ab",
+    "gb-scan-log--prime-bound5": "ad5d32bdad24ab55afa91530b80adf8f4f3835a8ba1323249b3954e790f4737a",
+    "gb-scan-inv-q5-dense": "62e1d78f6528aa914f38448db0f1e549ea704e45441813d379adc5fa6d25e0c5",
+    "eval-inv-q-3-3": "e7f6becb9576b688d857e96d22472c75185112666a3824ffeec018311d640f4b",
+    "eval-inv-z-3-3--integral-tail": "bcf54153bd0aa9979ade276a8e37e08f67f6e323335a83cf2199ee3c902028b5",
+    "eval-inv-z-1/3-3--integral-tail": "764a1c6674a047f3b859f74ac096c84050f32b37cf96331db19d76b408720ea4",
+    "eval-log-1/7-arch": "f62b84e39bcf08e7447ba106235c28a3c544082b03b85b813712b3bc3a131b78",
+    "eval-eval-q5-3/5-3": "a585e670dc5d2cbdc00de476de522a90f0b8c07aab0a9f7e13c2482e58d804eb",
+    "eval-inv-q5-dense-1/7-arch/sigma": "a060d895f4fd5c5c2fa9598b477d4e0e200486f5fed7ca3740e8b17549dfde66",
 }
 
 
 def test_reports_match_their_golden_digests(tmp_path, capsys):
     assert report_digests(tmp_path, capsys) == GOLDEN
+
+
+def test_every_subcommand_has_a_golden_case():
+    groups = build_parser()._subparsers._group_actions[0].choices
+    names = {f"{cmd} {sub}" for cmd, p in groups.items() for sub in p._subparsers._group_actions[0].choices}
+    assert names == {f"{argv[0]} {argv[1]}" for _, argv in _inputs()[1]}

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from periodrel import matrices as mx
 from periodrel import symplectic
 from periodrel.relations import Case3Input, generator_transform_scalar, random_case3_input
-from periodrel.scalars import QuadScalar, ScalarError
+from periodrel.scalars import QuadScalar, ScalarError, quadratic_field
 from periodrel.symplectic import sample_symplectic, with_multiplier
 
 from helpers import det_gauss, gauss, similitude_defect, unfreeze
@@ -74,7 +74,7 @@ def test_is_similitude_rejects_each_kind_of_defect():
     inp = random_case3_input(4, seed=41)
     m = inp.change_of_basis()
     mu = 1 / (inp.sqrt_e * inp.sqrt_e)
-    assert mx.clear_denominators(m)[0] == inp.sqrt_e.d
+    assert quadratic_field(x for row in m for x in row) == inp.sqrt_e.d
     assert mx.is_similitude(m, mu, 4)
     root = QuadScalar(inp.sqrt_e.d, 0, 1)
     for i, j, delta in ((0, 5, Fraction(1)), (3, 3, root), (7, 0, Fraction(1, 2) * root)):
@@ -119,17 +119,20 @@ def test_every_single_entry_perturbation_matches_oracle(g):
 
 def test_mixed_fields_take_the_generic_path(monkeypatch):
     m = mx.scalar_mul(QuadScalar(2, 0, 1), sample_symplectic(2, seed=3).matrix)  # multiplier 2
-    calls = []
-    real = mx.mat_mul
+    calls, clears = [], []
+    real, real_cleared = mx.mat_mul, mx.cleared
     monkeypatch.setattr(mx, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
-    assert mx.is_similitude(m, 2, 2) and calls == []
+    monkeypatch.setattr(mx, "cleared", lambda rows, d: clears.append(d) or real_cleared(rows, d))
+    assert mx.is_similitude(m, 2, 2) and calls == [] and clears == [2]
     mu7 = QuadScalar(7, 1, 1)
-    assert mx.clear_denominators([*m, (mu7,)]) is None
-    assert not mx.is_similitude(m, mu7, 2) and calls == [1]
+    with pytest.raises(ScalarError, match=r"sqrt\(7\) vs sqrt\(2\)"):
+        quadratic_field(x for row in (*m, (mu7,)) for x in row)
+    assert not mx.is_similitude(m, mu7, 2) and calls == [1] and clears == [2]
     assert not mx.is_zero_matrix(similitude_defect(m, mu7, 2))
     mixed = unfreeze(m)
     mixed[0][0] = QuadScalar(3, 1, 1)
-    assert mx.clear_denominators(mixed) is None
+    with pytest.raises(ScalarError, match=r"sqrt\(2\) vs sqrt\(3\)"):
+        quadratic_field(x for row in mixed for x in row)
     for check in (lambda: mx.is_similitude(mixed, 2, 2), lambda: similitude_defect(mixed, 2, 2)):
         with pytest.raises(ScalarError, match="mixed quadratic contexts"):
             check()

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +12,13 @@ from periodrel.scalars import (
     ScalarError,
     abs_at_place,
     arch_value,
+    cleared,
     conjugate,
     padic_abs_exact,
     quadratic_field,
     scalar_from_json,
     scalar_to_json,
+    uncleared,
     valuation,
 )
 
@@ -235,6 +238,32 @@ def test_quadratic_field_names_the_one_field():
         quadratic_field([QuadScalar(5, 0, 1), QuadScalar(11, 1, 0), QuadScalar(7, 0, 1), QuadScalar(2, 0, 1)])
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_cleared_rows_round_trip_by_value(data):
+    """Rows of ints, Fractions, rational-valued QuadScalars tagged with some
+    other d and (over Q(sqrt d)) genuine elements, of unequal lengths, clear
+    to int parts over the lcm of their denominators and back to equal
+    values."""
+    d = data.draw(st.sampled_from((None, 2, 5, -1, -7)))
+    other = data.draw(st.sampled_from((3, 11, -3)))
+    q = st.fractions(max_denominator=60)
+    kinds = [st.integers(-(10**20), 10**20), q, q.map(lambda a: QuadScalar(other, a, 0))]
+    if d is not None:
+        kinds.append(st.builds(lambda a, b: QuadScalar(d, a, b), q, q.filter(bool)))
+    rows = data.draw(st.lists(st.lists(st.one_of(kinds), max_size=6), max_size=5))
+    parts, den = cleared(rows, d)
+    assert len(parts) == (1 if d is None else 2)
+    assert all(len(part[i]) == len(row) for part in parts for i, row in enumerate(rows))
+    assert all(type(v) is int for part in parts for row in part for v in row)
+    split = [(x.a, x.b) if isinstance(x, QuadScalar) else (Fraction(x), Fraction(0)) for row in rows for x in row]
+    assert den == math.lcm(*(Fraction(y).denominator for pair in split for y in pair))
+    for i, row in enumerate(rows):
+        back = uncleared([part[i] for part in parts], repeat(den), d)
+        assert len(back) == len(row) and all(x == y for x, y in zip(back, row))
+        assert d is not None or all(type(x) is Fraction for x in back)
+
+
 @pytest.mark.parametrize(
     "text",
     ["0", "-0", "7", "-12", "00042", "9" * 400, "-" + "9" * 400, "٣", "-٣١",  # integer fast path
@@ -243,8 +272,9 @@ def test_quadratic_field_names_the_one_field():
 def test_integer_strings_parse_like_the_general_parser(text):
     try:
         expected = ("ok", Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        expected = ("error", f"x: not a rational number: {text!r}")
+    except (ValueError, ZeroDivisionError):  # the message quotes at most 40 characters
+        reason = "not a rational number" if len(text) <= 4300 else "a number past the limit of 4300 digits"
+        expected = ("error", f"x: {reason}: {text!r}" if len(repr(text)) <= 40 else f"x: {reason}: {repr(text)[:40]}...")
     try:
         got = ("ok", scalar_from_json(text, "x"))
     except ValueError as exc:

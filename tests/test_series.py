@@ -285,15 +285,15 @@ def test_finite_place_sum_matches_fraction_horner(coeffs, x, p):
 
 def test_finite_place_sum_has_two_branches(monkeypatch):
     # rational coefficients: the int Horner, whatever the type of a rational
-    # x; quadratic coefficients: the term-by-term sum, without integer_rows
+    # x; quadratic coefficients: the term-by-term sum, without clearing
     cleared = []
-    rows = series.integer_rows
-    monkeypatch.setattr(series, "integer_rows", lambda r: cleared.append(1) or rows(r))
+    rows = series.cleared
+    monkeypatch.setattr(series, "cleared", lambda r, d: cleared.append(d) or rows(r, d))
     f = TS.from_coeffs([Fraction(1, 3), 2, Fraction(-5, 7), 9])
     for x in (3, Fraction(3, 5), QuadScalar(-7, Fraction(3, 5), 0)):
         cleared.clear()
         res = eval_with_tail_bound(f, x, Place.finite(3))
-        assert cleared == [1] and res.value == horner(f.coeffs, rational_value(x))
+        assert cleared == [None] and res.value == horner(f.coeffs, rational_value(x))
     g = TS.from_coeffs([quad(5, 1, 1), Fraction(2, 3), quad(5, 0, -1), quad(2, 1), 1, 2, 3, 4])
     cleared.clear()
     res = eval_with_tail_bound(g, Fraction(3, 5), Place.finite(3))
