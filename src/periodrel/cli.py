@@ -100,26 +100,37 @@ def _check_genus(poly: MultiPoly, g: int, path: str) -> None:
             raise DecodeError(f"{path}: {v} is not a variable of genus {g}")
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return sha256(fh.read()).hexdigest()
+def _parse_json(text: str, where: str) -> object:
+    """json.loads, with a number literal past the int-string digit limit as
+    a DecodeError naming where it was read.  JSONDecodeError passes through;
+    the digit limit is the one other ValueError that json.loads raises."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise DecodeError(f"{where}: a number past the limit of {sys.get_int_max_str_digits()} digits")
 
 
 def _load_json(path: str, digests: dict) -> object:
+    """The file's JSON, read once: its bytes are digested, then decoded as
+    UTF-8 and parsed."""
     try:
-        digests[path] = _digest(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ComputationFailed(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    digests[path] = sha256(raw).hexdigest()
+    try:
+        return _parse_json(raw.decode("utf-8"), path)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ComputationFailed(f"invalid JSON in {path}: {exc}")
 
 
 def _json_list_arg(text: str, flag: str) -> list:
     """The JSON list given as an argument's text."""
     try:
-        return json_list(json.loads(text), flag)
+        return json_list(_parse_json(text, flag), flag)
     except json.JSONDecodeError as exc:
         raise DecodeError(f"{flag}: invalid JSON: {exc}")
 

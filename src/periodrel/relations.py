@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Sequence
 
 from . import matrices as mx
 from .polyalg import (
@@ -38,7 +37,7 @@ from .polyalg import (
     symbolic_matrix,
 )
 from .scalars import QuadScalar, Scalar, cleared, json_field, json_int, quadratic_field, scalar_from_json
-from .symplectic import sample_symplectic, standard_form
+from .symplectic import pairing, sample_symplectic
 from .trivial_ideal import (
     MembershipVerdict,
     generator_poly,
@@ -95,21 +94,23 @@ def _square_blocks(obj: dict, keys, g: int) -> list:
 
 @functools.cache
 def _symbolic_blocks(g: int) -> tuple:
-    """(Y^t, Z^t, adj(Y^t), det(Y)) at genus g, built once per g: they depend
-    on g alone, and no MultiPoly operation mutates its terms.  det(Y) comes
-    first, so past SYMBOLIC_DET_CAP the cap is raised before any adjugate."""
+    """(Y^t, Z^t, adj(Y^t) Z^t, det(Y)) at genus g, built once per g: they
+    depend on g alone, and no MultiPoly operation mutates its terms.  det(Y)
+    comes first, so past SYMBOLIC_DET_CAP the cap is raised before any
+    adjugate."""
     y = symbolic_matrix("Y", g)
     det_y = determinant(y)
-    yt = mx.transpose(y)
-    return yt, mx.transpose(symbolic_matrix("Z", g)), adjugate(yt), det_y
+    yt, zt = mx.transpose(y), mx.transpose(symbolic_matrix("Z", g))
+    return yt, zt, mx.mat_mul(adjugate(yt), zt), det_y
 
 
 def _relation_row(act: EndomorphismAction, i: int) -> tuple:
-    """Row i (0-based) of the relation matrix: the products of the whole
-    matrix restricted to row i of Y^t and Z^t, in mat_mul's operand order."""
-    yt, zt, adj_yt, det_y = _symbolic_blocks(act.g)
+    """Row i (0-based) of the relation matrix:
+    (y_i^t A)(adj(Y^t) Z^t) - det(Y) (y_i^t B + z_i^t D) for rows y_i^t and
+    z_i^t of Y^t and Z^t, in mat_mul's operand order."""
+    yt, zt, adj_zt, det_y = _symbolic_blocks(act.g)
     y_row, z_row = (yt[i],), (zt[i],)
-    lhs = mx.mat_mul(mx.mat_mul(mx.mat_mul(y_row, act.A), adj_yt), zt)[0]
+    lhs = mx.mat_mul(mx.mat_mul(y_row, act.A), adj_zt)[0]
     rhs = mx.mat_add(mx.mat_mul(y_row, act.B), mx.mat_mul(z_row, act.D))[0]
     return tuple(x - e * det_y for x, e in zip(lhs, rhs))
 
@@ -123,24 +124,6 @@ def build_nonarch_relation(act: EndomorphismAction) -> mx.Matrix:
     alone; the tests check it symbolically for every g up to SYMBOLIC_DET_CAP.
     """
     return tuple(_relation_row(act, i) for i in range(act.g))
-
-
-@dataclass(frozen=True)
-class SelectedEntry:
-    i: int  # 1-based entry indices
-    j: int
-    witness_y: tuple
-    witness_z: tuple
-    value: Scalar
-    case: str  # "B_nonzero" | "A_ne_D" | "A_non_scalar"
-
-
-def select_nontrivial_entry(p, act: EndomorphismAction) -> SelectedEntry:
-    """Pick an entry of the relation matrix p together with an exact witness
-    (y, z) that is isotropic and gives a nonzero value; only that entry of p
-    is evaluated, for its value (see :func:`_witness_entry`)."""
-    i, j, wy, wz, case = _witness_entry(act)
-    return SelectedEntry(i + 1, j + 1, wy, wz, p[i][j].evaluate(point_assignment(wy, wz)), case)
 
 
 def _witness_entry(act: EndomorphismAction) -> tuple:
@@ -275,10 +258,9 @@ def verify_relation_on_data(p, data: SyntheticPeriodData) -> bool:
 class RelationCertificate:
     polynomial: MultiPoly
     degree: int
-    construction_kind: str  # "nonarch" | "case3" | "product"
+    construction_kind: str  # "nonarch" | "case3"
     nontriviality: MembershipVerdict
     vanishing_evidence: tuple = ()
-    parts: tuple = ()
     notes: str = ""
 
     def __post_init__(self) -> None:
@@ -443,13 +425,14 @@ def generator_transform_scalar(inp: Case3Input) -> Scalar:
 def build_case3_relation(inp: Case3Input) -> RelationCertificate:
     """Quadratic relation from a synthetic period matrix at even g > 2.
 
-    Computes the skew pairing M' = H^t J H, kills the (1,2)/(1,g/2+2) pair
-    of entries by an exact rational (lambda, mu), verifies the resulting
-    degree-2 polynomial vanishes at H, transports it through the change of
-    basis, and attaches non-triviality evidence (row-swap sensitivity plus
-    the scalar 1/e by which the change of basis scales the ideal's
-    generators).  That scalar rests on M J M^t = (1/e) J, which follows from
-    the checked M^t J M = (1/e) J, so it is not checked again.
+    Reads the (1,2) and (1,g/2+2) entries of the skew pairing H^t J H as the
+    pairings <h_1, h_2> and <h_1, h_(g/2+2)> of columns of H, kills that pair
+    by an exact (lambda, mu), verifies the resulting degree-2 polynomial
+    vanishes at H, transports it through the change of basis, and attaches
+    non-triviality evidence (row-swap sensitivity plus the scalar 1/e by
+    which the change of basis scales the ideal's generators).  That scalar
+    rests on M J M^t = (1/e) J, which follows from the checked
+    M^t J M = (1/e) J, so it is not checked again.
     """
     g = inp.g
     if g % 2 != 0 or g <= 2:
@@ -459,9 +442,8 @@ def build_case3_relation(inp: Case3Input) -> RelationCertificate:
     if not inp.verify_similitude():
         raise RelationError("change of basis is not a sqrt(e)-symplectic similitude")
     h = g // 2
-    mprime = mx.mat_mul(mx.mat_mul(mx.transpose(inp.H), standard_form(h)), inp.H)
-    m12 = mprime[0][1]
-    m1h2 = mprime[0][h + 1]
+    cols = mx.transpose(inp.H)
+    m12, m1h2 = pairing(cols[0], cols[1]), pairing(cols[0], cols[h + 1])
     if m12 == 0:
         lam, mu = Fraction(1), Fraction(0)
     elif m1h2 == 0:
@@ -515,39 +497,3 @@ def random_case3_input(g: int, seed: int, d: int | None = None) -> Case3Input:
     cob = mx.scalar_mul(inv, s)
     halves = (range(g), range(g, 2 * g))
     return Case3Input(g, hmat, *(mx.submatrix(cob, rows, cols) for rows in halves for cols in halves), sqrt_e)
-
-
-# ---------------------------------------------------------------------------
-# Global assembly
-
-
-def assemble_global_relation(parts: Sequence[RelationCertificate]) -> RelationCertificate:
-    """Product of certified-non-trivial factors.
-
-    Degree adds; non-triviality of the product is inherited from primality
-    of the trivial-relations ideal, which is recorded as an assumed fact
-    with each factor's own certificate attached rather than re-verified.
-    """
-    if not parts:
-        raise RelationError("nothing to assemble")
-    for part in parts:
-        if not part.nontriviality.certified_nontrivial():
-            raise RelationError("every factor needs a non-triviality certificate")
-    if len(parts) == 1:
-        return parts[0]
-    poly = parts[0].polynomial
-    for part in parts[1:]:
-        poly = poly * part.polynomial
-    verdict = MembershipVerdict(
-        "not_in_ideal_certified",
-        "none",
-        detail="product of non-members of a prime ideal; primality assumed, factor certificates attached",
-    )
-    return RelationCertificate(
-        polynomial=poly,
-        degree=sum(p.degree for p in parts),
-        construction_kind="product",
-        nontriviality=verdict,
-        parts=tuple(parts),
-        notes=f"{len(parts)} factors",
-    )

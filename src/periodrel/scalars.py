@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction, "QuadScalar"]
 
 
@@ -158,14 +156,6 @@ def padic_abs(x: Fraction | int, p: int) -> float:
     if x == 0:
         return 0.0
     return float(p) ** (-valuation(x, p))
-
-
-def padic_abs_exact(x: Fraction | int, p: int) -> Fraction:
-    """|x|_p as an exact rational (for exact tail-bound comparisons)."""
-    if x == 0:
-        return Fraction(0)
-    v = valuation(x, p)
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
 
 
 def abs_at_place(x: Scalar, v: Place) -> float:
@@ -411,13 +401,6 @@ def uncleared(parts: tuple, dens, d: int | None) -> tuple:
     if d is None:
         return tuple(map(Fraction, parts[0], dens))
     return tuple(QuadScalar._trusted(d, Fraction(a, e), Fraction(b, e)) for a, b, e in zip(*parts, dens))
-
-
-def conjugate(x: Scalar) -> Scalar:
-    """Galois conjugate: a + b*sqrt(d) -> a - b*sqrt(d); rationals are fixed."""
-    if isinstance(x, QuadScalar):
-        return x.conjugate()
-    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------

@@ -217,17 +217,13 @@ def _matmul_trunc(a: list, b: list, m: int) -> list:
 
 
 def _kmul(x: tuple, y: tuple, m: int, d: int | None) -> tuple:
-    """Truncated product of kernel series over Z (d None) or Z[sqrt d]."""
+    """Truncated product of kernel series over Z (d None) or Z[sqrt d]: over
+    Z[sqrt d], (A + B sqrt d)(A' + B' sqrt d) is the block product
+    [[A, dB], [B, A]] [A'; B']."""
     if d is None:
         return (_mul_trunc(x[0], y[0], m),)
-    (a1, b1), (a2, b2) = x, y
-    p1 = _mul_trunc(a1, a2, m)
-    p2 = _mul_trunc(b1, b2, m)
-    p3 = _mul_trunc([s + t for s, t in zip(a1, b1)], [s + t for s, t in zip(a2, b2)], m)
-    return (
-        [s + d * t for s, t in zip(p1, p2)],
-        [u - s - t for s, t, u in zip(p1, p2, p3)],
-    )
+    (a, b), (a2, b2) = x, y
+    return tuple(part for part, in _matmul_trunc([[a, [d * t for t in b]], [b, a]], [[a2], [b2]], m))
 
 
 def _kpad(x: tuple, m: int) -> tuple:
@@ -576,14 +572,3 @@ def eval_with_tail_bound(
     maxterm = max((m * abs(xf) ** n for n, m in enumerate(mags)), default=0.0)
     tail += 2.3e-16 * (f.order + 1) * maxterm
     return EvalResult(total_f, tail, True)
-
-
-def padic_partial_sum(f: TruncatedSeries, x: Fraction) -> Fraction:
-    """Exact partial sum over Q (helper for finite-place self-consistency)."""
-    total = Fraction(0)
-    xp = Fraction(1)
-    for c in f.coeffs:
-        total += c * xp
-        xp *= x
-    return total
-

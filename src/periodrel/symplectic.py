@@ -1,4 +1,4 @@
-"""Exact rational symplectic-similitude sampling and basis completion.
+"""Exact rational symplectic-similitude sampling.
 
 Samples are words in three generator families (block-diagonal with a
 unimodular top block, unit upper-triangular shears with a symmetric block,
@@ -16,14 +16,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import matrices as mx
-from .scalars import scalar_to_json
-
-
-def standard_form(g: int):
-    """J = [[0, I], [-I, 0]] as an exact 2g x 2g matrix."""
-    top = mx.hstack(mx.zeros(g, g), mx.identity(g))
-    bottom = mx.hstack(mx.scalar_mul(Fraction(-1), mx.identity(g)), mx.zeros(g, g))
-    return mx.vstack(top, bottom)
+from .scalars import Scalar, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -180,48 +173,8 @@ def project_to_V(s: SymplecticSample) -> IsotropicFrame:
     return IsotropicFrame(mx.freeze([row[:g] for row in s.matrix]))
 
 
-def _pairing(u, v) -> Fraction:
-    """<u, v> = u^t J v for column vectors given as flat lists."""
+def pairing(u, v) -> Scalar:
+    """<u, v> = u^t J v for column vectors of length 2g given as flat
+    sequences, J = [[0, I], [-I, 0]]."""
     g = len(u) // 2
     return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
-
-
-def complete_to_symplectic_basis(frame: IsotropicFrame) -> SymplecticSample:
-    """Extend an independent isotropic frame to a full symplectic sample.
-
-    Greedy symplectic Gram-Schmidt: the dual vector for each frame column is
-    found by an exact linear solve whose pivot scan follows the standard
-    basis in index order, then corrected against previously built duals; the
-    output is deterministic given the frame, the first g columns equal the
-    input columns, and the multiplier is 1.
-    """
-    g = frame.g
-    n = 2 * g
-    cols = [[frame.columns[r][c] for r in range(n)] for c in range(g)]
-    if mx.rank(mx.freeze([[cols[c][r] for c in range(g)] for r in range(n)])) != g:
-        raise ValueError("frame not full rank")
-    if not frame.verify():
-        raise ValueError("frame not isotropic")
-    duals: list[list[Fraction]] = []
-    for jj in range(g):
-        # <w_k, u> = delta_{k jj} for all k
-        system = mx.freeze([[_jrow(cols[k], c) for c in range(n)] for k in range(g)])
-        rhs = [Fraction(int(k == jj)) for k in range(g)]
-        u = mx.solve(system, rhs)
-        if u is None:
-            raise ValueError("frame not full rank")
-        # kill pairings with already-built duals by adding frame columns
-        for i, ui in enumerate(duals):
-            c = _pairing(ui, u)
-            if c != 0:
-                u = [x + c * w for x, w in zip(u, cols[i])]
-        duals.append(u)
-    full = [[(cols[c][r] if c < g else duals[c - g][r]) for c in range(2 * g)] for r in range(n)]
-    return SymplecticSample(full, Fraction(1))
-
-
-def _jrow(w, c: int) -> Fraction:
-    """Coefficient of unknown u_c in <w, u> = w^t J u: J has 1 at (i, g+i)
-    and -1 at (g+i, i)."""
-    g = len(w) // 2
-    return w[c - g] if c >= g else -w[g + c]

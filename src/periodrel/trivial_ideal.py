@@ -175,9 +175,6 @@ class MembershipVerdict:
     samples_tested: int = 0
     detail: str = ""
 
-    def certified_nontrivial(self) -> bool:
-        return self.status == "not_in_ideal_certified"
-
     def to_json(self) -> dict:
         """The verdict as the reports write it; unset fields are left out."""
         out = {"status": self.status, "evidence": self.evidence_kind, "samples_tested": self.samples_tested}

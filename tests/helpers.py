@@ -8,11 +8,18 @@ from periodrel import matrices as mx
 from periodrel import series
 from periodrel.gfun import GaussManinCoefficients, GFunMatrix, PlaceRadii
 from periodrel.polyalg import Monomial, MultiPoly, VarId, yvar, zvar
-from periodrel.relations import Case3Input, EndomorphismAction, SelectedEntry, quadratic_relation_polys
-from periodrel.scalars import Place, QuadScalar, scalar_to_json
+from periodrel.relations import (
+    Case3Input,
+    EndomorphismAction,
+    RelationCertificate,
+    RelationError,
+    _witness_entry,
+    quadratic_relation_polys,
+)
+from periodrel.scalars import Place, QuadScalar, Scalar, scalar_to_json, valuation
 from periodrel.series import TruncatedSeries
-from periodrel.symplectic import sample_symplectic, standard_form
-from periodrel.trivial_ideal import TrivialIdeal, _iter_sampled_points, point_assignment
+from periodrel.symplectic import IsotropicFrame, SymplecticSample, pairing, sample_symplectic
+from periodrel.trivial_ideal import MembershipVerdict, TrivialIdeal, _iter_sampled_points, point_assignment
 
 
 def sampled_points(g: int, budget: int, seed: int) -> list[tuple]:
@@ -214,6 +221,13 @@ def sylvester_solvable(act: EndomorphismAction) -> bool:
     return mx.rank(lin) == act.g * act.g
 
 
+def standard_form(g: int):
+    """J = [[0, I], [-I, 0]] as an exact 2g x 2g matrix."""
+    top = mx.hstack(mx.zeros(g, g), mx.identity(g))
+    bottom = mx.hstack(mx.scalar_mul(Fraction(-1), mx.identity(g)), mx.zeros(g, g))
+    return mx.vstack(top, bottom)
+
+
 def similitude_defect(m, mu, g: int):
     """M^t J M - mu J over the matrices' own scalars: the oracle for
     ``matrices.is_similitude``, zero exactly when M is a mu-similitude.
@@ -326,13 +340,32 @@ def phi_substitution(inp: Case3Input) -> dict[VarId, MultiPoly]:
 
 def case3_quadratic(inp: Case3Input) -> MultiPoly:
     """lambda r - mu s, the quadratic that the case-3 construction reads off
-    the pairing H^t J H before the change of basis, by its (lambda, mu) rule."""
+    the pairing H^t J H before the change of basis, by its (lambda, mu) rule:
+    the oracle for its two column pairings, from the full matrix product."""
     h = inp.g // 2
     pairing = mx.mat_mul(mx.mat_mul(mx.transpose(inp.H), standard_form(h)), inp.H)
     m12, m1h2 = pairing[0][1], pairing[0][h + 1]
     lam, mu = (Fraction(1), Fraction(0)) if m12 == 0 else (Fraction(0), Fraction(1)) if m1h2 == 0 else (m1h2, m12)
     r, s = quadratic_relation_polys(inp.g)
     return r.scale(lam) - s.scale(mu)
+
+
+@dataclass(frozen=True)
+class SelectedEntry:
+    i: int  # 1-based entry indices
+    j: int
+    witness_y: tuple
+    witness_z: tuple
+    value: Scalar
+    case: str  # "B_nonzero" | "A_ne_D" | "A_non_scalar"
+
+
+def select_nontrivial_entry(p, act: EndomorphismAction) -> SelectedEntry:
+    """An entry of the relation matrix p together with the exact witness
+    (y, z) of the case table, which is isotropic and gives a nonzero value;
+    only that entry of p is evaluated."""
+    i, j, wy, wz, case = _witness_entry(act)
+    return SelectedEntry(i + 1, j + 1, wy, wz, p[i][j].evaluate(point_assignment(wy, wz)), case)
 
 
 def expected_witness_value(act: EndomorphismAction, entry: SelectedEntry):
@@ -343,6 +376,101 @@ def expected_witness_value(act: EndomorphismAction, entry: SelectedEntry):
         return mx.mat_sub(act.A, act.D)
     z = entry.witness_z
     return mx.mat_sub(mx.mat_mul(act.A, z), mx.mat_mul(z, act.D))
+
+
+@dataclass(frozen=True)
+class ProductCertificate(RelationCertificate):
+    """A product of relation certificates, with its factors."""
+
+    parts: tuple = ()
+
+
+def assemble_global_relation(parts) -> RelationCertificate:
+    """Product of certified-non-trivial factors.
+
+    Degree adds; non-triviality of the product is inherited from primality
+    of the trivial-relations ideal, which is recorded as an assumed fact
+    with each factor's own certificate attached rather than re-verified.
+    """
+    if not parts:
+        raise RelationError("nothing to assemble")
+    for part in parts:
+        if part.nontriviality.status != "not_in_ideal_certified":
+            raise RelationError("every factor needs a non-triviality certificate")
+    if len(parts) == 1:
+        return parts[0]
+    poly = parts[0].polynomial
+    for part in parts[1:]:
+        poly = poly * part.polynomial
+    verdict = MembershipVerdict(
+        "not_in_ideal_certified",
+        "none",
+        detail="product of non-members of a prime ideal; primality assumed, factor certificates attached",
+    )
+    return ProductCertificate(
+        polynomial=poly,
+        degree=sum(p.degree for p in parts),
+        construction_kind="product",
+        nontriviality=verdict,
+        parts=tuple(parts),
+        notes=f"{len(parts)} factors",
+    )
+
+
+def complete_to_symplectic_basis(frame: IsotropicFrame) -> SymplecticSample:
+    """Extend an independent isotropic frame to a full symplectic sample.
+
+    Greedy symplectic Gram-Schmidt: the dual vector for each frame column is
+    found by an exact linear solve whose pivot scan follows the standard
+    basis in index order, then corrected against previously built duals; the
+    output is deterministic given the frame, the first g columns equal the
+    input columns, and the multiplier is 1.
+    """
+    g = frame.g
+    n = 2 * g
+    cols = [[frame.columns[r][c] for r in range(n)] for c in range(g)]
+    if mx.rank(mx.freeze([[cols[c][r] for c in range(g)] for r in range(n)])) != g:
+        raise ValueError("frame not full rank")
+    if not frame.verify():
+        raise ValueError("frame not isotropic")
+    duals: list[list[Fraction]] = []
+    for jj in range(g):
+        # <w_k, u> = delta_{k jj} for all k
+        system = mx.freeze([[_jrow(cols[k], c) for c in range(n)] for k in range(g)])
+        rhs = [Fraction(int(k == jj)) for k in range(g)]
+        u = mx.solve(system, rhs)
+        if u is None:
+            raise ValueError("frame not full rank")
+        # kill pairings with already-built duals by adding frame columns
+        for i, ui in enumerate(duals):
+            c = pairing(ui, u)
+            if c != 0:
+                u = [x + c * w for x, w in zip(u, cols[i])]
+        duals.append(u)
+    full = [[(cols[c][r] if c < g else duals[c - g][r]) for c in range(2 * g)] for r in range(n)]
+    return SymplecticSample(full, Fraction(1))
+
+
+def _jrow(w, c: int) -> Fraction:
+    """Coefficient of unknown u_c in <w, u> = w^t J u: J has 1 at (i, g+i)
+    and -1 at (g+i, i)."""
+    g = len(w) // 2
+    return w[c - g] if c >= g else -w[g + c]
+
+
+def padic_abs_exact(x: Fraction | int, p: int) -> Fraction:
+    """|x|_p as an exact rational (for exact tail-bound comparisons)."""
+    if x == 0:
+        return Fraction(0)
+    v = valuation(x, p)
+    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
+
+
+def conjugate(x: Scalar) -> Scalar:
+    """Galois conjugate: a + b*sqrt(d) -> a - b*sqrt(d); rationals are fixed."""
+    if isinstance(x, QuadScalar):
+        return x.conjugate()
+    return Fraction(x)
 
 
 def identity_family(g: int, order: int) -> GaussManinCoefficients:

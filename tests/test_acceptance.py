@@ -17,14 +17,12 @@ from periodrel.polyalg import Monomial, MultiPoly, groebner_basis, ideal_remaind
 from periodrel.relations import (
     Case3Input,
     RelationError,
-    assemble_global_relation,
     build_case3_relation,
     build_nonarch_certificate,
     build_nonarch_relation,
     generator_transform_scalar,
     quadratic_relation_polys,
     random_case3_input,
-    select_nontrivial_entry,
     synthesize_period_data,
     verify_relation_on_data,
 )
@@ -34,7 +32,6 @@ from periodrel.series import (
     compose,
     compositional_inverse,
     globally_bounded_scan,
-    padic_partial_sum,
 )
 from periodrel.symplectic import project_to_V, sample_symplectic, with_multiplier
 from periodrel.trivial_ideal import (
@@ -46,7 +43,18 @@ from periodrel.trivial_ideal import (
     row_swap_permutation,
 )
 
-from helpers import expected_witness_value, identity_family, matrix_at, radius_at, random_action, sampled_points
+from helpers import (
+    assemble_global_relation,
+    expected_witness_value,
+    horner,
+    identity_family,
+    matrix_at,
+    radius_at,
+    random_action,
+    sampled_points,
+    select_nontrivial_entry,
+    standard_form,
+)
 
 TS = TruncatedSeries
 
@@ -164,8 +172,6 @@ def test_criterion_6_case3_suite():
             inp = random_case3_input(g, seed=seed)
             assert inp.verify_similitude()
             h = g // 2
-            from periodrel.symplectic import standard_form
-
             mprime = mx.mat_mul(mx.mat_mul(mx.transpose(inp.H), standard_form(h)), inp.H)
             r, s = quadratic_relation_polys(g)
             cert = build_case3_relation(inp)  # internally asserts Q(H) = 0 exactly
@@ -292,8 +298,8 @@ def test_criterion_8_series_suite():
         p = rng.choice((2, 3, 5))
         x = Fraction(p, rng.choice((7, 11)))
         n1 = rng.randint(5, 20)
-        s1 = padic_partial_sum(f.truncate(n1), x)
-        s2 = padic_partial_sum(f, x)
+        s1 = horner(f.truncate(n1).coeffs, x)
+        s2 = horner(f.coeffs, x)
         if s1 != s2:
             assert valuation(s2 - s1, p) >= (n1 + 1) * valuation(x, p)
     _report(8, "series: 100 exact inverses, boundedness scans, p-adic tails")

@@ -13,7 +13,7 @@ import pytest
 from periodrel.cli import build_parser, dispatch
 from periodrel.series import TruncatedSeries
 
-from helpers import identity_family, poly_matrix_to_json, random_action, unfreeze
+from helpers import horner, identity_family, poly_matrix_to_json, random_action, unfreeze
 
 
 def run(capsys, argv):
@@ -257,15 +257,37 @@ def test_nonarch_action_over_two_fields_exits_1_with_json(tmp_path):
 
 
 def test_a_rational_past_the_digit_limit_exits_2_with_a_short_error(tmp_path):
-    # a valid rational whose denominator has more digits than int() converts
+    # a valid rational whose denominator has more digits than int() converts,
+    # then the same digits as a JSON number literal, in a file and in a flag
     limit = sys.get_int_max_str_digits()
-    coeff = "1/" + "7" * (limit + 100)
-    (tmp_path / "s.json").write_text(json.dumps({"order": 2, "coeffs": ["0", "1", coeff]}))
-    proc = run_process(["series", "radius", "--series", "s.json", "--place", "3"], tmp_path)
-    assert proc.returncode == 2 and proc.stderr == ""
-    assert len(proc.stdout) < 200
-    (error,) = json.loads(proc.stdout).values()
-    assert error.startswith(f"coeffs[2]: a number past the limit of {limit} digits: '1/777")
+    digits = "7" * (limit + 100)
+    (tmp_path / "s.json").write_text(json.dumps({"order": 2, "coeffs": ["0", "1", "1/" + digits]}))
+    (tmp_path / "n.json").write_text('{"order": 2, "coeffs": ["0", "1", ' + digits + "]}")
+    (tmp_path / "F.json").write_text(json.dumps(DECODE_INPUTS["F.json"]))
+    (tmp_path / "a.json").write_text(json.dumps(DECODE_INPUTS["a.json"]))
+    cases = {
+        ("series", "radius", "--series", "s.json", "--place", "3"): (
+            f"coeffs[2]: a number past the limit of {limit} digits: '1/777"
+        ),
+        ("series", "radius", "--series", "n.json", "--place", "3"): f"n.json: a number past the limit of {limit} digits",
+        ("gfun", "radii", "--F", "F.json", "--a", "a.json", "--places", f"[{digits}]"): (
+            f"--places: a number past the limit of {limit} digits"
+        ),
+    }
+    for argv, prefix in cases.items():
+        proc = run_process(list(argv), tmp_path)
+        assert proc.returncode == 2 and proc.stderr == "", argv
+        assert len(proc.stdout) < 200
+        (error,) = json.loads(proc.stdout).values()
+        assert error.startswith(prefix), error
+
+
+def test_a_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_bytes(b'{"order": 0, "coeffs": ["\xff"]}')
+    code, out = run_json(capsys, ["series", "radius", "--series", str(path), "--place", "3"])
+    assert code == 1
+    assert out["error"].startswith(f"invalid JSON in {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 QUADRATIC_DATA = {"g": 1,"M": [["1"]], "F": [[{"d": 5, "a": "1", "b": "1"}]], "G": [["1"]]}  # F = 1 + sqrt 5
@@ -684,13 +706,12 @@ def test_gfun_radii_subcommand(tmp_path, capsys):
 
 def test_gfun_check_subcommand(tmp_path, capsys):
     from periodrel.gfun import GFunMatrix
-    from periodrel.series import padic_partial_sum
 
     order = 8
     f = GFunMatrix.from_series(1, [[TruncatedSeries.geometric(order)]], integral=True)
     gz = GFunMatrix.from_series(1, [[TruncatedSeries.zero(order)]], integral=True)
     x = Fraction(5)
-    ref = padic_partial_sum(TruncatedSeries.geometric(order), x)
+    ref = horner(TruncatedSeries.geometric(order).coeffs, x)
     data = {
         "g": 1,
         "M": [["1"]],

@@ -9,14 +9,12 @@ from periodrel.relations import (
     Case3Input,
     EndomorphismAction,
     RelationError,
-    assemble_global_relation,
     build_case3_relation,
     build_nonarch_certificate,
     build_nonarch_relation,
     generator_transform_scalar,
     quadratic_relation_polys,
     random_case3_input,
-    select_nontrivial_entry,
     synthesize_period_data,
     verify_relation_on_data,
 )
@@ -25,6 +23,7 @@ from periodrel.symplectic import sample_symplectic
 from periodrel.trivial_ideal import generators, point_assignment
 
 from helpers import (
+    assemble_global_relation,
     case3_quadratic,
     expected_witness_value,
     kron,
@@ -33,6 +32,7 @@ from helpers import (
     mixed_case3_input,
     phi_substitution,
     random_action,
+    select_nontrivial_entry,
     sylvester_solvable,
     unfreeze,
 )

@@ -13,14 +13,14 @@ from periodrel.scalars import (
     abs_at_place,
     arch_value,
     cleared,
-    conjugate,
-    padic_abs_exact,
     quadratic_field,
     scalar_from_json,
     scalar_to_json,
     uncleared,
     valuation,
 )
+
+from helpers import conjugate, padic_abs_exact
 
 
 def brute_force_valuation(n: int, p: int) -> int:

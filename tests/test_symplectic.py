@@ -8,14 +8,12 @@ from periodrel.scalars import QuadScalar
 from periodrel.symplectic import (
     IsotropicFrame,
     SymplecticSample,
-    complete_to_symplectic_basis,
     project_to_V,
     sample_symplectic,
-    standard_form,
     with_multiplier,
 )
 
-from helpers import similitude_defect
+from helpers import complete_to_symplectic_basis, similitude_defect, standard_form
 
 
 def test_word_length_zero_is_identity():

@@ -1,7 +1,7 @@
 """Repository invariants: the benchmark's layer tracer wraps periodrel
 functions by name (a rename on either side would leave
-``perfbench/run.py --trace 1`` broken), and the runtime imports only the
-standard library."""
+``perfbench/run.py --trace 1`` broken), the runtime imports only the
+standard library, and each runtime name has one import path, its module."""
 
 import importlib
 import json
@@ -9,6 +9,7 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
@@ -38,3 +39,16 @@ def test_runtime_imports_only_the_standard_library():
     loaded = json.loads(proc.stdout)
     assert "periodrel" in loaded
     assert [m for m in loaded if m not in sys.stdlib_module_names and m not in ("periodrel", "__main__")] == []
+
+
+def test_the_package_root_binds_no_public_name_but_its_submodules():
+    import periodrel
+    import periodrel.cli  # noqa: F401  (binds the submodules the CLI imports)
+
+    extra = [
+        name
+        for name, value in vars(periodrel).items()
+        if not name.startswith("_")
+        and not (isinstance(value, ModuleType) and value.__name__ == f"periodrel.{name}")
+    ]
+    assert extra == []
