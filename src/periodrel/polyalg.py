@@ -49,14 +49,7 @@ class VarId:
     code: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.block not in BLOCKS:
-            raise ValueError(f"unknown block {self.block!r}")
-        if self.row < 1 or self.col < 1 or self.copy < 1:
-            raise ValueError("variable indices are 1-based")
-        if self.row > _FIELD or self.col > _FIELD:
-            raise ValueError("variable indices must be below 2^20")
-        code = (self.copy * 4 + BLOCKS.index(self.block)) << 40 | self.row << 20 | self.col
-        object.__setattr__(self, "code", code)  # the variable's int code, see Monomial
+        object.__setattr__(self, "code", _code(self.block, self.row, self.col, self.copy))
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.copy, BLOCKS.index(self.block), self.row, self.col)
@@ -70,6 +63,17 @@ class VarId:
 
 
 _FIELD = (1 << 20) - 1  # the row and col fields of a code
+
+
+def _code(block, row: int, col: int, copy: int) -> int:
+    """The int code of block[row, col] of copy ``copy`` (see :class:`Monomial`), or ValueError."""
+    if block not in BLOCKS:
+        raise ValueError(f"unknown block {block!r}")
+    if row < 1 or col < 1 or copy < 1:
+        raise ValueError("variable indices are 1-based")
+    if row > _FIELD or col > _FIELD:
+        raise ValueError("variable indices must be below 2^20")
+    return (copy * 4 + BLOCKS.index(block)) << 40 | row << 20 | col
 
 
 @functools.cache
@@ -392,24 +396,39 @@ class MultiPoly:
 
     @staticmethod
     def from_json(obj, path: str = "poly") -> "MultiPoly":
-        """Decode a polynomial; a malformed one raises :class:`DecodeError`
-        naming its path, e.g. ``poly[0].monomial: missing``."""
+        """Decode a polynomial, each entry ``[block, row, col, exponent(, copy)]``
+        straight to its variable's code and each number as :func:`json_int` reads
+        it; a malformed one raises :class:`DecodeError` naming its path, as ``poly[0]: ...``."""
         total: dict[Monomial, Scalar] = {}
         for k, term in enumerate(json_list(obj, path)):
-            at, exps = f"{path}[{k}].", {}
+            at, runs, codes = f"{path}[{k}].", [], []
             for n, ent in enumerate(json_list(json_field(term, "monomial", at), f"{at}monomial")):
-                p, keys = f"{at}monomial[{n}]", ("block", "row", "col", "exponent", "copy")
-                ent = {"copy": 1} | dict(zip(keys, json_list(ent, p)))
-                row, col, e, copy = (json_int(ent, key, p + ".", low=0) for key in keys[1:])
                 try:
-                    v = VarId(ent["block"], row, col, copy)
-                except ValueError as exc:
-                    raise DecodeError(f"{p}: {exc}")
-                exps[v] = exps.get(v, 0) + e
-            m = Monomial.of(*exps.items())
+                    row, col, e, copy = nums = [int(x) for x in (*ent[1:5], 1)[:4]]
+                    if not isinstance(ent, list) or len(ent) < 4 or min(nums) < 0:
+                        raise ValueError
+                    runs.append((_code(ent[0], row, col, copy), e))
+                except (TypeError, ValueError, OverflowError):
+                    _refuse_entry(ent, f"{at}monomial[{n}]")
+            for code, e in runs:  # every entry is checked before any is expanded
+                codes += (code,) * e
+            codes.sort()
+            m = Monomial(codes)
             c = scalar_from_json(json_field(term, "coeff", at), f"{at}coeff")
-            total[m] = total.get(m, Fraction(0)) + c
+            total[m] = total[m] + c if m in total else c
         return MultiPoly(total)
+
+
+def _refuse_entry(ent, p: str):
+    """Raise the DecodeError of an entry that from_json refused: its first bad field's, else its variable's."""
+    keys = ("block", "row", "col", "exponent", "copy")
+    named = {"copy": 1} | dict(zip(keys, json_list(ent, p)))
+    row, col, _, copy = (json_int(named, key, p + ".", low=0) for key in keys[1:])
+    try:
+        _code(named["block"], row, col, copy)
+    except ValueError as exc:
+        raise DecodeError(f"{p}: {exc}")
+    raise AssertionError(f"{p}: a refused entry decodes")
 
 
 # ---------------------------------------------------------------------------

@@ -450,7 +450,7 @@ def json_int(obj, key: str, at: str = "", low: int | None = None, high: int | No
     value = json_field(obj, key, at)
     try:
         n = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON Infinity
         raise DecodeError(f"{at}{key}: not an integer: {value!r}")
     if low is not None and n < low:
         raise DecodeError(f"{at}{key}: must be >= {low}, got {n}")

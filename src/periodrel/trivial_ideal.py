@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterator, Sequence
 
 from . import matrices as mx
@@ -194,41 +193,38 @@ def membership(
 ) -> MembershipVerdict:
     """Decide membership of p in the trivial-relations ideal.
 
-    Cheap certifying route first: one nonzero evaluation at an exact
-    isotropic point proves nonmembership.  The structured witnesses are
-    evaluated first, then at most ``sample_budget`` sampled points, each built
-    only when it is reached, so the search stops building at the first
-    nonzero value.  If every point vanishes, the degrevlex normal form of p
-    (:func:`~periodrel.polyalg.ideal_remainder`) decides at every g; past its
-    column cap the verdict is an honest "undecided".
+    One nonzero value at an exact isotropic point proves nonmembership, so the
+    four structured witnesses come first.  If they vanish, the degrevlex normal
+    form (:func:`~periodrel.polyalg.ideal_remainder`) decides; a zero one
+    certifies a member with no sample drawn.  Otherwise at most ``sample_budget``
+    sampled points follow, each built only when reached, up to the first nonzero
+    value; past the column cap with no witness the verdict is "undecided".
     """
-    g = ideal.g
-    points = chain(structured_witnesses(g), _iter_sampled_points(g, sample_budget, seed))
-    tested = 0
-    for y, z in points:
+    g, rem, detail, tested = ideal.g, None, "", 0
+
+    def points() -> Iterator[tuple]:
+        nonlocal rem, detail
+        yield from structured_witnesses(g)
+        try:
+            rem = ideal_remainder(p, ideal.generators)
+        except ResourceCapExceeded as exc:
+            detail = str(exc)
+        if rem is None or rem:
+            yield from _iter_sampled_points(g, sample_budget, seed)
+
+    for y, z in points():
         tested += 1
         val = p.evaluate(point_assignment(y, z))
         if val != 0:
             return MembershipVerdict(
-                "not_in_ideal_certified",
-                "witness_point",
-                witness=(y, z),
-                value=val,
-                samples_tested=tested,
+                "not_in_ideal_certified", "witness_point", witness=(y, z), value=val, samples_tested=tested
             )
-    try:
-        rem = ideal_remainder(p, ideal.generators)
-    except ResourceCapExceeded as exc:
-        return MembershipVerdict("undecided", "none", samples_tested=tested, detail=str(exc))
+    if rem is None:
+        return MembershipVerdict("undecided", "none", samples_tested=tested, detail=detail)
     if not rem:
-        return MembershipVerdict(
-            "in_ideal_certified", "groebner_remainder", remainder=rem, samples_tested=tested
-        )
+        return MembershipVerdict("in_ideal_certified", "groebner_remainder", remainder=rem, samples_tested=tested)
     return MembershipVerdict(
-        "not_in_ideal_certified",
-        "groebner_remainder",
-        remainder=rem,
-        samples_tested=tested,
+        "not_in_ideal_certified", "groebner_remainder", remainder=rem, samples_tested=tested,
         detail="nonzero normal form; no sampled witness found",
     )
 

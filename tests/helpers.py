@@ -3,11 +3,12 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from periodrel import matrices as mx
 from periodrel import series
 from periodrel.gfun import GaussManinCoefficients, GFunMatrix, PlaceRadii
-from periodrel.polyalg import Monomial, MultiPoly, VarId, yvar, zvar
+from periodrel.polyalg import Monomial, MultiPoly, ResourceCapExceeded, VarId, ideal_remainder, yvar, zvar
 from periodrel.relations import (
     Case3Input,
     EndomorphismAction,
@@ -16,10 +17,17 @@ from periodrel.relations import (
     _witness_entry,
     quadratic_relation_polys,
 )
-from periodrel.scalars import Place, QuadScalar, Scalar, scalar_to_json, valuation
+from periodrel.scalars import DecodeError, Place, QuadScalar, Scalar, json_field, json_int, json_list
+from periodrel.scalars import scalar_from_json, scalar_to_json, valuation
 from periodrel.series import TruncatedSeries
 from periodrel.symplectic import IsotropicFrame, SymplecticSample, pairing, sample_symplectic
-from periodrel.trivial_ideal import MembershipVerdict, TrivialIdeal, _iter_sampled_points, point_assignment
+from periodrel.trivial_ideal import (
+    MembershipVerdict,
+    TrivialIdeal,
+    _iter_sampled_points,
+    point_assignment,
+    structured_witnesses,
+)
 
 
 def sampled_points(g: int, budget: int, seed: int) -> list[tuple]:
@@ -571,3 +579,54 @@ def pair_poly_to_json(terms: dict) -> list:
         mono = [[v.block, v.row, v.col, e] + ([v.copy] if v.copy != 1 else []) for v, e in m.exps]
         out.append({"coeff": scalar_to_json(terms[m]), "monomial": mono})
     return out
+
+
+def poly_from_json_by_varid(obj, path: str = "poly") -> MultiPoly:
+    """The former ``MultiPoly.from_json``, one :class:`VarId` per variable
+    occurrence: the oracle for the decoder that reads int codes directly."""
+    total: dict = {}
+    for k, term in enumerate(json_list(obj, path)):
+        at, exps = f"{path}[{k}].", {}
+        for n, ent in enumerate(json_list(json_field(term, "monomial", at), f"{at}monomial")):
+            p, keys = f"{at}monomial[{n}]", ("block", "row", "col", "exponent", "copy")
+            ent = {"copy": 1} | dict(zip(keys, json_list(ent, p)))
+            row, col, e, copy = (json_int(ent, key, p + ".", low=0) for key in keys[1:])
+            try:
+                v = VarId(ent["block"], row, col, copy)
+            except ValueError as exc:
+                raise DecodeError(f"{p}: {exc}")
+            exps[v] = exps.get(v, 0) + e
+        m = Monomial.of(*exps.items())
+        c = scalar_from_json(json_field(term, "coeff", at), f"{at}coeff")
+        total[m] = total.get(m, Fraction(0)) + c
+    return MultiPoly(total)
+
+
+def membership_samples_first(p: MultiPoly, ideal: TrivialIdeal, sample_budget: int = 25, seed: int = 0):
+    """The former ``trivial_ideal.membership``: the structured witnesses,
+    then every sampled point, then the remainder.  The oracle for the
+    remainder-first order, whose verdicts agree except that a member's
+    ``samples_tested`` is 4, not 4 + budget."""
+    g = ideal.g
+    points = chain(structured_witnesses(g), _iter_sampled_points(g, sample_budget, seed))
+    tested = 0
+    for y, z in points:
+        tested += 1
+        val = p.evaluate(point_assignment(y, z))
+        if val != 0:
+            return MembershipVerdict(
+                "not_in_ideal_certified", "witness_point", witness=(y, z), value=val, samples_tested=tested
+            )
+    try:
+        rem = ideal_remainder(p, ideal.generators)
+    except ResourceCapExceeded as exc:
+        return MembershipVerdict("undecided", "none", samples_tested=tested, detail=str(exc))
+    if not rem:
+        return MembershipVerdict("in_ideal_certified", "groebner_remainder", remainder=rem, samples_tested=tested)
+    return MembershipVerdict(
+        "not_in_ideal_certified",
+        "groebner_remainder",
+        remainder=rem,
+        samples_tested=tested,
+        detail="nonzero normal form; no sampled witness found",
+    )

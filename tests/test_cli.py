@@ -58,6 +58,7 @@ DECODE_INPUTS = {
     "rel-no-entries.json": {"rows": 1},
     "poly-outside-g.json": [{"coeff": "1", "monomial": [["Z", 3, 1, 1]]}],
     "poly-row-2-20.json": [{"coeff": "1", "monomial": [["Y", 2**20, 1, 1]]}],
+    "poly-row-infinity.json": [{"coeff": "1", "monomial": [["Y", math.inf, 1, 1]]}],  # JSON Infinity
     "rel-outside-g.json": {"rows": 1, "cols": 1, "entries": [[[{"coeff": "1", "monomial": [["Z", 3, 3, 1]]}]]]},
     "data-g1.json": {"g": 1, "M": [["1"]], "F": [["1"]], "G": [["1"]]},
     "F-not-integral.json": {"g": 1, "integral": True, "entries": [[{"order": 3, "coeffs": ["1/2", "1", "0", "0"]}]]},
@@ -100,6 +101,9 @@ DECODE_ERRORS = {
     ("symplectic", "sample", "--g", "2", "--word-length", "-1"): "--word-length must be >= 0, got -1",
     ("series", "gb-scan", "--series", "unread.json", "--prime-bound", "16777216"): (
         "--prime-bound must be <= 16777215, got 16777216"
+    ),
+    ("ideal", "member", "--poly", "poly-row-infinity.json", "--g", "2"): (
+        "poly[0].monomial[0].row: not an integer: inf"
     ),
 }
 
@@ -802,3 +806,20 @@ def test_gb_scan_factors_each_distinct_denominator_once(tmp_path):
     want = {"bad_primes": [], "positive_radius_everywhere": True, "verdict": "bounded", "witness": None}
     assert json.loads(proc.stdout)["result"] == want
     assert elapsed < 2.0
+
+
+def test_ideal_member_budget_draws_no_sample_for_a_member(tmp_path):
+    # a member's zero remainder decides before any sample: --budget 20000 once
+    # cost about 10 s on a g=3 member; it now bounds only a witness search
+    from periodrel.trivial_ideal import generators
+
+    ideal = generators(3)
+    member = ideal.generator(1, 2) * ideal.generator(1, 3) + ideal.generator(2, 3)
+    (tmp_path / "p.json").write_text(json.dumps(member.to_json()))
+    start = time.perf_counter()
+    proc = run_process(["ideal", "member", "--poly", "p.json", "--g", "3", "--budget", "20000"], tmp_path)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and proc.stderr == ""
+    result = json.loads(proc.stdout)["result"]
+    assert (result["status"], result["samples_tested"], result["remainder"]) == ("in_ideal_certified", 4, [])
+    assert elapsed < 1.0

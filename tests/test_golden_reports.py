@@ -549,10 +549,10 @@ GOLDEN = {
     "case3-not-similitude.json": "62759f78497b905cfe488ca9917f3b00924b9e119e1a297d3b533b52a99f4fa8",
     "case3-odd-g.json": "d75f710e731499f2510f4d824df7106d412a4337a00f76bcc9fabb84e604d5a5",
     "case3-two-fields.json": "f8d670242d66a1af3c8dbe0bbad459ce617fc34ebb82f6f950ac90ea0d16cf8b",
-    "member-member-2.json": "07305fcfd5f4853590462955cd800a8b5de990dc5189235b38946c7264754e14",
+    "member-member-2.json": "61e943a3e1b456c5306ce9ab1ce4ee2669cfd4feaf78b873a8e7adb5a5fece76",
     "member-nonmember-2.json": "f8a20f777310c3ea8c5a1702199ccf2ff28a1e8bd81729f7cdd06f50deadcdf7",
     "member-hidden-2.json": "faba598ab6c539f4de1d8f6104154e07bb533b36ab18710f5415c3dfe0c1a061",
-    "member-3": "11b3727de6d33d0f8b76b5b112db5e09eded65a3da79ac909b98e5eb270d72d0",
+    "member-3": "61e943a3e1b456c5306ce9ab1ce4ee2669cfd4feaf78b873a8e7adb5a5fece76",
     "radical-1": "c7c946c641fd2a2e48c9c9bf1c63feceb6c69a3184241b00c533eb9be3a61720",
     "radical-2": "adf05944cfa9b3f588c02a198f3a141cc001d7b25920af68b83f9f259aa7baba",
     "radical-3": "bb519613e9fa37012a5b0d3389b61bd3d686ad1095546f8095d79acdba04b5af",

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,14 +23,16 @@ from periodrel.polyalg import (
     zvar,
 )
 from periodrel.relations import build_nonarch_certificate
-from periodrel.scalars import QuadScalar
+from periodrel.scalars import DecodeError, QuadScalar
 from periodrel.trivial_ideal import generators, membership, point_assignment
 
 from helpers import (
     PairMonomial,
     constant_matrix,
     evaluate_term_by_term,
+    membership_samples_first,
     pair_poly_to_json,
+    poly_from_json_by_varid,
     poly_matrix_to_json,
     random_action,
     sampled_points,
@@ -367,6 +370,15 @@ def test_membership_column_cap_gives_undecided(monkeypatch):
     v = membership(p, ideal, sample_budget=0)
     assert (v.status, v.evidence_kind, v.remainder) == ("undecided", "none", None)
     assert "MEMBERSHIP_COLUMN_CAP = 3" in v.detail
+    # past the cap the samples still run: the whole budget, then undecided,
+    # or up to a witness, as in the samples-first order
+    v = membership(p, ideal, sample_budget=5, seed=1)
+    assert (v.status, v.samples_tested) == ("undecided", 4 + 5)
+    q = p + MultiPoly.variable(yvar(1, 2)) * MultiPoly.variable(zvar(2, 1))
+    v = membership(q, ideal, sample_budget=8, seed=1)
+    assert (v.status, v.evidence_kind) == ("not_in_ideal_certified", "witness_point") and v.samples_tested > 4
+    for r, budget in ((p, 5), (q, 8)):
+        assert membership(r, ideal, budget, seed=1).to_json() == membership_samples_first(r, ideal, budget, 1).to_json()
 
 
 def test_membership_never_builds_a_groebner_basis(monkeypatch):
@@ -530,3 +542,55 @@ def test_poly_json_roundtrip():
     assert MultiPoly.from_json(p.to_json()) == p
     m = symbolic_matrix("Z", 2)
     assert mx.mat_eq(poly_matrix_from_json(poly_matrix_to_json(m)), m)
+
+
+_WELL_FORMED_ENTRY = st.one_of(
+    st.tuples(st.sampled_from(["Y", "Z"]), st.integers(1, 2), st.integers(1, 2), st.integers(0, 3)),
+    st.tuples(st.sampled_from(["Y", "Zp"]), st.integers(1, 2), st.just(2**20 - 1), st.integers(0, 2), st.integers(1, 2)),
+).map(list)
+_FIELD_VALUES = st.one_of(
+    st.integers(-1, 3),
+    st.sampled_from([2**20 - 1, 2**20, "2", " 3", "x", "", 2.0, 2.5, -0.5, True, False, None, [1], math.inf, math.nan]),
+)
+_BLOCK_VALUES = st.sampled_from(["Y", "Z", "Yp", "Zp", "Q", "y", "", 0, None, ["Y"]])
+_ODD_ENTRY = st.one_of(  # malformed, or accepted as json_int reads numbers ("2", 2.0, True, extra fields)
+    st.tuples(_BLOCK_VALUES, _FIELD_VALUES, _FIELD_VALUES, _FIELD_VALUES).map(list),
+    st.tuples(_BLOCK_VALUES, _FIELD_VALUES, _FIELD_VALUES, _FIELD_VALUES, _FIELD_VALUES).map(list),
+    st.lists(st.one_of(_BLOCK_VALUES, _FIELD_VALUES), max_size=7),
+    st.sampled_from([None, "Y", "Y123", 3, 1.5, {"block": "Y"}]),
+)
+_COEFFS = st.sampled_from(["1", "-2", "3/4", "0", 5, {"d": 5, "a": "1", "b": "1/2"}])
+
+
+def _polys(min_size=0):
+    term = st.fixed_dictionaries({"coeff": _COEFFS, "monomial": st.lists(_WELL_FORMED_ENTRY, max_size=4)})
+    return st.lists(term, min_size=min_size, max_size=5)
+
+
+@st.composite
+def _polys_with_an_odd_entry(draw):
+    doc = draw(_polys(min_size=1))
+    mono = doc[draw(st.integers(0, len(doc) - 1))]["monomial"]
+    mono.insert(draw(st.integers(0, len(mono))), draw(_ODD_ENTRY))
+    return doc
+
+
+def _decoded(decode, doc):
+    try:
+        return decode(doc).to_json()
+    except DecodeError as exc:
+        return f"DecodeError: {exc}"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_polys())
+def test_decoder_agrees_with_the_varid_decoder_on_well_formed_input(doc):
+    new = MultiPoly.from_json(doc)
+    assert new == poly_from_json_by_varid(doc)
+    assert new.to_json() == poly_from_json_by_varid(doc).to_json()
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_polys_with_an_odd_entry())
+def test_decoder_refuses_what_the_varid_decoder_refuses_with_its_message(doc):
+    assert _decoded(MultiPoly.from_json, doc) == _decoded(poly_from_json_by_varid, doc)

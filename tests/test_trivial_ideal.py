@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodrel import matrices as mx
 from periodrel.cli import GENUS_CAP
@@ -19,7 +20,7 @@ from periodrel.trivial_ideal import (
     structured_witnesses,
 )
 
-from helpers import jacobian_rows, sampled_points
+from helpers import jacobian_rows, membership_samples_first, sampled_points
 
 
 def test_generator_counts():
@@ -248,10 +249,10 @@ def test_samples_are_built_only_when_reached(monkeypatch):
     assert v.status == "not_in_ideal_certified" and v.samples_tested == 1
     assert len(built) == 0
 
-    # a member vanishes everywhere: the whole budget is built, no more
+    # a member vanishes everywhere: its zero remainder decides, no sample is built
     v = membership(ideal.generators[0], ideal, sample_budget=6, seed=3)
-    assert v.status == "in_ideal_certified" and v.samples_tested == 4 + 6
-    assert len(built) == 6
+    assert v.status == "in_ideal_certified" and v.samples_tested == 4
+    assert len(built) == 0
 
     # Y[1,2] vanishes at every structured witness (Y = I there) but not at
     # a generic sample: the samples built are those evaluated
@@ -340,3 +341,66 @@ def test_row_permutation_rejects_primed_blocks():
     p = MultiPoly.variable(VarId("Yp", 1, 1))
     with pytest.raises(ValueError):
         row_permutation_test(p, [1])
+
+
+def _var_product(block_row_cols) -> MultiPoly:
+    out = MultiPoly.constant(Fraction(1))
+    for block, i, j in block_row_cols:
+        out = out * MultiPoly.variable((yvar if block == "Y" else zvar)(i, j))
+    return out
+
+
+@st.composite
+def _membership_queries(draw, g: int, kind: str):
+    """(p, budget, seed).  A member ("in") is a sum h_ij f_ij with h_ij a form
+    of degree 1 or 2 in 1-3 terms.  A non-member adds a monomial that a
+    structured witness decides ("structured"), or one with an off-diagonal Y
+    entry ("sampled"), which vanishes at every structured witness, so that a
+    sample or the remainder decides it."""
+    index = st.integers(1, g)
+    variable = st.tuples(st.sampled_from("YZ"), index, index)
+    p = MultiPoly.zero()
+    for f in generators(g).generators:
+        degree = draw(st.sampled_from((1, 2)))
+        for _ in range(draw(st.integers(1, 3))):
+            c = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+            p = p + _var_product(draw(st.lists(variable, min_size=degree, max_size=degree))) * f * Fraction(c)
+    a, b = draw(st.permutations(range(1, g + 1)))[:2]
+    if kind != "in":
+        if kind == "structured":
+            extra = draw(st.sampled_from(([("Y", a, a)], [("Y", a, a), ("Z", b, b)], [("Z", a, b), ("Y", b, b)])))
+        else:
+            extra = [("Y", a, b), (draw(st.sampled_from("YZ")), b, draw(index))]
+        p = p + _var_product(extra) * Fraction(draw(st.sampled_from((-2, -1, 1, 2))))
+    return p, draw(st.integers(0, 8)), draw(st.integers(0, 10**6))
+
+
+@pytest.mark.parametrize("kind", ["in", "structured", "sampled"])
+@pytest.mark.parametrize("g", [2, 3])
+def test_membership_agrees_with_the_samples_first_order(g, kind):
+    import periodrel.trivial_ideal as ti
+
+    ideal = generators(g)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(_membership_queries(g, kind))
+    def agrees(query):
+        p, budget, seed = query
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return sample_symplectic(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ti, "sample_symplectic", counting)
+            verdict = membership(p, ideal, sample_budget=budget, seed=seed).to_json()
+        oracle = membership_samples_first(p, ideal, sample_budget=budget, seed=seed).to_json()
+        if kind == "in":  # the remainder decides before any sample is built
+            assert oracle["status"] == "in_ideal_certified" and oracle["samples_tested"] == 4 + budget
+            assert verdict == oracle | {"samples_tested": 4} and built == []
+        else:
+            assert oracle["status"] == "not_in_ideal_certified"
+            assert verdict == oracle
+
+    agrees()
