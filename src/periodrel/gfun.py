@@ -9,11 +9,11 @@ content here is the exact series algebra and the honest radius bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .scalars import (
     DecodeError,
+    Frozen,
     Place,
     Scalar,
     ScalarError,
@@ -44,31 +44,28 @@ def _json_bool(x, path: str) -> bool:
     return x
 
 
-@dataclass(frozen=True)
-class GFunMatrix:
-    g: int
-    entries: tuple  # g x g of TruncatedSeries, uniform truncation order
-    # per-entry structural assertion that all coefficients (tail included)
-    # lie in Z; a plain bool broadcasts to the whole grid
-    integral: tuple | bool = False
+class GFunMatrix(Frozen):
+    """A g x g grid of TruncatedSeries of one order; ``integral`` asserts per
+    entry that all coefficients (tail included) lie in Z, a bool for all."""
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.g or any(len(r) != self.g for r in self.entries):
-            raise ValueError(f"need a {self.g}x{self.g} grid of series")
-        orders = {s.order for row in self.entries for s in row}
+    __slots__ = ("g", "entries", "integral")
+
+    def __init__(self, g: int, entries: tuple, integral: tuple | bool = False) -> None:
+        if len(entries) != g or any(len(r) != g for r in entries):
+            raise ValueError(f"need a {g}x{g} grid of series")
+        orders = {s.order for row in entries for s in row}
         if len(orders) > 1:
             raise ValueError("entries must share one truncation order")
-        flags = self.integral
-        if isinstance(flags, bool):
-            flags = tuple((flags,) * self.g for _ in range(self.g))
+        if isinstance(integral, bool):
+            flags = tuple((integral,) * g for _ in range(g))
         else:
-            flags = tuple(tuple(bool(x) for x in row) for row in flags)
-        if len(flags) != self.g or any(len(r) != self.g for r in flags):
+            flags = tuple(tuple(bool(x) for x in row) for row in integral)
+        if len(flags) != g or any(len(r) != g for r in flags):
             raise ValueError("integrality flags must match the grid")
-        object.__setattr__(self, "integral", flags)
-        for i in range(self.g):
-            for j in range(self.g):
-                if flags[i][j] and not self.entries[i][j].is_integral():
+        self._set(g, entries, flags)
+        for i in range(g):
+            for j in range(g):
+                if flags[i][j] and not entries[i][j].is_integral():
                     raise ScalarError("integrality asserted but computed coefficients are not integers")
 
     @property
@@ -132,24 +129,22 @@ class GFunMatrix:
             raise DecodeError(f"entries: {exc}")
 
 
-@dataclass(frozen=True)
-class GaussManinCoefficients:
-    """Coefficient family a[i][k][l], 1-based i, l in 1..g and k in 0..N."""
+class GaussManinCoefficients(Frozen):
+    """Coefficient family a[i][k][l], 1-based i, l in 1..g and k in 0..N:
+    ``series[i-1][k][l-1]``, N = ``deriv_order``."""
 
-    g: int
-    deriv_order: int
-    series: tuple  # series[i-1][k][l-1]
-    integral: bool = False
+    __slots__ = ("g", "deriv_order", "series", "integral")
 
-    def __post_init__(self) -> None:
-        if len(self.series) != self.g:
+    def __init__(self, g: int, deriv_order: int, series: tuple, integral: bool = False) -> None:
+        if len(series) != g:
             raise ValueError("first index must run over 1..g")
-        for block in self.series:
-            if len(block) != self.deriv_order + 1:
+        for block in series:
+            if len(block) != deriv_order + 1:
                 raise ValueError("second index must run over 0..N")
             for row in block:
-                if len(row) != self.g:
+                if len(row) != g:
                     raise ValueError("third index must run over 1..g")
+        self._set(g, deriv_order, series, integral)
 
     def a(self, i: int, k: int, l: int) -> TruncatedSeries:
         return self.series[i - 1][k][l - 1]
@@ -247,8 +242,7 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
 # Radii
 
 
-@dataclass(frozen=True)
-class PlaceRadii:
+class PlaceRadii(NamedTuple):
     radii: tuple  # tuple of (Place, float, certified)
 
     def to_json(self) -> list:
@@ -290,8 +284,7 @@ def compute_radii(
 # Period-equation check
 
 
-@dataclass(frozen=True)
-class EntryCheck:
+class EntryCheck(NamedTuple):
     i: int
     j: int
     which: str  # "F" | "G"
@@ -302,8 +295,7 @@ class EntryCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class PeriodCheckReport:
+class PeriodCheckReport(NamedTuple):
     entries: tuple
     all_ok: bool
 

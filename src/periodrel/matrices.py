@@ -42,10 +42,18 @@ def transpose(m) -> Matrix:
 
 
 def mat_mul(a, b) -> Matrix:
+    """a b.  Rational operands (Fraction entries, and int) are cleared once
+    each and multiplied as int matrices, each entry built once over the two
+    denominators; others (QuadScalar, MultiPoly, ints alone) loop generically."""
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"dimension mismatch: {ra}x{ca} * {rb}x{cb}")
+    kinds = {type(x) for m in (a, b) for row in m for x in row}
+    if Fraction in kinds and kinds <= {Fraction, int}:
+        ((pa,), da), ((pb,), db) = cleared(a, None), cleared(b, None)
+        cols = list(zip(*pb))
+        return freeze([Fraction(sum(map(mul, row, col)), da * db) for col in cols] for row in pa)
     out = []
     for i in range(ra):
         row = []
@@ -174,17 +182,15 @@ def _bareiss(rows: list[list], ncols: int, field: bool = False) -> tuple[list[in
     return pivots, prev, sign
 
 
-def _echelon(rows, ncols: int) -> tuple[int | None, list[list[int]], list[int], int]:
-    """(d, int rows, pivots, unit): rows over Q or one Q(sqrt d) as int rows
-    with the same solutions, reduced by :func:`_bareiss`; a reduced entry x
-    stands for x / unit.  Rational rows are cleared of their denominators (d
-    None).  Over Q(sqrt d) an entry (p + q sqrt d)/D of the first ncols
-    columns becomes the block [[p, dq], [q, p]] on (u_j, v_j), x_j = u_j +
-    v_j sqrt d, and a later (right-hand side) entry the column (p, q).  The
-    columns interleave as (u_0, v_0, u_1, ...), so a column is free exactly
-    when both of its rational columns are."""
-    d = quadratic_field(x for row in rows for x in row)
-    parts, _ = cleared(rows, d)
+def _echelon(parts: tuple, d: int | None, ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """(int rows, pivots, unit): cleared rows (P,) over Q (d None) or (P, Q)
+    over Q(sqrt d) as int rows with the same solutions, reduced by
+    :func:`_bareiss`; a reduced entry x stands for x / unit.  Over Q(sqrt d)
+    an entry p + q sqrt d of the first ncols columns becomes the block
+    [[p, dq], [q, p]] on (u_j, v_j), x_j = u_j + v_j sqrt d, and a later
+    (right-hand side) entry the column (p, q).  The columns interleave as
+    (u_0, v_0, u_1, ...), so a column is free exactly when both of its
+    rational columns are."""
     ints = parts[0]
     if d is not None:
         ints = []
@@ -192,20 +198,28 @@ def _echelon(rows, ncols: int) -> tuple[int | None, list[list[int]], list[int], 
             ints.append([y for j in range(ncols) for y in (pr[j], d * qr[j])] + pr[ncols:])
             ints.append([y for j in range(ncols) for y in (qr[j], pr[j])] + qr[ncols:])
     pivots, unit, _ = _bareiss(ints, ncols if d is None else 2 * ncols)
-    return d, ints, pivots, unit
+    return ints, pivots, unit
 
 
 def rank(m) -> int:
-    d, _, pivots, _ = _echelon(m, shape(m)[1])
-    return len(pivots) if d is None else len(pivots) // 2
+    d = quadratic_field(x for row in m for x in row)
+    return len(_echelon(cleared(m, d)[0], d, shape(m)[1])[1]) // (1 if d is None else 2)
 
 
 def _solve(a, b) -> tuple[list[list] | None, int]:
     """(X, rank of a) for a X = b, from one elimination of the rows of
     [a | b]: X is None when the system has no solution, else the solution
     whose free variables are zero."""
-    c = shape(a)[1]
-    d, rows, pivots, unit = _echelon([[*ra, *rb] for ra, rb in zip(a, b)], c)
+    rows = [[*ra, *rb] for ra, rb in zip(a, b)]
+    d = quadratic_field(x for row in rows for x in row)
+    return solve_cleared(cleared(rows, d)[0], d, shape(a)[1])
+
+
+def solve_cleared(parts: tuple, d: int | None, c: int) -> tuple[list[list] | None, int]:
+    """:func:`_solve` on the rows [a | b] of c columns of a, given as the
+    int parts (P,) or (P, Q) of (P + Q sqrt d) / D; any D > 0 gives the
+    same solutions."""
+    rows, pivots, unit = _echelon(parts, d, c)
     step = 1 if d is None else 2
     w = step * c
     if any(any(row[w:]) for row in rows[len(pivots) :]):  # a zero row with nonzero augment

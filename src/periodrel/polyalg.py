@@ -19,17 +19,18 @@ import functools
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import matrices as mx
-from .scalars import DecodeError, QuadScalar, Scalar, json_field, json_int, json_list
+from .scalars import DecodeError, Frozen, QuadScalar, Scalar, json_field, json_int, json_list
 from .scalars import scalar_from_json, scalar_to_json
 
 BLOCKS = ("Y", "Z", "Yp", "Zp")
 
 MONOMIAL_ORDER = "degrevlex(Y[1,1] < ... < Z[g,g])"  # as recorded in reports
+
+DEGREE_CAP = 64  # of a decoded term: a monomial holds one code per unit of exponent
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -37,19 +38,15 @@ class ResourceCapExceeded(RuntimeError):
     cap, the symbolic determinant size, or the Buchberger pair cap."""
 
 
-@dataclass(frozen=True)
-class VarId:
+class VarId(Frozen):
     """A variable block[row, col] of copy ``copy``: the public name of a
-    variable, used at the JSON and display boundary only."""
+    variable, used at the JSON and display boundary only.  Its int ``code``
+    follows from the other fields."""
 
-    block: str
-    row: int
-    col: int
-    copy: int = 1
-    code: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("block", "row", "col", "copy", "code")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "code", _code(self.block, self.row, self.col, self.copy))
+    def __init__(self, block: str, row: int, col: int, copy: int = 1) -> None:
+        self._set(block, row, col, copy, _code(block, row, col, copy))
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.copy, BLOCKS.index(self.block), self.row, self.col)
@@ -82,10 +79,12 @@ def _var_of(code: int) -> VarId:
     return VarId(BLOCKS[code >> 40 & 3], code >> 20 & _FIELD, code & _FIELD, code >> 42)
 
 
+@functools.cache
 def yvar(i: int, j: int) -> VarId:
     return VarId("Y", i, j)
 
 
+@functools.cache
 def zvar(i: int, j: int) -> VarId:
     return VarId("Z", i, j)
 
@@ -410,7 +409,9 @@ class MultiPoly:
                     runs.append((_code(ent[0], row, col, copy), e))
                 except (TypeError, ValueError, OverflowError):
                     _refuse_entry(ent, f"{at}monomial[{n}]")
-            for code, e in runs:  # every entry is checked before any is expanded
+            if sum(e for _, e in runs) > DEGREE_CAP:  # every entry and the degree are checked before any expansion
+                raise DecodeError(f"{at}monomial: degree must be <= {DEGREE_CAP}")
+            for code, e in runs:
                 codes += (code,) * e
             codes.sort()
             m = Monomial(codes)

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from typing import NamedTuple
 
 from . import matrices as mx
 from .polyalg import (
@@ -36,7 +36,7 @@ from .polyalg import (
     determinant,
     symbolic_matrix,
 )
-from .scalars import QuadScalar, Scalar, cleared, json_field, json_int, quadratic_field, scalar_from_json
+from .scalars import Frozen, QuadScalar, Scalar, cleared, json_field, json_int, quadratic_field, scalar_from_json, uncleared
 from .symplectic import pairing, sample_symplectic
 from .trivial_ideal import (
     MembershipVerdict,
@@ -55,19 +55,16 @@ class RelationError(ValueError):
 # Endomorphism actions
 
 
-@dataclass(frozen=True)
-class EndomorphismAction:
+class EndomorphismAction(Frozen):
     """Block matrix (A, B; 0, D) of an endomorphism acting on cohomology."""
 
-    g: int
-    A: tuple
-    B: tuple
-    D: tuple
+    __slots__ = ("g", "A", "B", "D")
 
-    def __post_init__(self) -> None:
-        for name, m in (("A", self.A), ("B", self.B), ("D", self.D)):
-            if mx.shape(m) != (self.g, self.g):
-                raise RelationError(f"block {name} must be {self.g}x{self.g}")
+    def __init__(self, g: int, A: tuple, B: tuple, D: tuple) -> None:
+        for name, m in (("A", A), ("B", B), ("D", D)):
+            if mx.shape(m) != (g, g):
+                raise RelationError(f"block {name} must be {g}x{g}")
+        self._set(g, A, B, D)
 
     def is_scalar(self) -> bool:
         """True when the 2g x 2g block matrix is lambda * identity."""
@@ -94,36 +91,57 @@ def _square_blocks(obj: dict, keys, g: int) -> list:
 
 @functools.cache
 def _symbolic_blocks(g: int) -> tuple:
-    """(Y^t, Z^t, adj(Y^t) Z^t, det(Y)) at genus g, built once per g: they
-    depend on g alone, and no MultiPoly operation mutates its terms.  det(Y)
-    comes first, so past SYMBOLIC_DET_CAP the cap is raised before any
-    adjugate."""
+    """(-det(Y), adj(Y^t) Z^t) at genus g as lists of (monomial, int) terms,
+    built once per g: they depend on g alone.  det(Y) comes first, so past
+    SYMBOLIC_DET_CAP the cap is raised before any adjugate."""
     y = symbolic_matrix("Y", g)
     det_y = determinant(y)
-    yt, zt = mx.transpose(y), mx.transpose(symbolic_matrix("Z", g))
-    return yt, zt, mx.mat_mul(adjugate(yt), zt), det_y
+    w = mx.mat_mul(adjugate(mx.transpose(y)), mx.transpose(symbolic_matrix("Z", g)))
+    ints = lambda p, sign=1: [(m, sign * c.numerator) for m, c in p.terms.items()]
+    return ints(det_y, -1), [[ints(e) for e in row] for row in w]
 
 
-def _relation_row(act: EndomorphismAction, i: int) -> tuple:
-    """Row i (0-based) of the relation matrix:
-    (y_i^t A)(adj(Y^t) Z^t) - det(Y) (y_i^t B + z_i^t D) for rows y_i^t and
-    z_i^t of Y^t and Z^t, in mat_mul's operand order."""
-    yt, zt, adj_zt, det_y = _symbolic_blocks(act.g)
-    y_row, z_row = (yt[i],), (zt[i],)
-    lhs = mx.mat_mul(mx.mat_mul(y_row, act.A), adj_zt)[0]
-    rhs = mx.mat_add(mx.mat_mul(y_row, act.B), mx.mat_mul(z_row, act.D))[0]
-    return tuple(x - e * det_y for x, e in zip(lhs, rhs))
+@functools.cache
+def _entry_cells(g: int, i: int, j: int) -> tuple:
+    """Entry (i, j) of the relation matrix as a linear form in the action:
+    (r, c, int terms of its coefficient) per cell (r, c) of (A; B; D), that is
+    y_l W[k][j] at A[l][k], -y_k det(Y) at B[k][j] and -z_k det(Y) at D[k][j]
+    for y_l = Y[l,i], z_k = Z[k,i] and W = adj(Y^t) Z^t."""
+    neg_det, w = _symbolic_blocks(g)
+    y, z = ([VarId(b, k + 1, i + 1).code for k in range(g)] for b in "YZ")
+    cells = [(l, k, y[l], w[k][j]) for l in range(g) for k in range(g)]
+    cells += [(r * g + k, j, v[k], neg_det) for r, v in ((1, y), (2, z)) for k in range(g)]
+    return tuple((r, c, [(Monomial(sorted((*m, v))), n) for m, n in terms]) for r, c, v, terms in cells)
+
+
+def _relation_entry(act: EndomorphismAction, i: int, j: int) -> MultiPoly:
+    """Entry (i, j) (0-based) of the relation matrix, linear in the action
+    (:func:`_entry_cells`).  (A; B; D) is cleared once over its one Q(sqrt d)
+    (Q when d is None) as (P + Q sqrt d)/L, each monomial sums one int pair
+    (u, w), and each coefficient (u + w sqrt d)/L is built once, a Fraction
+    when w = 0."""
+    d = quadratic_field(x for m in (act.A, act.B, act.D) for row in m for x in row)
+    parts, den = cleared([*act.A, *act.B, *act.D], d)
+    out = {}
+    for k, part in enumerate(parts):
+        for r, c, terms in _entry_cells(act.g, i, j):
+            if x := part[r][c]:
+                for m, n in terms:
+                    out.setdefault(m, [0, 0])[k] += n * x
+    terms = {m: QuadScalar._trusted(d, Fraction(u, den), Fraction(w, den)) if w else Fraction(u, den)
+             for m, (u, w) in out.items() if u or w}
+    return MultiPoly(terms, _clean=False)
 
 
 def build_nonarch_relation(act: EndomorphismAction) -> mx.Matrix:
     """The relation matrix Y^t A adj(Y^t) Z^t - det(Y) (Y^t B + Z^t D), a
-    g x g tuple of polynomials.
+    g x g tuple of polynomials, entry by entry.
 
     Every nonzero entry is homogeneous of degree g+1.  The adjugate identity
     Y^t adj(Y^t) = det(Y) I that the construction relies on depends on g
     alone; the tests check it symbolically for every g up to SYMBOLIC_DET_CAP.
     """
-    return tuple(_relation_row(act, i) for i in range(act.g))
+    return tuple(tuple(_relation_entry(act, i, j) for j in range(act.g)) for i in range(act.g))
 
 
 def _witness_entry(act: EndomorphismAction) -> tuple:
@@ -175,8 +193,7 @@ def _noncommuting_symmetric(a) -> tuple:
 # Synthetic period data
 
 
-@dataclass(frozen=True)
-class SyntheticPeriodData:
+class SyntheticPeriodData(NamedTuple):
     g: int
     M: tuple
     F: tuple
@@ -203,42 +220,51 @@ MAX_F_DRAWS = 50  # random F tried before giving up on an invertible one
 def synthesize_period_data(act: EndomorphismAction, seed: int, F=None) -> SyntheticPeriodData:
     """Produce (M, F, G) satisfying the intertwining equations exactly.
 
-    Draws a random invertible F, sets M = F^t A (F^t)^{-1}, and solves the
-    Sylvester system M G^t - G^t D = F^t B as g^2 linear equations.
-    The system is singular exactly when the spectra of M (hence A)
-    and D overlap; since resampling F cannot move spectra, a singular system
-    is reported after its first solve rather than perturbed.
+    Draws a random invertible integer F and sets M = F^t A (F^t)^{-1}; then
+    solves the Sylvester system M G^t - G^t D = F^t B as g^2 linear
+    equations.  The system is singular exactly when the spectra of M (hence
+    A) and D overlap; since resampling F cannot move spectra, a singular
+    system is reported after its first solve rather than perturbed.
+
+    On integers: for F^t = P_F / L_F, (A; B; D) = (P + Q sqrt d)/L and
+    (F^t)^{-1} = X / u, M = P_F P_A X / (L_F L u), and the Sylvester rows
+    times L_F L u are int rows, one set per P and Q.
     """
     if act.is_scalar():
         raise RelationError("no relation derivable from scalar endomorphism")
     g = act.g
     rng = random.Random(seed)
     for _ in range(MAX_F_DRAWS):
-        f = mx.freeze(F if F is not None else [[Fraction(rng.randint(-4, 4)) for _ in range(g)] for _ in range(g)])
-        ft = mx.transpose(f)
-        ft_inv = mx.inverse(ft)
+        f = mx.freeze(F if F is not None else [[rng.randint(-4, 4) for _ in range(g)] for _ in range(g)])
+        ft_inv = mx.inverse(mx.transpose(f))
         if ft_inv is not None:
             break
         if F is not None:
             raise RelationError("supplied F is singular")
     else:
         raise RelationError("endomorphism spectra force coupling; supply F manually")
-    m = mx.mat_mul(mx.mat_mul(ft, act.A), ft_inv)
-    # M X - X D = F^t B for X = G^t: equation (i, j) is row j*g + i, and X[k][l]
-    # is unknown l*g + k, so row j of G is unknowns j*g .. j*g + g - 1
-    lin = []
-    for j in range(g):
-        for i in range(g):
-            row = [Fraction(0)] * (g * g)
-            row[j * g : j * g + g] = m[i]
-            for l in range(g):
-                row[l * g + i] = row[l * g + i] - act.D[l][j]
-            lin.append(row)
-    fb = mx.mat_mul(ft, act.B)
-    sol = mx.solve_nonsingular(lin, [fb[i][j] for j in range(g) for i in range(g)])
-    if sol is None:
+    ((ft,), lf), ((inv,), u) = cleared(mx.transpose(f), None), cleared(ft_inv, None)
+    d = quadratic_field(x for m in (act.A, act.B, act.D) for row in m for x in row)
+    parts, den = cleared([*act.A, *act.B, *act.D], d)
+    nums, lin = [], [[] for _ in parts]
+    for rows, part in zip(lin, parts):
+        a, b, dd = part[:g], part[g : 2 * g], part[2 * g :]
+        n, fb = mx.mat_mul(mx.mat_mul(ft, a), inv), mx.mat_mul(ft, b)
+        nums.append(n)
+        # M X - X D = F^t B for X = G^t: equation (i, j) is row j*g + i, and X[k][l]
+        # is unknown l*g + k, so row j of G is unknowns j*g .. j*g + g - 1
+        for j in range(g):
+            for i in range(g):
+                row = [0] * (g * g) + [u * fb[i][j]]
+                row[j * g : j * g + g] = n[i]
+                for l in range(g):
+                    row[l * g + i] -= lf * u * dd[l][j]
+                rows.append(row)
+    sol, r = mx.solve_cleared(lin, d, g * g)
+    if r < g * g:
         raise RelationError("endomorphism spectra force coupling; supply F manually")
-    data = SyntheticPeriodData(g, m, f, mx.freeze(sol[j * g : j * g + g] for j in range(g)))
+    m = mx.freeze(uncleared([n[k] for n in nums], repeat(lf * den * u), d) for k in range(g))
+    data = SyntheticPeriodData(g, m, f, mx.freeze([x for x, in sol[j * g : j * g + g]] for j in range(g)))
     if not data.verify(act):
         raise AssertionError("synthesized data violates the intertwining equations")
     return data
@@ -254,20 +280,16 @@ def verify_relation_on_data(p, data: SyntheticPeriodData) -> bool:
 # Certificates
 
 
-@dataclass(frozen=True)
-class RelationCertificate:
-    polynomial: MultiPoly
-    degree: int
-    construction_kind: str  # "nonarch" | "case3"
-    nontriviality: MembershipVerdict
-    vanishing_evidence: tuple = ()
-    notes: str = ""
+class RelationCertificate(Frozen):
+    __slots__ = ("polynomial", "degree", "construction_kind", "nontriviality", "vanishing_evidence", "notes")
 
-    def __post_init__(self) -> None:
-        if not self.polynomial.is_homogeneous():
+    def __init__(self, polynomial: MultiPoly, degree: int, construction_kind: str,  # "nonarch" | "case3"
+                 nontriviality: MembershipVerdict, vanishing_evidence: tuple = (), notes: str = "") -> None:
+        if not polynomial.is_homogeneous():
             raise RelationError("relation certificates must be homogeneous")
-        if self.polynomial.degree() != self.degree:
+        if polynomial.degree() != degree:
             raise RelationError("stated degree disagrees with the polynomial")
+        self._set(polynomial, degree, construction_kind, nontriviality, vanishing_evidence, notes)
 
     def to_json(self) -> dict:
         return {
@@ -290,15 +312,15 @@ def _verdict_json(v: MembershipVerdict) -> dict:
 
 def build_nonarch_certificate(act: EndomorphismAction, seed: int = 0) -> RelationCertificate:
     """Full pipeline: synthesize period data, select a non-trivial entry with
-    its exact witness, and build only the row of the relation matrix that
-    holds it.  The data satisfies the intertwining equations, so the matrix
+    its exact witness, and build only that entry of the relation matrix.
+    The data satisfies the intertwining equations, so the matrix
     there is det(F) (M G^t - F^t B - G^t D) = 0; only the printed entry is
     evaluated at it.  The symbolic blocks come first, so the symbolic-size
     cap precedes every other error."""
     _symbolic_blocks(act.g)
     data = synthesize_period_data(act, seed)
     i, j, wy, wz, case = _witness_entry(act)
-    poly = _relation_row(act, i)[j]
+    poly = _relation_entry(act, i, j)
     value = poly.evaluate(point_assignment(wy, wz))
     if poly.evaluate(point_assignment(data.F, data.G)) != 0:
         raise AssertionError("relation matrix failed to vanish on its own period data")
@@ -324,8 +346,7 @@ def build_nonarch_certificate(act: EndomorphismAction, seed: int = 0) -> Relatio
 # Case 3: real-quadratic / split quadratic endomorphism algebra, even g > 2
 
 
-@dataclass(frozen=True)
-class Case3Input:
+class Case3Input(NamedTuple):
     """Synthetic data for the quadratic archimedean construction.
 
     H plays the role of a g x g period matrix; (A, B; C, D) is a change of

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 Scalar = Union[int, Fraction, "QuadScalar"]
@@ -58,37 +58,64 @@ def is_squarefree(d: int) -> bool:
     return True
 
 
+class Frozen:
+    """Base of the immutable records that check their fields: a subclass
+    names its fields in ``__slots__`` and sets them once, in order, by
+    ``_set``.  Records compare and hash by type and field values."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls.__slots__)  # a record's field values, as a tuple
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values(self) == other._values(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + repr(self._values(self))
+
+
 # ---------------------------------------------------------------------------
 # Places
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Frozen):
     """An archimedean place or a finite place attached to a prime.
 
     For quadratic scalars at an archimedean place, ``embedding`` selects the
     sign of sqrt(d): "sigma" embeds sqrt(d) as +sqrt(d), "tau" as -sqrt(d).
     """
 
-    kind: str  # "arch" | "finite"
-    p: int | None = None
-    embedding: str | None = None
+    __slots__ = ("kind", "p", "embedding")  # kind: "arch" | "finite"
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("arch", "finite"):
-            raise ScalarError(f"unknown place kind {self.kind!r}")
-        if self.kind == "finite":
-            if self.p is not None and self.p >= TRIAL_DIVISION_CAP:
-                raise ScalarError(f"finite place needs a prime < 2^24, got {self.p}")
-            if self.p is None or not is_prime(self.p):
-                raise ScalarError(f"finite place needs a prime, got {self.p!r}")
-            if self.embedding is not None:
+    def __init__(self, kind: str, p: int | None = None, embedding: str | None = None) -> None:
+        if kind not in ("arch", "finite"):
+            raise ScalarError(f"unknown place kind {kind!r}")
+        if kind == "finite":
+            if p is not None and p >= TRIAL_DIVISION_CAP:
+                raise ScalarError(f"finite place needs a prime < 2^24, got {p}")
+            if p is None or not is_prime(p):
+                raise ScalarError(f"finite place needs a prime, got {p!r}")
+            if embedding is not None:
                 raise ScalarError("embedding selector is archimedean-only")
         else:
-            if self.p is not None:
+            if p is not None:
                 raise ScalarError("archimedean place carries no prime")
-            if self.embedding not in (None, "sigma", "tau"):
-                raise ScalarError(f"unknown embedding {self.embedding!r}")
+            if embedding not in (None, "sigma", "tau"):
+                raise ScalarError(f"unknown embedding {embedding!r}")
+        self._set(kind, p, embedding)
 
     @staticmethod
     def arch(embedding: str | None = None) -> "Place":
@@ -192,8 +219,7 @@ def arch_value(x: Scalar, v: Place) -> float | complex:
 # Quadratic extension scalars
 
 
-@dataclass(frozen=True)
-class QuadScalar:
+class QuadScalar(Frozen):
     """a + b*sqrt(d) with a, b rational and d a fixed squarefree integer.
 
     Arithmetic is closed within a single d; mixing two genuinely quadratic
@@ -201,25 +227,24 @@ class QuadScalar:
     a composite field.
     """
 
-    d: int
-    a: Fraction
-    b: Fraction
+    __slots__ = ("d", "a", "b")  # d: int, a and b: Fraction
 
-    def __post_init__(self) -> None:
-        if abs(self.d) >= TRIAL_DIVISION_CAP:
-            raise ScalarError(f"|d| must be < 2^24, got {self.d}")
-        if self.d in (0, 1) or not is_squarefree(self.d):
-            raise ScalarError(f"d must be squarefree and != 0, 1; got {self.d}")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, d: int, a: Fraction | int, b: Fraction | int) -> None:
+        if abs(d) >= TRIAL_DIVISION_CAP:
+            raise ScalarError(f"|d| must be < 2^24, got {d}")
+        if d in (0, 1) or not is_squarefree(d):
+            raise ScalarError(f"d must be squarefree and != 0, 1; got {d}")
+        self._set(d, Fraction(a), Fraction(b))
 
     # -- coercion helpers
 
     @staticmethod
     def _trusted(d: int, a: Fraction, b: Fraction) -> "QuadScalar":
         """Arithmetic results: d is already valid and a, b are Fractions."""
-        x = object.__new__(QuadScalar)
-        x.__dict__.update(d=d, a=a, b=b)  # skips __post_init__'s squarefree check
+        x = object.__new__(QuadScalar)  # skips __init__'s squarefree check; unrolled, as it is hot
+        object.__setattr__(x, "d", d)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
         return x
 
     @staticmethod
@@ -412,7 +437,7 @@ def scalar_to_json(x: Scalar):
     value as "num/den" whatever its type, else {d, a, b}."""
     if isinstance(x, QuadScalar):
         return _frac_str(x.a) if x.b == 0 else {"d": x.d, "a": _frac_str(x.a), "b": _frac_str(x.b)}
-    return _frac_str(Fraction(x))
+    return _frac_str(x if type(x) is Fraction else Fraction(x))
 
 
 def scalar_from_json(obj, path: str = "scalar") -> Scalar:

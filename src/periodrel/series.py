@@ -9,12 +9,12 @@ what a finite coefficient scan can and cannot certify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .scalars import (
     DecodeError,
+    Frozen,
     Place,
     QuadScalar,
     Scalar,
@@ -37,21 +37,15 @@ from .scalars import (
 MAX_ORDER = 100000  # a decoded order: from_coeffs pads to order + 1 entries, about 30 MB per million
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    coeffs: tuple
-    order: int
+class TruncatedSeries(Frozen):
+    __slots__ = ("coeffs", "order")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, coeffs: tuple, order: int) -> None:
+        if order < 0:
             raise ValueError("truncation order must be >= 0")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(f"need {self.order + 1} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(Fraction(c) if isinstance(c, int) else c for c in self.coeffs),
-        )
+        if len(coeffs) != order + 1:
+            raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
+        self._set(tuple(Fraction(c) if isinstance(c, int) else c for c in coeffs), order)
 
     # -- constructors
 
@@ -394,8 +388,7 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
 # Radius reports
 
 
-@dataclass(frozen=True)
-class RadiusReport:
+class RadiusReport(NamedTuple):
     place: Place
     lower_bound: float
     certified: bool
@@ -433,8 +426,7 @@ def radius_lower_bound(
 # Globally-bounded scan
 
 
-@dataclass(frozen=True)
-class GloballyBoundedReport:
+class GloballyBoundedReport(NamedTuple):
     bad_primes: tuple[int, ...]
     verdict: str  # "bounded" | "unbounded_evidence" | "inconclusive"
     witness: tuple[int, int] | None = None  # (n, p) with |a_n|_p > 1
@@ -505,8 +497,7 @@ def globally_bounded_scan(f: TruncatedSeries, prime_bound: int) -> GloballyBound
 # Evaluation with tail bounds
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: Scalar | float
     tail_bound: float
     heuristic: bool

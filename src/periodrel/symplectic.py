@@ -11,27 +11,24 @@ when it is constructed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from . import matrices as mx
-from .scalars import Scalar, scalar_to_json
+from .scalars import Frozen, Scalar, scalar_to_json
 
 
-@dataclass(frozen=True)
-class SymplecticSample:
+class SymplecticSample(Frozen):
     """M^t J M = multiplier * J, checked on construction over the given int or
     Fraction entries, which are then stored as Fractions."""
 
-    matrix: tuple
-    multiplier: Fraction
+    __slots__ = ("matrix", "multiplier")
 
-    def __post_init__(self) -> None:
-        if not mx.is_similitude(self.matrix, self.multiplier, self.g):
+    def __init__(self, matrix, multiplier: Fraction | int) -> None:
+        if not mx.is_similitude(matrix, multiplier, len(matrix) // 2):
             raise ValueError("matrix is not a symplectic similitude for the claimed multiplier")
-        object.__setattr__(self, "matrix", mx.freeze([Fraction(x) for x in row] for row in self.matrix))
-        object.__setattr__(self, "multiplier", Fraction(self.multiplier))
+        self._set(mx.freeze([Fraction(x) for x in row] for row in matrix), Fraction(multiplier))
 
     @property
     def g(self) -> int:
@@ -48,8 +45,7 @@ class SymplecticSample:
         }
 
 
-@dataclass(frozen=True)
-class IsotropicFrame:
+class IsotropicFrame(NamedTuple):
     """2g x g stack (Y; Z) with Y^t Z - Z^t Y = 0 exactly."""
 
     columns: tuple

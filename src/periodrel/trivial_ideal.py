@@ -8,9 +8,8 @@ generators, the Jacobian-rank radicality certificate, exact and sampling
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import matrices as mx
 from .polyalg import (
@@ -36,8 +35,7 @@ def generator_poly(g: int, i: int, j: int) -> MultiPoly:
     return MultiPoly(terms)
 
 
-@dataclass(frozen=True)
-class TrivialIdeal:
+class TrivialIdeal(NamedTuple):
     g: int
     generators: tuple  # f_{ij} for i < j, ordered (1,2), (1,3), ..., (g-1,g)
 
@@ -137,8 +135,7 @@ def jacobian_rank_at(ideal: TrivialIdeal, point: tuple) -> int:
     return mx.rank(mx.freeze(rows))
 
 
-@dataclass(frozen=True)
-class RadicalityCertificate:
+class RadicalityCertificate(NamedTuple):
     g: int
     generator_count: int
     witness: tuple
@@ -164,8 +161,7 @@ def radicality_certificate(ideal: TrivialIdeal) -> RadicalityCertificate:
 # Membership
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     status: str  # "in_ideal_certified" | "not_in_ideal_certified" | "undecided"
     evidence_kind: str  # "witness_point" | "groebner_remainder" | "row_permutation" | "none"
     witness: tuple | None = None  # (y, z)

@@ -1,5 +1,7 @@
 """Seeded inputs and predicted values that only the tests use."""
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -8,8 +10,10 @@ from itertools import chain
 from periodrel import matrices as mx
 from periodrel import series
 from periodrel.gfun import GaussManinCoefficients, GFunMatrix, PlaceRadii
-from periodrel.polyalg import Monomial, MultiPoly, ResourceCapExceeded, VarId, ideal_remainder, yvar, zvar
+from periodrel.polyalg import DEGREE_CAP, Monomial, MultiPoly, ResourceCapExceeded, VarId, ideal_remainder, yvar, zvar
+from periodrel.polyalg import adjugate, determinant, symbolic_matrix
 from periodrel.relations import (
+    MAX_F_DRAWS,
     Case3Input,
     EndomorphismAction,
     RelationCertificate,
@@ -358,6 +362,66 @@ def case3_quadratic(inp: Case3Input) -> MultiPoly:
     return r.scale(lam) - s.scale(mu)
 
 
+def mat_mul_generic(a, b) -> tuple:
+    """The schoolbook product over any entries: the oracle for the cleared
+    rational path of matrices.mat_mul."""
+    return mx.freeze([functools.reduce(operator.add, map(operator.mul, row, col)) for col in zip(*b)] for row in a)
+
+
+@functools.cache
+def _symbolic_chain_blocks(g: int) -> tuple:
+    yt, zt = (mx.transpose(symbolic_matrix(block, g)) for block in "YZ")
+    return yt, zt, mat_mul_generic(adjugate(yt), zt), determinant(mx.transpose(yt))
+
+
+def nonarch_relation_by_products(act: EndomorphismAction) -> tuple:
+    """The relation matrix Y^t A adj(Y^t) Z^t - det(Y) (Y^t B + Z^t D) as the
+    former chain of MultiPoly products over the action's scalars: the oracle
+    for relations._relation_entry."""
+    yt, zt, adj_zt, det_y = _symbolic_chain_blocks(act.g)
+    lhs = mat_mul_generic(mat_mul_generic(yt, act.A), adj_zt)
+    rhs = mx.mat_add(mat_mul_generic(yt, act.B), mat_mul_generic(zt, act.D))
+    return mx.freeze([x - e * det_y for x, e in zip(lrow, rrow)] for lrow, rrow in zip(lhs, rhs))
+
+
+def synthesize_by_fractions(act: EndomorphismAction, seed: int) -> tuple:
+    """(M, F, G) by the former path of synthesize_period_data, on the
+    action's scalars: F^t A (F^t)^-1 by schoolbook products and the Sylvester
+    system as scalar rows.  The oracle for its integer path."""
+    if act.is_scalar():
+        raise RelationError("no relation derivable from scalar endomorphism")
+    g, rng = act.g, random.Random(seed)
+    for _ in range(MAX_F_DRAWS):
+        f = mx.freeze([[Fraction(rng.randint(-4, 4)) for _ in range(g)] for _ in range(g)])
+        ft, ft_inv = mx.transpose(f), mx.inverse(mx.transpose(f))
+        if ft_inv is not None:
+            break
+    else:
+        raise RelationError("endomorphism spectra force coupling; supply F manually")
+    m = mat_mul_generic(mat_mul_generic(ft, act.A), ft_inv)
+    lin = []
+    for j in range(g):
+        for i in range(g):
+            row = [Fraction(0)] * (g * g)
+            row[j * g : j * g + g] = m[i]
+            for l in range(g):
+                row[l * g + i] = row[l * g + i] - act.D[l][j]
+            lin.append(row)
+    fb = mat_mul_generic(ft, act.B)
+    sol = mx.solve_nonsingular(lin, [fb[i][j] for j in range(g) for i in range(g)])
+    if sol is None:
+        raise RelationError("endomorphism spectra force coupling; supply F manually")
+    return m, f, mx.freeze(sol[j * g : j * g + g] for j in range(g))
+
+
+def verify_by_fractions(data, act: EndomorphismAction) -> bool:
+    """SyntheticPeriodData.verify by schoolbook products."""
+    ft, gt = mx.transpose(data.F), mx.transpose(data.G)
+    eq1 = mx.mat_eq(mat_mul_generic(data.M, ft), mat_mul_generic(ft, act.A))
+    rhs = mx.mat_add(mat_mul_generic(ft, act.B), mat_mul_generic(gt, act.D))
+    return eq1 and mx.mat_eq(mat_mul_generic(data.M, gt), rhs)
+
+
 @dataclass(frozen=True)
 class SelectedEntry:
     i: int  # 1-based entry indices
@@ -386,11 +450,12 @@ def expected_witness_value(act: EndomorphismAction, entry: SelectedEntry):
     return mx.mat_sub(mx.mat_mul(act.A, z), mx.mat_mul(z, act.D))
 
 
-@dataclass(frozen=True)
 class ProductCertificate(RelationCertificate):
-    """A product of relation certificates, with its factors."""
+    """A product of relation certificates, with its factors in ``parts``."""
 
-    parts: tuple = ()
+    def __init__(self, *args, parts: tuple = (), **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "parts", parts)
 
 
 def assemble_global_relation(parts) -> RelationCertificate:
@@ -596,6 +661,8 @@ def poly_from_json_by_varid(obj, path: str = "poly") -> MultiPoly:
             except ValueError as exc:
                 raise DecodeError(f"{p}: {exc}")
             exps[v] = exps.get(v, 0) + e
+        if sum(exps.values()) > DEGREE_CAP:
+            raise DecodeError(f"{at}monomial: degree must be <= {DEGREE_CAP}")
         m = Monomial.of(*exps.items())
         c = scalar_from_json(json_field(term, "coeff", at), f"{at}coeff")
         total[m] = total.get(m, Fraction(0)) + c

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from periodrel.cli import build_parser, dispatch
+from periodrel.polyalg import DEGREE_CAP
 from periodrel.series import TruncatedSeries
 
 from helpers import horner, identity_family, poly_matrix_to_json, random_action, unfreeze
@@ -438,6 +439,23 @@ def test_caps_admit_their_bounds(tmp_path, capsys):
     code, doc = run_json(capsys, ["series", "radius", "--series", str(tmp_path / "s.json"), "--place", "3"])
     assert code == 0
     assert doc["result"]["place"] == {"kind": "finite", "p": 3}
+
+
+@pytest.mark.parametrize("degree", [DEGREE_CAP, DEGREE_CAP + 1, 10**9])
+def test_a_term_past_the_degree_cap_exits_2_before_it_is_expanded(degree, tmp_path):
+    # a monomial holds one code per unit of exponent, so the cap is checked first
+    (tmp_path / "p.json").write_text(json.dumps([{"coeff": "1", "monomial": [["Y", 1, 1, degree]]}]))
+    start = time.perf_counter()
+    proc = run_process(["ideal", "member", "--poly", "p.json", "--g", "2"], tmp_path)
+    elapsed = time.perf_counter() - start
+    assert proc.stderr == ""
+    if degree == DEGREE_CAP:
+        assert proc.returncode == 0 and json.loads(proc.stdout)["result"]["status"] == "not_in_ideal_certified"
+        return
+    doc, end = json.JSONDecoder().raw_decode(proc.stdout)
+    assert proc.stdout[end:].strip() == ""
+    assert (proc.returncode, doc) == (2, {"error": f"poly[0].monomial: degree must be <= {DEGREE_CAP}"})
+    assert elapsed < 1
 
 
 SUBNORMAL = {"order": 2, "coeffs": ["0", str(3**660), "1/3"]}  # |3^660|_3 is a subnormal float

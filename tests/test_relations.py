@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodrel import matrices as mx, relations
 from periodrel.polyalg import MultiPoly, Monomial, yvar, zvar
@@ -30,11 +31,14 @@ from helpers import (
     matrix_at,
     mixed_action,
     mixed_case3_input,
+    nonarch_relation_by_products,
     phi_substitution,
     random_action,
     select_nontrivial_entry,
     sylvester_solvable,
+    synthesize_by_fractions,
     unfreeze,
+    verify_by_fractions,
 )
 
 
@@ -162,6 +166,46 @@ def test_nonarch_relation_matches_numeric_oracle(d):
                 assert mx.mat_eq(matrix_at(p, point_assignment(y, z)), expect)
 
 
+@st.composite
+def oracle_actions(draw):
+    """An action over Q or over one Q(sqrt d) at g = 1..4, denominators up to
+    7, mixing Fraction, rational-valued and quadratic entries; a third have
+    B = 0 and a third A = D (non-scalar from g = 2 on) and B = 0."""
+    g, d = draw(st.integers(1, 4)), draw(st.sampled_from((None, 5, -7)))
+
+    def entry():
+        a = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 7)))
+        if d is None or draw(st.booleans()):
+            return a
+        return QuadScalar(d, a, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 7))))
+
+    a, b, dd = (mx.freeze([[entry() for _ in range(g)] for _ in range(g)]) for _ in "ABD")
+    shape = draw(st.sampled_from(("any", "B = 0", "A = D")))
+    if shape != "any":
+        b = mx.zeros(g, g)
+    return EndomorphismAction(g, a, b, a if shape == "A = D" else dd)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(oracle_actions(), st.integers(0, 999))
+def test_nonarch_entries_and_synthesis_match_the_fraction_oracles(act, seed):
+    chain = nonarch_relation_by_products(act)
+    for i, row in enumerate(build_nonarch_relation(act)):
+        for j, e in enumerate(row):
+            assert e == chain[i][j] and e.to_json() == chain[i][j].to_json()
+    try:
+        old = synthesize_by_fractions(act, seed)
+    except RelationError as exc:
+        with pytest.raises(RelationError) as raised:
+            synthesize_period_data(act, seed)
+        assert str(raised.value) == str(exc)
+        return
+    data = synthesize_period_data(act, seed)
+    assert (data.M, data.F, data.G) == old
+    assert [mx.matrix_to_json(m) for m in data[1:]] == [mx.matrix_to_json(m) for m in old]
+    assert verify_by_fractions(data, act)
+
+
 def test_witness_isotropy_always():
     for seed in range(10):
         act = random_action(2, seed=seed)
@@ -189,6 +233,16 @@ def test_g1_sylvester_solution():
     assert data.verify(act)
 
 
+def test_a_supplied_rational_f_scales_g_and_keeps_m():
+    # M = F^t A F^-t does not see F's scale, and G scales with F
+    act = random_action(2, seed=9, solvable=True)
+    f = mx.freeze([[F(1) / 2, F(1) / 3], [F(-2) / 5, F(3)]])
+    data = synthesize_period_data(act, seed=0, F=f)
+    assert data.F == f and verify_by_fractions(data, act)
+    scaled = synthesize_period_data(act, seed=0, F=mx.scalar_mul(F(30), f))
+    assert (scaled.M, scaled.G) == (data.M, mx.scalar_mul(F(30), data.G))
+
+
 def test_b_zero_disjoint_spectra_gives_zero_g():
     act = action(2, [[1, 0], [0, 1]], [[0, 0], [0, 0]], [[2, 0], [0, 3]])
     data = synthesize_period_data(act, seed=4)
@@ -207,13 +261,13 @@ def test_overlapping_spectra_reported():
 def test_singular_sylvester_system_is_solved_once(g, monkeypatch):
     # A = D = diag(1..g): the spectra meet, so no redraw of F can help
     calls = []
-    solve = mx.solve_nonsingular
-    monkeypatch.setattr(mx, "solve_nonsingular", lambda a, rhs: calls.append(a) or solve(a, rhs))
+    solve = mx.solve_cleared
+    monkeypatch.setattr(mx, "solve_cleared", lambda parts, d, c: calls.append(c) or solve(parts, d, c))
     diag = [[i + 1 if i == j else 0 for j in range(g)] for i in range(g)]
     act = action(g, diag, [[1] * g] * g, diag)
     with pytest.raises(RelationError, match="spectra force coupling"):
         synthesize_period_data(act, seed=0)
-    assert len(calls) == 1
+    assert calls.count(g * g) == 1  # the g^2 unknowns of the Sylvester system; F's inverse has g
 
 
 def _kronecker_g(act, data):
@@ -319,14 +373,14 @@ def test_nonarch_certificate_builds_one_row_and_evaluates_twice(monkeypatch):
     # B's first row is zero, so the printed entry is not the first one
     act = random_action(3, seed=44, solvable=True)
     act = EndomorphismAction(3, act.A, mx.freeze([[F(0)] * 3, *act.B[1:]]), act.D)
-    evaluated, rows = [], []
-    evaluate, relation_row = MultiPoly.evaluate, relations._relation_row
+    evaluated, entries = [], []
+    evaluate, relation_entry = MultiPoly.evaluate, relations._relation_entry
     monkeypatch.setattr(MultiPoly, "evaluate", lambda poly, at: evaluated.append(poly) or evaluate(poly, at))
-    monkeypatch.setattr(relations, "_relation_row", lambda act, i: rows.append(i) or relation_row(act, i))
+    monkeypatch.setattr(relations, "_relation_entry", lambda act, i, j: entries.append((i, j)) or relation_entry(act, i, j))
     cert = build_nonarch_certificate(act, seed=3)
     assert cert.notes != "entry (1,1)"
     assert evaluated == [cert.polynomial, cert.polynomial]
-    assert len(rows) == 1
+    assert [f"entry ({i + 1},{j + 1})" for i, j in entries] == [cert.notes]
 
 
 def test_data_json_roundtrip():

@@ -281,3 +281,30 @@ def test_integer_strings_parse_like_the_general_parser(text):
         got = ("error", str(exc))
     assert got == expected
     assert got[0] != "ok" or type(got[1]) is Fraction
+
+
+def test_records_are_immutable_and_compare_by_value():
+    from periodrel.polyalg import VarId
+    from periodrel.relations import EndomorphismAction
+    from periodrel.series import TruncatedSeries
+
+    eye = ((Fraction(1),),)
+    records = [  # (record, an equal one, a different one, a field)
+        (Place.finite(7), Place("finite", p=7), Place.arch("tau"), "p"),
+        (QuadScalar(5, 1, 2), QuadScalar(5, Fraction(1), Fraction(2)), QuadScalar(5, 1, 3), "b"),
+        (VarId("Y", 1, 2), VarId("Y", 1, 2, copy=1), VarId("Z", 1, 2), "block"),
+        (EndomorphismAction(1, eye, eye, eye), EndomorphismAction(1, eye, eye, eye), EndomorphismAction(1, eye, eye, ((2,),)), "D"),
+        (TruncatedSeries((1, 2), 1), TruncatedSeries.from_coeffs([1, 2]), TruncatedSeries((1, 3), 1), "coeffs"),
+    ]
+    for x, same, other, name in records:
+        assert x == same and hash(x) == hash(same) and x != other
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert getattr(x, name) == getattr(same, name) != getattr(other, name)
+    assert QuadScalar(5, 1, 0) == Fraction(1) and hash(QuadScalar(5, 1, 0)) == hash(Fraction(1))
+    # the arithmetic constructor skips the squarefree check that the public one makes
+    assert QuadScalar._trusted(4, Fraction(1), Fraction(1)).d == 4
+    with pytest.raises(ScalarError, match="squarefree"):
+        QuadScalar(4, 1, 1)

@@ -1,7 +1,9 @@
 """Repository invariants: the benchmark's layer tracer wraps periodrel
 functions by name (a rename on either side would leave
 ``perfbench/run.py --trace 1`` broken), the runtime imports only the
-standard library, and each runtime name has one import path, its module."""
+standard library, but not ``dataclasses`` (with ``inspect``, ``ast`` and
+``dis`` behind it, about 1.1 MB resident), and each runtime name has one
+import path, its module."""
 
 import importlib
 import json
@@ -39,6 +41,13 @@ def test_runtime_imports_only_the_standard_library():
     loaded = json.loads(proc.stdout)
     assert "periodrel" in loaded
     assert [m for m in loaded if m not in sys.stdlib_module_names and m not in ("periodrel", "__main__")] == []
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import periodrel.cli; print(sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [m for m in ("dataclasses", "inspect") if f"'{m}'" in proc.stdout] == []
 
 
 def test_the_package_root_binds_no_public_name_but_its_submodules():
