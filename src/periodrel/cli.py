@@ -94,9 +94,9 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def _check_genus(poly: MultiPoly, g: int, path: str) -> None:
-    """Reject a variable that is not Y[i,j] or Z[i,j] with i, j <= g."""
+    """Reject a variable Y[i,j] or Z[i,j] unless i, j <= g."""
     for v in sorted(poly.variables()):
-        if v.block not in ("Y", "Z") or v.copy != 1 or max(v.row, v.col) > g:
+        if max(v.row, v.col) > g:
             raise DecodeError(f"{path}: {v} is not a variable of genus {g}")
 
 
@@ -329,6 +329,8 @@ def cmd_gfun_radii(args, digests):
 
 
 def cmd_gfun_check(args, digests):
+    if not 0 <= args.tolerance < float("inf"):  # inf would pass every entry
+        raise UsageError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     f = GFunMatrix.from_json(_load_json(args.F, digests))
     g = GFunMatrix.from_json(_load_json(args.G, digests))
     data = SyntheticPeriodData.from_json(_load_json(args.data, digests))

@@ -4,8 +4,8 @@ Matrices are plain tuples of tuples (immutable) or lists of lists during
 construction; entries are ints, Fractions or QuadScalars.  One Bareiss kernel
 eliminates on cleared denominators: over the integers, a matrix over
 Q(sqrt d) in its rational block form, except det over Q(sqrt d), which runs
-on the entries P + Q sqrt d.  Entries from two quadratic fields are refused;
-only the similitude test takes them, by the generic product."""
+on the entries P + Q sqrt d.  Entries from two quadratic fields are refused
+before any work."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from itertools import repeat
 from operator import mul
 from typing import Sequence
 
-from .scalars import Scalar, ScalarError, cleared, json_list, quadratic_field, uncleared
+from .scalars import Scalar, cleared, json_list, quadratic_field, uncleared
 from .scalars import scalar_from_json, scalar_to_json
 
 Matrix = tuple  # tuple[tuple[Scalar, ...], ...]
@@ -119,19 +119,11 @@ def is_similitude(m, mu, g: int) -> bool:
     and the identity splits into two over the integers:
     P^t J P + d Q^t J Q = u D J and P^t J Q + Q^t J P = v D J.  J X is a
     signed row swap of X, and both sides are skew, so only entries above the
-    diagonal are compared.  Entries from two quadratic fields take the
-    generic product M^t (J M) instead.
+    diagonal are compared.  Entries from two quadratic fields raise
+    ScalarError.
     """
     n = 2 * g
-    try:
-        d = quadratic_field(x for row in (*m, (mu,)) for x in row)
-    except ScalarError:
-        prod = mat_mul(transpose(m), [*m[g:], *([-x for x in row] for row in m[:g])])
-        return all(
-            prod[i][j] - (mu if j == i + g else -mu if i == j + g else 0) == 0
-            for i in range(n)
-            for j in range(n)
-        )
+    d = quadratic_field(x for row in (*m, (mu,)) for x in row)
     parts, den = cleared([*m, (mu,)], d)
     p, q = parts if d is not None else (*parts, [[0] * len(row) for row in parts[0]])
     (u,), (v,) = p.pop(), q.pop()

@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials in the period-matrix variables.
 
-Variables live in four g x g blocks (Y, Z and their primed copies); the
-monomial order is degrevlex over the fixed variable order
-Y[1,1] < ... < Y[g,g] < Z[1,1] < ... < Z[g,g] < Y'[..] < Z'[..], which every
-certificate records implicitly by construction.  Inside, a variable is an int
+Variables live in two g x g blocks, Y and Z; the monomial order is
+degrevlex over the fixed variable order
+Y[1,1] < ... < Y[g,g] < Z[1,1] < ... < Z[g,g], which every certificate
+records implicitly by construction.  Inside, a variable is an int
 code that sorts in that order and a monomial is the sorted tuple of its codes,
 one per unit of exponent, so products, degrees, hashing and the order run on
 plain tuples; :class:`VarId` names a variable only at the JSON and display
@@ -26,7 +26,7 @@ from . import matrices as mx
 from .scalars import DecodeError, Frozen, QuadScalar, Scalar, json_field, json_int, json_list
 from .scalars import scalar_from_json, scalar_to_json
 
-BLOCKS = ("Y", "Z", "Yp", "Zp")
+BLOCKS = ("Y", "Z")
 
 MONOMIAL_ORDER = "degrevlex(Y[1,1] < ... < Z[g,g])"  # as recorded in reports
 
@@ -39,44 +39,40 @@ class ResourceCapExceeded(RuntimeError):
 
 
 class VarId(Frozen):
-    """A variable block[row, col] of copy ``copy``: the public name of a
-    variable, used at the JSON and display boundary only.  Its int ``code``
-    follows from the other fields."""
+    """A variable block[row, col]: the public name of a variable, used at
+    the JSON and display boundary only.  Its int ``code`` follows from the
+    other fields."""
 
-    __slots__ = ("block", "row", "col", "copy", "code")
+    __slots__ = ("block", "row", "col", "code")
 
-    def __init__(self, block: str, row: int, col: int, copy: int = 1) -> None:
-        self._set(block, row, col, copy, _code(block, row, col, copy))
-
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.copy, BLOCKS.index(self.block), self.row, self.col)
+    def __init__(self, block: str, row: int, col: int) -> None:
+        self._set(block, row, col, _code(block, row, col))
 
     def __lt__(self, other: "VarId") -> bool:
         return self.code < other.code
 
     def __str__(self) -> str:
-        copy = "" if self.copy == 1 else str(self.copy)
-        return f"{self.block}{copy}[{self.row},{self.col}]"
+        return f"{self.block}[{self.row},{self.col}]"
 
 
 _FIELD = (1 << 20) - 1  # the row and col fields of a code
 
 
-def _code(block, row: int, col: int, copy: int) -> int:
-    """The int code of block[row, col] of copy ``copy`` (see :class:`Monomial`), or ValueError."""
+def _code(block, row: int, col: int) -> int:
+    """The int code of block[row, col] (see :class:`Monomial`), or ValueError."""
     if block not in BLOCKS:
         raise ValueError(f"unknown block {block!r}")
-    if row < 1 or col < 1 or copy < 1:
+    if row < 1 or col < 1:
         raise ValueError("variable indices are 1-based")
     if row > _FIELD or col > _FIELD:
         raise ValueError("variable indices must be below 2^20")
-    return (copy * 4 + BLOCKS.index(block)) << 40 | row << 20 | col
+    return BLOCKS.index(block) << 40 | row << 20 | col
 
 
 @functools.cache
 def _var_of(code: int) -> VarId:
     """The variable behind an int code."""
-    return VarId(BLOCKS[code >> 40 & 3], code >> 20 & _FIELD, code & _FIELD, code >> 42)
+    return VarId(BLOCKS[code >> 40], code >> 20 & _FIELD, code & _FIELD)
 
 
 @functools.cache
@@ -107,7 +103,7 @@ class Monomial(tuple):
     """Sorted tuple of int variable codes, one code per unit of exponent:
     Y[1,1]^2 * Z[1,2] is ``(c, c, c')``.
 
-    A variable's code is ``(copy*4 + block index) << 40 | row << 20 | col``
+    A variable's code is ``block index << 40 | row << 20 | col``
     (:attr:`VarId.code`), so codes sort as the variable order does.  At equal
     degree the plain tuple order is degrevlex (the first differing code is a
     variable the smaller monomial holds more often, and every smaller
@@ -389,13 +385,13 @@ class MultiPoly:
             mono = []
             for code, e in _runs(m):
                 v = _var_of(code)
-                mono.append([v.block, v.row, v.col, e] if v.copy == 1 else [v.block, v.row, v.col, e, v.copy])
+                mono.append([v.block, v.row, v.col, e])
             out.append({"coeff": scalar_to_json(self.terms[m]), "monomial": mono})
         return out
 
     @staticmethod
     def from_json(obj, path: str = "poly") -> "MultiPoly":
-        """Decode a polynomial, each entry ``[block, row, col, exponent(, copy)]``
+        """Decode a polynomial, each entry exactly ``[block, row, col, exponent]``
         straight to its variable's code and each number as :func:`json_int` reads
         it; a malformed one raises :class:`DecodeError` naming its path, as ``poly[0]: ...``."""
         total: dict[Monomial, Scalar] = {}
@@ -403,10 +399,10 @@ class MultiPoly:
             at, runs, codes = f"{path}[{k}].", [], []
             for n, ent in enumerate(json_list(json_field(term, "monomial", at), f"{at}monomial")):
                 try:
-                    row, col, e, copy = nums = [int(x) for x in (*ent[1:5], 1)[:4]]
-                    if not isinstance(ent, list) or len(ent) < 4 or min(nums) < 0:
+                    row, col, e = nums = [int(x) for x in ent[1:4]]
+                    if not isinstance(ent, list) or len(ent) != 4 or min(nums) < 0:
                         raise ValueError
-                    runs.append((_code(ent[0], row, col, copy), e))
+                    runs.append((_code(ent[0], row, col), e))
                 except (TypeError, ValueError, OverflowError):
                     _refuse_entry(ent, f"{at}monomial[{n}]")
             if sum(e for _, e in runs) > DEGREE_CAP:  # every entry and the degree are checked before any expansion
@@ -421,12 +417,14 @@ class MultiPoly:
 
 
 def _refuse_entry(ent, p: str):
-    """Raise the DecodeError of an entry that from_json refused: its first bad field's, else its variable's."""
-    keys = ("block", "row", "col", "exponent", "copy")
-    named = {"copy": 1} | dict(zip(keys, json_list(ent, p)))
-    row, col, _, copy = (json_int(named, key, p + ".", low=0) for key in keys[1:])
+    """Raise the DecodeError of an entry that from_json refused: its first bad
+    field's, else its length's (a fifth field is refused, never ignored), else its variable's."""
+    keys = ("block", "row", "col", "exponent")
+    named = dict(zip(keys, json_list(ent, p)))
+    row, col, _ = (json_int(named, key, p + ".", low=0) for key in keys[1:])
+    json_list(ent, p, len(keys))
     try:
-        _code(named["block"], row, col, copy)
+        _code(named["block"], row, col)
     except ValueError as exc:
         raise DecodeError(f"{p}: {exc}")
     raise AssertionError(f"{p}: a refused entry decodes")

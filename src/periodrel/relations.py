@@ -148,45 +148,18 @@ def _witness_entry(act: EndomorphismAction) -> tuple:
     """(i, j, y, z, case): the case witness (y, z) and the 0-based position
     of the first nonzero entry of the relation matrix there.
 
-    The three-case witness table: B != 0 gives (I, 0) with value -B;
-    B = 0, A != D gives (I, I) with value A - D; otherwise A = D is
-    non-scalar and a symmetric z not commuting with A gives value Az - zD.
-    At y = I, where adj(I) = I and det(I) = 1, the matrix is A z^t - B - z^t D,
-    so the position is read off that scalar matrix.  It is never zero there:
-    it is -B, A - D or Az - zA, and a scalar action, which has no such z,
-    is refused by :func:`_noncommuting_symmetric`.
+    At y = I, where adj(I) = I and det(I) = 1, the matrix is A z^t - B - z^t D:
+    B != 0 gives (I, 0) with value -B, and otherwise (I, I) gives A - D.
+    That is never zero: :func:`synthesize_period_data`, which runs first,
+    refuses A = D, whose spectra coincide.
     """
-    g = act.g
-    eye, zero = mx.identity(g), mx.zeros(g, g)
+    g, eye = act.g, mx.identity(act.g)
     if not mx.is_zero_matrix(act.B):
-        wy, wz, case = eye, zero, "B_nonzero"
-    elif not mx.mat_eq(act.A, act.D):
-        wy, wz, case = eye, eye, "A_ne_D"
+        wz, case, at_witness = mx.zeros(g, g), "B_nonzero", act.B
     else:
-        wy, wz, case = eye, _noncommuting_symmetric(act.A), "A_non_scalar"
-    zt = mx.transpose(wz)
-    at_witness = mx.mat_sub(mx.mat_sub(mx.mat_mul(act.A, zt), act.B), mx.mat_mul(zt, act.D))
+        wz, case, at_witness = eye, "A_ne_D", mx.mat_sub(act.A, act.D)
     i, j = next((i, j) for i, row in enumerate(at_witness) for j, x in enumerate(row) if x != 0)
-    return i, j, wy, wz, case
-
-
-def _noncommuting_symmetric(a) -> tuple:
-    """Symmetric z with Az != zA, following the explicit choice rule:
-    z = E_ii at a non-diagonal entry's column, else z = E_ij + E_ji at a
-    pair of distinct diagonal entries."""
-    g = len(a)
-
-    def unit(*cells) -> tuple:
-        return mx.freeze([[Fraction(int((r, c) in cells)) for c in range(g)] for r in range(g)])
-
-    col = next((j for j in range(g) for i in range(g) if i != j and a[i][j] != 0), None)
-    if col is not None:
-        return unit((col, col))
-    for i in range(g):
-        for j in range(i + 1, g):
-            if a[i][i] != a[j][j]:
-                return unit((i, j), (j, i))
-    raise RelationError("no relation derivable from scalar endomorphism")
+    return i, j, eye, wz, case
 
 
 # ---------------------------------------------------------------------------

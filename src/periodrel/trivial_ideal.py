@@ -237,9 +237,6 @@ def row_permutation_test(p: MultiPoly, permutation: Sequence[int]) -> bool:
     permutation, so a changed result is evidence against membership for
     polynomials that the structural argument requires to be invariant.
     """
-    blocks = {v.block for v in p.variables()}
-    if not blocks <= {"Y", "Z"}:
-        raise ValueError("row permutation test applies to Y/Z polynomials only")
     perm = list(permutation)
     gmax = max((v.row for v in p.variables()), default=0)
     if len(perm) < gmax:
@@ -248,7 +245,7 @@ def row_permutation_test(p: MultiPoly, permutation: Sequence[int]) -> bool:
         raise ValueError("not a permutation of 1..g")
 
     def rename(v: VarId) -> VarId:
-        return VarId(v.block, perm[v.row - 1], v.col, v.copy)
+        return VarId(v.block, perm[v.row - 1], v.col)
 
     return p.rename_variables(rename) != p
 

@@ -18,7 +18,6 @@ from periodrel.relations import (
     EndomorphismAction,
     RelationCertificate,
     RelationError,
-    _witness_entry,
     quadratic_relation_polys,
 )
 from periodrel.scalars import DecodeError, Place, QuadScalar, Scalar, json_field, json_int, json_list
@@ -434,10 +433,46 @@ class SelectedEntry:
 
 def select_nontrivial_entry(p, act: EndomorphismAction) -> SelectedEntry:
     """An entry of the relation matrix p together with the exact witness
-    (y, z) of the case table, which is isotropic and gives a nonzero value;
-    only that entry of p is evaluated."""
-    i, j, wy, wz, case = _witness_entry(act)
+    (y, z) of the three-case table, which is isotropic and gives a nonzero
+    value; only that entry of p is evaluated.
+
+    B != 0 gives (I, 0) with value -B; B = 0, A != D gives (I, I) with value
+    A - D; otherwise A = D is non-scalar and a symmetric z not commuting with
+    A gives value Az - zD.  At y = I the matrix is A z^t - B - z^t D, so the
+    position is read off that scalar matrix.  The certificate's two-row table
+    (``relations._witness_entry``) drops the last row, which its period data
+    synthesis always refuses first; the relation matrix itself has it."""
+    g = act.g
+    eye, zero = mx.identity(g), mx.zeros(g, g)
+    if not mx.is_zero_matrix(act.B):
+        wy, wz, case = eye, zero, "B_nonzero"
+    elif not mx.mat_eq(act.A, act.D):
+        wy, wz, case = eye, eye, "A_ne_D"
+    else:
+        wy, wz, case = eye, _noncommuting_symmetric(act.A), "A_non_scalar"
+    zt = mx.transpose(wz)
+    at_witness = mx.mat_sub(mx.mat_sub(mx.mat_mul(act.A, zt), act.B), mx.mat_mul(zt, act.D))
+    i, j = next((i, j) for i, row in enumerate(at_witness) for j, x in enumerate(row) if x != 0)
     return SelectedEntry(i + 1, j + 1, wy, wz, p[i][j].evaluate(point_assignment(wy, wz)), case)
+
+
+def _noncommuting_symmetric(a) -> tuple:
+    """Symmetric z with Az != zA, following the explicit choice rule:
+    z = E_ii at a non-diagonal entry's column, else z = E_ij + E_ji at a
+    pair of distinct diagonal entries.  A scalar a has none."""
+    g = len(a)
+
+    def unit(*cells) -> tuple:
+        return mx.freeze([[Fraction(int((r, c) in cells)) for c in range(g)] for r in range(g)])
+
+    col = next((j for j in range(g) for i in range(g) if i != j and a[i][j] != 0), None)
+    if col is not None:
+        return unit((col, col))
+    for i in range(g):
+        for j in range(i + 1, g):
+            if a[i][i] != a[j][j]:
+                return unit((i, j), (j, i))
+    raise RelationError("no relation derivable from scalar endomorphism")
 
 
 def expected_witness_value(act: EndomorphismAction, entry: SelectedEntry):
@@ -626,22 +661,28 @@ class PairMonomial:
             return ds < do
         if self.exps == other.exps:
             return False
-        for v in sorted({v for v, _ in self.exps} | {v for v, _ in other.exps}, key=VarId.key):
+        for v in sorted({v for v, _ in self.exps} | {v for v, _ in other.exps}, key=_var_key):
             es, eo = self.exponent(v), other.exponent(v)
             if es != eo:
                 return es > eo
         return False
 
 
+def _var_key(v: VarId) -> tuple:
+    """The variable order Y[1,1] < ... < Y[g,g] < Z[1,1] < ..., read off the
+    names rather than the int codes."""
+    return "YZ".index(v.block), v.row, v.col
+
+
 def _by_key(pairs) -> tuple:
-    return tuple(sorted(pairs, key=lambda p: p[0].key()))
+    return tuple(sorted(pairs, key=lambda p: _var_key(p[0])))
 
 
 def pair_poly_to_json(terms: dict) -> list:
     """MultiPoly.to_json for a {PairMonomial: coefficient} dict."""
     out = []
     for m in sorted(terms, reverse=True):
-        mono = [[v.block, v.row, v.col, e] + ([v.copy] if v.copy != 1 else []) for v, e in m.exps]
+        mono = [[v.block, v.row, v.col, e] for v, e in m.exps]
         out.append({"coeff": scalar_to_json(terms[m]), "monomial": mono})
     return out
 
@@ -653,11 +694,12 @@ def poly_from_json_by_varid(obj, path: str = "poly") -> MultiPoly:
     for k, term in enumerate(json_list(obj, path)):
         at, exps = f"{path}[{k}].", {}
         for n, ent in enumerate(json_list(json_field(term, "monomial", at), f"{at}monomial")):
-            p, keys = f"{at}monomial[{n}]", ("block", "row", "col", "exponent", "copy")
-            ent = {"copy": 1} | dict(zip(keys, json_list(ent, p)))
-            row, col, e, copy = (json_int(ent, key, p + ".", low=0) for key in keys[1:])
+            p, keys = f"{at}monomial[{n}]", ("block", "row", "col", "exponent")
+            named = dict(zip(keys, json_list(ent, p)))
+            row, col, e = (json_int(named, key, p + ".", low=0) for key in keys[1:])
+            json_list(ent, p, len(keys))
             try:
-                v = VarId(ent["block"], row, col, copy)
+                v = VarId(named["block"], row, col)
             except ValueError as exc:
                 raise DecodeError(f"{p}: {exc}")
             exps[v] = exps.get(v, 0) + e

@@ -45,6 +45,15 @@ MALFORMED_SERIES = {
 }
 
 SERIES = {"order": 2, "coeffs": ["0", "1", "0"]}
+# a monomial entry that is not a variable of the Y/Z format -> its error after the entry's path;
+# a fifth field is refused, never ignored: ["Y", 1, 1, 1, 1] read as Y[1,1] would change the polynomial
+VARIABLE_ENTRIES = {
+    "Yp": (["Yp", 1, 1, 1], ": unknown block 'Yp'"),
+    "Zp": (["Zp", 1, 1, 1], ": unknown block 'Zp'"),
+    "fifth-field-2": (["Y", 1, 1, 1, 2], ": expected 4 entries, got 5"),
+    "fifth-field-1": (["Y", 1, 1, 1, 1], ": expected 4 entries, got 5"),
+    "three-fields": (["Y", 1, 1], ".exponent: missing"),
+}
 DECODE_INPUTS = {
     "F.json": {"g": 1, "entries": [[SERIES]]},
     "a.json": {"g": 1, "N": 0, "a": [[[SERIES]]]},
@@ -65,6 +74,9 @@ DECODE_INPUTS = {
     "F-not-integral.json": {"g": 1, "integral": True, "entries": [[{"order": 3, "coeffs": ["1/2", "1", "0", "0"]}]]},
     "F-mixed-orders.json": {"g": 2, "entries": [[{"order": 3, "coeffs": ["0", "1", "0", "0"]}, SERIES]] * 2},
     "F-integral-number.json": {"g": 1, "integral": 1, "entries": [[SERIES]]},
+    **{f"poly-{k}.json": [{"coeff": "1", "monomial": [["Z", 1, 1, 1], e]}] for k, (e, _) in VARIABLE_ENTRIES.items()},
+    **{f"rel-{k}.json": {"rows": 1, "cols": 1, "entries": [[[{"coeff": "1", "monomial": [["Z", 1, 1, 1], e]}]]]}
+       for k, (e, _) in VARIABLE_ENTRIES.items()},
 }
 DECODE_ERRORS = {
     ("gfun", "derive", "--F", "F-without-g.json", "--a", "a.json"): "g: missing",
@@ -106,6 +118,10 @@ DECODE_ERRORS = {
     ("ideal", "member", "--poly", "poly-row-infinity.json", "--g", "2"): (
         "poly[0].monomial[0].row: not an integer: inf"
     ),
+    **{("ideal", "member", "--poly", f"poly-{k}.json", "--g", "2"): f"poly[0].monomial[1]{error}"
+       for k, (_, error) in VARIABLE_ENTRIES.items()},
+    **{("relation", "verify", "--rel", f"rel-{k}.json", "--data", "data-g1.json"): f"entries[0][0][0].monomial[1]{error}"
+       for k, (_, error) in VARIABLE_ENTRIES.items()},
 }
 
 
@@ -146,7 +162,7 @@ def test_out_of_range_arguments_exit_2_with_json(argv, tmp_path):
     assert proc.stdout[end:].strip() == ""
     assert set(doc) == {"error"}
     assert doc["error"] == DECODE_ERRORS.get(tuple(argv), doc["error"])
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize(
@@ -196,7 +212,7 @@ def test_case3_input_from_mixed_fields_exits_1_with_json(tmp_path):
         assert "Traceback" not in proc.stderr
         errors.append(doc["error"])
     assert errors == [
-        "change of basis is not a sqrt(e)-symplectic similitude",
+        "mixed quadratic contexts: sqrt(7) vs sqrt(5)",
         "mixed quadratic contexts: sqrt(7) vs sqrt(5)",
     ]
 
@@ -337,6 +353,23 @@ def test_gfun_check_rational_valued_quadratic_reference(tmp_path, capsys):
                                   "--data", str(tmp_path / "data.json"), "--x", "5", "--place", "5"])
     assert code == 0
     assert [e["ok"] for e in doc["result"]["report"]["entries"]] == [True, False]  # x = 5 against 5, then 6
+
+
+def test_gfun_check_tolerance_is_a_finite_number_at_least_0(tmp_path, capsys):
+    # a reference of 999 against the series x, which an infinite tolerance would pass
+    data = {"g": 1, "M": [["1"]], "F": [["999"]], "G": [["999"]]}
+    (tmp_path / "F.json").write_text(json.dumps(DECODE_INPUTS["F.json"]))
+    (tmp_path / "data.json").write_text(json.dumps(data))
+    argv = ["gfun", "check", "--F", str(tmp_path / "F.json"), "--G", str(tmp_path / "F.json"),
+            "--data", str(tmp_path / "data.json")]
+    for place, x in (("5", "5"), ("arch", "1/5")):
+        at = [*argv, "--x", x, "--place", place]
+        for tolerance, shown in (("inf", "inf"), ("1e400", "inf"), ("nan", "nan"), ("-1.0", "-1.0"), ("-inf", "-inf")):
+            code, doc = run_json(capsys, [*at, f"--tolerance={tolerance}"])
+            assert (code, doc) == (2, {"error": f"--tolerance must be a finite number >= 0, got {shown}"})
+        for tolerance in ("0", "1e-9", "0.5"):
+            code, doc = run_json(capsys, [*at, "--tolerance", tolerance])
+            assert code == 0 and doc["result"]["report"]["all_ok"] is False
 
 
 QUADRATIC_ENTRY = {"d": 5, "a": "0", "b": "1"}  # sqrt 5

@@ -548,7 +548,7 @@ GOLDEN = {
     "case3-mixed-6.json": "99f6e6a684b20d34bb18ac12ed3f42733c5ab70243eabb82886b5cd65c4caba9",
     "case3-not-similitude.json": "62759f78497b905cfe488ca9917f3b00924b9e119e1a297d3b533b52a99f4fa8",
     "case3-odd-g.json": "d75f710e731499f2510f4d824df7106d412a4337a00f76bcc9fabb84e604d5a5",
-    "case3-two-fields.json": "f8d670242d66a1af3c8dbe0bbad459ce617fc34ebb82f6f950ac90ea0d16cf8b",
+    "case3-two-fields.json": "2ccf7172e3b619b476a6cad392897d08c404501108be7514874ebb9708406d5b",
     "member-member-2.json": "61e943a3e1b456c5306ce9ab1ce4ee2669cfd4feaf78b873a8e7adb5a5fece76",
     "member-nonmember-2.json": "f8a20f777310c3ea8c5a1702199ccf2ff28a1e8bd81729f7cdd06f50deadcdf7",
     "member-hidden-2.json": "faba598ab6c539f4de1d8f6104154e07bb533b36ab18710f5415c3dfe0c1a061",

@@ -124,18 +124,19 @@ def test_mixed_fields_take_the_generic_path(monkeypatch):
     monkeypatch.setattr(mx, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
     monkeypatch.setattr(mx, "cleared", lambda rows, d: clears.append(d) or real_cleared(rows, d))
     assert mx.is_similitude(m, 2, 2) and calls == [] and clears == [2]
+    # two fields are refused by the one field check, before any product or clearing
     mu7 = QuadScalar(7, 1, 1)
-    with pytest.raises(ScalarError, match=r"sqrt\(7\) vs sqrt\(2\)"):
-        quadratic_field(x for row in (*m, (mu7,)) for x in row)
-    assert not mx.is_similitude(m, mu7, 2) and calls == [1] and clears == [2]
-    assert not mx.is_zero_matrix(similitude_defect(m, mu7, 2))
+    with pytest.raises(ScalarError, match=r"mixed quadratic contexts: sqrt\(7\) vs sqrt\(2\)"):
+        mx.is_similitude(m, mu7, 2)
     mixed = unfreeze(m)
     mixed[0][0] = QuadScalar(3, 1, 1)
-    with pytest.raises(ScalarError, match=r"sqrt\(2\) vs sqrt\(3\)"):
-        quadratic_field(x for row in mixed for x in row)
-    for check in (lambda: mx.is_similitude(mixed, 2, 2), lambda: similitude_defect(mixed, 2, 2)):
-        with pytest.raises(ScalarError, match="mixed quadratic contexts"):
-            check()
+    with pytest.raises(ScalarError, match=r"mixed quadratic contexts: sqrt\(2\) vs sqrt\(3\)"):
+        mx.is_similitude(mixed, 2, 2)
+    assert calls == [] and clears == [2]
+    # the generic oracle: M^t J M is no multiple mu7 J, and over three fields its product raises
+    assert not mx.is_zero_matrix(similitude_defect(m, mu7, 2))
+    with pytest.raises(ScalarError, match="mixed quadratic contexts"):
+        similitude_defect(mixed, 2, 2)
 
 
 def test_case3_checks_run_on_the_integer_path(monkeypatch):

@@ -40,9 +40,11 @@ from helpers import (
 
 
 def test_varid_order_matches_declared_chain():
-    # Y[1,1] < ... < Y[g,g] < Z[1,1] < ... < Z[g,g] < primed copies
-    assert yvar(1, 1) < yvar(1, 2) < yvar(2, 1) < zvar(1, 1) < VarId("Yp", 1, 1)
-    assert VarId("Y", 1, 1, copy=1) < VarId("Y", 1, 1, copy=2)
+    # Y[1,1] < ... < Y[g,g] < Z[1,1] < ... < Z[g,g]
+    assert yvar(1, 1) < yvar(1, 2) < yvar(2, 1) < yvar(2**20 - 1, 2**20 - 1) < zvar(1, 1) < zvar(1, 2)
+    for block in ("Yp", "Zp", "y"):
+        with pytest.raises(ValueError, match="unknown block"):
+            VarId(block, 1, 1)
 
 
 def test_degrevlex_basics():
@@ -57,7 +59,7 @@ def test_degrevlex_basics():
 
 
 def test_varid_rejects_indices_past_the_code_fields():
-    assert VarId("Zp", 2**20 - 1, 2**20 - 1, copy=3).code == (3 * 4 + 3) << 40 | (2**20 - 1) << 20 | 2**20 - 1
+    assert VarId("Z", 2**20 - 1, 2**20 - 1).code == 1 << 40 | (2**20 - 1) << 20 | 2**20 - 1
     for row, col in ((2**20, 1), (1, 2**20)):
         with pytest.raises(ValueError, match=r"below 2\^20"):
             VarId("Y", row, col)
@@ -65,10 +67,9 @@ def test_varid_rejects_indices_past_the_code_fields():
 
 _VARIABLES = st.builds(
     VarId,
-    st.sampled_from(["Y", "Z", "Yp", "Zp"]),
+    st.sampled_from(["Y", "Z"]),
     st.integers(1, 3) | st.just(2**20 - 1),
     st.integers(1, 3) | st.just(2**20 - 1),
-    st.integers(1, 3),
 )
 _EXPONENTS = st.dictionaries(_VARIABLES, st.integers(1, 3), max_size=4).map(lambda d: list(d.items()))
 
@@ -95,9 +96,8 @@ def test_monomials_agree_with_the_pair_encoding(exponent_lists):
 
 def test_nonarch_certificate_json_never_orders_a_varid(monkeypatch):
     calls = []
-    for name in ("__lt__", "key"):
-        method = getattr(VarId, name)
-        monkeypatch.setattr(VarId, name, lambda *args, _m=method: calls.append(_m) or _m(*args))
+    method = VarId.__lt__
+    monkeypatch.setattr(VarId, "__lt__", lambda *args: calls.append(method) or method(*args))
     sorted([zvar(1, 1), yvar(2, 1)])  # the counter sees an ordering
     assert calls
     calls.clear()
@@ -231,7 +231,7 @@ def test_substitute_and_evaluate():
     assert val == 26  # (3+2)^2 + 1
 
 
-_POINT_VARIABLES = [VarId(b, i, j) for b in ("Y", "Z", "Yp") for i in (1, 2) for j in (1, 2)]
+_POINT_VARIABLES = [VarId(b, i, j) for b in ("Y", "Z") for i in (1, 2, 3) for j in (1, 2)]
 _RATIONALS = (
     st.integers(-50, 50).map(Fraction)
     | st.fractions(max_denominator=30)
@@ -536,7 +536,7 @@ def test_poly_json_roundtrip():
         {
             Monomial.of((yvar(1, 2), 2), (zvar(2, 1), 1)): Fraction(3, 7),
             Monomial.one(): Fraction(-2),
-            Monomial.of((VarId("Yp", 1, 1, copy=2), 1)): Fraction(5),
+            Monomial.of((VarId("Z", 2**20 - 1, 1), 1)): Fraction(5),
         }
     )
     assert MultiPoly.from_json(p.to_json()) == p
@@ -546,14 +546,14 @@ def test_poly_json_roundtrip():
 
 _WELL_FORMED_ENTRY = st.one_of(
     st.tuples(st.sampled_from(["Y", "Z"]), st.integers(1, 2), st.integers(1, 2), st.integers(0, 3)),
-    st.tuples(st.sampled_from(["Y", "Zp"]), st.integers(1, 2), st.just(2**20 - 1), st.integers(0, 2), st.integers(1, 2)),
+    st.tuples(st.sampled_from(["Y", "Z"]), st.integers(1, 2), st.just(2**20 - 1), st.integers(0, 2)),
 ).map(list)
 _FIELD_VALUES = st.one_of(
     st.integers(-1, 3),
     st.sampled_from([2**20 - 1, 2**20, "2", " 3", "x", "", 2.0, 2.5, -0.5, True, False, None, [1], math.inf, math.nan]),
 )
 _BLOCK_VALUES = st.sampled_from(["Y", "Z", "Yp", "Zp", "Q", "y", "", 0, None, ["Y"]])
-_ODD_ENTRY = st.one_of(  # malformed, or accepted as json_int reads numbers ("2", 2.0, True, extra fields)
+_ODD_ENTRY = st.one_of(  # malformed (a fifth field too), or accepted as json_int reads numbers ("2", 2.0, True)
     st.tuples(_BLOCK_VALUES, _FIELD_VALUES, _FIELD_VALUES, _FIELD_VALUES).map(list),
     st.tuples(_BLOCK_VALUES, _FIELD_VALUES, _FIELD_VALUES, _FIELD_VALUES, _FIELD_VALUES).map(list),
     st.lists(st.one_of(_BLOCK_VALUES, _FIELD_VALUES), max_size=7),

@@ -206,6 +206,41 @@ def test_nonarch_entries_and_synthesis_match_the_fraction_oracles(act, seed):
     assert verify_by_fractions(data, act)
 
 
+@st.composite
+def equal_block_actions(draw):
+    """An action with A = D at g = 1..4 over Q or over Q(sqrt 5), B random or
+    zero; a quarter have A = c I, so B = 0 makes them scalar."""
+    g, d = draw(st.integers(1, 4)), draw(st.sampled_from((None, 5)))
+
+    def entry():
+        a = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        return a if d is None or draw(st.booleans()) else QuadScalar(d, a, Fraction(draw(st.integers(-2, 2))))
+
+    if draw(st.integers(0, 3)):
+        a = mx.freeze([[entry() for _ in range(g)] for _ in range(g)])
+    else:
+        a = mx.scalar_mul(entry(), mx.identity(g))
+    b = mx.freeze([[entry() for _ in range(g)] for _ in range(g)]) if draw(st.booleans()) else mx.zeros(g, g)
+    return EndomorphismAction(g, a, b, a)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(equal_block_actions(), st.integers(0, 999))
+def test_a_equal_to_d_is_refused_before_the_witness_entry(act, seed):
+    # A and D share every eigenvalue, so the Sylvester system is singular: the
+    # certificate's witness table needs no row for A = D
+    calls, real = [], relations._witness_entry
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations, "_witness_entry", lambda a: calls.append(a) or real(a))
+        with pytest.raises(RelationError) as raised:
+            build_nonarch_certificate(act, seed=seed)
+    assert str(raised.value) in (
+        "endomorphism spectra force coupling; supply F manually",
+        "no relation derivable from scalar endomorphism",
+    )
+    assert calls == []
+
+
 def test_witness_isotropy_always():
     for seed in range(10):
         act = random_action(2, seed=seed)

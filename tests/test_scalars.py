@@ -292,7 +292,7 @@ def test_records_are_immutable_and_compare_by_value():
     records = [  # (record, an equal one, a different one, a field)
         (Place.finite(7), Place("finite", p=7), Place.arch("tau"), "p"),
         (QuadScalar(5, 1, 2), QuadScalar(5, Fraction(1), Fraction(2)), QuadScalar(5, 1, 3), "b"),
-        (VarId("Y", 1, 2), VarId("Y", 1, 2, copy=1), VarId("Z", 1, 2), "block"),
+        (VarId("Y", 1, 2), VarId("Y", 1, 2), VarId("Z", 1, 2), "block"),
         (EndomorphismAction(1, eye, eye, eye), EndomorphismAction(1, eye, eye, eye), EndomorphismAction(1, eye, eye, ((2,),)), "D"),
         (TruncatedSeries((1, 2), 1), TruncatedSeries.from_coeffs([1, 2]), TruncatedSeries((1, 3), 1), "coeffs"),
     ]
