@@ -9,6 +9,7 @@ content here is the exact series algebra and the honest radius bookkeeping.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 from .scalars import (
@@ -19,21 +20,20 @@ from .scalars import (
     ScalarError,
     abs_at_place,
     arch_value,
-    cleared,
     json_field,
     json_int,
     json_list,
-    quadratic_field,
     scalar_to_json,
-    uncleared,
     valuation,
 )
 from .series import (
     EvalResult,
     TruncatedSeries,
+    _kparts,
     _matmul_trunc,
     eval_with_tail_bound,
     radius_lower_bound,
+    series_field,
 )
 
 
@@ -71,31 +71,6 @@ class GFunMatrix(Frozen):
     @property
     def order(self) -> int:
         return self.entries[0][0].order
-
-    def integral_at(self, i: int, j: int) -> bool:
-        return self.integral[i][j]
-
-    @staticmethod
-    def from_series(
-        g: int, grid: Sequence[Sequence[TruncatedSeries]], integral: tuple | bool = False
-    ) -> "GFunMatrix":
-        return GFunMatrix(g, tuple(tuple(row) for row in grid), integral)
-
-    def __add__(self, other: "GFunMatrix") -> "GFunMatrix":
-        if self.g != other.g:
-            raise ValueError("dimension mismatch")
-        flags = tuple(
-            tuple(a and b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.integral, other.integral)
-        )
-        return GFunMatrix(
-            self.g,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-            flags,
-        )
 
     def to_json(self) -> dict:
         return {
@@ -154,16 +129,6 @@ class GaussManinCoefficients(Frozen):
             for row in block:
                 yield from row
 
-    def to_json(self) -> dict:
-        return {
-            "g": self.g,
-            "N": self.deriv_order,
-            "integral": self.integral,
-            "a": [
-                [[s.to_json() for s in row] for row in block] for block in self.series
-            ],
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "GaussManinCoefficients":
         g = json_int(obj, "g", low=1)
@@ -192,14 +157,13 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
     carries order min(F.order - N, a-order).
 
     G = A R, where A[i][(k, l)] = a[i][k][l] and R[(k, l)][j] = d^k F[l][j],
-    over Q or the one Q(sqrt d) of :func:`quadratic_field`; coefficients from
-    two quadratic fields raise ScalarError before any work.  Row i of A is
-    cleared to P_i + Q_i sqrt(d) over one denominator L_i and column j of R
-    to P'_j + Q'_j sqrt(d) over L'_j, so L_i L'_j G[i][j] is read off one
-    product of integer series matrices: rows [P_i, d Q_i] and [Q_i, P_i]
-    times the column [P'_j; Q'_j] (over Q, P_i times P'_j).  Each
-    coefficient becomes a scalar once.  Over one denominator the k-th
-    derivative's numerators are (t+1)..(t+k) times those of F.
+    over the field of :func:`series.series_field`, found before any work.
+    Row i of A is brought to P_i + Q_i sqrt(d) over L_i, the lcm of its
+    series' denominators, and column j of R to P'_j + Q'_j sqrt(d) over L'_j,
+    so L_i L'_j G[i][j] is read off one product of integer series matrices:
+    rows [P_i, d Q_i] and [Q_i, P_i] times the column [P'_j; Q'_j] (over Q,
+    P_i times P'_j).  The k-th derivative's numerators are (t+1)..(t+k) times
+    those of F.
     """
     if f.g != a.g:
         raise ValueError("dimension mismatch between series matrix and coefficients")
@@ -207,13 +171,12 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
     if f.order < n:
         raise ValueError("insufficient precision: truncation order below derivative order")
     out_order = min(f.order - n, min(s.order for s in a.all_series()))
-    inputs = [s for row in f.entries for s in row] + list(a.all_series())
-    d = quadratic_field(c for s in inputs for c in s.coeffs)
+    d = series_field([s for row in f.entries for s in row] + list(a.all_series()))
     g, m, width = f.g, out_order + 1, 1 if d is None else 2
     right = [[None] * g for _ in range(width * (n + 1) * g)]  # rows (part, k, l)
     col_dens = []
     for j in range(g):
-        parts, den = cleared([row[j].coeffs[: m + n] for row in f.entries], d)
+        parts, den = _common([row[j] for row in f.entries], d, m + n)
         col_dens.append(den)
         for h, part in enumerate(parts):
             for l, s in enumerate(part):
@@ -222,7 +185,7 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
                     s = [(t + 1) * x for t, x in enumerate(s[1:])]
     left, row_dens = [], []
     for i in range(1, g + 1):
-        parts, den = cleared([a.a(i, k, l).coeffs[:m] for k in range(n + 1) for l in range(1, g + 1)], d)
+        parts, den = _common([a.a(i, k, l) for k in range(n + 1) for l in range(1, g + 1)], d, m)
         row_dens.append(den)
         if d is None:
             left += parts
@@ -233,9 +196,17 @@ def derive_G(f: GFunMatrix, a: GaussManinCoefficients) -> GFunMatrix:
     out = []
     for i, rden in enumerate(row_dens):
         rows = prod[width * i : width * i + width]  # the rational part, then the sqrt(d) part
-        out.append([TruncatedSeries(uncleared([r[j] for r in rows], [rden * cden] * m, d), out_order)
+        out.append([TruncatedSeries._over(out_order, d, [r[j] for r in rows], [rden * cden] * m)
                     for j, cden in enumerate(col_dens)])
-    return GFunMatrix.from_series(g, out)
+    return GFunMatrix(g, tuple(map(tuple, out)))
+
+
+def _common(series, d: int | None, m: int) -> tuple[list, int]:
+    """The parts (P,) or (P, Q) of the series, P and Q their rows of m
+    numerators over one denominator, the lcm of theirs, and that lcm."""
+    den = math.lcm(*[s.den for s in series])
+    rows = [[[x * (den // s.den) for x in part[:m]] for part in _kparts(s, d)] for s in series]
+    return [list(part) for part in zip(*rows)], den
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +313,7 @@ def check_period_equation(
                 try:
                     res: EvalResult = eval_with_tail_bound(
                         mat.entries[i][j], x_value, v,
-                        integral_tail=mat.integral_at(i, j) and v.is_finite(),
+                        integral_tail=mat.integral[i][j] and v.is_finite(),
                     )
                     disc = _discrepancy(res.value, ref[i][j], v)
                 except OverflowError:

@@ -222,20 +222,6 @@ def solve_cleared(parts: tuple, d: int | None, c: int) -> tuple[list[list] | Non
     return x, len(pivots) // step
 
 
-def solve(a, rhs: Sequence[Scalar]):
-    """Solve a x = rhs exactly; None when the system has no solution.  An
-    underdetermined system gets the solution whose free variables are zero,
-    pivots scanned in column order."""
-    x = _solve(a, [[y] for y in rhs])[0]
-    return None if x is None else [v for v, in x]
-
-
-def solve_nonsingular(a, rhs: Sequence[Scalar]):
-    """Solve a square system a x = rhs in one elimination; None when a is singular."""
-    x, r = _solve(a, [[y] for y in rhs])
-    return [v for v, in x] if r == len(a) else None
-
-
 def inverse(m):
     """Exact inverse, or None when singular."""
     n, c = shape(m)

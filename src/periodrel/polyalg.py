@@ -398,13 +398,13 @@ class MultiPoly:
         for k, term in enumerate(json_list(obj, path)):
             at, runs, codes = f"{path}[{k}].", [], []
             for n, ent in enumerate(json_list(json_field(term, "monomial", at), f"{at}monomial")):
-                try:
-                    row, col, e = nums = [int(x) for x in ent[1:4]]
-                    if not isinstance(ent, list) or len(ent) != 4 or min(nums) < 0:
+                try:  # four fields whose numbers are ints; _read_entry reads any other entry
+                    block, row, col, e = ent
+                    if type(ent) is not list or not type(row) is type(col) is type(e) is int or e < 0:
                         raise ValueError
-                    runs.append((_code(ent[0], row, col), e))
-                except (TypeError, ValueError, OverflowError):
-                    _refuse_entry(ent, f"{at}monomial[{n}]")
+                    runs.append((_code(block, row, col), e))
+                except (TypeError, ValueError):
+                    runs.append(_read_entry(ent, f"{at}monomial[{n}]"))
             if sum(e for _, e in runs) > DEGREE_CAP:  # every entry and the degree are checked before any expansion
                 raise DecodeError(f"{at}monomial: degree must be <= {DEGREE_CAP}")
             for code, e in runs:
@@ -416,18 +416,18 @@ class MultiPoly:
         return MultiPoly(total)
 
 
-def _refuse_entry(ent, p: str):
-    """Raise the DecodeError of an entry that from_json refused: its first bad
-    field's, else its length's (a fifth field is refused, never ignored), else its variable's."""
+def _read_entry(ent, p: str) -> tuple[int, int]:
+    """(code, exponent) of an entry, each number as :func:`json_int` reads
+    it; else the DecodeError of its first bad field, else of its length (a
+    fifth field is refused, never ignored), else of its variable."""
     keys = ("block", "row", "col", "exponent")
     named = dict(zip(keys, json_list(ent, p)))
-    row, col, _ = (json_int(named, key, p + ".", low=0) for key in keys[1:])
+    row, col, e = (json_int(named, key, p + ".", low=0) for key in keys[1:])
     json_list(ent, p, len(keys))
     try:
-        _code(named["block"], row, col)
+        return _code(named["block"], row, col), e
     except ValueError as exc:
         raise DecodeError(f"{p}: {exc}")
-    raise AssertionError(f"{p}: a refused entry decodes")
 
 
 # ---------------------------------------------------------------------------

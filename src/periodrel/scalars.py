@@ -395,16 +395,20 @@ def rational_value(x: Scalar) -> Fraction | None:
 
 
 def quadratic_field(values) -> int | None:
-    """The d of the one Q(sqrt d) that holds every value, None when every
-    value is rational.  A rational-valued QuadScalar counts as rational
-    whatever its tag; a value from a second field raises ScalarError, naming
-    its field before the field of the values ahead of it."""
+    """The :func:`one_field` of the values, a rational-valued QuadScalar
+    counting as rational whatever its tag: None when every value is rational."""
+    return one_field(x.d for x in values if isinstance(x, QuadScalar) and x.b)
+
+
+def one_field(fields) -> int | None:
+    """The one d among the fields, in order, None when there is none; a
+    second d raises ScalarError, naming it before the d ahead of it."""
     d = None
-    for x in values:
-        if isinstance(x, QuadScalar) and x.b and x.d != d:
+    for e in fields:
+        if e != d:
             if d is not None:
-                raise ScalarError(f"mixed quadratic contexts: sqrt({x.d}) vs sqrt({d})")
-            d = x.d
+                raise ScalarError(f"mixed quadratic contexts: sqrt({e}) vs sqrt({d})")
+            d = e
     return d
 
 
@@ -474,6 +478,8 @@ def json_int(obj, key: str, at: str = "", low: int | None = None, high: int | No
     """``obj[key]`` as an int, at least ``low`` and at most ``high`` when given."""
     value = json_field(obj, key, at)
     try:
+        if type(value) is bool or type(value) is float and not value.is_integer():  # int() would read 1 or 2
+            raise ValueError
         n = int(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON Infinity
         raise DecodeError(f"{at}{key}: not an integer: {value!r}")
@@ -497,16 +503,37 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+def ratio_str(n: int, den: int) -> str:
+    """The encoding of the rational n / den, den > 0, as :func:`scalar_to_json` prints it."""
+    g = math.gcd(n, den)
+    return f"{n // g}/{den // g}" if den != g else str(n // g)
+
+
+def parse_ratio(s) -> tuple[int, int] | None:
+    """(n, den) for a JSON int, or an ASCII "n" or "n/den" with den > 0 and
+    an optional "-" ahead of n, not reduced: the one string parser.  None
+    for every other form, which :func:`scalar_from_json` reads."""
+    if type(s) is not str:
+        return (s, 1) if type(s) is int else None
+    num, slash, den = s.partition("/")
+    if s.isascii() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit()) and (den.isdigit() or not slash):
+        try:
+            r = int(num), int(den or 1)
+        except ValueError:  # past the digit limit, which the general parser names
+            return None
+        return r if r[1] else None
+    return None
+
+
 QUOTE_CAP = 40  # characters of a refused value that an error message repeats
 
 
 def _frac_parse(s, path: str) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
+    r = parse_ratio(s)
+    if r is not None:
+        return Fraction(r[0]) if r[1] == 1 else Fraction(*r)
     try:
-        if isinstance(s, str) and (s[1:] if s[:1] == "-" else s).isdecimal():
-            return Fraction(int(s))  # a plain integer: skip the general parser
-        return Fraction(str(s))
+        return Fraction(s if isinstance(s, int) else str(s))  # a bool reads as 0 or 1
     except (ValueError, ZeroDivisionError):
         quoted = repr(s)
         quoted = quoted if len(quoted) <= QUOTE_CAP else quoted[:QUOTE_CAP] + "..."

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .scalars import (
@@ -21,128 +22,150 @@ from .scalars import (
     ScalarError,
     abs_at_place,
     arch_value,
-    cleared,
     json_field,
     json_int,
     json_list,
-    quadratic_field,
+    one_field,
+    parse_ratio,
+    ratio_str,
     rational_value,
     scalar_from_json,
-    scalar_to_json,
-    uncleared,
     valuation,
 )
 
 
-MAX_ORDER = 100000  # a decoded order: from_coeffs pads to order + 1 entries, about 30 MB per million
+MAX_ORDER = 100000  # a decoded order: a series holds order + 1 numerators, about 30 MB per million
 
 
 class TruncatedSeries(Frozen):
-    __slots__ = ("coeffs", "order")
+    """A series to X^order as ints over one denominator den > 0, the lcm of
+    the reduced ones: coefficients (P_k + Q_k sqrt d) / den for parts (P, Q),
+    or P_k / den for parts (P,) exactly when d is None, every coefficient
+    being rational.  A series mixing two fields has for d the tuple of each
+    coefficient's d.  ``coeffs`` is the view as scalars."""
 
-    def __init__(self, coeffs: tuple, order: int) -> None:
+    __slots__ = ("order", "d", "parts", "den")
+
+    def __init__(self, coeffs: Sequence[Scalar], order: int | None = None) -> None:
+        """The series of the scalars, cut or zero-padded to order + 1 of them (all when order is None)."""
+        order = len(coeffs) - 1 if order is None else order
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        if len(coeffs) != order + 1:
-            raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
-        self._set(tuple(Fraction(c) if isinstance(c, int) else c for c in coeffs), order)
-
-    # -- constructors
+        self._set(order, *_canonical(*_split([_ratio_of(x) for x in coeffs[: order + 1]], order)))
 
     @staticmethod
-    def from_coeffs(coeffs: Sequence[Scalar], order: int | None = None) -> "TruncatedSeries":
-        cs = list(coeffs)
-        if order is None:
-            order = len(cs) - 1
-        if len(cs) < order + 1:
-            cs += [Fraction(0)] * (order + 1 - len(cs))
-        return TruncatedSeries(tuple(cs[: order + 1]), order)
+    def _over(order: int, d, parts, dens) -> "TruncatedSeries":
+        """The series (P_k + Q_k sqrt d_k) / dens_k, dens_k > 0, in canonical
+        form, d as in the class or per coefficient."""
+        s = object.__new__(TruncatedSeries)
+        s._set(order, *_canonical(d, parts, dens))
+        return s
 
-    @staticmethod
-    def zero(order: int) -> "TruncatedSeries":
-        return TruncatedSeries((Fraction(0),) * (order + 1), order)
-
-    @staticmethod
-    def constant(c: Scalar, order: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_coeffs([c], order)
-
-    @staticmethod
-    def x(order: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_coeffs([0, 1], order)
-
-    @staticmethod
-    def geometric(order: int) -> "TruncatedSeries":
-        """1/(1-X) truncated."""
-        return TruncatedSeries.from_coeffs([Fraction(1)] * (order + 1), order)
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as scalars, a Fraction for each rational value."""
+        den, d = self.den, self.d
+        if d is None:
+            return tuple(map(Fraction, self.parts[0], repeat(den)))
+        return tuple(
+            QuadScalar._trusted(e, Fraction(p, den), Fraction(q, den)) if q else Fraction(p, den)
+            for p, q, e in zip(*self.parts, d if type(d) is tuple else repeat(d))
+        )
 
     # -- basics
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
             return self
-        return TruncatedSeries(self.coeffs[: order + 1], order)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)), n
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)), n
-        )
+        d = self.d[: order + 1] if type(self.d) is tuple else self.d
+        return TruncatedSeries._over(order, d, [part[: order + 1] for part in self.parts], [self.den] * (order + 1))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(tuple(out), n)
-
-    def derivative(self) -> "TruncatedSeries":
-        if self.order == 0:
-            return TruncatedSeries.zero(0)
-        return TruncatedSeries(
-            tuple((i + 1) * self.coeffs[i + 1] for i in range(self.order)),
-            self.order - 1,
-        )
+        """The product to the shorter order, on the packed kernel, over the one field of :func:`series_field`."""
+        n, d = min(self.order, other.order), series_field((self, other))
+        f, g = self.truncate(n), other.truncate(n)
+        return TruncatedSeries._over(n, d, _kmul(_kparts(f, d), _kparts(g, d), n + 1, d), [f.den * g.den] * (n + 1))
 
     def is_integral(self) -> bool:
-        """All computed coefficients lie in Z, whatever their type."""
-        return all(c.denominator == 1 if type(c) is Fraction else c.b == 0 and c.a.denominator == 1
-                   for c in self.coeffs)
-
-    def __str__(self) -> str:
-        parts = [f"{c}*X^{n}" for n, c in enumerate(self.coeffs) if c != 0]
-        return " + ".join(parts) if parts else "0"
+        """All computed coefficients lie in Z."""
+        return self.den == 1 and self.d is None
 
     # -- JSON
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [scalar_to_json(c) for c in self.coeffs]}
+        """Each coefficient printed from (P_k, Q_k, den) as :func:`scalars.scalar_to_json` prints its value."""
+        den, d = self.den, self.d
+        if d is None:
+            coeffs = [str(p) for p in self.parts[0]] if den == 1 else [ratio_str(p, den) for p in self.parts[0]]
+        else:
+            coeffs = [
+                {"d": e, "a": ratio_str(p, den), "b": ratio_str(q, den)} if q else ratio_str(p, den)
+                for p, q, e in zip(*self.parts, d if type(d) is tuple else repeat(d))
+            ]
+        return {"order": self.order, "coeffs": coeffs}
 
     @staticmethod
     def from_json(obj: dict, path: str = "") -> "TruncatedSeries":
-        """Decode a series; a malformed one raises :class:`DecodeError`
-        naming its path, e.g. ``coeffs: missing``."""
+        """Decode a series, each coefficient once to ints by :func:`scalars.parse_ratio`,
+        else :func:`scalars.scalar_from_json`; a malformed one raises
+        :class:`DecodeError` naming its path, e.g. ``coeffs: missing``."""
         at = (path + ".") if path else ""
         if not isinstance(obj, dict):
             raise DecodeError(f"{path or 'series'}: expected an object")
         order = json_int(obj, "order", at, low=0, high=MAX_ORDER)
         coeffs = json_list(json_field(obj, "coeffs", at), f"{at}coeffs")
-        return TruncatedSeries.from_coeffs(
-            [scalar_from_json(c, f"{at}coeffs[{i}]") for i, c in enumerate(coeffs)], order
-        )
+        if len(coeffs) > order + 1:  # refused before any entry is read
+            raise DecodeError(f"{at}coeffs: expected at most {order + 1} entries, got {len(coeffs)}")
+        ratios = [parse_ratio(c) or _ratio_of(scalar_from_json(c, f"{at}coeffs[{i}]")) for i, c in enumerate(coeffs)]
+        return TruncatedSeries._over(order, *_split(ratios, order))
+
+
+def _ratio_of(x: Scalar) -> tuple:
+    """(P, e) with x = P / e and e > 0 for a rational value, whatever its
+    type, else (P, e, Q, d) with x = (P + Q sqrt d) / e."""
+    if type(x) is QuadScalar and x.b:
+        a, b = x.a, x.b
+        e = math.lcm(a.denominator, b.denominator)
+        return a.numerator * (e // a.denominator), e, b.numerator * (e // b.denominator), x.d
+    x = rational_value(x)
+    return x.numerator, x.denominator
+
+
+def _split(ratios: list, order: int) -> tuple:
+    """``TruncatedSeries._over``'s (d, parts, dens) for a series' :func:`_ratio_of` tuples, zero-padded."""
+    ratios += [(0, 1)] * (order + 1 - len(ratios))
+    if max(map(len, ratios)) == 2:
+        nums, dens = zip(*ratios)
+        return None, (nums,), dens
+    nums, dens, qs, tags = zip(*[r if len(r) == 4 else (*r, 0, None) for r in ratios])
+    return tags, (nums, qs), dens
+
+
+def _canonical(d, parts, dens) -> tuple:
+    """(d, parts, den) of :class:`TruncatedSeries` for the arguments of its ``_over``."""
+    den = math.lcm(*dens)
+    if den != 1:
+        parts = [[x * (den // e) for x, e in zip(part, dens)] for part in parts]
+        g = math.gcd(den, *[x for part in parts for x in part])  # a list: the args tuple is built at its size
+        if g != 1:
+            den, parts = den // g, [[x // g for x in part] for part in parts]
+    if d is not None:
+        tags = tuple([e if q else None for e, q in zip(d if type(d) is tuple else repeat(d), parts[1])])
+        found = set(tags) - {None}
+        d, parts = (tags if len(found) > 1 else found.pop(), parts) if found else (None, parts[:1])
+    return d, tuple([tuple(part) for part in parts]), den
+
+
+def series_field(series) -> int | None:
+    """:func:`scalars.quadratic_field` of the coefficients of the series, in
+    order, read off their fields."""
+    return one_field(e for s in series for e in (s.d if type(s.d) is tuple else (s.d,)) if e is not None)
+
+
+def _kparts(s: TruncatedSeries, d: int | None) -> tuple:
+    """The numerators of s as a kernel series over Z (d None) or Z[sqrt d]."""
+    p = list(s.parts[0])
+    return (p,) if d is None else (p, list(s.parts[1]) if s.d is not None else [0] * len(p))
 
 
 # ---------------------------------------------------------------------------
@@ -312,25 +335,24 @@ def _kinverse(u: tuple, d: int | None) -> tuple:
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """f(g(X)) to the shared truncation order; requires g(0) = 0.
 
-    The work runs on the packed kernel, over Q or over the one Q(sqrt d) of
-    :func:`quadratic_field`; coefficients from two quadratic fields raise
-    ScalarError.  With D the common denominator of g, g(D X) has
-    coefficients in Z or Z[sqrt d], and with F = D_f f cleared likewise,
-    f(g(X)) = R(X/D) / D_f for R = F(g(D X)).
+    The work runs on the packed kernel over the field of :func:`series_field`.
+    With D the denominator of g, g(D X) has coefficients in Z or Z[sqrt d],
+    and with F = D_f f, f(g(X)) = R(X/D) / D_f for R = F(g(D X)).
     """
-    if g.coeffs[0] != 0:
+    if any(part[0] for part in g.parts):
         raise ValueError("inner series must vanish at origin")
     n = min(f.order, g.order)
-    d = quadratic_field(f.coeffs + g.coeffs)
-    (fk, fden), (gk, gden) = (cleared([s.coeffs[: n + 1]], d) for s in (f, g))
-    scaled = tuple([c * gden ** max(k - 1, 0) for k, c in enumerate(part)] for (part,) in gk)  # g(D X)
-    r = _kcompose(tuple(part for (part,) in fk), scaled, d)
-    return TruncatedSeries(uncleared(r, [fden * gden**k for k in range(n + 1)], d), n)
+    d = series_field((f, g))
+    f, g = f.truncate(n), g.truncate(n)
+    scaled = tuple([c * g.den ** max(k - 1, 0) for k, c in enumerate(part)] for part in _kparts(g, d))  # g(D X)
+    r = _kcompose(_kparts(f, d), scaled, d)
+    return TruncatedSeries._over(n, d, r, [f.den * g.den**k for k in range(n + 1)])
 
 
 def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
     """1/f to f's truncation order; requires f(0) != 0."""
-    c0 = f.coeffs[0]
+    cs = f.coeffs
+    c0 = cs[0]
     if c0 == 0:
         raise ValueError("series with zero constant term has no reciprocal")
     inv0 = Fraction(1) / c0 if isinstance(c0, Fraction) else c0.inverse()
@@ -338,8 +360,8 @@ def reciprocal(f: TruncatedSeries) -> TruncatedSeries:
     for n in range(1, f.order + 1):
         s = None
         for i in range(1, n + 1):
-            if i < len(f.coeffs) and f.coeffs[i] != 0:
-                t = f.coeffs[i] * out[n - i]
+            if cs[i] != 0:
+                t = cs[i] * out[n - i]
                 s = t if s is None else s + t
         out.append(-(s * inv0) if s is not None else Fraction(0))
     return TruncatedSeries(tuple(out), f.order)
@@ -351,37 +373,41 @@ def compositional_inverse(f: TruncatedSeries) -> TruncatedSeries:
     Requires f(0) = 0 and f'(0) != 0.  When f has integer coefficients and
     f'(0) = +-1 the result again has integer coefficients.
 
-    The work runs on the packed integer kernel, over Q or over the one
-    Q(sqrt d) of :func:`quadratic_field`, a rational coefficient lifted as
-    (a, 0).  With c = f'(0) and D the common denominator of f/c, the series
-    u(X) = f(D X) / (c D) is X plus integral terms, so its inverse v comes
-    from integral Newton steps, and [X^k] g = v_k / (c^k D^(k-1)).
-    Coefficients from two quadratic fields raise ScalarError.
+    The work runs on the packed kernel over the field of :func:`series_field`.
+    With f = (P + Q sqrt d) / D, the slope c has 1/c = D w / N for w = 1 and
+    N = P_1 when c is rational, else w = P_1 - Q_1 sqrt d and
+    N = P_1^2 - d Q_1^2.  Then f_k / c = H_k / N for H_k = (P_k + Q_k sqrt d) w,
+    and with E the denominator of those, u(X) = f(E X) / (c E) =
+    X + sum_k (f_k / c) E^(k-1) X^k is integral, so its inverse v comes from
+    integral Newton steps, and [X^k] g = v_k (D w)^k / (N^k E^(k-1)).
     """
-    if f.coeffs[0] != 0:
+    if any(part[0] for part in f.parts):
         raise ValueError("series must vanish at origin")
-    if f.order < 1 or f.coeffs[1] == 0:
+    if f.order < 1 or not any(part[1] for part in f.parts):
         raise ValueError("series needs a unit linear coefficient")
-    d = quadratic_field(f.coeffs)
-    c = f.coeffs[1]
-    ci = 1 / (rational_value(c) or c)  # a rational slope scales in Q
-    h = [x * ci for x in f.coeffs[2:]]
-    parts, den = cleared([h], d)
-    cols = [row for row, in parts]
-    # u = X + sum_k (f_k / c) D^(k-1) X^k, integral
-    u = tuple([0, int(j == 0)] + [y * den**k for k, y in enumerate(col)] for j, col in enumerate(cols))
+    d = series_field((f,))
+    n, ps = f.order, f.parts[0]
+    qs = f.parts[1] if f.d is not None else (0,) * (n + 1)
+    w, big_n = ((1, 0), ps[1]) if not qs[1] else ((ps[1], -qs[1]), ps[1] ** 2 - d * qs[1] ** 2)
+    h = [_zmul(pq, w, d) for pq in zip(ps[2:], qs[2:])]
+    g = math.gcd(big_n, *[x for pair in h for x in pair])
+    sign, e = (1 if big_n > 0 else -1), abs(big_n) // g  # f_k / c = (sign H_k / g) / E
+    # u = X + sum_k (f_k / c) E^(k-1) X^k, integral
+    u = tuple([0, int(j == 0)] + [x[j] * sign // g * e**k for k, x in enumerate(h)] for j in range(1 + (d is not None)))
     v = _kinverse(u, d)
-    out = [Fraction(0)]
-    scale = ci  # c^-k D^-(k-1)
-    for k in range(1, f.order + 1):
-        if d is None:
-            out.append(v[0][k] * scale)
-        elif type(scale) is Fraction:
-            out.append(QuadScalar._trusted(d, v[0][k] * scale, v[1][k] * scale))
-        else:
-            out.append(QuadScalar._trusted(d, Fraction(v[0][k]), Fraction(v[1][k])) * scale)
-        scale = scale * ci / den
-    return TruncatedSeries(tuple(out), f.order)
+    vq = v[-1] if d is not None else [0] * (n + 1)
+    step, power, nums = (sign * f.den * w[0], sign * f.den * w[1]), (1, 0), [(0, 0)]
+    for k in range(1, n + 1):  # [X^k] g = v_k (sign D w)^k / (|N|^k E^(k-1))
+        power = _zmul(power, step, d)
+        nums.append(_zmul((v[0][k], vq[k]), power, d))
+    dens = [1] + [abs(big_n) ** k * e ** (k - 1) for k in range(1, n + 1)]
+    return TruncatedSeries._over(n, d, [list(x) for x in zip(*nums)][: 1 + (d is not None)], dens)
+
+
+def _zmul(x: tuple, y: tuple, d: int | None) -> tuple:
+    """(a + b sqrt d)(a' + b' sqrt d) on int pairs; over Z (d None) b' = 0 or b = b' = 0."""
+    (a, b), (a2, b2) = x, y
+    return a * a2 + (d * b * b2 if b2 else 0), a * b2 + b * a2
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +435,7 @@ def radius_lower_bound(
             raise ScalarError("integrality asserted but computed coefficients are not integers")
         return RadiusReport(v, 1.0, True)
     best = math.inf
-    for idx in range(1, f.order + 1):
-        c = f.coeffs[idx]
+    for idx, c in enumerate(f.coeffs[1:], 1):
         if c == 0:
             continue
         a = abs_at_place(c, v)
@@ -462,14 +487,12 @@ def globally_bounded_scan(f: TruncatedSeries, prime_bound: int) -> GloballyBound
     keep entering the denominator support late in the scan; the witness (n, p)
     satisfies |a_n|_p > 1.  Everything else is inconclusive.
     """
-    dens = []
+    if f.d is not None:
+        raise ScalarError("globally-bounded scan is defined over rational coefficients")
+    dens = [f.den // math.gcd(p, f.den) for p in f.parts[0]]
     first: dict[int, int] = {}  # each distinct denominator and where it first appears
-    for c in f.coeffs:
-        r = rational_value(c)
-        if r is None:
-            raise ScalarError("globally-bounded scan is defined over rational coefficients")
-        first.setdefault(r.denominator, len(dens))
-        dens.append(r.denominator)
+    for n, den in enumerate(dens):
+        first.setdefault(den, n)
 
     entry: dict[int, int] = {}
     for den, n in first.items():  # in order of n, so a prime keeps its first n
@@ -522,13 +545,13 @@ def eval_with_tail_bound(
     if v.is_finite():
         absx = abs_at_place(x, v)  # refuses an x that is not rational-valued
         x = rational_value(x)
-        if all(type(c) is Fraction for c in f.coeffs):  # Horner on ints, from the top:
-            ((nums,),), den = cleared([f.coeffs], None)  # sum N_n a^n b^(N-n) / (L b^N) for x = a/b
-            total, bpow = nums[-1], 1
-            for c in reversed(nums[:-1]):
+        if f.d is None:  # Horner on the numerators, from the top:
+            nums = reversed(f.parts[0])  # sum P_n a^n b^(N-n) / (D b^N) for x = a/b
+            total, bpow = next(nums), 1
+            for c in nums:
                 bpow *= x.denominator
                 total = total * x.numerator + c * bpow
-            total = Fraction(total, den * bpow)
+            total = Fraction(total, f.den * bpow)
         else:  # term by term from c_0, the order in which two fields' scalars meet
             total = sum((c * x**n for n, c in enumerate(f.coeffs[1:], 1)), f.coeffs[0])
         if integral_tail:
@@ -543,13 +566,14 @@ def eval_with_tail_bound(
         return EvalResult(total, tail, True)
 
     # archimedean: float partial sum, geometric tail from trailing ratios
-    if any(isinstance(c, QuadScalar) and c.d < 0 and c.b != 0 for c in (x, *f.coeffs)):
+    cs = f.coeffs
+    if any(isinstance(c, QuadScalar) and c.d < 0 and c.b != 0 for c in (x, *cs)):
         raise ScalarError("archimedean evaluation over imaginary quadratic scalars is not supported")
     xf = arch_value(x, v)
-    mags = [abs_at_place(c, v) for c in f.coeffs]
+    mags = [abs_at_place(c, v) for c in cs]
     total_f = 0.0
     for n in range(f.order, -1, -1):
-        total_f = total_f * xf + arch_value(f.coeffs[n], v)
+        total_f = total_f * xf + arch_value(cs[n], v)
     ratios = [
         mags[i] / mags[i - 1]
         for i in range(max(1, f.order - 4), f.order + 1)

@@ -3,6 +3,8 @@
 import functools
 import operator
 import random
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -20,9 +22,9 @@ from periodrel.relations import (
     RelationError,
     quadratic_relation_polys,
 )
-from periodrel.scalars import DecodeError, Place, QuadScalar, Scalar, json_field, json_int, json_list
+from periodrel.scalars import QUOTE_CAP, DecodeError, Place, QuadScalar, Scalar, ScalarError, json_field, json_int, json_list
 from periodrel.scalars import scalar_from_json, scalar_to_json, valuation
-from periodrel.series import TruncatedSeries
+from periodrel.series import MAX_ORDER, TruncatedSeries
 from periodrel.symplectic import IsotropicFrame, SymplecticSample, pairing, sample_symplectic
 from periodrel.trivial_ideal import (
     MembershipVerdict,
@@ -66,6 +68,144 @@ def horner(coeffs, x):
     return total
 
 
+def series_zero(order: int) -> TruncatedSeries:
+    return TruncatedSeries([], order)
+
+
+def series_constant(c, order: int) -> TruncatedSeries:
+    return TruncatedSeries([c], order)
+
+
+def series_x(order: int) -> TruncatedSeries:
+    return TruncatedSeries([0, 1], order)
+
+
+def geometric(order: int) -> TruncatedSeries:
+    """1/(1-X) truncated."""
+    return TruncatedSeries([1] * (order + 1), order)
+
+
+def series_add(f: TruncatedSeries, g: TruncatedSeries, sign: int = 1) -> TruncatedSeries:
+    """f + g, or f - g for sign -1, coefficient by coefficient over the
+    scalars, to the shorter order."""
+    n = min(f.order, g.order)
+    return TruncatedSeries(tuple(a + sign * b for a, b in zip(f.coeffs[: n + 1], g.coeffs)), n)
+
+
+def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """f g to the shorter order by schoolbook scalar products, any scalar
+    kind: the former ``TruncatedSeries.__mul__``, kept as the oracle for the
+    packed kernel."""
+    n = min(f.order, g.order)
+    out = [Fraction(0)] * (n + 1)
+    mine, theirs = f.coeffs, g.coeffs
+    for i, a in enumerate(mine[: n + 1]):
+        if a == 0:
+            continue
+        for j in range(0, n + 1 - i):
+            b = theirs[j]
+            if b != 0:
+                out[i + j] = out[i + j] + a * b
+    return TruncatedSeries(tuple(out), n)
+
+
+def derivative(f: TruncatedSeries) -> TruncatedSeries:
+    """d/dX f, to one order less (order 0 stays 0)."""
+    cs = f.coeffs
+    return TruncatedSeries([(i + 1) * cs[i + 1] for i in range(f.order)], max(f.order - 1, 0))
+
+
+def gfun_matrix(g: int, grid, integral=False) -> GFunMatrix:
+    """A GFunMatrix of a nested list of series."""
+    return GFunMatrix(g, tuple(tuple(row) for row in grid), integral)
+
+
+def gfun_add(f: GFunMatrix, g: GFunMatrix) -> GFunMatrix:
+    """The entrywise sum, integral where both entries are."""
+    flags = tuple(tuple(a and b for a, b in zip(ra, rb)) for ra, rb in zip(f.integral, g.integral))
+    entries = tuple(tuple(series_add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(f.entries, g.entries))
+    return GFunMatrix(f.g, entries, flags)
+
+
+def family_to_json(fam: GaussManinCoefficients) -> dict:
+    """A coefficient family in the JSON form ``GaussManinCoefficients.from_json`` reads."""
+    a = [[[s.to_json() for s in row] for row in block] for block in fam.series]
+    return {"g": fam.g, "N": fam.deriv_order, "integral": fam.integral, "a": a}
+
+
+def frac_by_fraction(s, path: str) -> Fraction:
+    """The former ``scalars._frac_parse``, every string through ``Fraction``
+    but a plain integer: the oracle for the one ASCII parser."""
+    if isinstance(s, int):
+        return Fraction(s)
+    try:
+        if isinstance(s, str) and (s[1:] if s[:1] == "-" else s).isdecimal():
+            return Fraction(int(s))
+        return Fraction(str(s))
+    except (ValueError, ZeroDivisionError):
+        quoted = repr(s)
+        quoted = quoted if len(quoted) <= QUOTE_CAP else quoted[:QUOTE_CAP] + "..."
+        limit = sys.get_int_max_str_digits()
+        if limit and max(map(len, re.findall(r"\d+", str(s))), default=0) > limit:
+            raise DecodeError(f"{path}: a number past the limit of {limit} digits: {quoted}")
+        raise DecodeError(f"{path}: not a rational number: {quoted}")
+
+
+def scalar_by_fraction(obj, path: str) -> Scalar:
+    """The former ``scalars.scalar_from_json``, on :func:`frac_by_fraction`."""
+    if not isinstance(obj, dict):
+        return frac_by_fraction(obj, path)
+    for key in ("d", "a", "b"):
+        if key not in obj:
+            raise DecodeError(f"{path}.{key}: missing")
+    try:
+        d = int(obj["d"])
+    except (TypeError, ValueError):
+        raise DecodeError(f"{path}.d: not an integer: {obj['d']!r}")
+    a, b = frac_by_fraction(obj["a"], f"{path}.a"), frac_by_fraction(obj["b"], f"{path}.b")
+    try:
+        return QuadScalar(d, a, b)
+    except ScalarError as exc:
+        raise DecodeError(f"{path}.d: {exc}")
+
+
+def series_by_scalars(obj, path: str = "") -> tuple:
+    """(order, coefficients) by the former ``TruncatedSeries.from_json``, one
+    scalar per coefficient, zero-padded; with the refusal of a list longer
+    than order + 1 that the cleared decoder added.  The oracle for it."""
+    at = (path + ".") if path else ""
+    if not isinstance(obj, dict):
+        raise DecodeError(f"{path or 'series'}: expected an object")
+    order = json_int(obj, "order", at, low=0, high=MAX_ORDER)
+    coeffs = json_list(json_field(obj, "coeffs", at), f"{at}coeffs")
+    if len(coeffs) > order + 1:
+        raise DecodeError(f"{at}coeffs: expected at most {order + 1} entries, got {len(coeffs)}")
+    values = [scalar_by_fraction(c, f"{at}coeffs[{i}]") for i, c in enumerate(coeffs)]
+    return order, tuple(values + [Fraction(0)] * (order + 1 - len(values)))
+
+
+def series_json_by_scalars(order: int, values) -> dict:
+    """The former ``TruncatedSeries.to_json``, one scalar at a time."""
+    return {"order": order, "coeffs": [scalar_to_json(c) for c in values]}
+
+
+def integral_by_scalars(values) -> bool:
+    """The former ``TruncatedSeries.is_integral``, whatever the scalars' types."""
+    return all(c.denominator == 1 if type(c) is Fraction else c.b == 0 and c.a.denominator == 1 for c in values)
+
+
+def gfun_by_scalars(obj) -> list:
+    """The entries of a gfun document whose ``g`` and ``integral`` are well
+    formed, each by :func:`series_by_scalars`, and then GFunMatrix's checks
+    in its order: one truncation order, then the integrality asserted."""
+    entries = [[series_by_scalars(s, f"entries[{i}][{j}]") for j, s in enumerate(row)] for i, row in enumerate(obj["entries"])]
+    if len({order for row in entries for order, _ in row}) > 1:
+        raise DecodeError("entries: entries must share one truncation order")
+    if obj.get("integral") is True and not all(integral_by_scalars(v) for row in entries for _, v in row):
+        raise DecodeError("entries: integrality asserted but computed coefficients are not integers")
+    return entries
+
+
 def compose_generic(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """f(g) by Horner over schoolbook scalar products, any scalar kind: the
     former generic path of ``series.compose``, kept as the oracle for its
@@ -73,9 +213,9 @@ def compose_generic(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     n = min(f.order, g.order)
     g = g.truncate(n)
     # Horner from the top coefficient down
-    acc = TruncatedSeries.constant(f.coeffs[n], n)
+    acc = series_constant(f.coeffs[n], n)
     for i in range(n - 1, -1, -1):
-        acc = acc * g + TruncatedSeries.constant(f.coeffs[i], n)
+        acc = series_add(series_mul(acc, g), series_constant(f.coeffs[i], n))
     return acc
 
 
@@ -91,23 +231,23 @@ def derive_generic(f: GFunMatrix, a: GaussManinCoefficients, out_order: int) -> 
         for s in row:
             chain = [s]
             for _ in range(n):
-                chain.append(chain[-1].derivative())
+                chain.append(derivative(chain[-1]))
             derivs[-1].append([c.truncate(out_order) for c in chain])
     out = []
     for i in range(1, g + 1):
         row = []
         for j in range(1, g + 1):
-            acc = TruncatedSeries.zero(out_order)
+            acc = series_zero(out_order)
             for k in range(0, n + 1):
                 for l in range(1, g + 1):
                     coeff = a.a(i, k, l)
-                    if coeff.is_zero():
+                    if not any(coeff.coeffs):
                         continue
-                    term = coeff.truncate(out_order) * derivs[l - 1][j - 1][k]
-                    acc = acc + term
+                    term = series_mul(coeff.truncate(out_order), derivs[l - 1][j - 1][k])
+                    acc = series_add(acc, term)
             row.append(acc)
         out.append(row)
-    return GFunMatrix.from_series(g, out)
+    return gfun_matrix(g, out)
 
 
 def inverse_generic(f: TruncatedSeries) -> TruncatedSeries:
@@ -120,16 +260,30 @@ def inverse_generic(f: TruncatedSeries) -> TruncatedSeries:
     inv1 = Fraction(1) / c1 if isinstance(c1, Fraction) else c1.inverse()
     # zero-pad the derivative to order n: with doubling precision the padded
     # coefficient only ever multiplies into orders beyond the truncation
-    fprime = TruncatedSeries.from_coeffs(list(f.derivative().coeffs), n)
-    g = TruncatedSeries.from_coeffs([0, inv1], 1)
+    fprime = TruncatedSeries(list(derivative(f).coeffs), n)
+    g = TruncatedSeries([0, inv1], 1)
     prec = 1
     while prec < n:
         prec = min(2 * prec, n)
-        gk = TruncatedSeries.from_coeffs(list(g.coeffs), prec)
-        err = compose_generic(f.truncate(prec), gk) - TruncatedSeries.x(prec)
-        corr = err * series.reciprocal(compose_generic(fprime.truncate(prec), gk))
-        g = gk - corr
+        gk = TruncatedSeries(list(g.coeffs), prec)
+        err = series_add(compose_generic(f.truncate(prec), gk), series_x(prec), -1)
+        corr = series_mul(err, series.reciprocal(compose_generic(fprime.truncate(prec), gk)))
+        g = series_add(gk, corr, -1)
     return g
+
+
+def solve(a, rhs) -> list | None:
+    """Solve a x = rhs exactly; None when the system has no solution.  An
+    underdetermined system gets the solution whose free variables are zero,
+    pivots scanned in column order."""
+    x = mx._solve(a, [[y] for y in rhs])[0]
+    return None if x is None else [v for v, in x]
+
+
+def solve_nonsingular(a, rhs) -> list | None:
+    """Solve a square system a x = rhs in one elimination; None when a is singular."""
+    x, r = mx._solve(a, [[y] for y in rhs])
+    return [v for v, in x] if r == len(a) else None
 
 
 def unfreeze(m) -> list:
@@ -407,7 +561,7 @@ def synthesize_by_fractions(act: EndomorphismAction, seed: int) -> tuple:
                 row[l * g + i] = row[l * g + i] - act.D[l][j]
             lin.append(row)
     fb = mat_mul_generic(ft, act.B)
-    sol = mx.solve_nonsingular(lin, [fb[i][j] for j in range(g) for i in range(g)])
+    sol = solve_nonsingular(lin, [fb[i][j] for j in range(g) for i in range(g)])
     if sol is None:
         raise RelationError("endomorphism spectra force coupling; supply F manually")
     return m, f, mx.freeze(sol[j * g : j * g + g] for j in range(g))
@@ -546,7 +700,7 @@ def complete_to_symplectic_basis(frame: IsotropicFrame) -> SymplecticSample:
         # <w_k, u> = delta_{k jj} for all k
         system = mx.freeze([[_jrow(cols[k], c) for c in range(n)] for k in range(g)])
         rhs = [Fraction(int(k == jj)) for k in range(g)]
-        u = mx.solve(system, rhs)
+        u = solve(system, rhs)
         if u is None:
             raise ValueError("frame not full rank")
         # kill pairings with already-built duals by adding frame columns
@@ -584,7 +738,7 @@ def conjugate(x: Scalar) -> Scalar:
 def identity_family(g: int, order: int) -> GaussManinCoefficients:
     """a[i][0][l] = delta_il, no derivative terms: derived matrix = input."""
     series = tuple(
-        (tuple(TruncatedSeries.constant(Fraction(int(i == l)), order) for l in range(1, g + 1)),)
+        (tuple(series_constant(Fraction(int(i == l)), order) for l in range(1, g + 1)),)
         for i in range(1, g + 1)
     )
     return GaussManinCoefficients(g, 0, series, integral=True)

@@ -46,6 +46,8 @@ from periodrel.trivial_ideal import (
 from helpers import (
     assemble_global_relation,
     expected_witness_value,
+    gfun_add,
+    gfun_matrix,
     horner,
     identity_family,
     matrix_at,
@@ -53,6 +55,8 @@ from helpers import (
     random_action,
     sampled_points,
     select_nontrivial_entry,
+    series_constant,
+    series_x,
     standard_form,
 )
 
@@ -272,14 +276,14 @@ def test_criterion_8_series_suite():
     rng = random.Random(88)
     for _ in range(100):
         coeffs = [0, rng.choice((1, -1))] + [rng.randint(-5, 5) for _ in range(29)]
-        f = TS.from_coeffs(coeffs, 30)
+        f = TS(coeffs, 30)
         ginv = compositional_inverse(f)
-        assert compose(f, ginv) == TS.x(30)
-        assert compose(ginv, f) == TS.x(30)
+        assert compose(f, ginv) == series_x(30)
+        assert compose(ginv, f) == series_x(30)
         assert ginv.is_integral()
 
     n = 30
-    expser = TS.from_coeffs([Fraction(1, math.factorial(k)) for k in range(n + 1)], n)
+    expser = TS([Fraction(1, math.factorial(k)) for k in range(n + 1)], n)
     rep = globally_bounded_scan(expser, 30)
     assert rep.verdict == "unbounded_evidence"
     wn, wp = rep.witness
@@ -289,12 +293,12 @@ def test_criterion_8_series_suite():
     for k in range(50):
         c.append(c[-1] * 4 * (2 * k + 1) ** 2 / (k + 1) ** 2)
     assert all(x.denominator == 1 for x in c)
-    assert globally_bounded_scan(TS.from_coeffs(c, 50), 50).verdict == "bounded"
+    assert globally_bounded_scan(TS(c, 50), 50).verdict == "bounded"
 
     # p-adic evaluation self-consistency, exact via valuations
     for trial in range(20):
         coeffs = [rng.randint(-9, 9) for _ in range(31)]
-        f = TS.from_coeffs(coeffs, 30)
+        f = TS(coeffs, 30)
         p = rng.choice((2, 3, 5))
         x = Fraction(p, rng.choice((7, 11)))
         n1 = rng.randint(5, 20)
@@ -314,32 +318,32 @@ def test_criterion_9_gfun_pipeline():
     c = [Fraction(1)]
     for k in range(order):
         c.append(c[-1] * Fraction((2 * k + 1) ** 2, (2 * k + 2) ** 2))
-    fixture = TS.from_coeffs(c, order)
+    fixture = TS(c, order)
     for k in range(order + 1):
         assert fixture.coeffs[k] == Fraction(math.comb(2 * k, k) ** 2, 16**k)
-    f = GFunMatrix.from_series(1, [[fixture]])
-    a0 = TS.constant(Fraction(-1, 4), order)
-    a1 = TS.from_coeffs([1, -2], order)
-    a2 = TS.from_coeffs([0, 1, -1], order)
+    f = gfun_matrix(1, [[fixture]])
+    a0 = series_constant(Fraction(-1, 4), order)
+    a1 = TS([1, -2], order)
+    a2 = TS([0, 1, -1], order)
     fam = GaussManinCoefficients(1, 2, ((tuple([a0]), tuple([a1]), tuple([a2])),))
     derived = derive_G(f, fam)
     assert derived.order == 30
-    assert derived.entries[0][0].is_zero()
+    assert not any(derived.entries[0][0].coeffs)
 
     # linearity
     rng = random.Random(9)
     g, order = 2, 12
-    mk = lambda: GFunMatrix.from_series(
+    mk = lambda: gfun_matrix(
         g,
         [
-            [TS.from_coeffs([Fraction(rng.randint(-3, 3)) for _ in range(order + 1)], order) for _ in range(g)]
+            [TS([Fraction(rng.randint(-3, 3)) for _ in range(order + 1)], order) for _ in range(g)]
             for _ in range(g)
         ],
     )
     fam2 = identity_family(g, order)
     f1, f2 = mk(), mk()
-    lhs = derive_G(f1 + f2, fam2)
-    rhs = derive_G(f1, fam2) + derive_G(f2, fam2)
+    lhs = derive_G(gfun_add(f1, f2), fam2)
+    rhs = gfun_add(derive_G(f1, fam2), derive_G(f2, fam2))
     for i in range(g):
         for j in range(g):
             assert lhs.entries[i][j] == rhs.entries[i][j]

@@ -14,7 +14,17 @@ from periodrel.cli import build_parser, dispatch
 from periodrel.polyalg import DEGREE_CAP
 from periodrel.series import TruncatedSeries
 
-from helpers import horner, identity_family, poly_matrix_to_json, random_action, unfreeze
+from helpers import (
+    family_to_json,
+    geometric,
+    gfun_matrix,
+    horner,
+    identity_family,
+    poly_matrix_to_json,
+    random_action,
+    series_zero,
+    unfreeze,
+)
 
 
 def run(capsys, argv):
@@ -74,6 +84,10 @@ DECODE_INPUTS = {
     "F-not-integral.json": {"g": 1, "integral": True, "entries": [[{"order": 3, "coeffs": ["1/2", "1", "0", "0"]}]]},
     "F-mixed-orders.json": {"g": 2, "entries": [[{"order": 3, "coeffs": ["0", "1", "0", "0"]}, SERIES]] * 2},
     "F-integral-number.json": {"g": 1, "integral": 1, "entries": [[SERIES]]},
+    "F-g-true.json": {"g": True, "entries": [[SERIES]]},
+    "series-order-2.5.json": {"order": 2.5, "coeffs": ["0"]},
+    "series-too-long.json": {"order": 1, "coeffs": ["0", "1", "0"]},
+    "poly-exponent-1.5.json": [{"coeff": "1", "monomial": [["Y", 1, 1, 1.5]]}],
     **{f"poly-{k}.json": [{"coeff": "1", "monomial": [["Z", 1, 1, 1], e]}] for k, (e, _) in VARIABLE_ENTRIES.items()},
     **{f"rel-{k}.json": {"rows": 1, "cols": 1, "entries": [[[{"coeff": "1", "monomial": [["Z", 1, 1, 1], e]}]]]}
        for k, (e, _) in VARIABLE_ENTRIES.items()},
@@ -109,6 +123,13 @@ DECODE_ERRORS = {
     ("gfun", "check", "--F", "F-mixed-orders.json", "--G", "F-mixed-orders.json", "--data", "data-g1.json",
      "--x", "5", "--place", "5"): "entries: entries must share one truncation order",
     ("gfun", "derive", "--F", "F-integral-number.json", "--a", "a.json"): "integral: expected a bool or a list",
+    # a bool or a float with a fractional part is not an integer (int() read them as 1 and 1)
+    ("gfun", "derive", "--F", "F-g-true.json", "--a", "a.json"): "g: not an integer: True",
+    ("series", "radius", "--series", "series-order-2.5.json", "--place", "arch"): "order: not an integer: 2.5",
+    ("ideal", "member", "--poly", "poly-exponent-1.5.json", "--g", "1"): (
+        "poly[0].monomial[0].exponent: not an integer: 1.5"
+    ),
+    ("series", "invert", "--series", "series-too-long.json"): "coeffs: expected at most 2 entries, got 3",
     ("series", "invert", "--series", "unread.json", "--order", "-1"): "--order must be >= 0, got -1",
     ("ideal", "member", "--poly", "unread.json", "--g", "2", "--budget", "-1"): "--budget must be >= 0, got -1",
     ("symplectic", "sample", "--g", "2", "--word-length", "-1"): "--word-length must be >= 0, got -1",
@@ -163,6 +184,19 @@ def test_out_of_range_arguments_exit_2_with_json(argv, tmp_path):
     assert set(doc) == {"error"}
     assert doc["error"] == DECODE_ERRORS.get(tuple(argv), doc["error"])
     assert proc.stderr == ""
+
+
+def test_an_over_long_coefficient_list_is_refused_before_it_is_read(tmp_path):
+    # a million coefficients for an order-1 series: refused on its length,
+    # not decoded and dropped
+    (tmp_path / "long.json").write_text(json.dumps({"order": 1, "coeffs": ["0"] * 10**6}))
+    start = time.perf_counter()
+    proc = run_process(["series", "radius", "--series", "long.json", "--place", "arch"], tmp_path)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == (
+        2, {"error": "coeffs: expected at most 2 entries, got 1000000"}, ""
+    )
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(
@@ -546,7 +580,7 @@ def test_unwritable_out_file_exits_1_with_json(tmp_path):
 
 
 def test_interleaved_dispatch_matches_fresh_processes(tmp_path, capsys, monkeypatch):
-    (tmp_path / "f.json").write_text(json.dumps(TruncatedSeries.from_coeffs([0, 1, 2, -1, 3]).to_json()))
+    (tmp_path / "f.json").write_text(json.dumps(TruncatedSeries([0, 1, 2, -1, 3]).to_json()))
     argvs = [
         ["ideal", "gens", "--g", "2", "--pretty"],
         ["series", "invert", "--series", "f.json"],
@@ -659,7 +693,7 @@ def test_relation_case3_subcommand(capsys):
 
 
 def test_series_subcommands(tmp_path, capsys):
-    f = TruncatedSeries.from_coeffs([0, 1, 1], 6)
+    f = TruncatedSeries([0, 1, 1], 6)
     series_file = tmp_path / "s.json"
     series_file.write_text(json.dumps(f.to_json()))
     code, doc = run_json(capsys, ["series", "invert", "--series", str(series_file)])
@@ -673,7 +707,7 @@ def test_series_subcommands(tmp_path, capsys):
     assert code == 0
     assert doc["result"]["lower_bound"] == 1.0 and doc["result"]["certified"]
 
-    exp = TruncatedSeries.from_coeffs(
+    exp = TruncatedSeries(
         [Fraction(1, math.factorial(n)) for n in range(21)], 20
     )
     exp_file = tmp_path / "exp.json"
@@ -686,7 +720,7 @@ def test_series_subcommands(tmp_path, capsys):
     assert doc["result"]["witness"] is not None
 
     geo_file = tmp_path / "geo.json"
-    geo_file.write_text(json.dumps(TruncatedSeries.geometric(10).to_json()))
+    geo_file.write_text(json.dumps(geometric(10).to_json()))
     code, doc = run_json(
         capsys,
         ["series", "eval", "--series", str(geo_file), "--x", "2", "--place", "2", "--integral-tail"],
@@ -696,7 +730,7 @@ def test_series_subcommands(tmp_path, capsys):
 
 
 def test_series_eval_float_overflow_exits_1_with_json(tmp_path):
-    (tmp_path / "geo.json").write_text(json.dumps(TruncatedSeries.geometric(5).to_json()))
+    (tmp_path / "geo.json").write_text(json.dumps(geometric(5).to_json()))
     proc = run_process(["series", "eval", "--series", "geo.json", "--x", "1e300", "--place", "arch"], tmp_path)
     assert proc.returncode == 1
     doc, end = json.JSONDecoder().raw_decode(proc.stdout)
@@ -716,7 +750,7 @@ def test_negative_values_may_follow_their_flag(capsys):
 
 def test_series_eval_outside_disc_fails(tmp_path, capsys):
     geo_file = tmp_path / "geo.json"
-    geo_file.write_text(json.dumps(TruncatedSeries.geometric(5).to_json()))
+    geo_file.write_text(json.dumps(geometric(5).to_json()))
     code, out = run(
         capsys,
         ["series", "eval", "--series", str(geo_file), "--x", "1/2", "--place", "2", "--integral-tail"],
@@ -728,11 +762,11 @@ def test_series_eval_outside_disc_fails(tmp_path, capsys):
 def test_gfun_derive_subcommand(tmp_path, capsys):
     from periodrel.gfun import GFunMatrix
 
-    f = GFunMatrix.from_series(1, [[TruncatedSeries.geometric(8)]])
+    f = gfun_matrix(1, [[geometric(8)]])
     fam = identity_family(1, 8)
     f_file, a_file = tmp_path / "F.json", tmp_path / "a.json"
     f_file.write_text(json.dumps(f.to_json()))
-    a_file.write_text(json.dumps(fam.to_json()))
+    a_file.write_text(json.dumps(family_to_json(fam)))
     code, doc = run_json(capsys, ["gfun", "derive", "--F", str(f_file), "--a", str(a_file)])
     assert code == 0
     assert doc["result"]["G"]["entries"][0][0]["coeffs"] == ["1"] * 9
@@ -741,11 +775,11 @@ def test_gfun_derive_subcommand(tmp_path, capsys):
 def test_gfun_radii_subcommand(tmp_path, capsys):
     from periodrel.gfun import GFunMatrix
 
-    f = GFunMatrix.from_series(1, [[TruncatedSeries.geometric(8)]], integral=True)
+    f = gfun_matrix(1, [[geometric(8)]], integral=True)
     fam = identity_family(1, 8)
     f_file, a_file = tmp_path / "F.json", tmp_path / "a.json"
     f_file.write_text(json.dumps(f.to_json()))
-    a_file.write_text(json.dumps(fam.to_json()))
+    a_file.write_text(json.dumps(family_to_json(fam)))
     code, doc = run_json(
         capsys,
         [
@@ -763,10 +797,10 @@ def test_gfun_check_subcommand(tmp_path, capsys):
     from periodrel.gfun import GFunMatrix
 
     order = 8
-    f = GFunMatrix.from_series(1, [[TruncatedSeries.geometric(order)]], integral=True)
-    gz = GFunMatrix.from_series(1, [[TruncatedSeries.zero(order)]], integral=True)
+    f = gfun_matrix(1, [[geometric(order)]], integral=True)
+    gz = gfun_matrix(1, [[series_zero(order)]], integral=True)
     x = Fraction(5)
-    ref = horner(TruncatedSeries.geometric(order).coeffs, x)
+    ref = horner(geometric(order).coeffs, x)
     data = {
         "g": 1,
         "M": [["1"]],

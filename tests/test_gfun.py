@@ -12,10 +12,22 @@ from periodrel.gfun import (
     compute_radii,
     derive_G,
 )
-from periodrel.scalars import Place, QuadScalar
+from periodrel.scalars import DecodeError, Place, QuadScalar
 from periodrel.series import TruncatedSeries
 
-from helpers import derive_generic, horner, identity_family, radius_at
+from helpers import (
+    derivative,
+    derive_generic,
+    family_to_json,
+    geometric,
+    gfun_add,
+    gfun_matrix,
+    horner,
+    identity_family,
+    radius_at,
+    series_constant,
+    series_zero,
+)
 
 TS = TruncatedSeries
 
@@ -26,7 +38,7 @@ def hypergeometric_fixture(order: int) -> TS:
     c = [Fraction(1)]
     for n in range(order):
         c.append(c[-1] * Fraction((2 * n + 1) ** 2, (2 * n + 2) ** 2))
-    return TS.from_coeffs(c, order)
+    return TS(c, order)
 
 
 def test_hypergeometric_fixture_against_binomials():
@@ -40,7 +52,7 @@ def constant_family(g, order, consts):
     n = len(consts[0]) - 1
     series = tuple(
         tuple(
-            tuple(TS.constant(Fraction(consts[i][k][l]), order) for l in range(g))
+            tuple(series_constant(Fraction(consts[i][k][l]), order) for l in range(g))
             for k in range(n + 1)
         )
         for i in range(g)
@@ -52,10 +64,10 @@ def test_identity_family_returns_input():
     g, order = 2, 12
     rng = random.Random(0)
     grid = [
-        [TS.from_coeffs([rng.randint(-4, 4) for _ in range(order + 1)], order) for _ in range(g)]
+        [TS([rng.randint(-4, 4) for _ in range(order + 1)], order) for _ in range(g)]
         for _ in range(g)
     ]
-    f = GFunMatrix.from_series(g, grid)
+    f = gfun_matrix(g, grid)
     out = derive_G(f, identity_family(g, order))
     for i in range(g):
         for j in range(g):
@@ -65,23 +77,23 @@ def test_identity_family_returns_input():
 def test_single_derivative_family():
     # g = 1, N = 1, a = (0, 1): derived series is the formal derivative
     order = 10
-    f = GFunMatrix.from_series(1, [[TS.geometric(order)]])
+    f = gfun_matrix(1, [[geometric(order)]])
     a = constant_family(1, order, [[[0], [1]]])
     out = derive_G(f, a)
-    assert out.entries[0][0] == TS.geometric(order).derivative().truncate(order - 1)
+    assert out.entries[0][0] == derivative(geometric(order)).truncate(order - 1)
 
 
 def test_picard_fuchs_family_annihilates_hypergeometric():
     # the degree-2 coefficient family X(1-X) d^2 + (1-2X) d - 1/4 kills the
     # fixture; the oracle is the recurrence generator itself
     order = 32
-    f = GFunMatrix.from_series(1, [[hypergeometric_fixture(order)]])
-    a0 = TS.constant(Fraction(-1, 4), order)
-    a1 = TS.from_coeffs([1, -2], order)
-    a2 = TS.from_coeffs([0, 1, -1], order)
+    f = gfun_matrix(1, [[hypergeometric_fixture(order)]])
+    a0 = series_constant(Fraction(-1, 4), order)
+    a1 = TS([1, -2], order)
+    a2 = TS([0, 1, -1], order)
     fam = GaussManinCoefficients(1, 2, ((tuple([a0]), tuple([a1]), tuple([a2])),))
     out = derive_G(f, fam)
-    assert out.entries[0][0].is_zero()
+    assert not any(out.entries[0][0].coeffs)
     assert out.order == order - 2 == 30
 
 
@@ -89,7 +101,7 @@ def test_derivative_matches_recurrence_oracle():
     # G = F' compared against coefficients (n+1) c_{n+1} produced straight
     # from the recurrence
     order = 31
-    f = GFunMatrix.from_series(1, [[hypergeometric_fixture(order)]])
+    f = gfun_matrix(1, [[hypergeometric_fixture(order)]])
     fam = constant_family(1, order, [[[0], [1]]])
     out = derive_G(f, fam)
     c = [Fraction(1)]
@@ -102,18 +114,18 @@ def test_derivative_matches_recurrence_oracle():
 def test_derive_is_linear_in_f():
     g, order = 2, 10
     rng = random.Random(1)
-    mk = lambda: GFunMatrix.from_series(
+    mk = lambda: gfun_matrix(
         g,
         [
-            [TS.from_coeffs([Fraction(rng.randint(-3, 3)) for _ in range(order + 1)], order) for _ in range(g)]
+            [TS([Fraction(rng.randint(-3, 3)) for _ in range(order + 1)], order) for _ in range(g)]
             for _ in range(g)
         ],
     )
     f1, f2 = mk(), mk()
     consts = [[[rng.randint(-2, 2) for _ in range(g)] for _ in range(3)] for _ in range(g)]
     fam = constant_family(g, order, consts)
-    lhs = derive_G(f1 + f2, fam)
-    rhs = derive_G(f1, fam) + derive_G(f2, fam)
+    lhs = derive_G(gfun_add(f1, f2), fam)
+    rhs = gfun_add(derive_G(f1, fam), derive_G(f2, fam))
     for i in range(g):
         for j in range(g):
             assert lhs.entries[i][j] == rhs.entries[i][j]
@@ -121,7 +133,7 @@ def test_derive_is_linear_in_f():
 
 def test_second_derivative_composes():
     order = 12
-    f = GFunMatrix.from_series(1, [[hypergeometric_fixture(order)]])
+    f = gfun_matrix(1, [[hypergeometric_fixture(order)]])
     once = constant_family(1, order, [[[0], [1]]])
     twice = constant_family(1, order, [[[0], [0], [1]]])
     via_two_steps = derive_G(derive_G(f, once), once)
@@ -134,7 +146,7 @@ def random_scalar_series(rng, order: int, field, zero: bool = False) -> TS:
     as QuadScalars of any d (field "tagged"); or mixing Fraction, such tagged
     values and quadratic values of Q(sqrt field)."""
     if zero:
-        return TS.zero(order)
+        return series_zero(order)
 
     def coeff():
         a = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 16)))
@@ -145,7 +157,7 @@ def random_scalar_series(rng, order: int, field, zero: bool = False) -> TS:
             return QuadScalar(rng.choice((2, 5, 11, -1)), a, 0)
         return QuadScalar(field, a, Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))))
 
-    return TS.from_coeffs([coeff() for _ in range(order + 1)])
+    return TS([coeff() for _ in range(order + 1)])
 
 
 DERIVE_FIELDS = [None, "tagged", 2, 5, -1, -7]
@@ -171,7 +183,7 @@ def test_integer_derive_matches_schoolbook(seed, monkeypatch):
         field = DERIVE_FIELDS[(seed + t) % len(DERIVE_FIELDS)]
         g, n = rng.randint(1, 3), rng.randint(0, 3)
         order = rng.randint(n, n + 12)
-        f = GFunMatrix.from_series(g, [[draw(field, order, 0.2) for _ in range(g)] for _ in range(g)])
+        f = gfun_matrix(g, [[draw(field, order, 0.2) for _ in range(g)] for _ in range(g)])
         a = GaussManinCoefficients(
             g,
             n,
@@ -206,7 +218,7 @@ def test_packed_matrix_product_at_the_slot_edge():
 
 
 def test_insufficient_precision_rejected():
-    f = GFunMatrix.from_series(1, [[TS.geometric(1)]])
+    f = gfun_matrix(1, [[geometric(1)]])
     fam = constant_family(1, 1, [[[0], [0], [1]]])
     with pytest.raises(ValueError, match="insufficient precision"):
         derive_G(f, fam)
@@ -238,7 +250,7 @@ def test_radii_worked_small_and_large_excluded_values():
 def test_radii_archimedean_heuristic_uncertified():
     order = 12
     # coefficient series 1/(1 - 2X): heuristic radius 1/2
-    s = TS.from_coeffs([2**n for n in range(order + 1)], order)
+    s = TS([2**n for n in range(order + 1)], order)
     fam = GaussManinCoefficients(1, 0, (((s,),),))
     r, cert = radius_at(compute_radii(fam, [], [Place.arch()]), Place.arch())
     assert r == pytest.approx(0.5)
@@ -264,9 +276,9 @@ def test_radii_monotone_under_more_inputs():
 
 
 def _constant_matrix_series(g, order, values):
-    return GFunMatrix.from_series(
+    return gfun_matrix(
         g,
-        [[TS.constant(Fraction(values[i][j]), order) for j in range(g)] for i in range(g)],
+        [[series_constant(Fraction(values[i][j]), order) for j in range(g)] for i in range(g)],
         integral=all(Fraction(values[i][j]).denominator == 1 for i in range(g) for j in range(g)),
     )
 
@@ -287,10 +299,10 @@ def test_check_truncation_self_consistency():
     # comparing a series against its own shorter evaluation stays within the
     # tail bound of the shorter truncation
     order_small, order_big = 6, 14
-    f_small = GFunMatrix.from_series(1, [[TS.geometric(order_small)]], integral=True)
-    g_small = GFunMatrix.from_series(1, [[TS.zero(order_small)]], integral=True)
+    f_small = gfun_matrix(1, [[geometric(order_small)]], integral=True)
+    g_small = gfun_matrix(1, [[series_zero(order_small)]], integral=True)
     x = Fraction(3)
-    ref = horner(TS.geometric(order_big).coeffs, x)
+    ref = horner(geometric(order_big).coeffs, x)
     report = check_period_equation(
         f_small, g_small, ((ref,),), ((Fraction(0),),), x, Place.finite(3)
     )
@@ -299,10 +311,10 @@ def test_check_truncation_self_consistency():
 
 def test_check_flags_corrupted_entry():
     order = 8
-    f = GFunMatrix.from_series(1, [[TS.geometric(order)]], integral=True)
-    gz = GFunMatrix.from_series(1, [[TS.zero(order)]], integral=True)
+    f = gfun_matrix(1, [[geometric(order)]], integral=True)
+    gz = gfun_matrix(1, [[series_zero(order)]], integral=True)
     x = Fraction(5)
-    good = horner(TS.geometric(order).coeffs, x)
+    good = horner(geometric(order).coeffs, x)
     report = check_period_equation(f, gz, ((good + 1,),), ((Fraction(0),),), x, Place.finite(5))
     assert not report.all_ok
     bad = [e for e in report.entries if not e.ok]
@@ -310,8 +322,29 @@ def test_check_flags_corrupted_entry():
 
 
 def test_gfun_json_roundtrip():
-    f = GFunMatrix.from_series(1, [[hypergeometric_fixture(6)]])
+    f = gfun_matrix(1, [[hypergeometric_fixture(6)]])
     assert GFunMatrix.from_json(f.to_json()).entries[0][0] == f.entries[0][0]
     fam = identity_family(2, 6)
-    rt = GaussManinCoefficients.from_json(fam.to_json())
+    rt = GaussManinCoefficients.from_json(family_to_json(fam))
     assert rt.g == 2 and rt.deriv_order == 0
+
+
+_SERIES = {"order": 1, "coeffs": ["0", "1"]}
+
+
+@pytest.mark.parametrize(
+    "decode, doc, error",
+    [
+        (GFunMatrix.from_json, {"g": 1.9, "entries": [[_SERIES]]}, "g: not an integer: 1.9"),
+        (GFunMatrix.from_json, {"g": True, "entries": [[_SERIES]]}, "g: not an integer: True"),
+        (GFunMatrix.from_json, {"g": 1, "entries": [[{"order": 0.5, "coeffs": []}]]}, "entries[0][0].order: not an integer: 0.5"),
+        (GaussManinCoefficients.from_json, {"g": 1, "N": 0.5, "a": [[[_SERIES]]]}, "N: not an integer: 0.5"),
+        (GaussManinCoefficients.from_json, {"g": 1, "N": False, "a": [[[_SERIES]]]}, "N: not an integer: False"),
+    ],
+)
+def test_a_fractional_or_bool_number_is_not_an_integer(decode, doc, error):
+    # int() read 1.9 as 1 and true as 1; the whole float 1.0 and "1" still read as 1
+    with pytest.raises(DecodeError) as exc:
+        decode(doc)
+    assert str(exc.value) == error
+    assert GFunMatrix.from_json({"g": 1.0, "entries": [[_SERIES]]}) == GFunMatrix.from_json({"g": "1", "entries": [[_SERIES]]})

@@ -18,7 +18,7 @@ from periodrel.relations import Case3Input, generator_transform_scalar, random_c
 from periodrel.scalars import QuadScalar, ScalarError, quadratic_field
 from periodrel.symplectic import sample_symplectic, with_multiplier
 
-from helpers import det_gauss, gauss, similitude_defect, unfreeze
+from helpers import det_gauss, gauss, similitude_defect, solve, solve_nonsingular, unfreeze
 
 _NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 
@@ -222,12 +222,12 @@ def test_bareiss_rank_and_solve_agree_with_gauss(system):
     a, rhs = system
     assert mx.rank(a) == gauss_rank(a)
     want = gauss_solve(a, rhs)
-    got = mx.solve(a, rhs)
+    got = solve(a, rhs)
     assert got == want
     assert got is None or all(type(x) is Fraction for x in got)
     # all-int input runs the same kernel; the oracle needs Fractions
     ints, int_rhs = [[int(x * 60) for x in row] for row in a], [int(y * 60) for y in rhs]
-    assert mx.solve(ints, int_rhs) == gauss_solve([[Fraction(x) for x in row] for row in ints], list(map(Fraction, int_rhs)))
+    assert solve(ints, int_rhs) == gauss_solve([[Fraction(x) for x in row] for row in ints], list(map(Fraction, int_rhs)))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -238,16 +238,16 @@ def test_bareiss_inverse_det_and_square_solve_agree_with_gauss(system):
     assert mx.det(a) == det_gauss(a)
     assert mx.inverse(a) == gauss_inverse(a)
     want = gauss_solve(a, rhs) if gauss_rank(a) == n else None
-    assert mx.solve_nonsingular(a, rhs) == want
+    assert solve_nonsingular(a, rhs) == want
 
 
 def test_bareiss_fixed_cases():
     a = mx.freeze([[Fraction(0), Fraction(2), Fraction(4)], [Fraction(1, 2), Fraction(1), Fraction(0)]])
     # pivots in columns 0 and 1; the free variable x2 is zero
-    assert mx.solve(a, [Fraction(2), Fraction(3)]) == [Fraction(4), Fraction(1), Fraction(0)]
-    assert mx.solve(mx.freeze([[1, 2], [2, 4]]), [1, 3]) is None
-    assert mx.solve_nonsingular(mx.freeze([[1, 2], [2, 4]]), [1, 2]) is None
-    assert mx.solve(mx.freeze([[1, 2], [2, 4]]), [1, 2]) == [Fraction(1), Fraction(0)]
+    assert solve(a, [Fraction(2), Fraction(3)]) == [Fraction(4), Fraction(1), Fraction(0)]
+    assert solve(mx.freeze([[1, 2], [2, 4]]), [1, 3]) is None
+    assert solve_nonsingular(mx.freeze([[1, 2], [2, 4]]), [1, 2]) is None
+    assert solve(mx.freeze([[1, 2], [2, 4]]), [1, 2]) == [Fraction(1), Fraction(0)]
     assert mx.det(mx.freeze([[0, 1], [1, 0]])) == -1
     assert mx.det(mx.freeze([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])) == Fraction(1, 3)
     assert mx.inverse(mx.freeze([[2, 1], [1, 1]])) == ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(2)))
@@ -260,7 +260,7 @@ def test_quadratic_matrices_take_gauss():
     assert mx.rank(a) == gauss_rank(a) == 1
     b = mx.freeze([[r, Fraction(1)], [Fraction(1), r]])
     assert mx.inverse(b) == gauss_inverse(b)
-    assert mx.solve(b, [Fraction(1), Fraction(0)]) == gauss_solve(b, [Fraction(1), Fraction(0)])
+    assert solve(b, [Fraction(1), Fraction(0)]) == gauss_solve(b, [Fraction(1), Fraction(0)])
     assert mx.det(b) == det_gauss(b) == 4
 
 
@@ -303,7 +303,7 @@ def _quadratic_system(draw, square: bool = False):
 def test_quadratic_rank_and_solve_agree_with_gauss(system):
     a, rhs = system
     assert mx.rank(a) == gauss_rank(a)
-    assert mx.solve(a, rhs) == gauss_solve(a, rhs)
+    assert solve(a, rhs) == gauss_solve(a, rhs)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -313,14 +313,14 @@ def test_quadratic_inverse_det_and_square_solve_agree_with_gauss(system):
     assert mx.det(a) == det_gauss(a)
     assert mx.inverse(a) == gauss_inverse(a)
     want = gauss_solve(a, rhs) if gauss_rank(a) == len(a) else None
-    assert mx.solve_nonsingular(a, rhs) == want
+    assert solve_nonsingular(a, rhs) == want
 
 
 def test_two_quadratic_fields_are_refused_before_eliminating():
     """diag(sqrt 2, sqrt 3): the first entry from a second field, in
     row-major order, is named before the field of the entries ahead of it."""
     m = mx.freeze([[QuadScalar(2, 0, 1), Fraction(0)], [Fraction(0), QuadScalar(3, 0, 1)]])
-    for call in (lambda: mx.rank(m), lambda: mx.solve(m, [Fraction(1), Fraction(1)]), lambda: mx.inverse(m),
+    for call in (lambda: mx.rank(m), lambda: solve(m, [Fraction(1), Fraction(1)]), lambda: mx.inverse(m),
                  lambda: mx.det(m)):
         with pytest.raises(ScalarError, match=r"^mixed quadratic contexts: sqrt\(3\) vs sqrt\(2\)$"):
             call()
@@ -344,6 +344,6 @@ def test_quadratic_solve_runs_on_integer_rows(monkeypatch):
     monkeypatch.setattr(mx, "_bareiss", integer_only)
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(QuadScalar, name, lambda *args: pytest.fail("field arithmetic in a Q(sqrt d) solve"))
-    got = mx.solve(a, rhs)
+    got = solve(a, rhs)
     monkeypatch.undo()
     assert calls == [6] and got == want and want is not None

@@ -594,3 +594,24 @@ def test_decoder_agrees_with_the_varid_decoder_on_well_formed_input(doc):
 @given(_polys_with_an_odd_entry())
 def test_decoder_refuses_what_the_varid_decoder_refuses_with_its_message(doc):
     assert _decoded(MultiPoly.from_json, doc) == _decoded(poly_from_json_by_varid, doc)
+
+
+@pytest.mark.parametrize(
+    "entry, error",
+    [
+        (["Y", 1, 1, 1.5], "poly[0].monomial[0].exponent: not an integer: 1.5"),
+        (["Y", 2.5, 1, 1], "poly[0].monomial[0].row: not an integer: 2.5"),
+        (["Z", 1, True, 1], "poly[0].monomial[0].col: not an integer: True"),
+        (["Z", 1, 1, False], "poly[0].monomial[0].exponent: not an integer: False"),
+    ],
+)
+def test_a_fractional_or_bool_field_is_refused(entry, error):
+    # int() read Y[1,1]^1.5 as Y[1,1]^1: a polynomial the file does not hold
+    for decode in (MultiPoly.from_json, poly_from_json_by_varid):
+        with pytest.raises(DecodeError) as exc:
+            decode([{"coeff": "1", "monomial": [entry]}])
+        assert str(exc.value) == error
+    # a whole float and a numeral still read as the int
+    assert MultiPoly.from_json([{"coeff": "1", "monomial": [["Y", "1", 2.0, " 1"]]}]) == MultiPoly.from_json(
+        [{"coeff": "1", "monomial": [["Y", 1, 2, 1]]}]
+    )

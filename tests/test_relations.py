@@ -35,6 +35,7 @@ from helpers import (
     phi_substitution,
     random_action,
     select_nontrivial_entry,
+    solve_nonsingular,
     sylvester_solvable,
     synthesize_by_fractions,
     unfreeze,
@@ -313,7 +314,7 @@ def _kronecker_g(act, data):
     eye = mx.identity(g)
     lin = mx.mat_sub(kron(eye, data.M), kron(mx.transpose(act.D), eye))
     fb = mx.mat_mul(mx.transpose(data.F), act.B)
-    x = mx.solve_nonsingular(lin, [fb[i][j] for j in range(g) for i in range(g)])
+    x = solve_nonsingular(lin, [fb[i][j] for j in range(g) for i in range(g)])
     return mx.freeze(x[j * g : j * g + g] for j in range(g))
 
 

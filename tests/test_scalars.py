@@ -294,7 +294,7 @@ def test_records_are_immutable_and_compare_by_value():
         (QuadScalar(5, 1, 2), QuadScalar(5, Fraction(1), Fraction(2)), QuadScalar(5, 1, 3), "b"),
         (VarId("Y", 1, 2), VarId("Y", 1, 2), VarId("Z", 1, 2), "block"),
         (EndomorphismAction(1, eye, eye, eye), EndomorphismAction(1, eye, eye, eye), EndomorphismAction(1, eye, eye, ((2,),)), "D"),
-        (TruncatedSeries((1, 2), 1), TruncatedSeries.from_coeffs([1, 2]), TruncatedSeries((1, 3), 1), "coeffs"),
+        (TruncatedSeries((1, 2), 1), TruncatedSeries([1, 2]), TruncatedSeries((1, 3), 1), "coeffs"),
     ]
     for x, same, other, name in records:
         assert x == same and hash(x) == hash(same) and x != other

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodrel import series
-from periodrel.scalars import DecodeError, Place, QuadScalar, ScalarError, rational_value, valuation
+from periodrel.gfun import GFunMatrix
+from periodrel.scalars import DecodeError, Place, QuadScalar, ScalarError, quadratic_field, rational_value, valuation
 from periodrel.series import (
     EvalResult,
     TruncatedSeries,
@@ -18,7 +20,20 @@ from periodrel.series import (
     reciprocal,
 )
 
-from helpers import compose_generic, horner, horner_kcompose, inverse_generic
+from helpers import (
+    compose_generic,
+    geometric,
+    gfun_by_scalars,
+    horner,
+    horner_kcompose,
+    integral_by_scalars,
+    inverse_generic,
+    series_by_scalars,
+    series_constant,
+    series_json_by_scalars,
+    series_mul,
+    series_x,
+)
 
 TS = TruncatedSeries
 
@@ -53,16 +68,16 @@ def lagrange_inverse(f: TS) -> TS:
     """Lagrange inversion: n [X^n] g = [X^(n-1)] (X / f)^n."""
     n = f.order
     # X/f = 1 / (f/X)
-    shifted = TS.from_coeffs(list(f.coeffs[1:]), n - 1)
+    shifted = TS(list(f.coeffs[1:]), n - 1)
     base = reciprocal(shifted)
     out = [Fraction(0), None]
-    power = TS.constant(Fraction(1), n - 1)
+    power = series_constant(Fraction(1), n - 1)
     coeffs = [Fraction(0)] * (n + 1)
     for k in range(1, n + 1):
-        power = power * base if k > 1 else base
+        power = series_mul(power, base) if k > 1 else base
         coeffs[k] = power.coeffs[k - 1] / k
     coeffs[0] = Fraction(0)
-    return TS.from_coeffs(coeffs, n)
+    return TS(coeffs, n)
 
 
 # ---------------------------------------------------------------------------
@@ -70,20 +85,20 @@ def lagrange_inverse(f: TS) -> TS:
 
 
 def test_compose_identities():
-    g = TS.from_coeffs([0, 2, -1, 3], 3)
-    assert compose(TS.x(3), g) == g
-    f = TS.from_coeffs([5, 1, 7, -2], 3)
-    assert compose(f, TS.x(3)) == f
+    g = TS([0, 2, -1, 3], 3)
+    assert compose(series_x(3), g) == g
+    f = TS([5, 1, 7, -2], 3)
+    assert compose(f, series_x(3)) == f
 
 
 def test_compose_requires_vanishing_inner():
     with pytest.raises(ValueError, match="vanish at origin"):
-        compose(TS.geometric(3), TS.constant(1, 3))
+        compose(geometric(3), series_constant(1, 3))
 
 
 def test_compose_fibonacci():
-    f = TS.geometric(4)
-    g = TS.from_coeffs([0, 1, 1], 4)
+    f = geometric(4)
+    g = TS([0, 1, 1], 4)
     expected = brute_force_compose(list(f.coeffs), list(g.coeffs), 4)
     got = compose(f, g)
     assert list(got.coeffs) == expected
@@ -95,7 +110,7 @@ def test_compose_random_against_brute_force():
     for _ in range(10):
         fc = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(9)]
         gc = [Fraction(0)] + [Fraction(rng.randint(-3, 3)) for _ in range(8)]
-        f, g = TS.from_coeffs(fc, 8), TS.from_coeffs(gc, 8)
+        f, g = TS(fc, 8), TS(gc, 8)
         assert list(compose(f, g).coeffs) == brute_force_compose(fc, gc, 8)
 
 
@@ -104,20 +119,20 @@ def test_compose_random_against_brute_force():
 
 
 def test_inverse_of_x():
-    assert compositional_inverse(TS.x(6)) == TS.x(6)
+    assert compositional_inverse(series_x(6)) == series_x(6)
 
 
 def test_inverse_geometric_shift():
     # X/(1-X) = X + X^2 + ... inverts to X/(1+X) = X - X^2 + X^3 - ...
-    f = TS.from_coeffs([0] + [1] * 10, 10)
+    f = TS([0] + [1] * 10, 10)
     g = compositional_inverse(f)
     assert list(g.coeffs) == [Fraction(0)] + [Fraction((-1) ** (n + 1)) for n in range(1, 11)]
-    assert compose(f, g) == TS.x(10)
-    assert compose(g, f) == TS.x(10)
+    assert compose(f, g) == series_x(10)
+    assert compose(g, f) == series_x(10)
 
 
 def test_inverse_signed_catalan():
-    f = TS.from_coeffs([0, 1, 1], 5)
+    f = TS([0, 1, 1], 5)
     g = compositional_inverse(f)
     assert list(g.coeffs) == [0, 1, -1, 2, -5, 14]
     assert list(lagrange_inverse(f).coeffs) == [0, 1, -1, 2, -5, 14]
@@ -127,26 +142,26 @@ def test_inverse_matches_lagrange_oracle():
     rng = random.Random(4)
     for _ in range(10):
         coeffs = [0, rng.choice((1, -1))] + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(10)]
-        f = TS.from_coeffs(coeffs, 11)
+        f = TS(coeffs, 11)
         assert compositional_inverse(f) == lagrange_inverse(f)
 
 
 def test_inverse_preconditions():
     with pytest.raises(ValueError):
-        compositional_inverse(TS.from_coeffs([1, 1], 3))
+        compositional_inverse(TS([1, 1], 3))
     with pytest.raises(ValueError):
-        compositional_inverse(TS.from_coeffs([0, 0, 1], 3))
+        compositional_inverse(TS([0, 0, 1], 3))
 
 
 def test_integral_unit_series_have_integral_inverses():
     rng = random.Random(5)
     for _ in range(25):
         coeffs = [0, rng.choice((1, -1))] + [rng.randint(-5, 5) for _ in range(29)]
-        f = TS.from_coeffs(coeffs, 30)
+        f = TS(coeffs, 30)
         g = compositional_inverse(f)
         assert g.is_integral()
-        assert compose(f, g) == TS.x(30)
-        assert compose(g, f) == TS.x(30)
+        assert compose(f, g) == series_x(30)
+        assert compose(g, f) == series_x(30)
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +169,19 @@ def test_integral_unit_series_have_integral_inverses():
 
 
 def test_radius_integer_coeffs_finite_certified():
-    f = TS.from_coeffs([3, -7, 1, 0, 2], 4)
+    f = TS([3, -7, 1, 0, 2], 4)
     rep = radius_lower_bound(f, Place.finite(7), integral_coefficients=True)
     assert rep.lower_bound == 1.0 and rep.certified
 
 
 def test_radius_geometric_arch():
-    rep = radius_lower_bound(TS.geometric(20), Place.arch())
+    rep = radius_lower_bound(geometric(20), Place.arch())
     assert rep.lower_bound == pytest.approx(1.0) and not rep.certified
 
 
 def test_radius_exponential_at_two():
     n = 32
-    f = TS.from_coeffs([Fraction(1, math.factorial(k)) for k in range(n + 1)], n)
+    f = TS([Fraction(1, math.factorial(k)) for k in range(n + 1)], n)
     rep = radius_lower_bound(f, Place.finite(2))
     # oracle: Legendre's formula, v_2(k!) = k - s_2(k)
     oracle = min(
@@ -178,7 +193,7 @@ def test_radius_exponential_at_two():
 
 
 def test_radius_integrality_assertion_checked():
-    f = TS.from_coeffs([Fraction(1, 2), 1], 1)
+    f = TS([Fraction(1, 2), 1], 1)
     with pytest.raises(ScalarError):
         radius_lower_bound(f, Place.finite(3), integral_coefficients=True)
 
@@ -188,7 +203,7 @@ def test_radius_integrality_assertion_checked():
 
 
 def test_scan_integer_series_bounded():
-    f = TS.from_coeffs(list(range(1, 22)), 20)
+    f = TS(list(range(1, 22)), 20)
     rep = globally_bounded_scan(f, 50)
     assert rep.verdict == "bounded"
     assert rep.bad_primes == ()
@@ -197,7 +212,7 @@ def test_scan_integer_series_bounded():
 
 def test_scan_exponential_unbounded_with_witness():
     n = 30
-    f = TS.from_coeffs([Fraction(1, math.factorial(k)) for k in range(n + 1)], n)
+    f = TS([Fraction(1, math.factorial(k)) for k in range(n + 1)], n)
     rep = globally_bounded_scan(f, 30)
     assert rep.verdict == "unbounded_evidence"
     wn, wp = rep.witness
@@ -214,7 +229,7 @@ def test_scan_central_binomial_squared_bounded():
     for n in range(51):
         assert c[n] == Fraction(math.comb(2 * n, n) ** 2)
         assert c[n].denominator == 1
-    f = TS.from_coeffs(c, 50)
+    f = TS(c, 50)
     assert globally_bounded_scan(f, 50).verdict == "bounded"
 
 
@@ -227,7 +242,7 @@ def test_scan_central_binomial_squared_bounded():
     ],
 )
 def test_scan_lists_a_tail_only_when_trial_division_proves_it_prime(tail, bad):
-    f = TS.from_coeffs([Fraction(1, 6), Fraction(1, 6 * tail)], 1)
+    f = TS([Fraction(1, 6), Fraction(1, 6 * tail)], 1)
     assert globally_bounded_scan(f, 50).bad_primes == bad
 
 
@@ -236,12 +251,12 @@ def test_scan_dates_a_prime_by_the_first_index_of_a_repeated_denominator():
     coeffs = [Fraction(0)] * 11
     coeffs[1] = coeffs[9] = Fraction(1, 3)
     coeffs[7] = Fraction(1, 5)
-    rep = globally_bounded_scan(TS.from_coeffs(coeffs, 10), 50)
+    rep = globally_bounded_scan(TS(coeffs, 10), 50)
     assert (rep.bad_primes, rep.verdict, rep.witness) == ((3, 5), "unbounded_evidence", (7, 5))
 
 
 def test_scan_stable_denominator_bounded():
-    f = TS.from_coeffs([Fraction(n, 6) for n in range(25)], 24)
+    f = TS([Fraction(n, 6) for n in range(25)], 24)
     assert globally_bounded_scan(f, 50).verdict == "bounded"
 
 
@@ -250,7 +265,7 @@ def test_scan_stable_denominator_bounded():
 
 
 def test_eval_at_zero():
-    f = TS.from_coeffs([Fraction(7, 3), 1, 4], 2)
+    f = TS([Fraction(7, 3), 1, 4], 2)
     for v in (Place.arch(), Place.finite(5)):
         res = eval_with_tail_bound(f, Fraction(0), v)
         assert res.value == Fraction(7, 3) and res.tail_bound == 0.0
@@ -259,7 +274,7 @@ def test_eval_at_zero():
 def test_eval_geometric_padic():
     # x = 2 is the 2-adically small point: |2|_2 = 1/2 < 1
     n = 12
-    f = TS.geometric(n)
+    f = geometric(n)
     res = eval_with_tail_bound(f, Fraction(2), Place.finite(2), integral_tail=True)
     assert res.value == horner(f.coeffs, Fraction(2))
     assert res.tail_bound == pytest.approx(2.0 ** (-(n + 1)))
@@ -275,7 +290,7 @@ def test_eval_geometric_padic():
 def test_finite_place_sum_matches_fraction_horner(coeffs, x, p):
     # all-Fraction coefficients take the int Horner, at a rational x and at a
     # rational-valued QuadScalar x alike, since x is read by its value
-    f = TS.from_coeffs(coeffs)
+    f = TS(coeffs)
     res = eval_with_tail_bound(f, x, Place.finite(p))
     want = horner(f.coeffs, x)
     assert res.value == want and type(res.value) is Fraction
@@ -283,20 +298,23 @@ def test_finite_place_sum_matches_fraction_horner(coeffs, x, p):
 
 
 def test_finite_place_sum_has_two_branches(monkeypatch):
-    # rational coefficients: the int Horner, whatever the type of a rational
-    # x; quadratic coefficients: the term-by-term sum, without clearing
-    cleared = []
-    rows = series.cleared
-    monkeypatch.setattr(series, "cleared", lambda r, d: cleared.append(d) or rows(r, d))
-    f = TS.from_coeffs([Fraction(1, 3), 2, Fraction(-5, 7), 9])
+    # rational coefficients: Horner on the numerators, whatever the type of a
+    # rational x, with no scalar coefficient built; quadratic coefficients:
+    # the term-by-term sum over the scalar view
+    views = []
+    view = TS.coeffs.fget
+    monkeypatch.setattr(TS, "coeffs", property(lambda s: views.append(s.d) or view(s)))
+    f = TS([Fraction(1, 3), 2, Fraction(-5, 7), 9])
+    h = TS([1, -2, 5, 9])
     for x in (3, Fraction(3, 5), QuadScalar(-7, Fraction(3, 5), 0)):
-        cleared.clear()
-        res = eval_with_tail_bound(f, x, Place.finite(3))
-        assert cleared == [None] and res.value == horner(f.coeffs, rational_value(x))
-    g = TS.from_coeffs([quad(5, 1, 1), Fraction(2, 3), quad(5, 0, -1), quad(2, 1), 1, 2, 3, 4])
-    cleared.clear()
+        assert eval_with_tail_bound(f, x, Place.finite(3)).value == horner(view(f), rational_value(x))
+        views.clear()
+        res = eval_with_tail_bound(h, x, Place.finite(3), integral_tail=True)
+        assert views == [] and res.value == horner(view(h), rational_value(x)) and type(res.value) is Fraction
+    g = TS([quad(5, 1, 1), Fraction(2, 3), quad(5, 0, -1), quad(2, 1), 1, 2, 3, 4])
+    views.clear()
     res = eval_with_tail_bound(g, Fraction(3, 5), Place.finite(3))
-    assert cleared == [] and res.value == horner(g.coeffs, Fraction(3, 5))
+    assert views[:1] == [5] and res.value == horner(view(g), Fraction(3, 5))
     with pytest.raises(ScalarError, match="rational values only"):
         eval_with_tail_bound(f, quad(5, 0, 1), Place.finite(3))
 
@@ -304,29 +322,29 @@ def test_finite_place_sum_has_two_branches(monkeypatch):
 def test_eval_outside_disc_rejected():
     # 1/2 is 2-adically large (|1/2|_2 = 2), hence outside the unit disc
     with pytest.raises(ScalarError, match="outside certified disc"):
-        eval_with_tail_bound(TS.geometric(5), Fraction(1, 2), Place.finite(2), integral_tail=True)
+        eval_with_tail_bound(geometric(5), Fraction(1, 2), Place.finite(2), integral_tail=True)
     with pytest.raises(ScalarError, match="outside certified disc"):
         # |2|_3 = 1: the open unit disc excludes it
-        eval_with_tail_bound(TS.geometric(5), Fraction(2), Place.finite(3), integral_tail=True)
+        eval_with_tail_bound(geometric(5), Fraction(2), Place.finite(3), integral_tail=True)
 
 
 def test_eval_geometric_arch_closed_form():
-    f = TS.geometric(20)
+    f = geometric(20)
     res = eval_with_tail_bound(f, Fraction(1, 3), Place.arch())
     assert res.heuristic
     assert abs(res.value - 1.5) <= res.tail_bound
 
 
 def test_eval_arch_quadratic_values():
-    f = TS.from_coeffs([Fraction(1), QuadScalar(-1, Fraction(1, 2), 0), Fraction(1)], 2)
-    g = TS.from_coeffs([Fraction(1), Fraction(1, 2), Fraction(1)], 2)
+    f = TS([Fraction(1), QuadScalar(-1, Fraction(1, 2), 0), Fraction(1)], 2)
+    g = TS([Fraction(1), Fraction(1, 2), Fraction(1)], 2)
     quarter = Fraction(1, 4)
     assert eval_with_tail_bound(f, quarter, Place.arch()) == eval_with_tail_bound(g, quarter, Place.arch())
     root5 = QuadScalar(5, 0, 1)
     with pytest.raises(ScalarError, match="needs an embedding selector"):
         eval_with_tail_bound(g, root5 / 4, Place.arch())
     assert eval_with_tail_bound(g, root5 / 4, Place.arch("tau")).value == pytest.approx(1 - math.sqrt(5) / 8 + 5 / 16)
-    for x, h in ((Fraction(1, 4), TS.from_coeffs([1, QuadScalar(-7, 0, 1)], 1)), (QuadScalar(-7, 0, 1) / 8, g)):
+    for x, h in ((Fraction(1, 4), TS([1, QuadScalar(-7, 0, 1)], 1)), (QuadScalar(-7, 0, 1) / 8, g)):
         for v in (Place.arch(), Place.arch("sigma")):
             with pytest.raises(ScalarError, match="imaginary quadratic scalars is not supported"):
                 eval_with_tail_bound(h, x, v)
@@ -338,7 +356,7 @@ def test_padic_truncation_consistency():
     rng = random.Random(6)
     for _ in range(20):
         coeffs = [rng.randint(-9, 9) for _ in range(25)]
-        f = TS.from_coeffs(coeffs, 24)
+        f = TS(coeffs, 24)
         p = rng.choice((2, 3, 5))
         x = Fraction(p * rng.randint(1, 3), rng.choice((7, 11)))  # v_p(x) = 1
         n1, n2 = 10, 24
@@ -349,8 +367,110 @@ def test_padic_truncation_consistency():
 
 
 def test_series_json_roundtrip():
-    f = TS.from_coeffs([Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7)], 3)
+    f = TS([Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7)], 3)
     assert TS.from_json(f.to_json()) == f
+
+
+def test_integral_order_forms_are_still_read():
+    for order in ("2", " 2", 2.0):
+        assert TS.from_json({"order": order, "coeffs": ["1"]}) == TS([1, 0, 0])
+
+
+# every form a coefficient may take, accepted (JSON ints, bools and floats,
+# strings Fraction reads, {d, a, b} objects) and refused
+ACCEPTED_FORMS = [
+    "4/6", "-4/6", "0/5", "-0", "007/014", "1.5", "1e3", " 3 ", "+3", "1_000", "\u0663", "-\u0663/\u0664", True, False,
+    2.5, -0.0, 1e300, 10**40, {"d": -7, "a": "1/3", "b": "0"}, {"d": 5, "a": 1, "b": 1.5},
+]
+REFUSED_FORMS = [
+    "1/0", "one", "", "-", "1/", "/2", "1/2/3", "1" * 4301, "-1/" + "7" * 4400, None, [1], float("nan"), math.inf,
+    {"d": 5, "a": "1"}, {"a": "1", "b": "1"}, {"d": 4, "a": "1", "b": "1"}, {"d": "x", "a": "1", "b": "1"},
+]
+_ACCEPTED = st.one_of(
+    st.integers(-(10**25), 10**25),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds("{}/{}".format, st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(ACCEPTED_FORMS),
+    st.builds(
+        lambda d, a, b: {"d": d, "a": a, "b": b},
+        st.sampled_from([5, 2, -1, -7, 3]),
+        st.sampled_from(["0", "1", "-3/4", "6/4", 2]),
+        st.sampled_from(["0", "1", "-1/2", "4/6", 0, 1.5]),
+    ),
+)
+_REFUSED = st.sampled_from(REFUSED_FORMS)
+
+
+@st.composite
+def series_docs(draw, order=None):
+    order = draw(st.integers(0, 8)) if order is None else order
+    size = draw(st.integers(0, order + 1) | st.just(order + 2))  # now and then one entry too many
+    coeff = st.one_of(_ACCEPTED, _REFUSED) if draw(st.integers(0, 4)) == 0 else _ACCEPTED
+    doc = {"order": order, "coeffs": draw(st.lists(coeff, min_size=size, max_size=size))}
+    if draw(st.integers(0, 9)) == 0:  # a malformed frame
+        doc = draw(st.sampled_from([{"coeffs": []}, {"order": order}, {**doc, "order": "x"}, {**doc, "order": 1.5}]))
+    return doc
+
+
+def _outcome(decode):
+    try:
+        return decode()
+    except DecodeError as exc:
+        return f"DecodeError: {exc}"
+
+
+def _field(values_or_series, field):
+    try:
+        return field(values_or_series)
+    except ScalarError as exc:
+        return f"ScalarError: {exc}"
+
+
+def _by_cleared(doc):
+    s = TS.from_json(doc)
+    return s.coeffs, json.dumps(s.to_json(), sort_keys=True), _field([s], series.series_field), s.is_integral()
+
+
+def _by_scalars(doc):
+    order, values = series_by_scalars(doc)
+    text = json.dumps(series_json_by_scalars(order, values), sort_keys=True)
+    return values, text, _field(values, quadratic_field), integral_by_scalars(values)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(series_docs() | st.builds(lambda a, b: {"order": 3, "coeffs": ["0", a, "1/2", b]}, _ACCEPTED | _REFUSED, _ACCEPTED))
+def test_the_cleared_decoder_and_encoder_agree_with_the_scalar_oracles(doc):
+    # equal values, byte-equal JSON, the same field or mixed-field error, the
+    # same integrality; or the same DecodeError
+    assert _outcome(lambda: _by_cleared(doc)) == _outcome(lambda: _by_scalars(doc))
+
+
+def test_each_listed_form_decodes_as_the_scalar_oracles_decode_it():
+    # every listed form, accepted or refused, alone, after a plain
+    # coefficient and beside a quadratic one of another field
+    for form in ACCEPTED_FORMS + REFUSED_FORMS:
+        for coeffs in ([form], ["0", form], [form, {"d": 2, "a": "0", "b": "1"}]):
+            doc = {"order": 2, "coeffs": coeffs}
+            assert _outcome(lambda: _by_cleared(doc)) == _outcome(lambda: _by_scalars(doc)), (form, coeffs)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 3), st.booleans(), st.data())
+def test_gfun_documents_decode_as_their_entries_do_one_scalar_at_a_time(g, order, integral, data):
+    orders = st.just(order) | st.integers(0, 3)  # now and then an entry of another order
+    entries = [[data.draw(orders.flatmap(lambda n: series_docs(n))) for _ in range(g)] for _ in range(g)]
+    doc = {"g": g, "integral": integral, "entries": entries}
+
+    def cleared():
+        m = GFunMatrix.from_json(doc)
+        return [[(s.order, s.coeffs, s.to_json()) for s in row] for row in m.entries]
+
+    def scalars():
+        return [[(n, v, series_json_by_scalars(n, v)) for n, v in row] for row in gfun_by_scalars(doc)]
+
+    assert _outcome(cleared) == _outcome(scalars)
 
 
 def test_series_from_json_names_the_malformed_path():
@@ -364,6 +484,9 @@ def test_series_from_json_names_the_malformed_path():
         ({"order": 1, "coeffs": ["0", {"d": 4, "a": "1", "b": "1"}]}, "coeffs[1].d: "),
         ({"order": 1, "coeffs": ["0", "1/0"]}, "coeffs[1]: not a rational number"),
         (["0", "1"], "series: expected an object"),
+        ({"order": 2.5, "coeffs": []}, "order: not an integer: 2.5"),
+        ({"order": True, "coeffs": []}, "order: not an integer: True"),
+        ({"order": 1, "coeffs": ["0", "1", "x"]}, "coeffs: expected at most 2 entries, got 3"),
     ]
     for obj, message in cases:
         with pytest.raises(DecodeError) as exc:
@@ -433,8 +556,8 @@ KERNEL_FIELDS = [None, 5, 2, -1, -7, -4093]
 def kernel_to_series(x: tuple, d) -> TS:
     """A kernel series as a TruncatedSeries over Q or Q(sqrt d)."""
     if d is None:
-        return TS.from_coeffs([Fraction(c) for c in x[0]])
-    return TS.from_coeffs([quad(d, a, b) for a, b in zip(*x)])
+        return TS([Fraction(c) for c in x[0]])
+    return TS([quad(d, a, b) for a, b in zip(*x)])
 
 
 @pytest.mark.parametrize("d", KERNEL_FIELDS)
@@ -510,7 +633,7 @@ INVERSE_KINDS = [
 def test_inverse_is_byte_identical_to_generic_path(kind):
     rng = random.Random(f"inverse-{kind}")
     for _ in range(60 if kind == "cancel" else 25):
-        f = TS.from_coeffs(random_inverse_input(rng, kind, rng.randint(1, 10)))
+        f = TS(random_inverse_input(rng, kind, rng.randint(1, 10)))
         assert compositional_inverse(f).to_json() == inverse_generic(f).to_json()
 
 
@@ -535,8 +658,8 @@ def test_compose_is_byte_identical_to_generic_path(monkeypatch):
     for t in range(120):
         d = (None, "tagged", 2, 5, -1, -7)[t % 6]
         fd, gd = (d if rng.random() < 0.8 else None for _ in range(2))
-        f = TS.from_coeffs([coeff(fd) for _ in range(rng.randint(0, 12) + 1)])
-        g = TS.from_coeffs([0] + [coeff(gd) for _ in range(rng.randint(0, 13))])
+        f = TS([coeff(fd) for _ in range(rng.randint(0, 12) + 1)])
+        g = TS([0] + [coeff(gd) for _ in range(rng.randint(0, 13))])
         with monkeypatch.context() as spy:
             spy.setattr(TS, "__mul__", forbidden)
             got = compose(f, g)
@@ -547,11 +670,11 @@ def test_compose_is_byte_identical_to_generic_path(monkeypatch):
 def test_quadratic_inverse_composes_to_x(d):
     rng = random.Random(d)
     for n in (1, 2, 7, 20):
-        f = TS.from_coeffs(
+        f = TS(
             [quad(d, 0), quad(d, 1, 1)] + [quad(d, rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n - 1)]
         )
         g = compositional_inverse(f)
-        x = TS.from_coeffs([0, quad(d, 1)], n)
+        x = TS([0, quad(d, 1)], n)
         assert compose_generic(f, g) == x
         assert compose_generic(g, f) == x
 
@@ -585,7 +708,7 @@ def test_zero_coefficients_keep_their_generic_encoding(monkeypatch, coeffs, expe
     # a zero is encoded by its value alone, so the kernel's zeros and the
     # generic path's print the same whichever products reach them
     calls = count_packed_inversions(monkeypatch)
-    f = TS.from_coeffs([quad(5, c) for c in coeffs])
+    f = TS([quad(5, c) for c in coeffs])
     assert compositional_inverse(f).to_json()["coeffs"] == expected
     assert calls == [None]
     monkeypatch.undo()
@@ -604,10 +727,10 @@ def test_only_mixed_input_takes_generic_path(monkeypatch):
         ([0, quad(3, 2), Fraction(1, 2), quad(11, -1)], None),
     ]
     calls = count_packed_inversions(monkeypatch)
-    got = [compositional_inverse(TS.from_coeffs(coeffs)).to_json() for coeffs, _ in inputs]
+    got = [compositional_inverse(TS(coeffs)).to_json() for coeffs, _ in inputs]
     assert calls == [d for _, d in inputs]
     monkeypatch.undo()
-    assert got == [inverse_generic(TS.from_coeffs(coeffs)).to_json() for coeffs, _ in inputs]
+    assert got == [inverse_generic(TS(coeffs)).to_json() for coeffs, _ in inputs]
 
 
 @pytest.mark.parametrize("d", [2, 5, -1, -7])
@@ -622,7 +745,7 @@ def test_mixed_inverse_matches_generic_path_to_order_30(d, monkeypatch):
             r = rng.random()
             a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
             coeffs.append(a if r < 0.4 else quad(11, a) if r < 0.5 else quad(d, a, b))
-        inputs.append(TS.from_coeffs(coeffs))
+        inputs.append(TS(coeffs))
     calls = count_packed_inversions(monkeypatch)
     got = [compositional_inverse(f).to_json() for f in inputs]
     assert calls == [d, d]
@@ -633,6 +756,6 @@ def test_mixed_inverse_matches_generic_path_to_order_30(d, monkeypatch):
 def test_two_quadratic_fields_are_refused_before_inverting():
     # Newton's products never meet sqrt 5 with sqrt 2 to order 4, yet the
     # input is refused
-    f = TS.from_coeffs([0, 1, 0, quad(5, 0, 1), quad(2, 0, 1)])
+    f = TS([0, 1, 0, quad(5, 0, 1), quad(2, 0, 1)])
     with pytest.raises(ScalarError, match=r"^mixed quadratic contexts: sqrt\(2\) vs sqrt\(5\)$"):
         compositional_inverse(f)

@@ -2,16 +2,19 @@
 functions by name (a rename on either side would leave
 ``perfbench/run.py --trace 1`` broken), the runtime imports only the
 standard library, but not ``dataclasses`` (with ``inspect``, ``ast`` and
-``dis`` behind it, about 1.1 MB resident), and each runtime name has one
-import path, its module."""
+``dis`` behind it, about 1.1 MB resident), each runtime name has one
+import path, its module, and the per-kind A/B harness runs."""
 
 import importlib
 import json
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
@@ -61,3 +64,20 @@ def test_the_package_root_binds_no_public_name_but_its_submodules():
         and not (isinstance(value, ModuleType) and value.__name__ == f"periodrel.{name}")
     ]
     assert extra == []
+
+
+def test_kind_ab_compares_two_trees_op_kind_by_op_kind():
+    # one round per tree, the repository as both trees: every op kind of the
+    # plan gets a time for each and their ratio
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "kind_ab.py"), str(ROOT), str(ROOT), "--rounds", "1", "--pairs", "1", "--json"],
+        capture_output=True, text=True, timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    figures = json.loads(proc.stdout)
+    assert set(figures) == {"eval_p", "gb_scan", "gfun_check", "gfun_derive", "invert_q5_30", "invert_z120", "invert_z60"}
+    for f in figures.values():
+        assert f["a_ms"] > 0 and f["b_ms"] > 0 and f["ratio"] == pytest.approx(f["b_ms"] / f["a_ms"], abs=0.01)
+    assert elapsed < 5.0
